@@ -5,9 +5,10 @@ Subcommands: ``bounds`` (denominator/bound reports for a graph and profile),
 validation), ``verify`` (exact coupling / dependency checks).  Machine
 output (JSON or CSV) goes to stdout or --out; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 input error, 2 scale error, 3 verification failure
-(a coupling deviation or an empirically violated bound), so pipelines can
-use the tool as a test oracle.
+Exit codes: 0 success, 1 input or usage error, 2 scale error, 3 verification
+failure (a nonzero coupling or dependency deviation, an empirically violated
+bound, or an internal exact check that failed), so pipelines can use the
+tool as a test oracle.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from . import coupling as couplingmod
 from . import covers as coversmod
 from . import montecarlo as mcmod
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
-from .errors import InputError, ScaleError
+from .errors import InputError, ScaleError, VerificationError
 from .graph import Graph, graph_from_json_dict, parse_edge_list, rooted_order
 
 EXIT_OK = 0
@@ -393,10 +394,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _pair_json(pair) -> list | None:
+    return [sorted(pair[0]), sorted(pair[1])] if pair else None
+
+
 def _cmd_verify(args) -> int:
-    tol = args.tol
+    joint, tree, _ = load_joint_spec(args.spec)
     if args.what == "dependency":
-        joint, tree, _ = load_joint_spec(args.spec)
         g = load_graph(args.graph) if args.graph else joint.dependency
         if g is None:
             raise InputError("verify dependency needs --graph or a spec with a tree")
@@ -404,34 +408,38 @@ def _cmd_verify(args) -> int:
         payload = {
             "check": "dependency",
             "deviation": float(report.deviation),
-            "worst_pair": (
-                [sorted(report.worst_pair[0]), sorted(report.worst_pair[1])]
-                if report.worst_pair
-                else None
-            ),
-            "ok": bool(report.ok(tol)),
+            "worst_pair": _pair_json(report.worst_pair),
+            "ok": report.ok(),
         }
-        _emit_output(_json_dumps(payload), args.out)
-        return EXIT_OK if report.ok(tol) else EXIT_VERIFY
-
-    joint, tree, profile = load_joint_spec(args.spec)
-    if tree is None:
+    elif tree is None:
         raise InputError("verify coupling needs a spec with a tree")
-    if profile is None:
-        profile = coversmod.uniform_profile(joint.n)
-    dep_report = couplingmod.verify_dependency(joint, joint.dependency)
-    coupling_dev = couplingmod.verify_all_couplings(joint, tree)
+    else:
+        payload = _coupling_payload(joint, tree)
+    _emit_output(_json_dumps(payload), args.out)
+    return EXIT_OK if payload["ok"] else EXIT_VERIFY
+
+
+def _coupling_payload(joint, tree) -> dict:
+    """Every exact coupling check; ``ok`` only when each deviation is exactly zero."""
+    try:
+        coupling_dev = couplingmod.verify_all_couplings(joint, tree)
+    except couplingmod.DependencyViolation as exc:
+        return {
+            "check": "coupling",
+            "dependency_deviation": float(exc.report.deviation),
+            "worst_pair": _pair_json(exc.report.worst_pair),
+            "ok": False,
+        }
     indep_dev = max(
         (couplingmod.verify_independence_lemma(joint, tree, i) for i in range(1, joint.n)),
         default=Fraction(0),
     )
-    worst = max(float(dep_report.deviation), float(coupling_dev), float(indep_dev))
     payload = {
         "check": "coupling",
-        "dependency_deviation": float(dep_report.deviation),
+        "dependency_deviation": 0.0,  # verify_all_couplings raised otherwise
         "coupling_marginal_deviation": float(coupling_dev),
         "independence_deviation": float(indep_dev),
-        "ok": True,
+        "ok": coupling_dev == 0 and indep_dev == 0,
     }
     numeric = all(
         all(isinstance(v, (int, Fraction)) for v in space) for space in joint.spaces
@@ -442,11 +450,9 @@ def _cmd_verify(args) -> int:
             joint.spaces, lambda x: sum(Fraction(v) for v in x), None
         )
         diff_excess = couplingmod.verify_difference_bound(joint, tree, f)
-        worst = max(worst, float(diff_excess))
         payload["difference_bound_excess"] = float(diff_excess)
-    payload["ok"] = bool(worst <= tol)
-    _emit_output(_json_dumps(payload), args.out)
-    return EXIT_OK if worst <= tol else EXIT_VERIFY
+        payload["ok"] = payload["ok"] and diff_excess <= 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +467,16 @@ def _default_workers() -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``InputError`` (exit 1), not ``SystemExit(2)``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphtail",
         description="Concentration bounds for Lipschitz functions of graph-dependent variables",
     )
@@ -507,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("what", choices=("coupling", "dependency"))
     p_verify.add_argument("--spec", required=True, help="joint spec JSON")
     p_verify.add_argument("--graph", default=None, help="graph to verify dependency against")
-    p_verify.add_argument("--tol", type=float, default=0.0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -525,6 +538,9 @@ def run(argv=None) -> int:
     except ScaleError as exc:
         print(f"scale error: {exc}", file=sys.stderr)
         return EXIT_SCALE
+    except VerificationError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def main() -> None:

@@ -3,9 +3,9 @@
 Everything here is an exhaustive finite sum: joints are explicit pmfs over a
 small product space, couplings are explicit pmfs over the product of two
 copies of that space, and every lemma-style statement becomes a deviation
-that is exactly zero (rational arithmetic) or bounded by 1e-12 (floats).
-The module refuses instances beyond its caps rather than subsampling; its
-whole value is exactness.
+that must be exactly zero.  Probabilities are ints or Fractions, never
+floats, so no check needs a tolerance.  The module refuses instances beyond
+its caps rather than subsampling; its whole value is exactness.
 
 Coordinate conventions: a joint's coordinates are the vertex labels 1..n of
 its dependency graph.  Coupling-related operations re-express the joint in
@@ -28,7 +28,6 @@ from .graph import Graph, OrderedTree, rooted_order
 MAX_COORDINATES = 8
 MAX_ALPHABET = 6
 MAX_LATENT_CONFIGS = 10**6
-FLOAT_TOL = 1e-12
 
 _ZERO = Fraction(0)
 
@@ -48,9 +47,11 @@ class FiniteJoint:
     def n(self) -> int:
         return len(self.spaces)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.pmf.values())
+
+def _exact(p, where: tuple) -> Fraction:
+    if not isinstance(p, (int, Fraction)):
+        raise InputError(f"probability {p!r} at {where!r} is not an int or Fraction")
+    return Fraction(p)
 
 
 def finite_joint(
@@ -71,25 +72,21 @@ def finite_joint(
             )
     clean: dict[tuple, Fraction] = {}
     total = _ZERO
-    exact = all(isinstance(p, Fraction) for p in pmf.values())
     for x, p in pmf.items():
         if len(x) != n:
             raise InputError(f"assignment {x!r} has wrong arity")
         for k, (xi, space) in enumerate(zip(x, spaces_t), start=1):
             if xi not in space:
                 raise InputError(f"value {xi!r} of coordinate {k} outside its alphabet")
-        prob = p if isinstance(p, Fraction) else float(p)
+        prob = _exact(p, x)
         if prob < 0:
             raise InputError(f"negative probability {p} at {x!r}")
         if prob == 0:
             continue
         clean[tuple(x)] = clean.get(tuple(x), _ZERO) + prob
         total += prob
-    if exact:
-        if total != 1:
-            raise InputError(f"probabilities sum to {total}, need exactly 1")
-    elif abs(float(total) - 1.0) > FLOAT_TOL:
-        raise InputError(f"probabilities sum to {float(total)}, need 1 within {FLOAT_TOL}")
+    if total != 1:
+        raise InputError(f"probabilities sum to {total}, need exactly 1")
     if dependency is not None and dependency.n != n:
         raise InputError(f"dependency graph has {dependency.n} vertices, joint has {n}")
     return FiniteJoint(spaces=spaces_t, pmf=clean, dependency=dependency)
@@ -101,22 +98,8 @@ def product_joint(marginals: Sequence[Sequence[tuple]]) -> FiniteJoint:
     pmf: dict[tuple, Fraction] = {}
     for combo in itertools.product(*marginals):
         x = tuple(v for v, _ in combo)
-        p = Fraction(1)
-        for _, q in combo:
-            p *= q if isinstance(q, Fraction) else Fraction(q)
-        if p:
-            pmf[x] = p
+        pmf[x] = math.prod((_exact(q, (v,)) for v, q in combo), start=Fraction(1))
     return finite_joint(spaces, pmf)
-
-
-def marginal(joint: FiniteJoint, coords: Iterable[int]) -> dict[tuple, Fraction]:
-    """Marginal pmf over the given 1-based coordinates (in ascending order)."""
-    cs = sorted(set(coords))
-    out: dict[tuple, Fraction] = {}
-    for x, p in joint.pmf.items():
-        key = tuple(x[c - 1] for c in cs)
-        out[key] = out.get(key, _ZERO) + p
-    return out
 
 
 def conditional(joint: FiniteJoint, fixed: Mapping[int, object]) -> FiniteJoint:
@@ -168,7 +151,7 @@ def finite_dist(pairs: Iterable[tuple[object, object]]) -> tuple[tuple[object, F
     out = []
     total = _ZERO
     for v, p in pairs:
-        q = p if isinstance(p, Fraction) else Fraction(p)
+        q = _exact(p, (v,))
         if q < 0:
             raise InputError(f"negative latent probability {p}")
         if q:
@@ -250,61 +233,80 @@ def build_tree_joint(spec: LatentTreeSpec) -> FiniteJoint:
 
 @dataclass(frozen=True)
 class DependencyReport:
-    deviation: Fraction | float
+    deviation: Fraction
     worst_pair: tuple[frozenset[int], frozenset[int]] | None
 
-    def ok(self, tol: float = FLOAT_TOL) -> bool:
-        return self.deviation <= tol
+    def ok(self) -> bool:
+        return self.deviation == 0
+
+
+class DependencyViolation(KindError):
+    """A joint is not dependent along its declared graph; carries the report."""
+
+    def __init__(self, report: DependencyReport):
+        self.report = report
+        super().__init__(
+            "joint is not dependent along its declared tree"
+            f" (deviation {report.deviation} on pair {report.worst_pair})"
+        )
 
 
 def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     """Largest total-variation gap over disjoint non-adjacent vertex-set pairs.
 
-    For every disjoint non-adjacent pair (S, T), compares the joint law on
-    S and T against the product of their marginals; a declared dependency
-    graph is honest iff the worst gap is zero.
+    Compares the joint law on S and T against the product of their marginals;
+    a declared dependency graph is honest iff the worst gap is zero.  Only
+    T = V minus S and its neighbours is checked for each nonempty S: every
+    other T' disjoint from and non-adjacent to S lies inside that T, and
+    marginalising out the rest of T cannot increase the gap, so the worst
+    gap over all pairs is the same.
     """
     if g.n != joint.n:
         raise InputError(f"graph has {g.n} vertices, joint has {joint.n}")
-    verts = list(range(1, joint.n + 1))
-    marg_cache: dict[frozenset[int], dict[tuple, Fraction]] = {}
-
-    def marg(coords: frozenset[int]) -> dict[tuple, Fraction]:
-        if coords not in marg_cache:
-            marg_cache[coords] = marginal(joint, coords)
-        return marg_cache[coords]
-
-    worst: Fraction | float = _ZERO if joint.is_exact else 0.0
+    # integer weights over a common denominator keep the sums exact and cheap
+    scale = math.lcm(*(p.denominator for p in joint.pmf.values()))
+    weights = {x: int(p * scale) for x, p in joint.pmf.items()}
+    verts = range(1, joint.n + 1)
+    worst = 0
     worst_pair = None
-    nonempty = [frozenset(c) for r in range(1, joint.n) for c in itertools.combinations(verts, r)]
-    for s_set in nonempty:
-        for t_set in nonempty:
-            if min(t_set) <= min(s_set):
-                continue  # unordered pairs once
-            if s_set & t_set:
+    for r in range(1, joint.n):
+        for s in itertools.combinations(verts, r):
+            closed = set(s).union(*(g.neighbors(v) for v in s))
+            t = tuple(v for v in verts if v not in closed)
+            if not t:
                 continue
-            if any((u in s_set and w in t_set) or (w in s_set and u in t_set) for u, w in g.edges):
-                continue
-            union = sorted(s_set | t_set)
-            pos = {c: k for k, c in enumerate(union)}
-            joint_st = marg(frozenset(union))
-            ps, pt = marg(s_set), marg(t_set)
-            s_coords = sorted(s_set)
-            t_coords = sorted(t_set)
-            gap = _ZERO if joint.is_exact else 0.0
-            for skey, sp in ps.items():
-                for tkey, tp in pt.items():
-                    merged = [None] * len(union)
-                    for c, v in zip(s_coords, skey):
-                        merged[pos[c]] = v
-                    for c, v in zip(t_coords, tkey):
-                        merged[pos[c]] = v
-                    actual = joint_st.get(tuple(merged), _ZERO)
-                    gap += abs(actual - sp * tp)
-            gap = gap / 2
+            gap = _independence_gap(weights, scale, s, t)
             if gap > worst:
-                worst, worst_pair = gap, (s_set, t_set)
-    return DependencyReport(deviation=worst, worst_pair=worst_pair)
+                worst, worst_pair = gap, (frozenset(s), frozenset(t))
+    return DependencyReport(deviation=Fraction(worst, 2 * scale * scale), worst_pair=worst_pair)
+
+
+def _independence_gap(weights: Mapping[tuple, int], scale: int, s: tuple, t: tuple) -> int:
+    """Twice the TV between (X_S, X_T) and its product law, times ``scale`` squared.
+
+    ``weights`` is the pmf times ``scale``, in integers.
+    """
+    both: dict[tuple, int] = {}
+    ws: dict[tuple, int] = {}
+    wt: dict[tuple, int] = {}
+    for x, w in weights.items():
+        xs = tuple(x[c - 1] for c in s)
+        xt = tuple(x[c - 1] for c in t)
+        both[xs, xt] = both.get((xs, xt), 0) + w
+        ws[xs] = ws.get(xs, 0) + w
+        wt[xt] = wt.get(xt, 0) + w
+    return sum(
+        abs(scale * both.get((a, b), 0) - wa * wb) for a, wa in ws.items() for b, wb in wt.items()
+    )
+
+
+def _require_dependent(joint: FiniteJoint) -> None:
+    """Raise ``DependencyViolation`` unless the joint honours its declared graph."""
+    if joint.dependency is None:
+        raise InputError("joint declares no dependency graph to verify against")
+    report = verify_dependency(joint, joint.dependency)
+    if not report.ok():
+        raise DependencyViolation(report)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +417,10 @@ def exact_tail(joint: FiniteJoint, f: LipschitzFunction, t) -> Fraction:
 # ---------------------------------------------------------------------------
 # Relabeling to the rooted order
 
-def _check_tree_matches(joint: FiniteJoint, tree: OrderedTree, n: int) -> None:
-    if tree.size != n or set(tree.order) != set(range(1, n + 1)):
-        raise InputError("ordered tree does not cover the joint's coordinates")
-
-
 def relabel_joint(joint: FiniteJoint, tree: OrderedTree) -> FiniteJoint:
     """The same distribution with coordinate k = relabeled vertex k of the tree."""
-    _check_tree_matches(joint, tree, joint.n)
+    if tree.size != joint.n or set(tree.order) != set(range(1, joint.n + 1)):
+        raise InputError("ordered tree does not cover the joint's coordinates")
     perm = [tree.original(k) - 1 for k in range(1, joint.n + 1)]
     spaces = tuple(joint.spaces[p] for p in perm)
     pmf = {tuple(x[p] for p in perm): prob for x, prob in joint.pmf.items()}
@@ -533,14 +531,13 @@ def build_coupling(
     prefix: tuple,
     lhs_value,
     rhs_value,
-    check_dependency: bool = True,
 ) -> CouplingPair:
     """Couple the two conditional laws that differ only in coordinate i.
 
     ``prefix`` fixes relabeled coordinates 1..i-1; the Y side conditions on
     coordinate i = lhs_value, the Z side on rhs_value.  Requires a
-    tree-dependent joint (checked unless the caller has already verified it):
-    without tree-dependence the redraw of the parent coordinate can hit a
+    tree-dependent joint (raising ``DependencyViolation`` otherwise): without
+    tree-dependence the redraw of the parent coordinate can hit a
     zero-probability conditioning event while carrying mass.
     """
     n = joint.n
@@ -548,83 +545,62 @@ def build_coupling(
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
     if len(prefix) != i - 1:
         raise InputError(f"prefix has {len(prefix)} values, needs {i - 1}")
-    if check_dependency:
-        dep_graph = joint.dependency
-        if dep_graph is None:
-            raise InputError("joint declares no dependency graph to verify against")
-        report = verify_dependency(joint, dep_graph)
-        tol = 0 if joint.is_exact else FLOAT_TOL
-        if not report.ok(tol):
-            raise KindError(
-                f"joint is not dependent along its declared tree"
-                f" (deviation {report.deviation} on pair {report.worst_pair})"
-            )
-
+    _require_dependent(joint)
     rl = relabel_joint(joint, tree)
-    rest = tree.exposure_rest[i - 1]
+    context = CouplingContext(i=i, prefix=prefix, lhs_value=lhs_value, rhs_value=rhs_value)
+    return _couple(rl.spaces, tree, _suffix_conditionals(rl.pmf, i), context)
+
+
+def _couple(
+    spaces: tuple[tuple, ...],
+    tree: OrderedTree,
+    conds: Mapping[tuple, Mapping[tuple, Fraction]],
+    context: CouplingContext,
+) -> CouplingPair:
+    """The coupling of ``build_coupling``, from the step's suffix conditionals."""
+    i = context.i
     parent_coord = tree.parent[i - 1]
-    rest_pos = sorted(rest)
-
-    conds = _suffix_conditionals(rl.pmf, i)
-    lhs_head = prefix + (lhs_value,)
-    rhs_head = prefix + (rhs_value,)
-    if lhs_head not in conds:
-        raise InputError(f"conditioning event {lhs_head!r} has probability zero")
-    if rhs_head not in conds:
-        raise InputError(f"conditioning event {rhs_head!r} has probability zero")
-    lhs_suffix = conds[lhs_head]
-    rhs_suffix = conds[rhs_head]
-
-    def split(tail: tuple) -> tuple[tuple, object]:
-        return tuple(tail[c - i - 1] for c in rest_pos), tail[parent_coord - i - 1]
+    cut = parent_coord - i - 1  # the parent's index in a suffix; the rest are copied
+    lhs_head = context.prefix + (context.lhs_value,)
+    rhs_head = context.prefix + (context.rhs_value,)
+    for head in (lhs_head, rhs_head):
+        if head not in conds:
+            raise InputError(f"conditioning event {head!r} has probability zero")
 
     def parent_laws(suffix: Mapping[tuple, Fraction]):
+        """Copied coordinates -> (their mass, law of the parent coordinate given them)."""
         by_key: dict[tuple, dict[object, Fraction]] = {}
-        totals: dict[tuple, Fraction] = {}
         for tail, p in suffix.items():
-            key, par = split(tail)
-            by_key.setdefault(key, {})
-            by_key[key][par] = by_key[key].get(par, _ZERO) + p
-            totals[key] = totals.get(key, _ZERO) + p
-        return by_key, totals
+            by_key.setdefault(tail[:cut] + tail[cut + 1 :], {})[tail[cut]] = p
+        laws = {}
+        for key, dist in by_key.items():
+            mass = sum(dist.values(), _ZERO)
+            laws[key] = (mass, {v: w / mass for v, w in dist.items()})
+        return laws
 
-    lhs_by_key, lhs_totals = parent_laws(lhs_suffix)
-    rhs_by_key, rhs_totals = parent_laws(rhs_suffix)
-
-    def assemble(key: tuple, par) -> tuple:
-        tail = [None] * (n - i)
-        for idx, c in enumerate(rest_pos):
-            tail[c - i - 1] = key[idx]
-        tail[parent_coord - i - 1] = par
-        return tuple(tail)
+    lhs_laws = parent_laws(conds[lhs_head])
+    rhs_laws = parent_laws(conds[rhs_head])
 
     # The copied coordinates keep the lhs law; given them, the parent
     # coordinate of the Z side is redrawn with its rhs conditional law,
     # coupled maximally to the Y side so equal laws coincide pointwise.
     pair_pmf: dict[tuple[tuple, tuple], Fraction] = {}
-    for key, mass in lhs_totals.items():
-        if key not in rhs_by_key:
+    for key, (mass, p_dist) in lhs_laws.items():
+        if key not in rhs_laws:
             raise KindError(
                 "coupling context unreachable: the copied coordinates have zero"
                 " probability under the substituted prefix, so the joint is not"
                 " tree-dependent for this tree"
             )
-        p_dist = {v: w / mass for v, w in lhs_by_key[key].items()}
-        q_dist = {v: w / rhs_totals[key] for v, w in rhs_by_key[key].items()}
-        for (y_par, z_par), w in _maximal_coupling(p_dist, q_dist).items():
-            y_point = lhs_head + assemble(key, y_par)
-            z_point = rhs_head + assemble(key, z_par)
+        for (y_par, z_par), w in _maximal_coupling(p_dist, rhs_laws[key][1]).items():
+            y_point = lhs_head + key[:cut] + (y_par,) + key[cut:]
+            z_point = rhs_head + key[:cut] + (z_par,) + key[cut:]
             weight = mass * w
             if weight:
                 pair_pmf[(y_point, z_point)] = (
                     pair_pmf.get((y_point, z_point), _ZERO) + weight
                 )
-    return CouplingPair(
-        spaces=rl.spaces,
-        pmf=pair_pmf,
-        context=CouplingContext(i=i, prefix=prefix, lhs_value=lhs_value, rhs_value=rhs_value),
-        parent_coord=parent_coord,
-    )
+    return CouplingPair(spaces=spaces, pmf=pair_pmf, context=context, parent_coord=parent_coord)
 
 
 def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
@@ -638,7 +614,7 @@ def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
     return out
 
 
-def _tv(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]):
+def _tv(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> Fraction:
     keys = set(a) | set(b)
     gap = sum((abs(a.get(k, _ZERO) - b.get(k, _ZERO)) for k in keys), _ZERO)
     return gap / 2
@@ -646,55 +622,65 @@ def _tv(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]):
 
 def verify_coupling_marginals(
     pair: CouplingPair, joint: FiniteJoint, tree: OrderedTree
-) -> Fraction | float:
+) -> Fraction:
     """Worst TV gap between the coupled suffix marginals and their target laws."""
     rl = relabel_joint(joint, tree)
-    i = pair.context.i
-    conds = _suffix_conditionals(rl.pmf, i)
-    lhs_target = conds[pair.context.prefix + (pair.context.lhs_value,)]
-    rhs_target = conds[pair.context.prefix + (pair.context.rhs_value,)]
+    return _marginal_gap(pair, _suffix_conditionals(rl.pmf, pair.context.i))
+
+
+def _marginal_gap(pair: CouplingPair, conds: Mapping[tuple, Mapping[tuple, Fraction]]) -> Fraction:
+    """``verify_coupling_marginals`` against the step's suffix conditionals."""
+    ctx = pair.context
+    i = ctx.i
     y_marg: dict[tuple, Fraction] = {}
     z_marg: dict[tuple, Fraction] = {}
     for (y, z), p in pair.pmf.items():
         y_marg[y[i:]] = y_marg.get(y[i:], _ZERO) + p
         z_marg[z[i:]] = z_marg.get(z[i:], _ZERO) + p
-    return max(_tv(y_marg, lhs_target), _tv(z_marg, rhs_target))
+    return max(
+        _tv(y_marg, conds[ctx.prefix + (ctx.lhs_value,)]),
+        _tv(z_marg, conds[ctx.prefix + (ctx.rhs_value,)]),
+    )
 
 
 def all_coupling_contexts(joint: FiniteJoint, tree: OrderedTree):
-    """Every (i, prefix, a, b) with positive prefix-value probabilities, a < b."""
+    """Every (i, prefix, a, b) with positive prefix-value probabilities, a < b.
+
+    Contexts come out grouped by step i, in ascending order.
+    """
     rl = relabel_joint(joint, tree)
     n = joint.n
     for i in range(1, n):
-        heads = sorted({x[:i] for x in rl.pmf})
-        by_prefix: dict[tuple, set] = {}
-        for head in heads:
-            by_prefix.setdefault(head[:-1], set()).add(head[-1])
-        for prefix in sorted(by_prefix):
-            values = sorted(by_prefix[prefix])
+        by_prefix: dict[tuple, list] = {}
+        for head in sorted({x[:i] for x in rl.pmf}):
+            by_prefix.setdefault(head[:-1], []).append(head[-1])
+        for prefix, values in by_prefix.items():
             for a, b in itertools.combinations(values, 2):
                 yield i, prefix, a, b
 
 
-def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> Fraction | float:
-    """Max marginal deviation of the coupling over every valid context."""
-    dep = joint.dependency
-    if dep is None:
-        raise InputError("joint declares no dependency graph")
-    report = verify_dependency(joint, dep)
-    if not report.ok(0 if joint.is_exact else FLOAT_TOL):
-        raise KindError(f"joint is not tree-dependent (deviation {report.deviation})")
-    worst: Fraction | float = _ZERO if joint.is_exact else 0.0
-    for i, prefix, a, b in all_coupling_contexts(joint, tree):
-        pair = build_coupling(joint, tree, i, prefix, a, b, check_dependency=False)
-        worst = max(worst, verify_coupling_marginals(pair, joint, tree))
+def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> Fraction:
+    """Max marginal deviation of the coupling over every valid context.
+
+    Checks tree-dependence once (raising ``DependencyViolation``), then
+    builds the suffix conditionals once per step and shares them across
+    that step's contexts.
+    """
+    _require_dependent(joint)
+    rl = relabel_joint(joint, tree)
+    worst = _ZERO
+    for i, contexts in itertools.groupby(all_coupling_contexts(joint, tree), key=lambda c: c[0]):
+        conds = _suffix_conditionals(rl.pmf, i)
+        for _, prefix, a, b in contexts:
+            pair = _couple(rl.spaces, tree, conds, CouplingContext(i, prefix, a, b))
+            worst = max(worst, _marginal_gap(pair, conds))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Lemma-style exhaustive checks
 
-def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> Fraction | float:
+def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> Fraction:
     """Largest change in the copied coordinates' law when coordinate i is swapped.
 
     For each positive prefix of length i-1, compares the conditional law of
@@ -705,18 +691,18 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     if not (1 <= i <= n - 1):
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
     rl = relabel_joint(joint, tree)
-    rest = sorted(tree.exposure_rest[i - 1])
+    cut = tree.parent[i - 1] - i - 1  # the parent's index in a suffix
     conds = _suffix_conditionals(rl.pmf, i)
     by_prefix: dict[tuple, list[tuple]] = {}
     for head in conds:
         by_prefix.setdefault(head[:-1], []).append(head)
-    worst: Fraction | float = _ZERO if joint.is_exact else 0.0
-    for prefix, heads in by_prefix.items():
+    worst = _ZERO
+    for heads in by_prefix.values():
         dists = []
-        for head in sorted(heads, key=lambda h: repr(h[-1])):
+        for head in heads:
             proj: dict[tuple, Fraction] = {}
             for tail, p in conds[head].items():
-                key = tuple(tail[c - i - 1] for c in rest)
+                key = tail[:cut] + tail[cut + 1 :]
                 proj[key] = proj.get(key, _ZERO) + p
             dists.append(proj)
         for da, db in itertools.combinations(dists, 2):
@@ -727,9 +713,29 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     return worst
 
 
+def _conditional_swings(pmf: Mapping[tuple, Fraction], values: Mapping[tuple, Fraction], i: int):
+    """(prefix, spread of E[f | prefix, x_i] over x_i) for each prefix of length i-1.
+
+    ``values`` maps each point to f there; prefixes with a single positive
+    value at coordinate i have no spread and are skipped.
+    """
+    sums: dict[tuple, Fraction] = {}
+    totals: dict[tuple, Fraction] = {}
+    for x, p in pmf.items():
+        head = x[:i]
+        sums[head] = sums.get(head, _ZERO) + p * values[x]
+        totals[head] = totals.get(head, _ZERO) + p
+    by_prefix: dict[tuple, list[Fraction]] = {}
+    for head, tot in totals.items():
+        by_prefix.setdefault(head[:-1], []).append(sums[head] / tot)
+    for prefix, means in by_prefix.items():
+        if len(means) >= 2:
+            yield prefix, max(means) - min(means)
+
+
 def verify_difference_bound(
     joint: FiniteJoint, tree: OrderedTree, f: LipschitzFunction
-) -> Fraction | float:
+) -> Fraction:
     """Worst excess of conditional-expectation swings over c_i + c_{parent(i)}.
 
     Nonpositive means the one-substitution bound holds at every non-root
@@ -737,29 +743,15 @@ def verify_difference_bound(
     """
     n = joint.n
     rl = relabel_joint(joint, tree)
-    inv = [tree.rank(v) for v in range(1, n + 1)]  # original -> relabel
-    f_rl: dict[tuple, Fraction] = {}
-    for x, _ in rl.pmf.items():
-        original = tuple(x[inv[v - 1] - 1] for v in range(1, n + 1))
-        f_rl[x] = f.value(original)
+    perm = [tree.original(k) - 1 for k in range(1, n + 1)]
+    f_rl = {tuple(x[p] for p in perm): f.value(x) for x in joint.pmf}
     worst = None
     for i in range(1, n):
         ci = f.profile.coefficient(tree.original(i))
         cp = f.profile.coefficient(tree.original(tree.parent[i - 1]))
         budget = ci + cp
-        sums: dict[tuple, Fraction] = {}
-        totals: dict[tuple, Fraction] = {}
-        for x, p in rl.pmf.items():
-            head = x[:i]
-            sums[head] = sums.get(head, _ZERO) + p * f_rl[x]
-            totals[head] = totals.get(head, _ZERO) + p
-        by_prefix: dict[tuple, list[Fraction]] = {}
-        for head, tot in totals.items():
-            by_prefix.setdefault(head[:-1], []).append(sums[head] / tot)
-        for prefix, means in by_prefix.items():
-            if len(means) < 2:
-                continue
-            excess = max(means) - min(means) - budget
+        for _, swing in _conditional_swings(rl.pmf, f_rl, i):
+            excess = swing - budget
             if worst is None or excess > worst:
                 worst = excess
     return worst if worst is not None else -max(f.profile.values, default=_ZERO)
@@ -798,19 +790,7 @@ def mgf_check(
     if len(eff) != n:
         raise InputError(f"effective profile has {len(eff)} entries, needs {n}")
     for i in range(1, n + 1):
-        sums: dict[tuple, Fraction] = {}
-        totals: dict[tuple, Fraction] = {}
-        for x, p in joint.pmf.items():
-            head = x[:i]
-            sums[head] = sums.get(head, _ZERO) + p * f.value(x)
-            totals[head] = totals.get(head, _ZERO) + p
-        by_prefix: dict[tuple, list[Fraction]] = {}
-        for head, tot in totals.items():
-            by_prefix.setdefault(head[:-1], []).append(sums[head] / tot)
-        for prefix, means in by_prefix.items():
-            if len(means) < 2:
-                continue
-            swing = max(means) - min(means)
+        for prefix, swing in _conditional_swings(joint.pmf, f.table, i):
             if swing > eff[i - 1]:
                 raise SupInfViolation(i, prefix, swing, eff[i - 1])
 

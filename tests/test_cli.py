@@ -5,7 +5,7 @@ import json
 import pytest
 
 from graphtail import cli
-from graphtail.errors import InputError
+from graphtail.errors import InputError, VerificationError
 
 
 @pytest.fixture
@@ -267,6 +267,49 @@ class TestVerifyCommand:
         path.write_text(json.dumps(raw))
         assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+class TestExitCodes:
+    def test_not_tree_dependent_coupling_prints_payload_exit_3(self, tmp_path, capsys):
+        # all three coordinates equal: dependent along no path
+        raw = {
+            "spaces": [[0, 1]] * 3,
+            "tree": {"n": 3, "edges": [[1, 2], [2, 3]]},
+            "pmf": [{"x": [0, 0, 0], "p": "1/2"}, {"x": [1, 1, 1], "p": "1/2"}],
+        }
+        path = tmp_path / "equal3.json"
+        path.write_text(json.dumps(raw))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["dependency_deviation"] == 0.5
+        assert payload["worst_pair"] == [[1], [3]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["bounds", "--graph", "g.json"],  # missing --t
+            ["verify", "dependency", "--spec", "j.json", "--tol", "0.6"],  # removed option
+        ],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        assert cli.run(argv) == 1
+        assert "input error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_verification_error_exit_3_one_line(self, tree_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise VerificationError("certificate did not close")
+
+        monkeypatch.setattr(cli.coversmod, "fractional_chromatic_number", broken)
+        assert cli.run(["covers", "chi-f", "--graph", tree_file]) == 3
+        assert capsys.readouterr().err == "verification error: certificate did not close\n"
 
 
 class TestByteIdenticalReports:

@@ -8,6 +8,7 @@ from graphtail.bounds import forest_denominator, tail_bound
 from graphtail.coupling import (
     CouplingContext,
     CouplingPair,
+    DependencyViolation,
     SupInfViolation,
     build_coupling,
     build_tree_joint,
@@ -17,6 +18,7 @@ from graphtail.coupling import (
     coupling_effective_profile,
     derive_profile,
     exact_tail,
+    finite_dist,
     finite_joint,
     latent_tree_spec,
     lipschitz_function,
@@ -140,6 +142,98 @@ class TestVerifyDependency:
         assert report.deviation == 0 and report.worst_pair is None
 
 
+def random_block_joint(n, rng):
+    """Independent blocks of coordinates, each block with a random exact law.
+
+    Returns the joint and the union of the block cliques, a graph the joint
+    is dependent along by construction.
+    """
+    spaces = [list(range(rng.randint(2, 3))) for _ in range(n)]
+    blocks = {}
+    for v in range(1, n + 1):
+        blocks.setdefault(rng.randrange(n), []).append(v)
+    laws = []
+    for verts in blocks.values():
+        points = list(itertools.product(*(spaces[v - 1] for v in verts)))
+        weights = [rng.randint(0, 3) for _ in points]
+        weights[rng.randrange(len(points))] += 1
+        total = sum(weights)
+        laws.append((verts, {x: F(w, total) for x, w in zip(points, weights) if w}))
+    pmf = {}
+    for combo in itertools.product(*(law.items() for _, law in laws)):
+        x = [None] * n
+        p = F(1)
+        for (verts, _), (values, q) in zip(laws, combo):
+            for v, value in zip(verts, values):
+                x[v - 1] = value
+            p *= q
+        pmf[tuple(x)] = p
+    cliques = [e for verts in blocks.values() for e in itertools.combinations(verts, 2)]
+    return finite_joint(spaces, pmf), build_graph(n, cliques)
+
+
+def pair_gap(joint, s, t):
+    """TV between the law of (X_S, X_T) and the product of its marginals."""
+
+    def law(coords):
+        out = {}
+        for x, p in joint.pmf.items():
+            key = tuple(x[c - 1] for c in coords)
+            out[key] = out.get(key, F(0)) + p
+        return out
+
+    ps, pt, pst = law(s), law(t), law(s + t)
+    total = sum(
+        abs(pst.get(a + b, F(0)) - ps.get(a, F(0)) * pt.get(b, F(0)))
+        for a in itertools.product(*(joint.spaces[c - 1] for c in s))
+        for b in itertools.product(*(joint.spaces[c - 1] for c in t))
+    )
+    return total / 2
+
+
+def adjacent(g, s, t):
+    return any((u in s and w in t) or (w in s and u in t) for u, w in g.edges)
+
+
+def all_pairs_deviation(joint, g):
+    """Worst gap over every disjoint non-adjacent pair (S, T): the definition."""
+    verts = range(1, joint.n + 1)
+    subsets = [c for r in range(1, joint.n) for c in itertools.combinations(verts, r)]
+    return max(
+        (
+            pair_gap(joint, s, t)
+            for s in subsets
+            for t in subsets
+            if not set(s) & set(t) and not adjacent(g, s, t)
+        ),
+        default=F(0),
+    )
+
+
+class TestReducedDependencySweep:
+    def test_matches_all_pairs_oracle_on_random_joints(self):
+        rng = random.Random(20261017)
+        dependent = not_dependent = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            joint, honest = random_block_joint(n, rng)
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            random_graph = build_graph(n, [e for e in pairs if rng.random() < 0.4])
+            for g in (honest, random_graph):
+                expected = all_pairs_deviation(joint, g)
+                report = verify_dependency(joint, g)
+                assert report.deviation == expected
+                if expected == 0:
+                    dependent += 1
+                    assert report.worst_pair is None
+                    continue
+                not_dependent += 1
+                s, t = report.worst_pair
+                assert s and t and not s & t and not adjacent(g, s, t)
+                assert pair_gap(joint, tuple(sorted(s)), tuple(sorted(t))) == expected
+        assert dependent >= 20 and not_dependent >= 20
+
+
 class TestConditional:
     def test_product_prefix_conditioning_keeps_product(self):
         joint = product_joint([[(0, F(1, 3)), (1, F(2, 3))], [(0, F(1, 4)), (1, F(3, 4))]])
@@ -196,7 +290,7 @@ class TestBuildCoupling:
                 for b in (0, 1):
                     if (prefix + (b,)) not in {h for h in heads}:
                         continue
-                    pair = build_coupling(joint, spec.tree, i, prefix, a, b, check_dependency=False)
+                    pair = build_coupling(joint, spec.tree, i, prefix, a, b)
                     dis = coupling_disagreements(pair)
                     allowed = {i, spec.tree.parent[i - 1]}
                     for j, p in dis.items():
@@ -208,13 +302,16 @@ class TestBuildCoupling:
         path = build_graph(3, [(1, 2), (2, 3)])
         joint = finite_joint([[0, 1]] * 3, pmf, dependency=path)
         tree = rooted_order(path, [1, 2, 3], [F(1)] * 3)
-        with pytest.raises(KindError):
+        with pytest.raises(KindError) as exc:
             build_coupling(joint, tree, 1, (), 0, 1)
+        assert isinstance(exc.value, DependencyViolation)
+        assert exc.value.report == verify_dependency(joint, path)
+        assert exc.value.report.deviation == F(1, 2)
 
     def test_null_prefix_rejected(self):
         joint, spec = xor_pair_joint()
         with pytest.raises(InputError):
-            build_coupling(joint, spec.tree, 1, (), 0, 7, check_dependency=False)
+            build_coupling(joint, spec.tree, 1, (), 0, 7)
 
 
 class TestNegativeControls:
@@ -429,21 +526,16 @@ class TestMaximalCouplingHelper:
             assert disagreement == tv  # maximal coupling attains the TV distance
 
 
-class TestFloatPmfTolerance:
-    def test_double_precision_joint_verifies_within_tolerance(self):
-        # the same product law written with floats: deviations stay below 1e-12
-        pmf = {
-            (a, b): (0.5 if a == 0 else 0.5) * (0.25 if b == 0 else 0.75)
-            for a in (0, 1)
-            for b in (0, 1)
-        }
-        g = build_graph(2, [(1, 2)])
-        joint = finite_joint([[0, 1], [0, 1]], pmf, dependency=g)
-        assert not joint.is_exact
-        report = verify_dependency(joint, g)
-        assert report.ok()
-        tree = rooted_order(g, [1, 2], [F(1), F(1)])
-        assert verify_all_couplings(joint, tree) <= 1e-12
+class TestFloatPmfRejected:
+    def test_float_probabilities_raise_input_error(self):
+        # the product law of TestVerifyDependency written with floats
+        pmf = {(a, b): 0.5 * (0.25 if b == 0 else 0.75) for a in (0, 1) for b in (0, 1)}
+        with pytest.raises(InputError, match="not an int or Fraction"):
+            finite_joint([[0, 1], [0, 1]], pmf, dependency=build_graph(2, [(1, 2)]))
+        with pytest.raises(InputError, match="not an int or Fraction"):
+            product_joint([[(0, 0.5), (1, 0.5)]])
+        with pytest.raises(InputError, match="not an int or Fraction"):
+            finite_dist([(0, 0.5), (1, 0.5)])
 
 
 class TestScaleGuards:
