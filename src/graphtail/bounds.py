@@ -4,17 +4,21 @@ Every method produces a denominator D such that
 
     P( f(X) - E f(X) >= t )  <=  exp( -2 t^2 / D )
 
-under its own validity assumptions.  ``compare_bounds`` never silently
-applies an inapplicable method: reports carry the assumption each method
-needs, and methods whose structural precondition fails (a tree bound on a
-non-forest, say) are listed with the reason instead of a number.
+under its own validity assumptions.  ``METHODS`` is the one method table,
+read by ``compare_bounds`` and ``montecarlo.validate_bounds`` alike.
+``compare_bounds`` never silently applies an inapplicable method: reports
+carry the assumption each method needs, and methods whose structural
+precondition fails (a tree bound on a non-forest, say) are listed with the
+reason instead of a number.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Iterable
 
 from . import covers as coversmod
 from . import graph as graphmod
@@ -29,8 +33,6 @@ FOREST = "forest"
 DECOMPOSABLE = "decomposable"
 M_DEPENDENT = "m_dependent"
 M_DEPENDENT_PAULIN = "m_dependent_paulin"
-
-ALL_METHODS = (MCDIARMID, JANSON, TREE, FOREST, DECOMPOSABLE, M_DEPENDENT, M_DEPENDENT_PAULIN)
 
 MIN_BLOCK = "min_block"
 PAULIN = "paulin"
@@ -59,10 +61,7 @@ def janson_denominator(
     g: Graph, profile: LipschitzProfile, cap: int = coversmod.DEFAULT_COLUMN_CAP
 ) -> tuple[Fraction, CoverSolution]:
     """Fractional chromatic number times the squared coefficient norm."""
-    _check_profile(g, profile)
-    chi = coversmod.fractional_chromatic_number(g, cap=cap)
-    assert chi.objective_exact is not None
-    return chi.objective_exact * profile.norm_sq, chi
+    return _janson(MethodInputs(g, g.n, profile, cap=cap))
 
 
 def forest_denominator(g: Graph, profile: LipschitzProfile) -> Fraction:
@@ -130,15 +129,23 @@ def m_dependent_denominator(
     return total, part
 
 
+def check_threshold(t, allow_zero: bool = False) -> float:
+    """t as a float; InputError unless it is finite and positive (or zero, if allowed)."""
+    t = float(t)
+    if not (math.isfinite(t) and (t > 0 or (allow_zero and t == 0))):
+        sign = "nonnegative" if allow_zero else "positive"
+        raise InputError(f"deviation threshold must be finite and {sign}, got {t}")
+    return t
+
+
 def tail_bound(denominator, t) -> float:
     """exp(-2 t^2 / denominator), clamped to at most 1."""
-    if t <= 0:
-        raise InputError(f"deviation threshold must be positive, got {t}")
+    t = check_threshold(t)
     if denominator <= 0:
         raise DegenerateProfileError(
             "denominator is zero (all-zero Lipschitz profile); the bound is undefined"
         )
-    return min(1.0, math.exp(-2.0 * float(t) * float(t) / float(denominator)))
+    return min(1.0, math.exp(-2.0 * t * t / float(denominator)))
 
 
 def _check_profile(g: Graph, profile: LipschitzProfile) -> None:
@@ -146,42 +153,162 @@ def _check_profile(g: Graph, profile: LipschitzProfile) -> None:
         raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
 
 
-def _report(method: str, t: float, den, witness=None, assumes=None, valid="dependence") -> BoundReport:
-    exact = den if isinstance(den, Fraction) else None
+# ---------------------------------------------------------------------------
+# The method table
+
+@dataclass
+class MethodInputs:
+    """What the methods of one call read, with the forest classification and
+    the fractional chromatic number computed at most once, on first use.
+
+    ``g`` is None without a dependency graph, ``m`` without a dependence gap.
+    """
+
+    g: Graph | None
+    n: int
+    profile: LipschitzProfile
+    m: int | None = None
+    strategy: Strategy = Strategy.ENUMERATED_LP
+    cap: int = coversmod.DEFAULT_COLUMN_CAP
+
+    def __post_init__(self):
+        if len(self.profile) != self.n:
+            raise InputError(f"profile length {len(self.profile)} != vertex count {self.n}")
+
+    @cached_property
+    def forest_class(self) -> graphmod.ForestClassification:
+        return graphmod.classify(self.g)
+
+    @cached_property
+    def _chi(self) -> CoverSolution | ScaleError:
+        try:
+            return coversmod.fractional_chromatic_number(self.g, cap=self.cap)
+        except ScaleError as exc:
+            return exc
+
+    def chi(self) -> CoverSolution:
+        """The fractional chromatic number's witness; raises ScaleError when out of scale."""
+        if isinstance(self._chi, ScaleError):
+            raise self._chi
+        return self._chi
+
+
+# Structural preconditions: each returns why a method does not apply, or None.
+
+def _needs_gap(x: MethodInputs) -> str | None:
+    return None if x.m is not None else "no dependence gap m supplied"
+
+
+def _needs_graph(x: MethodInputs) -> str | None:
+    return None if x.g is not None else "no dependency graph supplied"
+
+
+def _needs_forest(x: MethodInputs) -> str | None:
+    if x.g is None or x.forest_class.is_forest:
+        return _needs_graph(x)
+    return "graph is not a forest (use the decomposable bound)"
+
+
+def _needs_tree(x: MethodInputs) -> str | None:
+    if x.g is None or (x.forest_class.is_forest and x.forest_class.tree_count == 1):
+        return _needs_graph(x)
+    return "graph is not a single tree"
+
+
+@dataclass(frozen=True)
+class BoundMethod:
+    name: str
+    unmet: Callable[[MethodInputs], str | None]  # the structural precondition
+    denominator: Callable[[MethodInputs], tuple[object, object]]  # -> (denominator, witness)
+    assumes: str | None = None  # "{m}" stands for the dependence gap
+    valid_under: str = "dependence"
+
+
+def _janson(x: MethodInputs) -> tuple[Fraction, CoverSolution]:
+    chi = x.chi()
+    return chi.objective_exact * x.profile.norm_sq, chi
+
+
+def _forest(x: MethodInputs) -> tuple[Fraction, list]:
+    witness = [  # the trees with the minimum coefficient each contributes
+        (tuple(sorted(comp)), min(x.profile.coefficient(v) for v in comp))
+        for comp in x.forest_class.components
+    ]
+    return forest_denominator(x.g, x.profile), witness
+
+
+def _decomposable(x: MethodInputs) -> tuple[Fraction | float, CoverSolution]:
+    sol = coversmod._optimize_decomposable(x.g, x.profile, x.strategy, x.cap, x.chi)
+    return (sol.objective_exact if sol.objective_exact is not None else sol.objective), sol
+
+
+def _m_dependent(variant: str) -> Callable[[MethodInputs], tuple[Fraction, BlockPartition]]:
+    return lambda x: m_dependent_denominator(x.n, x.m, x.profile, variant=variant)
+
+
+_M_DEPENDENT_ASSUMES = "coordinates form an {m}-dependent sequence"
+
+METHODS: dict[str, BoundMethod] = {
+    method.name: method
+    for method in (
+        BoundMethod(
+            MCDIARMID,
+            lambda x: None,
+            lambda x: (mcdiarmid_denominator(x.profile), None),
+            assumes="independent coordinates",
+            valid_under="independence-only",
+        ),
+        BoundMethod(
+            JANSON, _needs_graph, _janson, assumes="sum-type statistic (interval-valued coordinates)"
+        ),
+        BoundMethod(TREE, _needs_tree, _forest),
+        BoundMethod(FOREST, _needs_forest, _forest),
+        BoundMethod(
+            DECOMPOSABLE,
+            _needs_graph,
+            _decomposable,
+            assumes="forest-decomposable statistic (sums qualify)",
+        ),
+        BoundMethod(M_DEPENDENT, _needs_gap, _m_dependent(MIN_BLOCK), _M_DEPENDENT_ASSUMES),
+        BoundMethod(M_DEPENDENT_PAULIN, _needs_gap, _m_dependent(PAULIN), _M_DEPENDENT_ASSUMES),
+    )
+}
+ALL_METHODS = tuple(METHODS)
+
+
+def bound_methods(names) -> tuple[BoundMethod, ...]:
+    """The table rows named by ``names``, in order."""
+    for name in names:
+        if name not in METHODS:
+            raise InputError(f"unknown method {name!r}; choose from {ALL_METHODS}")
+    return tuple(METHODS[name] for name in names)
+
+
+def _report(method: BoundMethod, t: float, m: int | None, den, witness) -> BoundReport:
     den_f = float(den)
-    if den_f <= 0:
-        return BoundReport(
-            method=method,
-            t=float(t),
-            denominator=den_f,
-            denominator_exact=exact,
-            bound=None,
-            valid_under=valid,
-            assumes=assumes,
-            witness=witness,
-            applicable=False,
-            reason="degenerate: all-zero Lipschitz profile",
-        )
+    degenerate = den_f <= 0
     return BoundReport(
-        method=method,
-        t=float(t),
+        method=method.name,
+        t=t,
         denominator=den_f,
-        denominator_exact=exact,
-        bound=tail_bound(den_f, t),
-        valid_under=valid,
-        assumes=assumes,
+        denominator_exact=den if isinstance(den, Fraction) else None,
+        bound=None if degenerate else tail_bound(den_f, t),
+        valid_under=method.valid_under,
+        assumes=method.assumes.format(m=m) if method.assumes else None,
         witness=witness,
+        applicable=not degenerate,
+        reason="degenerate: all-zero Lipschitz profile" if degenerate else None,
     )
 
 
-def _skipped(method: str, t: float, reason: str, valid="dependence") -> BoundReport:
+def _skipped(method: BoundMethod, t: float, reason: str) -> BoundReport:
     return BoundReport(
-        method=method,
-        t=float(t),
+        method=method.name,
+        t=t,
         denominator=None,
         denominator_exact=None,
         bound=None,
-        valid_under=valid,
+        valid_under=method.valid_under,
         applicable=False,
         reason=reason,
     )
@@ -205,89 +332,37 @@ def compare_bounds(
     treat the coordinates as an m-dependent sequence (the caller asserts that
     reading).
     """
-    _check_profile(g, profile)
+    inputs = MethodInputs(g, g.n, profile, m, strategy, cap)
+    t = check_threshold(t)
     if methods is None:
         methods = tuple(mm for mm in ALL_METHODS if mm != MCDIARMID or include_mcdiarmid)
     if include_mcdiarmid and MCDIARMID not in methods:
         methods = methods + (MCDIARMID,)
 
-    cls = graphmod.classify(g)
     reports: list[BoundReport] = []
-    for method in methods:
+    for method in bound_methods(methods):
+        reason = method.unmet(inputs)
+        if reason is not None:
+            reports.append(_skipped(method, t, reason))
+            continue
         try:
-            reports.append(_one_report(g, profile, t, method, cls, m, strategy, cap))
+            den, witness = method.denominator(inputs)
         except ScaleError as exc:
             reports.append(_skipped(method, t, f"scale: {exc}"))
-        except DegenerateProfileError as exc:
-            reports.append(_skipped(method, t, str(exc)))
+            continue
+        reports.append(_report(method, t, m, den, witness))
     applicable = [r for r in reports if r.applicable]
     skipped = [r for r in reports if not r.applicable]
     applicable.sort(key=lambda r: (r.bound, r.method))
     return applicable + skipped
 
 
-def _one_report(
-    g: Graph,
-    profile: LipschitzProfile,
-    t: float,
-    method: str,
-    cls,
-    m: int | None,
-    strategy: Strategy,
-    cap: int,
-) -> BoundReport:
-    if method == MCDIARMID:
-        return _report(
-            MCDIARMID,
-            t,
-            mcdiarmid_denominator(profile),
-            assumes="independent coordinates",
-            valid="independence-only",
-        )
-    if method == JANSON:
-        den, chi = janson_denominator(g, profile, cap=cap)
-        return _report(JANSON, t, den, witness=chi, assumes="sum-type statistic (interval-valued coordinates)")
-    if method == TREE:
-        if not (cls.is_forest and cls.tree_count == 1):
-            return _skipped(TREE, t, "graph is not a single tree")
-        return _report(TREE, t, forest_denominator(g, profile), witness=_tree_witness(cls, profile))
-    if method == FOREST:
-        if not cls.is_forest:
-            return _skipped(FOREST, t, "graph is not a forest (use the decomposable bound)")
-        return _report(FOREST, t, forest_denominator(g, profile), witness=_tree_witness(cls, profile))
-    if method == DECOMPOSABLE:
-        den, sol = decomposable_denominator(g, profile, strategy=strategy, cap=cap)
-        exact = sol.objective_exact
-        return _report(
-            DECOMPOSABLE,
-            t,
-            exact if exact is not None else den,
-            witness=sol,
-            assumes="forest-decomposable statistic (sums qualify)",
-        )
-    if method == M_DEPENDENT:
-        if m is None:
-            return _skipped(M_DEPENDENT, t, "no dependence gap m supplied")
-        den, part = m_dependent_denominator(g.n, m, profile, variant=MIN_BLOCK)
-        return _report(M_DEPENDENT, t, den, witness=part, assumes=f"coordinates form an {m}-dependent sequence")
-    if method == M_DEPENDENT_PAULIN:
-        if m is None:
-            return _skipped(M_DEPENDENT_PAULIN, t, "no dependence gap m supplied")
-        den, part = m_dependent_denominator(g.n, m, profile, variant=PAULIN)
-        return _report(M_DEPENDENT_PAULIN, t, den, witness=part, assumes=f"coordinates form an {m}-dependent sequence")
-    raise InputError(f"unknown bound method {method!r}")
-
-
-def _tree_witness(cls, profile: LipschitzProfile) -> list[tuple[tuple[int, ...], Fraction]]:
-    """The trees of the forest with the minimum coefficient each contributes."""
-    return [
-        (tuple(sorted(comp)), min(profile.coefficient(v) for v in comp))
-        for comp in cls.components
-    ]
-
-
 # ---------------------------------------------------------------------------
-# Report serialization
+# Report serialization: each row type has one JSON-form dict, and its CSV
+# row is read from that dict.
+
+_COVER_WITNESS_KEYS = ("objective", "objective_exact", "optimality", "cover")
+
 
 def _witness_json(witness) -> object:
     if witness is None:
@@ -295,63 +370,40 @@ def _witness_json(witness) -> object:
     if isinstance(witness, list):  # forest witness: (tree vertices, minimum) pairs
         return {"trees": [{"vertices": list(t), "minimum": str(m)} for t, m in witness]}
     if isinstance(witness, CoverSolution):
-        return {
-            "objective": witness.objective,
-            "objective_exact": (
-                str(witness.objective_exact) if witness.objective_exact is not None else None
-            ),
-            "optimality": witness.optimality.value,
-            "cover": coversmod.cover_to_json_dict(witness.cover),
-        }
+        full = coversmod.solution_to_json_dict(witness)
+        return {key: full[key] for key in _COVER_WITNESS_KEYS}
     if isinstance(witness, BlockPartition):
         return {"m": witness.m, "blocks": [list(b) for b in witness.blocks]}
     return str(witness)
 
 
 def report_to_json_dict(r: BoundReport) -> dict:
-    return {
-        "method": r.method,
-        "t": r.t,
-        "denominator": r.denominator,
-        "denominator_exact": str(r.denominator_exact) if r.denominator_exact is not None else None,
-        "bound": r.bound,
-        "valid_under": r.valid_under,
-        "assumes": r.assumes,
-        "applicable": r.applicable,
-        "reason": r.reason,
-        "witness": _witness_json(r.witness),
-    }
+    data = {f.name: getattr(r, f.name) for f in fields(r)}
+    data["denominator_exact"] = str(r.denominator_exact) if r.denominator_exact is not None else None
+    data["witness"] = _witness_json(r.witness)
+    return data
 
 
-REPORT_CSV_COLUMNS = (
-    "method",
-    "t",
-    "denominator",
-    "denominator_exact",
-    "bound",
-    "valid_under",
-    "assumes",
-    "applicable",
-    "reason",
-)
+REPORT_CSV_COLUMNS = tuple(f.name for f in fields(BoundReport) if f.name != "witness")
 
 
 def reports_to_csv(reports: list[BoundReport]) -> str:
+    return csv_table(REPORT_CSV_COLUMNS, (report_to_json_dict(r) for r in reports))
+
+
+def csv_table(columns: tuple[str, ...], rows: Iterable[dict]) -> str:
+    """CSV text of JSON-form rows: floats as repr, None empty, booleans yes/no."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(
-            [
-                r.method,
-                repr(r.t),
-                repr(r.denominator) if r.denominator is not None else "",
-                str(r.denominator_exact) if r.denominator_exact is not None else "",
-                repr(r.bound) if r.bound is not None else "",
-                r.valid_under,
-                r.assumes or "",
-                "yes" if r.applicable else "no",
-                r.reason or "",
-            ]
-        )
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_cell(row[c]) for c in columns])
     return buf.getvalue()
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return repr(value) if isinstance(value, float) else str(value)

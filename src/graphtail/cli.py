@@ -261,31 +261,37 @@ def _json_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _emit_rows(rows, args, to_json_dict, to_csv) -> None:
+    if args.format == "csv":
+        _emit_output(to_csv(rows), args.out)
+    else:
+        _emit_output(_json_dumps([to_json_dict(r) for r in rows]), args.out)
+
+
+def _method_names(text: str | None) -> tuple[str, ...] | None:
+    """A --methods list; None (from an empty value or "all") picks the default set."""
+    if not text or text == "all":
+        return None
+    names = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not names:
+        raise InputError(f"--methods lists no method: {text!r}")
+    return names
+
+
 def _cmd_bounds(args) -> int:
     g = load_graph(args.graph)
     profile = parse_profile_spec(args.c, g.n)
-    if args.t <= 0:
-        raise InputError(f"--t must be positive, got {args.t}")
-    methods = None
-    if args.methods and args.methods != "all":
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        for m in methods:
-            if m not in boundsmod.ALL_METHODS:
-                raise InputError(f"unknown method {m!r}; choose from {boundsmod.ALL_METHODS}")
     reports = boundsmod.compare_bounds(
         g,
         profile,
         args.t,
-        methods=methods,
+        methods=_method_names(args.methods),
         m=args.m,
         include_mcdiarmid=args.include_mcdiarmid,
         strategy=Strategy(args.strategy),
         cap=args.cap,
     )
-    if args.format == "csv":
-        _emit_output(boundsmod.reports_to_csv(reports), args.out)
-    else:
-        _emit_output(_json_dumps([boundsmod.report_to_json_dict(r) for r in reports]), args.out)
+    _emit_rows(reports, args, boundsmod.report_to_json_dict, boundsmod.reports_to_csv)
     return EXIT_OK
 
 
@@ -300,15 +306,7 @@ def _cmd_covers(args) -> int:
         sol = coversmod.optimize_decomposable_denominator(
             g, profile, strategy=Strategy(args.strategy), cap=args.cap
         )
-    payload = {
-        "problem": args.problem,
-        "objective": sol.objective,
-        "objective_exact": str(sol.objective_exact) if sol.objective_exact is not None else None,
-        "objective_form": sol.objective_form,
-        "method": sol.method.value,
-        "optimality": sol.optimality.value,
-        "cover": coversmod.cover_to_json_dict(sol.cover),
-    }
+    payload = {"problem": args.problem, **coversmod.solution_to_json_dict(sol)}
     _emit_output(_json_dumps(payload), args.out)
     return EXIT_OK
 
@@ -326,9 +324,13 @@ def _parse_t_grid(args) -> list[float]:
             return [start]
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
-    if args.t:
-        return [float(x) for x in args.t.split(",") if x.strip()]
-    raise InputError("simulate needs --t or --t-grid")
+    try:
+        t_grid = [float(x) for x in (args.t or "").split(",") if x.strip()]
+    except ValueError as exc:
+        raise InputError(f"--t needs a comma list of numbers, got {args.t!r}") from exc
+    if not t_grid:
+        raise InputError("simulate needs --t or --t-grid")
+    return t_grid
 
 
 def _cmd_simulate(args) -> int:
@@ -336,61 +338,29 @@ def _cmd_simulate(args) -> int:
     t_grid = _parse_t_grid(args)
     if args.seed is None:
         raise InputError("simulate requires --seed for reproducibility")
-    if args.validate:
-        methods = None
-        if args.methods:
-            methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        rows = mcmod.validate_bounds(
-            spec,
-            t_grid,
-            seed=args.seed,
-            n_samples=args.n,
-            methods=methods,
-            workers=args.workers,
+    if not args.validate:
+        estimates = mcmod.estimate_tails(
+            spec, t_grid, seed=args.seed, n_samples=args.n, workers=args.workers
         )
-        if args.format == "json":
-            payload = [
-                {
-                    "method": r.method,
-                    "t": r.t,
-                    "denominator": r.denominator,
-                    "bound": r.bound,
-                    "p_hat": r.p_hat,
-                    "ci_upper": r.ci_upper,
-                    "verdict": r.verdict,
-                    "seed": r.seed,
-                    "N": r.n_samples,
-                }
-                for r in rows
-            ]
-            _emit_output(_json_dumps(payload), args.out)
-        else:
-            _emit_output(mcmod.validation_to_csv(rows), args.out)
-        failed = [r for r in rows if r.verdict == "FAIL"]
-        if failed:
-            print(
-                f"{len(failed)} bound violation(s), worst at method={failed[0].method}"
-                f" t={failed[0].t}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
+        _emit_rows(estimates, args, mcmod.row_to_json_dict, mcmod.estimates_to_csv)
         return EXIT_OK
-    estimates = mcmod.estimate_tails(spec, t_grid, seed=args.seed, n_samples=args.n, workers=args.workers)
-    if args.format == "json":
-        payload = [
-            {
-                "t": e.t,
-                "N": e.n_samples,
-                "hits": e.hits,
-                "p_hat": e.p_hat,
-                "ci_upper": e.ci_upper,
-                "seed": e.seed,
-            }
-            for e in estimates
-        ]
-        _emit_output(_json_dumps(payload), args.out)
-    else:
-        _emit_output(mcmod.estimates_to_csv(estimates), args.out)
+    rows = mcmod.validate_bounds(
+        spec,
+        t_grid,
+        seed=args.seed,
+        n_samples=args.n,
+        methods=_method_names(args.methods),
+        workers=args.workers,
+    )
+    _emit_rows(rows, args, mcmod.row_to_json_dict, mcmod.validation_to_csv)
+    failed = [r for r in rows if r.verdict == "FAIL"]
+    if failed:
+        print(
+            f"{len(failed)} bound violation(s), worst at method={failed[0].method}"
+            f" t={failed[0].t}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
     return EXIT_OK
 
 

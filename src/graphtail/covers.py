@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, sqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import graph as graphmod
 from ._simplex import CoverLp, solve_min_cover_lp
@@ -162,10 +162,8 @@ def validate_cover(g: Graph, cover: WeightedCover, tol: Fraction = _ZERO) -> lis
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def enumerate_independent_sets(
-    g: Graph, cap: int = DEFAULT_COLUMN_CAP, maximal_only: bool = False
-) -> list[frozenset[int]]:
-    """All nonempty independent sets in lexicographic order (or only maximal ones)."""
+def enumerate_independent_sets(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[frozenset[int]]:
+    """All nonempty independent sets in lexicographic order."""
     _check_enumeration_scale(g)
     out: list[frozenset[int]] = []
 
@@ -173,21 +171,13 @@ def enumerate_independent_sets(
         for idx, v in enumerate(candidates):
             new = chosen + (v,)
             sub = [w for w in candidates[idx + 1 :] if w not in g.neighbors(v)]
-            if not maximal_only or _is_maximal_independent(g, new):
-                out.append(frozenset(new))
-                if len(out) > cap:
-                    raise ScaleError(
-                        f"more than {cap} independent sets; use column generation instead"
-                    )
+            out.append(frozenset(new))
+            if len(out) > cap:
+                raise ScaleError(f"more than {cap} independent sets; use column generation instead")
             extend(new, sub)
 
     extend((), list(g.vertices))
     return out
-
-
-def _is_maximal_independent(g: Graph, chosen: tuple[int, ...]) -> bool:
-    cset = set(chosen)
-    return all(g.neighbors(v) & cset for v in g.vertices if v not in cset)
 
 
 def enumerate_induced_forests(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[frozenset[int]]:
@@ -446,14 +436,14 @@ def _package_d_solution(
 
 
 def _janson_candidate(
-    g: Graph, profile: LipschitzProfile, cap: int
+    g: Graph, profile: LipschitzProfile, chi: Callable[[], CoverSolution]
 ) -> CoverSolution | None:
     """The chromatic-number witness reinterpreted as a forest cover, when enumerable."""
     try:
-        chi = fractional_chromatic_number(g, cap=cap)
+        witness = chi()
     except ScaleError:
         return None
-    cover = make_cover(CoverKind.FOREST, chi.cover.parts)
+    cover = make_cover(CoverKind.FOREST, witness.cover.parts)
     return _package_d_solution(g, cover, profile, Strategy.GREEDY, Optimality.UPPER_BOUND)
 
 
@@ -588,6 +578,23 @@ def optimize_decomposable_denominator(
     """
     if len(profile) != g.n:
         raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
+    return _optimize_decomposable(
+        g, profile, strategy, cap, lambda: fractional_chromatic_number(g, cap=cap)
+    )
+
+
+def _optimize_decomposable(
+    g: Graph,
+    profile: LipschitzProfile,
+    strategy: Strategy,
+    cap: int,
+    chi: Callable[[], CoverSolution],
+) -> CoverSolution:
+    """``optimize_decomposable_denominator``, with ``chi()`` supplying the χ_f witness.
+
+    ``chi`` raises ScaleError when the independent sets are too many to
+    enumerate; it is called once, after the decomposable LP or heuristic.
+    """
     if strategy is Strategy.ENUMERATED_LP:
         columns = enumerate_induced_forests(g, cap=cap)
         costs = [_sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
@@ -599,7 +606,7 @@ def optimize_decomposable_denominator(
         solution = _package_d_solution(
             g, cover, profile, Strategy.ENUMERATED_LP, Optimality.EXACT
         )
-        upper = _janson_candidate(g, profile, cap)
+        upper = _janson_candidate(g, profile, chi)
         if upper is not None and solution.objective > upper.objective + 1e-9:
             raise VerificationError(
                 "enumerated decomposable optimum exceeds the independent-cover bound"
@@ -612,7 +619,7 @@ def optimize_decomposable_denominator(
         solution = _column_generation_d(g, profile)
     else:
         raise InputError(f"unknown strategy {strategy!r}")
-    upper = _janson_candidate(g, profile, cap)
+    upper = _janson_candidate(g, profile, chi)
     if upper is not None and upper.objective < solution.objective:
         solution = _package_d_solution(
             g, upper.cover, profile, strategy, Optimality.UPPER_BOUND
@@ -622,6 +629,17 @@ def optimize_decomposable_denominator(
 
 # ---------------------------------------------------------------------------
 # JSON forms
+
+def solution_to_json_dict(sol: CoverSolution) -> dict:
+    return {
+        "objective": sol.objective,
+        "objective_exact": str(sol.objective_exact) if sol.objective_exact is not None else None,
+        "objective_form": sol.objective_form,
+        "method": sol.method.value,
+        "optimality": sol.optimality.value,
+        "cover": cover_to_json_dict(sol.cover),
+    }
+
 
 def cover_to_json_dict(cover: WeightedCover) -> dict:
     return {

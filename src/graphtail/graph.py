@@ -5,7 +5,6 @@ All values are immutable after construction and safe to share across threads.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, KindError
@@ -347,8 +346,3 @@ def parse_edge_list(text: str) -> Graph:
             raise InputError(f"edge line {ln!r} is not 'u v'")
         pairs.append((int(parts[0]), int(parts[1])))
     return build_graph(n, pairs)
-
-
-def uniform_coefficients(n: int, value=1) -> tuple[Fraction, ...]:
-    """Convenience constructor for a constant coefficient vector."""
-    return tuple(Fraction(value) for _ in range(n))

@@ -16,10 +16,8 @@ results are bit-identical for a given (spec, seed, N) no matter how the
 index range is chunked across workers.
 """
 
-import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import log, sqrt
 from typing import Iterable, Mapping, Sequence
@@ -29,19 +27,10 @@ from scipy.stats import beta as _beta_dist
 
 from . import bounds as boundsmod
 from . import coupling as couplingmod
+from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
 from .errors import InputError, ScaleError
-from .graph import Graph, classify
-from .bounds import (
-    DECOMPOSABLE,
-    FOREST,
-    JANSON,
-    M_DEPENDENT,
-    M_DEPENDENT_PAULIN,
-    MCDIARMID,
-    MIN_BLOCK,
-    PAULIN,
-)
+from .graph import Graph, classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
 MEAN_PASS_FACTOR = 10
@@ -505,18 +494,18 @@ def estimate_tails(
     otherwise a separate (larger) mean pass supplies an estimate whose
     one-sided error margin is folded into the thresholds conservatively.
     """
-    for t in t_grid:
-        if t < 0:
-            raise InputError(f"thresholds must be nonnegative, got {t}")
+    t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
+    if n_samples < 1:
+        raise InputError(f"sample count must be at least 1, got {n_samples}")
     mu = analytic_mean(spec)
     if mu is None:
         mu, margin = _estimated_mean(spec, seed, n_samples)
         mu -= margin
-    thresholds = [mu + float(t) for t in t_grid]
+    thresholds = [mu + t for t in t_grid]
     counts, _ = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)
     return [
         TailEstimate(
-            t=float(t),
+            t=t,
             n_samples=n_samples,
             hits=hits,
             p_hat=hits / n_samples,
@@ -543,35 +532,25 @@ class ValidationRow:
     n_samples: int
 
 
+# Default screens, most specific first: a spec is screened with the first
+# one whose every method applies to it.
+DEFAULT_SCREENS = ((M_DEPENDENT, M_DEPENDENT_PAULIN), (FOREST,), (JANSON, DECOMPOSABLE))
+
+
+def _method_inputs(spec: SamplerSpec, strategy: Strategy) -> boundsmod.MethodInputs:
+    # a block factor of width 1 is 0-dependent, and so also 1-dependent
+    gap = max(spec.dependence_gap, 1) if spec.dependence_gap is not None else None
+    return boundsmod.MethodInputs(spec.graph, spec.n, spec.profile, m=gap, strategy=strategy)
+
+
 def resolve_methods(spec: SamplerSpec) -> tuple[str, ...]:
     """Bound methods applicable to a spec's declared dependence structure."""
-    if spec.model == BLOCK_FACTOR:
-        return (M_DEPENDENT, M_DEPENDENT_PAULIN)
-    cls = classify(spec.graph)
-    if cls.is_forest:
-        return (FOREST,)
-    return (JANSON, DECOMPOSABLE)
-
-
-def _method_denominator(spec: SamplerSpec, method: str, strategy: Strategy) -> float:
-    if method == MCDIARMID:
-        return float(boundsmod.mcdiarmid_denominator(spec.profile))
-    if method == FOREST:
-        return float(boundsmod.forest_denominator(spec.graph, spec.profile))
-    if method == JANSON:
-        den, _ = boundsmod.janson_denominator(spec.graph, spec.profile)
-        return float(den)
-    if method == DECOMPOSABLE:
-        den, _ = boundsmod.decomposable_denominator(spec.graph, spec.profile, strategy=strategy)
-        return float(den)
-    if method in (M_DEPENDENT, M_DEPENDENT_PAULIN):
-        m = spec.dependence_gap
-        if m is None:
-            raise InputError("m-dependent methods need a block-factor spec")
-        variant = MIN_BLOCK if method == M_DEPENDENT else PAULIN
-        den, _ = boundsmod.m_dependent_denominator(spec.n, max(m, 1), spec.profile, variant=variant)
-        return float(den)
-    raise InputError(f"unknown method {method!r}")
+    inputs = _method_inputs(spec, Strategy.ENUMERATED_LP)
+    return next(
+        screen
+        for screen in DEFAULT_SCREENS
+        if all(method.unmet(inputs) is None for method in boundsmod.bound_methods(screen))
+    )
 
 
 def validate_bounds(
@@ -590,17 +569,22 @@ def validate_bounds(
     misapplying a method, e.g. the independence-only reference on a
     dependent spec.
     """
-    chosen = tuple(methods) if methods is not None else resolve_methods(spec)
-    denominators = {m: _method_denominator(spec, m, strategy) for m in chosen}
+    inputs = _method_inputs(spec, strategy)
+    chosen = boundsmod.bound_methods(methods if methods is not None else resolve_methods(spec))
+    denominators = []
+    for method in chosen:
+        reason = method.unmet(inputs)
+        if reason is not None:
+            raise InputError(f"method {method.name!r} does not apply to this spec: {reason}")
+        denominators.append(float(method.denominator(inputs)[0]))
     estimates = estimate_tails(spec, t_grid, seed, n_samples, workers=workers)
     rows = []
-    for method in chosen:
-        den = denominators[method]
+    for method, den in zip(chosen, denominators):
         for est in estimates:
             bound = boundsmod.tail_bound(den, est.t) if est.t > 0 else 1.0
             rows.append(
                 ValidationRow(
-                    method=method,
+                    method=method.name,
                     t=est.t,
                     denominator=den,
                     bound=bound,
@@ -614,49 +598,23 @@ def validate_bounds(
     return rows
 
 
+def row_to_json_dict(row: ValidationRow | TailEstimate) -> dict:
+    """A sampler row's JSON form, which its CSV row is read from too."""
+    return {("N" if f.name == "n_samples" else f.name): getattr(row, f.name) for f in fields(row)}
+
+
 VALIDATION_CSV_COLUMNS = (
-    "method",
-    "t",
-    "denominator",
-    "bound",
-    "p_hat",
-    "ci_upper",
-    "verdict",
-    "seed",
-    "N",
+    "method", "t", "denominator", "bound", "p_hat", "ci_upper", "verdict", "seed", "N"
 )
+ESTIMATE_CSV_COLUMNS = ("t", "N", "hits", "p_hat", "ci_upper", "seed")
 
 
 def validation_to_csv(rows: Sequence[ValidationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(VALIDATION_CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.method,
-                repr(r.t),
-                repr(r.denominator),
-                repr(r.bound),
-                repr(r.p_hat),
-                repr(r.ci_upper),
-                r.verdict,
-                r.seed,
-                r.n_samples,
-            ]
-        )
-    return buf.getvalue()
+    return boundsmod.csv_table(VALIDATION_CSV_COLUMNS, map(row_to_json_dict, rows))
 
 
 def estimates_to_csv(estimates: Sequence[TailEstimate]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("t", "N", "hits", "p_hat", "ci_upper", "seed"))
-    for e in estimates:
-        writer.writerow(
-            [repr(e.t), e.n_samples, e.hits, repr(e.p_hat), repr(e.ci_upper), e.seed]
-        )
-    return buf.getvalue()
+    return boundsmod.csv_table(ESTIMATE_CSV_COLUMNS, map(row_to_json_dict, estimates))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from graphtail.bounds import (
     reports_to_csv,
     tail_bound,
 )
+from graphtail import covers as coversmod
 from graphtail.covers import lipschitz_profile, uniform_profile
 from graphtail.errors import DegenerateProfileError, InputError, KindError
 from graphtail.graph import block_partition, build_graph
@@ -235,6 +236,19 @@ class TestCompareBounds:
         assert M_DEPENDENT in skipped
         with_gap = compare_bounds(path3, uniform_profile(3), t=1.0, m=1)
         assert any(r.method == M_DEPENDENT and r.applicable for r in with_gap)
+
+    def test_chi_f_solved_once_per_call(self, example9, monkeypatch):
+        solve = coversmod.fractional_chromatic_number
+        calls = []
+
+        def counted(g, cap):
+            calls.append(g)
+            return solve(g, cap=cap)
+
+        monkeypatch.setattr(coversmod, "fractional_chromatic_number", counted)
+        reports = compare_bounds(example9, uniform_profile(9), t=3.0)
+        assert {r.method for r in reports if r.applicable} >= {JANSON, DECOMPOSABLE}
+        assert len(calls) == 1
 
     def test_min_block_sorts_before_paulin(self):
         g = build_graph(7, [])

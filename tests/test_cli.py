@@ -5,6 +5,7 @@ import json
 import pytest
 
 from graphtail import cli
+from graphtail.bounds import ALL_METHODS
 from graphtail.errors import InputError, VerificationError
 
 
@@ -310,6 +311,84 @@ class TestExitCodes:
         monkeypatch.setattr(cli.coversmod, "fractional_chromatic_number", broken)
         assert cli.run(["covers", "chi-f", "--graph", tree_file]) == 3
         assert capsys.readouterr().err == "verification error: certificate did not close\n"
+
+
+def _latent_spec(n, edges):
+    uniform01 = {"kind": "uniform", "lo": 0, "hi": 1}
+    return {
+        "model": "latent_graph",
+        "graph": {"n": n, "edges": edges},
+        "latents": [{"scope": [v], "dist": uniform01} for v in range(1, n + 1)]
+        + [{"scope": e, "dist": {"kind": "bernoulli", "p": "1/2"}} for e in edges],
+        "emit": "sum",
+    }
+
+
+# Each spec with the methods whose structural precondition it fails.
+VALIDATE_SPECS = {
+    "block_factor": (
+        {"model": "block_factor", "n": 8, "k": 2, "combine": "sum",
+         "dist": {"kind": "uniform", "lo": 0, "hi": 1}},
+        {"janson", "tree", "forest", "decomposable"},
+    ),
+    "single_tree": (
+        _latent_spec(5, [[1, 2], [2, 3], [2, 4], [4, 5]]),
+        {"m_dependent", "m_dependent_paulin"},
+    ),
+    "forest": (
+        _latent_spec(5, [[1, 2], [3, 4]]),
+        {"tree", "m_dependent", "m_dependent_paulin"},
+    ),
+    "cyclic": (
+        _latent_spec(4, [[1, 2], [2, 3], [1, 3], [3, 4]]),
+        {"tree", "forest", "m_dependent", "m_dependent_paulin"},
+    ),
+}
+
+
+class TestValidateMethodMatrix:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("spec_name", sorted(VALIDATE_SPECS))
+    def test_every_method_on_every_spec_kind(self, spec_name, method, tmp_path, capsys):
+        spec, inapplicable = VALIDATE_SPECS[spec_name]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = cli.run(["simulate", "--spec", str(path), "--t", "1,2", "--seed", "4",
+                        "--n", "2000", "--validate", "--methods", method])
+        err = capsys.readouterr().err
+        if method in inapplicable:
+            assert code == 1
+            assert err.startswith(f"input error: method {method!r} does not apply")
+        else:
+            assert code in (0, 3)
+        assert err.count("\n") == (0 if code == 0 else 1)
+
+
+class TestNonFiniteAndEmptyInputs:
+    @pytest.mark.parametrize(
+        "extra", [["--t", "nan"], ["--t", "inf"], ["--t", "-inf"], ["--t", "1", "--methods", ","]]
+    )
+    def test_bounds_non_finite_t_or_no_method_exit_1(self, ex9_file, extra, capsys):
+        assert cli.run(["bounds", "--graph", ex9_file] + extra) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t", "nan"],
+            ["--t", "1,nan", "--validate"],
+            ["--t-grid", "0:inf:3", "--validate"],  # yields nan, inf, inf
+            ["--t", "1", "--n", "0"],
+            ["--t", "1", "--n", "-5", "--validate"],
+            ["--t", "one"],
+        ],
+    )
+    def test_simulate_bad_thresholds_or_samples_exit_1(self, blockfactor_file, extra, capsys):
+        argv = ["simulate", "--spec", blockfactor_file, "--seed", "1"] + extra
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
 class TestByteIdenticalReports:

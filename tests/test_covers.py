@@ -67,12 +67,6 @@ class TestEnumeration:
             frozenset({1, 3}),
         }
 
-    def test_maximal_only(self, path3):
-        assert set(enumerate_independent_sets(path3, maximal_only=True)) == {
-            frozenset({2}),
-            frozenset({1, 3}),
-        }
-
     def test_triangle_forests_are_proper_subsets(self, k3):
         forests = set(enumerate_induced_forests(k3))
         assert len(forests) == 6  # everything except the full triangle

@@ -7,7 +7,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from graphtail.bounds import MCDIARMID, M_DEPENDENT, M_DEPENDENT_PAULIN, FOREST
+from graphtail import covers as coversmod
+from graphtail.bounds import (
+    DECOMPOSABLE,
+    FOREST,
+    JANSON,
+    MCDIARMID,
+    M_DEPENDENT,
+    M_DEPENDENT_PAULIN,
+    compare_bounds,
+)
 from graphtail.coupling import verify_dependency
 from graphtail.errors import InputError
 from graphtail.graph import build_graph
@@ -193,6 +202,25 @@ class TestValidateBounds:
             spec, [2.0, 3.0, 4.0], seed=41, n_samples=150_000, methods=(MCDIARMID,)
         )
         assert any(r.verdict == "FAIL" for r in rows)
+
+    def test_denominators_match_compare_bounds(self, monkeypatch):
+        # on this 4-cycle the decomposable optimum is exactly 72, and its
+        # float objective is 71.99999999999999
+        g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        lat = [((v,), uniform(0, 1)) for v in g.vertices] + [(e, uniform(0, 1)) for e in g.edges]
+        spec = latent_graph_spec(g, lat)
+        assert resolve_methods(spec) == (JANSON, DECOMPOSABLE)
+        solve = coversmod.fractional_chromatic_number
+        calls = []
+        monkeypatch.setattr(
+            coversmod, "fractional_chromatic_number", lambda g, cap: calls.append(g) or solve(g, cap=cap)
+        )
+        rows = validate_bounds(spec, [1.0], seed=3, n_samples=1000)
+        assert len(calls) == 1
+        reports = compare_bounds(g, spec.profile, t=1.0, methods=(JANSON, DECOMPOSABLE))
+        assert {r.method: r.denominator for r in rows} == {
+            r.method: r.denominator for r in reports
+        } == {JANSON: 72.0, DECOMPOSABLE: 72.0}
 
     def test_csv_round_trip(self):
         spec = block_factor_spec(8, 2, uniform(0, 1))
