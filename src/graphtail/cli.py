@@ -338,9 +338,10 @@ def _cmd_simulate(args) -> int:
     t_grid = _parse_t_grid(args)
     if args.seed is None:
         raise InputError("simulate requires --seed for reproducibility")
+    workers = args.workers if args.workers is not None else _default_workers()
     if not args.validate:
         estimates = mcmod.estimate_tails(
-            spec, t_grid, seed=args.seed, n_samples=args.n, workers=args.workers
+            spec, t_grid, seed=args.seed, n_samples=args.n, workers=workers
         )
         _emit_rows(estimates, args, mcmod.row_to_json_dict, mcmod.estimates_to_csv)
         return EXIT_OK
@@ -350,7 +351,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         n_samples=args.n,
         methods=_method_names(args.methods),
-        workers=args.workers,
+        workers=workers,
     )
     _emit_rows(rows, args, mcmod.row_to_json_dict, mcmod.validation_to_csv)
     failed = [r for r in rows if r.verdict == "FAIL"]
@@ -432,9 +433,9 @@ def _default_workers() -> int:
     """Worker count from GRAPHTAIL_WORKERS (results never depend on it)."""
     raw = os.environ.get("GRAPHTAIL_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        return int(raw)
     except ValueError:
-        return 1
+        raise InputError(f"GRAPHTAIL_WORKERS needs an integer, got {raw!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t-grid", default=None, help="start:stop:count")
     p_sim.add_argument("--seed", type=int, default=None, required=False)
     p_sim.add_argument("--n", type=int, default=1_000_000)
-    p_sim.add_argument("--workers", type=int, default=_default_workers())
+    p_sim.add_argument("--workers", type=int, default=None, help="default: GRAPHTAIL_WORKERS or 1")
     p_sim.add_argument("--validate", action="store_true", help="compare against analytic bounds")
     p_sim.add_argument("--methods", default=None)
     p_sim.add_argument("--format", default="csv", choices=("csv", "json"))

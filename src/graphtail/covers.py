@@ -18,6 +18,13 @@ the witness is then trimmed part-by-part to an exact cover; dropping a
 covered-elsewhere vertex from a part keeps independence and acyclicity and
 never increases its cost, so the trimmed witness attains the same optimum.
 
+The enumerated decomposable LP gets its radicands from the forest walk
+itself: over the profile's common denominator L every coefficient is an
+integer a_v = L * c_v, and each partial forest carries L**2 times its
+radicand as an integer, updated as vertices join and trees merge.
+``part_cost_radicand`` prices only the parts of returned witnesses and the
+column-generation pool.
+
 Part costs are square roots of rationals.  Roots of perfect squares are kept
 exact; other roots enter the LP as 128-bit rational approximations, which is
 far below the separation of distinct cover values at this scale, so basis
@@ -30,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 from typing import Callable, Iterable, Sequence
 
 from . import graph as graphmod
@@ -177,46 +184,77 @@ def enumerate_independent_sets(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[
             extend(new, sub)
 
     extend((), list(g.vertices))
+    del extend  # see _walk_induced_forests
     return out
 
 
 def enumerate_induced_forests(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[frozenset[int]]:
     """All nonempty vertex sets whose induced subgraph is acyclic, lexicographic."""
-    _check_enumeration_scale(g)
-    out: list[frozenset[int]] = []
+    return _walk_induced_forests(g, [0] * g.n, cap)[0]
 
-    def find(parent: dict[int, int], x: int) -> int:
+
+def _walk_induced_forests(
+    g: Graph, scaled: Sequence[int], cap: int
+) -> tuple[list[frozenset[int]], list[int]]:
+    """The induced forests in ``enumerate_induced_forests`` order, with radicands.
+
+    ``scaled[v - 1]`` is the integer a_v = L * c_v for a common denominator L
+    of the profile, and the radicand returned for part F is the integer
+    L**2 * part_cost_radicand(g, F, profile).  It is carried along the walk:
+    adding v to a partial forest adds (a_v + a_u)**2 for each chosen neighbour
+    u, and merges the trees holding those neighbours into one, so each merged
+    tree's min**2 is subtracted and the new tree's min**2 added.
+    """
+    _check_enumeration_scale(g)
+    n = g.n
+    a = [0, *scaled]
+    lower = [()] + [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices]
+    parent = list(range(n + 1))  # union-find over the chosen vertices
+    tree_min = [0] * (n + 1)  # min of a over a tree, kept at its root
+    columns: list[frozenset[int]] = []
+    radicands: list[int] = []
+
+    def find(x: int) -> int:
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def extend(chosen: frozenset[int], parent: dict[int, int], start: int) -> None:
-        for v in range(start, g.n + 1):
-            roots = set()
-            cyclic = False
-            for u in g.neighbors(v):
+    def extend(chosen: frozenset[int], radicand: int, start: int) -> None:
+        for v in range(start, n + 1):
+            av = a[v]
+            roots: list[int] = []
+            total, low = radicand, av
+            for u in lower[v]:  # every chosen vertex is below v
                 if u in chosen:
-                    r = find(parent, u)
+                    r = find(u)
                     if r in roots:
-                        cyclic = True
-                        break
-                    roots.add(r)
-            if cyclic:
-                continue  # any superset keeps the cycle, but later vertices may not
-            new_parent = dict(parent)
-            new_parent[v] = v
-            for r in roots:
-                new_parent[r] = v
-            new = chosen | {v}
-            out.append(new)
-            if len(out) > cap:
-                raise ScaleError(
-                    f"more than {cap} induced forests; use column generation instead"
-                )
-            extend(new, new_parent, v + 1)
+                        break  # a cycle; any superset keeps it, but later vertices may not
+                    roots.append(r)
+                    m = tree_min[r]
+                    total += (av + a[u]) ** 2 - m * m
+                    low = min(low, m)
+            else:
+                total += low * low
+                tree_min[v] = low
+                for r in roots:
+                    parent[r] = v
+                new = chosen | {v}
+                columns.append(new)
+                radicands.append(total)
+                if len(columns) > cap:
+                    raise ScaleError(
+                        f"more than {cap} induced forests; use column generation instead"
+                    )
+                extend(new, total, v + 1)
+                for r in roots:
+                    parent[r] = r
 
-    extend(frozenset(), {}, 1)
-    return out
+    extend(frozenset(), 0, 1)
+    # extend reaches itself through its closure; dropping the name breaks that
+    # cycle, so the lists are freed with their last reference, not at a later
+    # full collection
+    del extend
+    return columns, radicands
 
 
 def _check_enumeration_scale(g: Graph) -> None:
@@ -596,8 +634,11 @@ def _optimize_decomposable(
     enumerate; it is called once, after the decomposable LP or heuristic.
     """
     if strategy is Strategy.ENUMERATED_LP:
-        columns = enumerate_induced_forests(g, cap=cap)
-        costs = [_sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
+        denom = lcm(*(c.denominator for c in profile))
+        scaled = [c.numerator * (denom // c.denominator) for c in profile]
+        columns, costs = _walk_induced_forests(g, scaled, cap)
+        for j, radicand in enumerate(costs):  # radicands become costs in place
+            costs[j] = _sqrt_fraction(Fraction(radicand, denom * denom))
         res = solve_min_cover_lp(g.n, columns, costs)
         weights: dict[frozenset[int], Fraction] = {}
         for j, w in res.weights.items():

@@ -293,7 +293,7 @@ def table_statistic(spaces: Sequence[Sequence], table: Mapping[tuple, object]) -
 def _stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Draws [start, start+count) of the (seed, stream) Philox stream."""
     aligned = start & ~3  # Philox advances in blocks of 4 doubles
-    bitgen = np.random.Philox(key=np.array([seed & (2**64 - 1), stream], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if aligned:
         bitgen.advance(aligned >> 2)
     vals = np.random.Generator(bitgen).random(count + (start - aligned))
@@ -356,7 +356,14 @@ def _statistic_values(spec: SamplerSpec, coords: np.ndarray) -> np.ndarray:
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Samples [start, start+count) as an array of shape (count, n)."""
-    return _emit_chunk(spec, seed, start, count).T
+    return _emit_chunk(spec, _check_seed(seed), start, count).T
+
+
+def _check_seed(seed: int) -> int:
+    """A seed keys the Philox streams as one 64-bit word, so it must fit one."""
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +504,9 @@ def estimate_tails(
     t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
     if n_samples < 1:
         raise InputError(f"sample count must be at least 1, got {n_samples}")
+    if workers < 1:
+        raise InputError(f"worker count must be at least 1, got {workers}")
+    _check_seed(seed)
     mu = analytic_mean(spec)
     if mu is None:
         mu, margin = _estimated_mean(spec, seed, n_samples)

@@ -391,6 +391,46 @@ class TestNonFiniteAndEmptyInputs:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
+class TestWorkerAndSeedRange:
+    @pytest.mark.parametrize(
+        "extra, env",
+        [
+            (["--workers", "0"], None),
+            (["--workers", "-3", "--validate"], None),
+            ([], "0"),
+            ([], "abc"),
+            (["--seed", "-1"], None),
+            (["--seed", str(2**64), "--validate"], None),
+        ],
+    )
+    def test_out_of_range_exit_1(self, blockfactor_file, extra, env, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("GRAPHTAIL_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("GRAPHTAIL_WORKERS", env)
+        argv = ["simulate", "--spec", blockfactor_file, "--t", "1", "--n", "1000"]
+        if "--seed" not in extra:
+            argv += ["--seed", "1"]
+        assert cli.run(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    def test_worker_env_ignored_when_flag_given_or_not_simulating(
+        self, blockfactor_file, ex9_file, monkeypatch
+    ):
+        monkeypatch.setenv("GRAPHTAIL_WORKERS", "abc")
+        argv = ["simulate", "--spec", blockfactor_file, "--t", "1", "--n", "1000", "--seed", "1"]
+        assert cli.run(argv + ["--workers", "2"]) == 0
+        assert cli.run(["bounds", "--graph", ex9_file, "--t", "2"]) == 0
+
+    def test_largest_seed_accepted(self, blockfactor_file, capsys):
+        argv = ["simulate", "--spec", blockfactor_file, "--t", "1", "--n", "1000",
+                "--seed", str(2**64 - 1), "--format", "json"]
+        assert cli.run(argv) == 0
+        assert json.loads(capsys.readouterr().out)[0]["seed"] == 2**64 - 1
+
+
 class TestByteIdenticalReports:
     def test_bounds_runs_are_byte_identical(self, ex9_file, tmp_path):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")

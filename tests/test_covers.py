@@ -14,7 +14,9 @@ from conftest import (
     lp_cover_oracle,
     random_profile,
 )
+from graphtail import covers
 from graphtail.covers import (
+    DEFAULT_COLUMN_CAP,
     CoverKind,
     Optimality,
     Strategy,
@@ -88,6 +90,73 @@ class TestEnumeration:
         g = random_graph(n, p, random.Random(seed))
         assert set(enumerate_independent_sets(g)) == brute_independent_sets(g)
         assert set(enumerate_induced_forests(g)) == brute_induced_forests(g)
+
+
+def reference_forest_order(g):
+    """The plain forest walk, copying the union-find map at each vertex."""
+    out = []
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def extend(chosen, parent, start):
+        for v in range(start, g.n + 1):
+            roots = set()
+            for u in g.neighbors(v):
+                if u in chosen:
+                    r = find(parent, u)
+                    if r in roots:
+                        break
+                    roots.add(r)
+            else:
+                new_parent = dict(parent)
+                new_parent[v] = v
+                for r in roots:
+                    new_parent[r] = v
+                out.append(chosen | {v})
+                extend(chosen | {v}, new_parent, v + 1)
+
+    extend(frozenset(), {}, 1)
+    return out
+
+
+class TestForestWalker:
+    def test_order_and_radicands_match_part_cost_radicand(self):
+        rng = random.Random(20240611)
+        for trial in range(24):
+            n = rng.randint(1, 11)
+            g = random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+            # zeros and mixed denominators; the common denominator is their lcm
+            profile = lipschitz_profile(
+                [Fraction(rng.choice((0, rng.randint(1, 9))), rng.choice((1, 2, 3, 5, 7)))
+                 for _ in range(n)]
+            )
+            denom = math.lcm(*(c.denominator for c in profile))
+            scaled = [int(c * denom) for c in profile]
+            columns, radicands = covers._walk_induced_forests(g, scaled, DEFAULT_COLUMN_CAP)
+            assert columns == reference_forest_order(g) == enumerate_induced_forests(g)
+            for part, radicand in zip(columns, radicands):
+                assert Fraction(radicand, denom * denom) == part_cost_radicand(g, part, profile)
+
+    def test_enumerated_lp_prices_parts_only_for_witnesses(self, monkeypatch):
+        g = random_graph(12, 0.3, random.Random(7))
+        profile = random_profile(12, random.Random(8), allow_zero=True)
+        calls = []
+        priced = covers.part_cost_radicand
+
+        def counting(g, part, profile):
+            calls.append(frozenset(part))
+            return priced(g, part, profile)
+
+        monkeypatch.setattr(covers, "part_cost_radicand", counting)
+        sol = optimize_decomposable_denominator(g, profile, strategy=Strategy.ENUMERATED_LP)
+        chi = fractional_chromatic_number(g)
+        assert sorted(map(sorted, calls)) == sorted(
+            sorted(s) for cover in (sol.cover, chi.cover) for s, _ in cover.parts
+        )
+        assert len(calls) < len(enumerate_induced_forests(g)) / 10
 
 
 class TestValidateCover:

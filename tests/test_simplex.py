@@ -2,11 +2,20 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import graphtail._simplex as simplexmod
 from conftest import lp_cover_oracle
-from graphtail._simplex import CoverLp, solve_min_cover_lp
+from graphtail._simplex import CoverLp, CoverLpResult, solve_min_cover_lp
+from graphtail.covers import (
+    _sqrt_fraction,
+    enumerate_induced_forests,
+    lipschitz_profile,
+    part_cost_radicand,
+)
 from graphtail.errors import VerificationError
+from graphtail.graph import build_graph
 
 
 def random_instance(rng, n=None, extra=None):
@@ -85,3 +94,208 @@ class TestWarmStart:
         lp.add_column(frozenset({1, 2}), F(5))  # dominated: never enters
         second = lp.solve()
         assert second.objective == first.objective == 3
+
+
+class ReferenceLp(CoverLp):
+    """The plain exact solve loop, as the reference for ``CoverLp``'s pivot path.
+
+    Duals are rebuilt from scratch each iteration, Dantzig candidates come from
+    a full stable argsort, and the Bland sweep prices every column exactly.
+    Only ``_entering`` and ``solve`` differ from ``CoverLp``.
+    """
+
+    def _entering(self, y):
+        if self.iterations <= simplexmod._BLAND_AFTER:
+            y_f = np.array([float(v) for v in y], dtype=np.float64)
+            reduced_f = self._costs_f - self._incidence @ y_f
+            order = np.argsort(reduced_f, kind="stable")
+            for j in order[: max(8, self.n)]:
+                if reduced_f[j] >= -simplexmod._SCREEN_TOL:
+                    break
+                if self._exact_reduced(int(j), y) < 0:
+                    return int(j)
+            for v in range(self.n):
+                if y_f[v] < -simplexmod._SCREEN_TOL and y[v] < 0:
+                    return -(v + 1)
+        in_basis = set(self.basis)
+        for ident in list(range(len(self.columns))) + [-(v + 1) for v in range(self.n)]:
+            if ident in in_basis:
+                continue
+            if self._exact_reduced(ident, y) < 0:
+                return ident
+        return None
+
+    def _col_vec(self, ident):
+        vec = [F(0)] * self.n
+        if ident >= 0:
+            for v in self.columns[ident]:
+                vec[v - 1] = F(1)
+        else:
+            vec[-ident - 1] = F(-1)
+        return vec
+
+    def solve(self):
+        n = self.n
+        while True:
+            self.iterations += 1
+            y = self._duals()
+            entering = self._entering(y)
+            if entering is None:
+                break
+            a_j = self._col_vec(entering)
+            d = [sum(self.b_inv[i][j] * a_j[j] for j in range(n) if a_j[j]) for i in range(n)]
+            leave, best = -1, None
+            for i in range(n):
+                if d[i] > 0:
+                    ratio = self.x_b[i] / d[i]
+                    if (
+                        best is None
+                        or ratio < best
+                        or (
+                            ratio == best
+                            and self._priority(self.basis[i]) < self._priority(self.basis[leave])
+                        )
+                    ):
+                        best, leave = ratio, i
+            theta, piv = best, d[leave]
+            self.b_inv[leave] = [val / piv for val in self.b_inv[leave]]
+            for i in range(n):
+                if i != leave and d[i]:
+                    di, row, prow = d[i], self.b_inv[i], self.b_inv[leave]
+                    self.b_inv[i] = [row[j] - di * prow[j] for j in range(n)]
+                    self.x_b[i] -= di * theta
+            self.x_b[leave] = theta
+            self.basis[leave] = entering
+        weights = {}
+        for i in range(n):
+            if self.basis[i] >= 0 and self.x_b[i] > 0:
+                weights[self.basis[i]] = weights.get(self.basis[i], F(0)) + self.x_b[i]
+        objective = sum((self.costs[j] * w for j, w in weights.items()), F(0))
+        return CoverLpResult(objective, weights, tuple(self._duals()), self.iterations)
+
+
+def basis_duals(lp):
+    """y with y B = c_B for the final basis, by exact Gauss-Jordan on B^T."""
+    n = lp.n
+    rows = []
+    for ident in lp.basis:  # row i of B^T is basic column i
+        if ident >= 0:
+            row = [F(1) if v in lp.columns[ident] else F(0) for v in range(1, n + 1)]
+            rows.append(row + [lp.costs[ident]])
+        else:
+            rows.append([F(-1) if v == -ident else F(0) for v in range(1, n + 1)] + [F(0)])
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return tuple(rows[v][n] for v in range(n))
+
+
+def forest_pool(rng, n):
+    """The induced forests of a random graph with 128-bit sqrt part costs."""
+    g = build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                        if rng.random() < 0.35])
+    profile = lipschitz_profile([F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n)])
+    columns = enumerate_induced_forests(g)
+    return columns, [_sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
+
+
+def near_tie_pool(rng, n):
+    """Random parts whose costs sit 2^-120 above or below their dual price.
+
+    Float pricing cannot tell these columns from zero reduced cost, so only
+    the exact sweep can decide whether they enter.
+    """
+    n, columns, costs = random_instance(rng, n=n, extra=rng.randint(10, 30))
+    costs = [_sqrt_fraction(F(c)) for c in costs]
+    duals = solve_min_cover_lp(n, columns, costs).duals
+    for _ in range(6):
+        part = frozenset(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        price = sum(duals[v - 1] for v in part)
+        if price == 0:
+            continue  # a negative cost would make the LP unbounded
+        columns.append(part)
+        costs.append(price + rng.choice((-1, 1)) * F(1, 2**120))
+        columns.append(part)
+        costs.append(costs[-1] + F(1, 2**120))
+    return n, columns, costs
+
+
+def oracle_pools():
+    rng = random.Random(20070601)
+    for k in range(12):
+        n, columns, costs = random_instance(rng, n=rng.randint(3, 9), extra=rng.randint(10, 40))
+        yield f"unit-{k}", n, columns, [F(1)] * len(columns)
+    for k in range(6):
+        n = rng.randint(4, 9)
+        yield f"forest-sqrt-{k}", n, *forest_pool(rng, n)
+    for k in range(10):
+        yield f"near-tie-{k}", *near_tie_pool(rng, rng.randint(3, 8))
+
+
+POOLS = list(oracle_pools())
+
+
+class TestDantzigCandidates:
+    def test_first_k_of_stable_argsort(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            size, k = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+            # few distinct values, so ties are common; some sit at or above -tol
+            reduced = rng.integers(-6, 2, size).astype(np.float64) * rng.choice((1.0, 1e-9, 1e-10))
+            expected = []
+            for j in np.argsort(reduced, kind="stable")[:k]:
+                if reduced[j] >= -simplexmod._SCREEN_TOL:
+                    break
+                expected.append(int(j))
+            assert simplexmod._dantzig_candidates(reduced, k).tolist() == expected
+
+
+class TestPivotPathOracle:
+    """Same pivots, basis, weights and duals as the from-scratch reference loop."""
+
+    @staticmethod
+    def assert_same(lp, ref, res, expected):
+        assert res.weights == expected.weights
+        assert res.duals == expected.duals
+        assert res.objective == expected.objective
+        assert res.iterations == expected.iterations
+        assert lp.basis == ref.basis
+        assert res.duals == basis_duals(lp)
+
+    @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_cold_solve(self, name, n, columns, costs, bland_after, monkeypatch):
+        monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
+        lp, ref = CoverLp(n, columns, costs), ReferenceLp(n, columns, costs)
+        self.assert_same(lp, ref, lp.solve(), ref.solve())
+
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_warm_starts_after_add_column(self, name, n, columns, costs):
+        rng = random.Random(name)
+        order = [j for j, col in enumerate(columns) if len(col) > 1]
+        rng.shuffle(order)
+        start = [j for j, col in enumerate(columns) if len(col) == 1] + order[: len(order) // 3]
+        lp = CoverLp(n, [columns[j] for j in start], [costs[j] for j in start])
+        ref = ReferenceLp(n, [columns[j] for j in start], [costs[j] for j in start])
+        self.assert_same(lp, ref, lp.solve(), ref.solve())
+        rest = order[len(order) // 3 :]
+        for batch in (rest[: len(rest) // 2], rest[len(rest) // 2 :]):
+            for j in batch:
+                assert lp.add_column(columns[j], costs[j]) == ref.add_column(columns[j], costs[j])
+            self.assert_same(lp, ref, lp.solve(), ref.solve())
+
+    def test_near_ties_are_decided_exactly(self):
+        """A column 2^-120 below its dual price must still enter."""
+        n, columns, costs = 3, [frozenset({v}) for v in (1, 2, 3)], [F(1)] * 3
+        lp = CoverLp(n, columns, costs)
+        assert lp.solve().objective == 3
+        lp.add_column(frozenset({1, 2, 3}), F(3) + F(1, 2**120))
+        assert lp.solve().objective == 3
+        lp.add_column(frozenset({1, 2}), F(2) - F(1, 2**120))
+        res = lp.solve()
+        assert res.objective == 3 - F(1, 2**120)
+        assert res.weights == {4: F(1), 2: F(1)}
