@@ -24,7 +24,7 @@ from . import covers as coversmod
 from . import montecarlo as mcmod
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
 from .errors import InputError, ScaleError, VerificationError
-from .graph import Graph, graph_from_json_dict, parse_edge_list, rooted_order
+from .graph import Graph, graph_from_json_dict, parse_edge_list, read_vertex_id, rooted_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,11 +38,7 @@ EXIT_VERIFY = 3
 def load_graph(path: str) -> Graph:
     text = _read(path)
     if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON: {exc}") from exc
-        return graph_from_json_dict(data)
+        return graph_from_json_dict(_json(path, text))
     return parse_edge_list(text)
 
 
@@ -68,6 +64,14 @@ def _read(path: str) -> str:
     if not p.exists():
         raise InputError(f"no such file: {path}")
     return p.read_text()
+
+
+def _json(path: str, text: str | None = None):
+    """The JSON document in ``text``, or else in the file at ``path``."""
+    try:
+        return json.loads(_read(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def _fraction_value(x) -> Fraction:
@@ -100,10 +104,7 @@ def _json_symbol(v):
 
 
 def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    data = _json(path)
     model = data.get("model")
     try:
         if model == mcmod.BLOCK_FACTOR:
@@ -116,13 +117,13 @@ def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
         if model == mcmod.LATENT_GRAPH:
             g = graph_from_json_dict(data["graph"])
             latents = [
-                (tuple(int(v) for v in item["scope"]), _dist_from_json(item["dist"]))
+                (item["scope"], _dist_from_json(item["dist"]))
                 for item in data["latents"]
             ]
             emit = data.get("emit", "sum")
             if isinstance(emit, dict):
                 emit = {
-                    int(v): mcmod.EmitRule(
+                    read_vertex_id(v, "emit key"): mcmod.EmitRule(
                         kind=rule.get("kind", "sum"),
                         clamp=(
                             (_fraction_value(rule["range"][0]), _fraction_value(rule["range"][1]))
@@ -167,17 +168,24 @@ def _emit_callable(kind: str, table: dict | None, incident_edges: list):
     raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
 
 
+def _support(dist: dict) -> list:
+    return list(zip(map(_json_symbol, dist["values"]), map(_fraction_value, dist["probs"])))
+
+
+def _edge_key(text: str) -> tuple[int, ...]:
+    ends = text.replace("-", ",").split(",")
+    if len(ends) != 2:
+        raise InputError(f"edge latent key {text!r} is not 'u-v'")
+    return tuple(read_vertex_id(p, f"endpoint of edge latent key {text!r}") for p in ends)
+
+
 def load_joint_spec(path: str):
     """A joint plus its tree and profile, from latent-tree or raw-pmf JSON.
 
     Returns (joint, tree, profile); tree/profile may be None for raw form
     without a "tree" entry.
     """
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-
+    data = _json(path)
     profile = None
     if "profile" in data:
         profile = lipschitz_profile([_fraction_value(c) for c in data["profile"]])
@@ -205,24 +213,13 @@ def load_joint_spec(path: str):
     if profile is None:
         profile = coversmod.uniform_profile(g.n)
     try:
-        vertex_latents = {}
-        for v_str, dist in data["vertex_latents"].items():
-            vertex_latents[int(v_str)] = list(
-                zip(
-                    [_json_symbol(v) for v in dist["values"]],
-                    [_fraction_value(p) for p in dist["probs"]],
-                )
-            )
-        edge_latents = {}
-        for e_str, dist in data.get("edge_latents", {}).items():
-            u, w = (int(p) for p in e_str.replace("-", ",").split(","))
-            key = (u, w) if u < w else (w, u)
-            edge_latents[key] = list(
-                zip(
-                    [_json_symbol(v) for v in dist["values"]],
-                    [_fraction_value(p) for p in dist["probs"]],
-                )
-            )
+        vertex_latents = {
+            read_vertex_id(v, "vertex latent key"): _support(dist)
+            for v, dist in data["vertex_latents"].items()
+        }
+        edge_latents = {
+            _edge_key(e): _support(dist) for e, dist in data.get("edge_latents", {}).items()
+        }
         emit = {}
         for v in g.vertices:
             rule = data.get("emit", {}).get(str(v), {"kind": "xor"})
@@ -393,7 +390,7 @@ def _cmd_verify(args) -> int:
 def _coupling_payload(joint, tree) -> dict:
     """Every exact coupling check; ``ok`` only when each deviation is exactly zero."""
     try:
-        coupling_dev = couplingmod.verify_all_couplings(joint, tree)
+        coupling_dev, indep_dev = couplingmod._coupling_checks(joint, tree)
     except couplingmod.DependencyViolation as exc:
         return {
             "check": "coupling",
@@ -401,25 +398,16 @@ def _coupling_payload(joint, tree) -> dict:
             "worst_pair": _pair_json(exc.report.worst_pair),
             "ok": False,
         }
-    indep_dev = max(
-        (couplingmod.verify_independence_lemma(joint, tree, i) for i in range(1, joint.n)),
-        default=Fraction(0),
-    )
     payload = {
         "check": "coupling",
-        "dependency_deviation": 0.0,  # verify_all_couplings raised otherwise
+        "dependency_deviation": 0.0,  # _coupling_checks raised otherwise
         "coupling_marginal_deviation": float(coupling_dev),
         "independence_deviation": float(indep_dev),
         "ok": coupling_dev == 0 and indep_dev == 0,
     }
-    numeric = all(
-        all(isinstance(v, (int, Fraction)) for v in space) for space in joint.spaces
-    )
-    if numeric:
+    if all(isinstance(v, (int, Fraction)) for space in joint.spaces for v in space):
         # swing bound for the coordinate sum (skipped for symbolic alphabets)
-        f = couplingmod.lipschitz_function(
-            joint.spaces, lambda x: sum(Fraction(v) for v in x), None
-        )
+        f = couplingmod.coordinate_sum(joint.spaces)
         diff_excess = couplingmod.verify_difference_bound(joint, tree, f)
         payload["difference_bound_excess"] = float(diff_excess)
         payload["ok"] = payload["ok"] and diff_excess <= 0

@@ -194,38 +194,52 @@ def latent_tree_spec(
 
 
 def build_tree_joint(spec: LatentTreeSpec) -> FiniteJoint:
-    """Exact pmf of the emitted vector, by summing over all latent configurations."""
+    """Exact pmf of the emitted vector, with the latents summed out by ``_latent_joint``."""
     g = spec.graph
-    vorder = list(g.vertices)
-    eorder = list(g.edges)
-    configs = 1
-    for v in vorder:
-        configs *= len(spec.vertex_latents[v])
-    for e in eorder:
-        configs *= len(spec.edge_latents[e])
-    if configs > MAX_LATENT_CONFIGS:
-        raise ScaleError(f"{configs} latent configurations exceed cap {MAX_LATENT_CONFIGS}")
+    latents = [((v,), spec.vertex_latents[v]) for v in g.vertices]
+    latents += [(e, spec.edge_latents[e]) for e in g.edges]
 
-    incident = {v: [e for e in eorder if v in e] for v in vorder}
-    pmf: dict[tuple, Fraction] = {}
-    vertex_choices = [spec.vertex_latents[v] for v in vorder]
-    edge_choices = [spec.edge_latents[e] for e in eorder]
-    for vcombo in itertools.product(*vertex_choices):
-        pv = Fraction(1)
-        for _, q in vcombo:
-            pv *= q
-        xi = {v: val for v, (val, _) in zip(vorder, vcombo)}
-        for ecombo in itertools.product(*edge_choices):
-            p = pv
-            for _, q in ecombo:
-                p *= q
-            eps = {e: val for e, (val, _) in zip(eorder, ecombo)}
-            x = tuple(
-                spec.emit[v](xi[v], {e: eps[e] for e in incident[v]}) for v in vorder
-            )
-            pmf[x] = pmf.get(x, _ZERO) + p
-    spaces = [sorted({x[k] for x in pmf}) for k in range(g.n)]
-    return finite_joint(spaces, pmf, dependency=g)
+    def reader(v):
+        incident = [e for e in g.edges if v in e]
+        return lambda values: spec.emit[v](values[0], dict(zip(incident, values[1:])))
+
+    return _latent_joint(g.n, latents, [reader(v) for v in g.vertices], g)
+
+
+def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependency) -> FiniteJoint:
+    """Exact joint of X_v = emit[v-1](values of the latents covering v, in list order).
+
+    ``latents`` holds (scope, support) pairs of independent latents.  Vertices
+    are visited in label order, keeping the law of (emitted prefix, values of
+    the latents a later vertex reads): a latent joins at the first vertex of
+    its scope and is summed out after its last.  The work at a vertex, its
+    states times the supports joining there, never exceeds the full product
+    of supports; past ``MAX_LATENT_CONFIGS`` it raises ``ScaleError``.  Zero-
+    mass outcomes are kept, so alphabets hold every value emitted.
+    """
+    if n > MAX_COORDINATES:
+        raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
+    live: list[int] = []  # the latents in the state, in the order of its values
+    states: dict[tuple[tuple, tuple], Fraction] = {((), ()): Fraction(1)}
+    for v in range(1, n + 1):
+        joining = [k for k, (scope, _) in enumerate(latents) if min(scope) == v]
+        work = len(states) * math.prod(len(latents[k][1]) for k in joining)
+        if work > MAX_LATENT_CONFIGS:
+            raise ScaleError(f"{work} latent states at vertex {v} exceed cap {MAX_LATENT_CONFIGS}")
+        order = live + joining
+        reads = [order.index(k) for k, (scope, _) in enumerate(latents) if v in scope]
+        kept = [pos for pos, k in enumerate(order) if max(latents[k][0]) > v]
+        nxt: dict[tuple[tuple, tuple], Fraction] = {}
+        for (prefix, held), p in states.items():
+            for draw in itertools.product(*(latents[k][1] for k in joining)):
+                values = held + tuple(val for val, _ in draw)
+                x = prefix + (emit[v - 1](tuple(values[pos] for pos in reads)),)
+                key = (x, tuple(values[pos] for pos in kept))
+                nxt[key] = nxt.get(key, _ZERO) + math.prod((q for _, q in draw), start=p)
+        states = nxt
+        live = [order[pos] for pos in kept]
+    pmf = {x: p for (x, _), p in states.items()}
+    return finite_joint(list(zip(*pmf)), pmf, dependency=dependency)
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +680,22 @@ def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> Fraction:
     builds the suffix conditionals once per step and shares them across
     that step's contexts.
     """
+    return _coupling_checks(joint, tree)[0]
+
+
+def _coupling_checks(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fraction, Fraction]:
+    """Coupling and independence-lemma deviations, sharing each step's suffix conditionals."""
     _require_dependent(joint)
     rl = relabel_joint(joint, tree)
-    worst = _ZERO
+    coupling = independence = _ZERO
     for i, contexts in itertools.groupby(all_coupling_contexts(joint, tree), key=lambda c: c[0]):
         conds = _suffix_conditionals(rl.pmf, i)
         for _, prefix, a, b in contexts:
             pair = _couple(rl.spaces, tree, conds, CouplingContext(i, prefix, a, b))
-            worst = max(worst, _marginal_gap(pair, conds))
-    return worst
+            coupling = max(coupling, _marginal_gap(pair, conds))
+        # a step without contexts has one value per prefix, so no lemma gap
+        independence = max(independence, _independence_gap_at(conds, tree, i))
+    return coupling, independence
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +711,12 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     n = joint.n
     if not (1 <= i <= n - 1):
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
-    rl = relabel_joint(joint, tree)
+    return _independence_gap_at(_suffix_conditionals(relabel_joint(joint, tree).pmf, i), tree, i)
+
+
+def _independence_gap_at(conds: Mapping[tuple, Mapping], tree: OrderedTree, i: int) -> Fraction:
+    """``verify_independence_lemma`` at step i, from the step's suffix conditionals."""
     cut = tree.parent[i - 1] - i - 1  # the parent's index in a suffix
-    conds = _suffix_conditionals(rl.pmf, i)
     by_prefix: dict[tuple, list[tuple]] = {}
     for head in conds:
         by_prefix.setdefault(head[:-1], []).append(head)

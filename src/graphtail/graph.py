@@ -4,6 +4,7 @@ Vertices are labeled 1..n throughout (matching the reports and file formats).
 All values are immutable after construction and safe to share across threads.
 """
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -313,19 +314,26 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for (u, v) in g.edges]}
 
 
+def read_vertex_id(value, what: str) -> int:
+    """An int that is not a bool, or a decimal string; else ``InputError`` naming ``what``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def graph_from_json_dict(data: dict) -> Graph:
-    try:
-        n = int(data["n"])
-        edges = data.get("edges", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"graph JSON needs integer 'n' and an 'edges' list: {exc}") from exc
+    if not (isinstance(data, dict) and "n" in data and isinstance(data.get("edges", []), list)):
+        raise InputError("graph JSON needs integer 'n' and an 'edges' list")
+    n = read_vertex_id(data["n"], "graph JSON 'n'")
     if n < 1:
         raise InputError(f"graph JSON must have n >= 1, got {n}")
     pairs = []
-    for item in edges:
+    for item in data.get("edges", []):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise InputError(f"edge entry {item!r} is not a pair")
-        pairs.append((int(item[0]), int(item[1])))
+        pairs.append(tuple(read_vertex_id(v, f"endpoint of edge {item!r}") for v in item))
     return build_graph(n, pairs)
 
 
@@ -333,10 +341,7 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty edge-list input")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise InputError(f"first line must be the vertex count, got {lines[0]!r}") from exc
+    n = read_vertex_id(lines[0], "first line (the vertex count)")
     if n < 1:
         raise InputError(f"edge-list vertex count must be >= 1, got {n}")
     pairs = []
@@ -344,5 +349,5 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise InputError(f"edge line {ln!r} is not 'u v'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append(tuple(read_vertex_id(v, f"endpoint on edge line {ln!r}") for v in parts))
     return build_graph(n, pairs)

@@ -19,6 +19,7 @@ index range is chunked across workers.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from math import log, sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -29,8 +30,9 @@ from . import bounds as boundsmod
 from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
-from .errors import InputError, ScaleError
-from .graph import Graph, classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
+from .errors import InputError
+from .graph import Graph, read_vertex_id
+from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
 MEAN_PASS_FACTOR = 10
@@ -93,9 +95,6 @@ def discrete(values: Sequence, probs: Sequence) -> Discrete:
 def dist_bounds(d: Dist) -> tuple[Fraction, Fraction]:
     if isinstance(d, Uniform):
         return d.lo, d.hi
-    if isinstance(d, Bernoulli):
-        vals = [Fraction(v) for v in d.values]
-        return min(vals), max(vals)
     vals = [Fraction(v) for v in d.values]
     return min(vals), max(vals)
 
@@ -200,7 +199,7 @@ def latent_graph_spec(
     """
     lat = []
     for scope, dist in latents:
-        sc = tuple(sorted(set(scope)))
+        sc = tuple(sorted({read_vertex_id(v, "latent scope vertex") for v in scope}))
         if not sc:
             raise InputError("latent scope is empty")
         for v in sc:
@@ -482,6 +481,17 @@ def _estimated_mean(spec: SamplerSpec, seed: int, n_samples: int) -> tuple[float
     return total / m, margin
 
 
+def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int) -> list[float]:
+    """The thresholds as floats, once every input of a sampling run is in range."""
+    t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
+    if n_samples < 1:
+        raise InputError(f"sample count must be at least 1, got {n_samples}")
+    if workers < 1:
+        raise InputError(f"worker count must be at least 1, got {workers}")
+    _check_seed(seed)
+    return t_grid
+
+
 def estimate_tail(
     spec: SamplerSpec, t: float, seed: int, n_samples: int, workers: int = 1
 ) -> TailEstimate:
@@ -501,12 +511,7 @@ def estimate_tails(
     otherwise a separate (larger) mean pass supplies an estimate whose
     one-sided error margin is folded into the thresholds conservatively.
     """
-    t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
-    if n_samples < 1:
-        raise InputError(f"sample count must be at least 1, got {n_samples}")
-    if workers < 1:
-        raise InputError(f"worker count must be at least 1, got {workers}")
-    _check_seed(seed)
+    t_grid = _check_run(t_grid, seed, n_samples, workers)
     mu = analytic_mean(spec)
     if mu is None:
         mu, margin = _estimated_mean(spec, seed, n_samples)
@@ -579,6 +584,7 @@ def validate_bounds(
     misapplying a method, e.g. the independence-only reference on a
     dependent spec.
     """
+    _check_run(t_grid, seed, n_samples, workers)  # before any LP is solved
     inputs = _method_inputs(spec, strategy)
     chosen = boundsmod.bound_methods(methods if methods is not None else resolve_methods(spec))
     denominators = []
@@ -630,46 +636,21 @@ def estimates_to_csv(estimates: Sequence[TailEstimate]) -> str:
 # ---------------------------------------------------------------------------
 # Exact bridge for down-scaled specs
 
-def exact_joint(spec: SamplerSpec, cap: int = couplingmod.MAX_LATENT_CONFIGS):
-    """Exact joint of a finite-latent latent-graph spec, for exhaustive checks.
+def exact_joint(spec: SamplerSpec):
+    """Exact joint of a finite-latent latent-graph spec, declared dependent along its graph.
 
-    Only defined when every latent has finite support; the result carries the
-    spec's graph as its declared dependency, ready for verification.
+    The latents are summed out by ``coupling._latent_joint``; clamps are not applied.
     """
     if spec.model != LATENT_GRAPH:
         raise InputError("exact joints are available for latent-graph specs only")
-    supports = []
-    for lat in spec.latents:
-        sup = dist_finite_support(lat.dist)
-        if sup is None:
-            raise InputError("exact joints need finite-support latents everywhere")
-        supports.append(sup)
-    configs = 1
-    for sup in supports:
-        configs *= len(sup)
-    if configs > cap:
-        raise ScaleError(f"{configs} latent configurations exceed cap {cap}")
-
-    import itertools
-
-    pmf: dict[tuple, Fraction] = {}
-    for combo in itertools.product(*supports):
-        p = Fraction(1)
-        for _, q in combo:
-            p *= q
-        values = [val for val, _ in combo]
-        x = []
-        for v in range(1, spec.n + 1):
-            mine = [values[i] for i, lat in enumerate(spec.latents) if v in lat.scope]
-            rule = spec.emit[v - 1]
-            x.append(_combine_scalar(rule.kind, mine))
-        key = tuple(x)
-        pmf[key] = pmf.get(key, Fraction(0)) + p
-    spaces = [sorted({x[k] for x in pmf}) for k in range(spec.n)]
-    return couplingmod.finite_joint(spaces, pmf, dependency=spec.graph)
+    latents = [(lat.scope, dist_finite_support(lat.dist)) for lat in spec.latents]
+    if any(support is None for _, support in latents):
+        raise InputError("exact joints need finite-support latents everywhere")
+    emit = [partial(_combine_scalar, rule.kind) for rule in spec.emit]
+    return couplingmod._latent_joint(spec.n, latents, emit, spec.graph)
 
 
-def _combine_scalar(kind: str, values: list):
+def _combine_scalar(kind: str, values: Sequence):
     if kind == "identity":
         return values[0]
     if kind == "sum":

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from graphtail import bounds as boundsmod
 from graphtail import cli
 from graphtail.bounds import ALL_METHODS
 from graphtail.errors import InputError, VerificationError
@@ -312,6 +314,49 @@ class TestExitCodes:
         assert cli.run(["covers", "chi-f", "--graph", tree_file]) == 3
         assert capsys.readouterr().err == "verification error: certificate did not close\n"
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 3, "edges": [[1, 2.7]]},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": 2.9, "edges": [[1, 2]]},
+            {"n": 3, "edges": [["a", 2]]},
+            "3\na b\n",
+        ],
+    )
+    def test_malformed_vertex_ids_in_graphs_exit_1(self, graph, tmp_path, capsys):
+        path = tmp_path / ("g.json" if isinstance(graph, dict) else "g.txt")
+        path.write_text(json.dumps(graph) if isinstance(graph, dict) else graph)
+        assert cli.run(["covers", "chi-f", "--graph", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [("vertex_latents", "x"), ("edge_latents", "1-2-3"), ("edge_latents", "1.5-2")],
+    )
+    def test_malformed_latent_keys_exit_1(self, p2xor_file, field, key, tmp_path, capsys):
+        spec = json.loads(open(p2xor_file).read())
+        spec[field][key] = spec[field].pop(next(iter(spec[field])))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scope", [[1, 2.5], [True, 2], ["a", 2]])
+    def test_malformed_latent_scopes_exit_1(self, scope, tmp_path, capsys):
+        spec = _latent_spec(2, [[1, 2]])
+        spec["latents"][-1]["scope"] = scope
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["simulate", "--spec", str(path), "--t", "1", "--n", "100", "--seed", "1"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
 
 def _latent_spec(n, edges):
     uniform01 = {"kind": "uniform", "lo": 0, "hi": 1}
@@ -411,6 +456,26 @@ class TestWorkerAndSeedRange:
         argv = ["simulate", "--spec", blockfactor_file, "--t", "1", "--n", "1000"]
         if "--seed" not in extra:
             argv += ["--seed", "1"]
+        assert cli.run(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra", [["--seed", "-1"], ["--t", "nan"], ["--workers", "0"], ["--n", "0"]]
+    )
+    def test_validate_checks_run_inputs_before_any_denominator(
+        self, extra, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a denominator was solved before the inputs were checked")
+
+        for name, method in boundsmod.METHODS.items():
+            monkeypatch.setitem(boundsmod.METHODS, name, replace(method, denominator=unreachable))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_latent_spec(4, [[1, 2], [2, 3], [1, 3], [3, 4]])))
+        argv = ["simulate", "--spec", str(path), "--validate", "--t", "1", "--n", "100",
+                "--seed", "1", "--workers", "1"]
         assert cli.run(argv + extra) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from graphtail.bounds import forest_denominator, tail_bound
+from conftest import _table_emit, random_finite_dist, random_tree_edges
 from graphtail.coupling import (
+    MAX_LATENT_CONFIGS,
     CouplingContext,
     CouplingPair,
     DependencyViolation,
@@ -31,6 +33,8 @@ from graphtail.coupling import (
     verify_difference_bound,
     verify_independence_lemma,
 )
+from graphtail import coupling as coupling_module
+from graphtail.coupling import _coupling_checks, _latent_joint
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph, rooted_order
@@ -114,6 +118,98 @@ class TestBuildTreeJoint:
     def test_non_tree_rejected(self, k3):
         with pytest.raises(KindError):
             latent_tree_spec(k3, {}, {}, {})
+
+
+def full_product_tree_joint(spec):
+    """Reference: the latent-tree joint summed over every latent configuration at once."""
+    g = spec.graph
+    vorder = list(g.vertices)
+    eorder = list(g.edges)
+    incident = {v: [e for e in eorder if v in e] for v in vorder}
+    pmf = {}
+    vertex_choices = [spec.vertex_latents[v] for v in vorder]
+    edge_choices = [spec.edge_latents[e] for e in eorder]
+    for vcombo in itertools.product(*vertex_choices):
+        pv = F(1)
+        for _, q in vcombo:
+            pv *= q
+        xi = {v: val for v, (val, _) in zip(vorder, vcombo)}
+        for ecombo in itertools.product(*edge_choices):
+            p = pv
+            for _, q in ecombo:
+                p *= q
+            eps = {e: val for e, (val, _) in zip(eorder, ecombo)}
+            x = tuple(spec.emit[v](xi[v], {e: eps[e] for e in incident[v]}) for v in vorder)
+            pmf[x] = pmf.get(x, F(0)) + p
+    spaces = [sorted({x[k] for x in pmf}) for k in range(g.n)]
+    return finite_joint(spaces, pmf, dependency=g)
+
+
+def ternary_xor_path(n):
+    """The xor path of the coupling benchmark: ternary latents in eighths everywhere."""
+    g = build_graph(n, [(v, v + 1) for v in range(1, n)])
+    third = [(0, F(3, 8)), (1, F(2, 8)), (2, F(3, 8))]
+
+    def xor(xi, ev):
+        out = xi
+        for e in sorted(ev):
+            out ^= ev[e]
+        return out
+
+    spec = latent_tree_spec(
+        g, {v: third for v in g.vertices}, {e: third for e in g.edges},
+        {v: xor for v in g.vertices},
+    )
+    return build_tree_joint(spec)
+
+
+class TestLatentJointBuilder:
+    def test_matches_full_product_on_random_table_specs(self):
+        rng = random.Random(5150)
+        for trial in range(40):
+            n = rng.randint(1, 6)
+            g = build_graph(n, random_tree_edges(n, rng)) if n > 1 else build_graph(1, [])
+            top = 3 if n <= 4 else 2  # largest latent support
+            vertex_latents = {v: random_finite_dist(rng.randint(1, top), rng) for v in g.vertices}
+            edge_latents = {e: random_finite_dist(rng.randint(1, top), rng) for e in g.edges}
+            emit = {}
+            for v in g.vertices:
+                incident = sorted(e for e in g.edges if v in e)
+                sizes = [len(vertex_latents[v])] + [len(edge_latents[e]) for e in incident]
+                out_size = rng.randint(1, 4)
+                combos = itertools.product(*map(range, sizes))
+                table = {c: rng.randrange(out_size) for c in combos}
+                emit[v] = _table_emit(incident, table)
+            spec = latent_tree_spec(g, vertex_latents, edge_latents, emit)
+            built, oracle = build_tree_joint(spec), full_product_tree_joint(spec)
+            assert built.pmf == oracle.pmf, trial
+            assert built.spaces == oracle.spaces, trial
+            assert built.dependency == g
+
+    def test_states_times_joining_supports_is_capped(self):
+        # 21 binary latents join at vertex 1: 2**21 states, over the cap
+        bit = [(0, F(1, 2)), (1, F(1, 2))]
+        with pytest.raises(ScaleError, match="at vertex 1 exceed cap"):
+            _latent_joint(1, [((1,), bit)] * 21, [sum], None)
+
+    def test_latents_are_summed_out_after_their_last_vertex(self):
+        # 10**7 edge-latent configurations in all, but each edge latent leaves
+        # the state at its second vertex, so no vertex does more than 12 800 steps
+        decimal = [(d, F(1, 10)) for d in range(10)]
+        n = 8
+        latents = [((v, v + 1), decimal) for v in range(1, n)]
+        joint = _latent_joint(n, latents, [lambda values: sum(values) % 2] * n, None)
+        assert 10 ** (n - 1) > MAX_LATENT_CONFIGS
+        # the 7 edge parities are fair bits and fix the emitted vector
+        assert set(joint.pmf.values()) == {F(1, 2 ** (n - 1))}
+        assert len(joint.pmf) == 2 ** (n - 1)
+
+    def test_ternary_xor_path_n7_builds(self):
+        # 3**13 latent configurations, which the full product refused
+        joint = ternary_xor_path(7)
+        assert len(joint.pmf) == 4**7
+        assert sum(joint.pmf.values()) == 1
+        assert joint.spaces == ((0, 1, 2, 3),) * 7
 
 
 class TestVerifyDependency:
@@ -577,6 +673,25 @@ class TestEndToEndOnToyJoints:
             assert verify_all_couplings(joint, tree) == 0
             for i in range(1, joint.n):
                 assert verify_independence_lemma(joint, tree, i) == 0
+
+    def test_shared_sweep_equals_the_public_checks(self, toy_joints, monkeypatch):
+        for joint, tree, g in toy_joints[:8]:
+            lemma = max(verify_independence_lemma(joint, tree, i) for i in range(1, joint.n))
+            assert _coupling_checks(joint, tree) == (verify_all_couplings(joint, tree), lemma)
+        # full-support joints dependent along no path: with the dependency
+        # check switched off, the lemma gaps are positive and must still agree
+        monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
+        rng = random.Random(31)
+        g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+        tree = rooted_order(g, g.vertices, [1, 1, 1, 1])
+        for _ in range(5):
+            points = list(itertools.product((0, 1), repeat=4))
+            weights = [rng.randint(1, 9) for _ in points]
+            pmf = {x: F(w, sum(weights)) for x, w in zip(points, weights)}
+            joint = finite_joint([(0, 1)] * 4, pmf)
+            lemma = max(verify_independence_lemma(joint, tree, i) for i in range(1, 4))
+            assert lemma > 0
+            assert _coupling_checks(joint, tree) == (verify_all_couplings(joint, tree), lemma)
 
     def test_theorem_chain_on_one_joint(self, toy_joints):
         joint, tree, g = toy_joints[5]

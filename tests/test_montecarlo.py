@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,8 +18,8 @@ from graphtail.bounds import (
     M_DEPENDENT_PAULIN,
     compare_bounds,
 )
-from graphtail.coupling import verify_dependency
-from graphtail.errors import InputError
+from graphtail.coupling import finite_joint, verify_dependency
+from graphtail.errors import InputError, ScaleError
 from graphtail.graph import build_graph
 from graphtail.montecarlo import (
     EmitRule,
@@ -27,6 +28,7 @@ from graphtail.montecarlo import (
     binomial_upper_ci,
     block_factor_spec,
     discrete,
+    dist_finite_support,
     dist_mean,
     estimate_tail,
     estimate_tails,
@@ -38,6 +40,7 @@ from graphtail.montecarlo import (
     validate_bounds,
     validation_to_csv,
 )
+from graphtail.montecarlo import _combine_scalar
 
 
 def complete(n):
@@ -344,8 +347,78 @@ class TestExactBridge:
                 oracle[x] = oracle.get(x, F(0)) + p
         assert joint.pmf == oracle
 
+    def test_matches_full_product_on_random_clique_specs(self):
+        rng = random.Random(8086)
+        built_count = 0
+        for trial in range(60):
+            n = rng.randint(1, 5)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            g = build_graph(n, [e for e in pairs if rng.random() < 0.5])
+            scopes = [(v,) for v in g.vertices if rng.random() < 0.7]
+            scopes += [e for e in g.edges if rng.random() < 0.6]
+            scopes += [
+                (a, b, c) for a, b, c in itertools.combinations(g.vertices, 3)
+                if {(a, b), (a, c), (b, c)} <= set(g.edges) and rng.random() < 0.5
+            ]
+            scopes += [(v,) for v in g.vertices if not any(v in sc for sc in scopes)]
+            latents = [(sc, random_finite_latent(rng)) for sc in scopes]
+            emit = {}
+            for v in g.vertices:
+                kinds = ["sum", "mean", "max"]
+                if sum(v in sc for sc in scopes) == 1:
+                    kinds.append("identity")
+                emit[v] = EmitRule(kind=rng.choice(kinds))
+            spec = latent_graph_spec(g, latents, emit=emit)
+            try:
+                oracle = full_product_exact_joint(spec)
+            except ScaleError:  # more than 6 symbols at some coordinate
+                with pytest.raises(ScaleError):
+                    exact_joint(spec)
+                continue
+            built = exact_joint(spec)
+            assert built.pmf == oracle.pmf, trial
+            assert built.spaces == oracle.spaces, trial
+            assert built.dependency == g
+            built_count += 1
+        assert built_count >= 40
+
+    def test_vertex_with_21_binary_latents_refused(self):
+        spec = latent_graph_spec(build_graph(1, []), [((1,), bernoulli(F(1, 2)))] * 21)
+        with pytest.raises(ScaleError, match="exceed cap"):
+            exact_joint(spec)
+
     def test_uniform_latents_refuse_exact_joint(self):
         g = build_graph(2, [])
         spec = latent_graph_spec(g, [((1,), uniform(0, 1)), ((2,), bernoulli(F(1, 2)))])
         with pytest.raises(InputError, match="finite"):
             exact_joint(spec)
+
+
+def random_finite_latent(rng):
+    """A Bernoulli (sometimes degenerate, so some outcomes have zero mass) or a discrete law."""
+    if rng.random() < 0.5:
+        p = rng.choice([F(0), F(1, 3), F(1, 2), F(1)])
+        return bernoulli(p, values=rng.choice([(0, 1), (0, 2)]))
+    values = rng.sample([0, 1, 2], rng.randint(1, 3))
+    weights = [rng.randint(0, 3) for _ in values]
+    weights[0] += 1
+    return discrete(values, [F(w, sum(weights)) for w in weights])
+
+
+def full_product_exact_joint(spec):
+    """Reference: the clique-latent joint summed over every latent configuration at once."""
+    supports = [dist_finite_support(lat.dist) for lat in spec.latents]
+    pmf = {}
+    for combo in itertools.product(*supports):
+        p = F(1)
+        for _, q in combo:
+            p *= q
+        values = [val for val, _ in combo]
+        x = []
+        for v in range(1, spec.n + 1):
+            mine = [values[i] for i, lat in enumerate(spec.latents) if v in lat.scope]
+            x.append(_combine_scalar(spec.emit[v - 1].kind, mine))
+        key = tuple(x)
+        pmf[key] = pmf.get(key, F(0)) + p
+    spaces = [sorted({x[k] for x in pmf}) for k in range(spec.n)]
+    return finite_joint(spaces, pmf, dependency=spec.graph)
