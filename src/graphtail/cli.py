@@ -109,8 +109,8 @@ def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
     try:
         if model == mcmod.BLOCK_FACTOR:
             return mcmod.block_factor_spec(
-                n=int(data["n"]),
-                k=int(data["k"]),
+                n=read_vertex_id(data["n"], "block_factor 'n'"),
+                k=read_vertex_id(data["k"], "block_factor 'k'"),
                 dist=_dist_from_json(data["dist"]),
                 combine=data.get("combine", "sum"),
             )
@@ -390,7 +390,7 @@ def _cmd_verify(args) -> int:
 def _coupling_payload(joint, tree) -> dict:
     """Every exact coupling check; ``ok`` only when each deviation is exactly zero."""
     try:
-        coupling_dev, indep_dev = couplingmod._coupling_checks(joint, tree)
+        coupling_dev, indep_dev = couplingmod.verify_all_couplings(joint, tree)
     except couplingmod.DependencyViolation as exc:
         return {
             "check": "coupling",
@@ -400,7 +400,7 @@ def _coupling_payload(joint, tree) -> dict:
         }
     payload = {
         "check": "coupling",
-        "dependency_deviation": 0.0,  # _coupling_checks raised otherwise
+        "dependency_deviation": 0.0,  # verify_all_couplings raised otherwise
         "coupling_marginal_deviation": float(coupling_dev),
         "independence_deviation": float(indep_dev),
         "ok": coupling_dev == 0 and indep_dev == 0,

@@ -673,18 +673,15 @@ def all_coupling_contexts(joint: FiniteJoint, tree: OrderedTree):
                 yield i, prefix, a, b
 
 
-def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> Fraction:
-    """Max marginal deviation of the coupling over every valid context.
+def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fraction, Fraction]:
+    """Worst exact deviations of the substitution coupling, over every step.
 
-    Checks tree-dependence once (raising ``DependencyViolation``), then
-    builds the suffix conditionals once per step and shares them across
-    that step's contexts.
+    Returns (the worst marginal deviation over every valid context, the
+    worst ``verify_independence_lemma`` gap over steps 1..n-1); both are 0
+    on a tree-dependent joint.  Checks tree-dependence once (raising
+    ``DependencyViolation``), relabels once, and builds each step's suffix
+    conditionals once for that step's contexts and its lemma check.
     """
-    return _coupling_checks(joint, tree)[0]
-
-
-def _coupling_checks(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fraction, Fraction]:
-    """Coupling and independence-lemma deviations, sharing each step's suffix conditionals."""
     _require_dependent(joint)
     rl = relabel_joint(joint, tree)
     coupling = independence = _ZERO

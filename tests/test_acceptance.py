@@ -226,7 +226,7 @@ def test_criterion_5_coupling_exactness(toy_joints):
             assert all(isinstance(p, F) for p in joint.pmf.values())
             assert joint.n <= 6 and all(len(s) <= 4 for s in joint.spaces)
             assert verify_dependency(joint, g).deviation == 0
-            assert verify_all_couplings(joint, tree) == 0
+            assert verify_all_couplings(joint, tree) == (0, 0)
             for i in range(1, joint.n):
                 assert verify_independence_lemma(joint, tree, i) == 0
             for f in (coordinate_sum(joint.spaces), _random_table_function(joint, rng)):

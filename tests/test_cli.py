@@ -358,6 +358,18 @@ class TestExitCodes:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("field, value", [("n", 2.9), ("n", True), ("k", 1.5), ("k", True)])
+    def test_malformed_block_factor_sizes_exit_1(self, field, value, tmp_path, capsys):
+        spec = {"model": "block_factor", "n": 4, "k": 2, "dist": {"kind": "uniform", "lo": 0, "hi": 1}}
+        spec[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["simulate", "--spec", str(path), "--t", "1", "--n", "100", "--seed", "1"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
 def _latent_spec(n, edges):
     uniform01 = {"kind": "uniform", "lo": 0, "hi": 1}
     return {

@@ -12,6 +12,7 @@ from graphtail.coupling import (
     CouplingPair,
     DependencyViolation,
     SupInfViolation,
+    all_coupling_contexts,
     build_coupling,
     build_tree_joint,
     conditional,
@@ -34,7 +35,7 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
-from graphtail.coupling import _coupling_checks, _latent_joint
+from graphtail.coupling import _latent_joint
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph, rooted_order
@@ -670,16 +671,25 @@ class TestEndToEndOnToyJoints:
     def test_lemma_sweeps_are_exact_on_a_few_joints(self, toy_joints):
         for joint, tree, g in toy_joints[:6]:
             assert verify_dependency(joint, g).deviation == 0
-            assert verify_all_couplings(joint, tree) == 0
+            assert verify_all_couplings(joint, tree) == (0, 0)
             for i in range(1, joint.n):
                 assert verify_independence_lemma(joint, tree, i) == 0
 
-    def test_shared_sweep_equals_the_public_checks(self, toy_joints, monkeypatch):
-        for joint, tree, g in toy_joints[:8]:
+    def test_sweep_equals_the_per_context_and_per_step_checks(self, toy_joints, monkeypatch):
+        def one_by_one(joint, tree):
+            pairs = (
+                build_coupling(joint, tree, *context) for context in all_coupling_contexts(joint, tree)
+            )
+            coupling = max(
+                (verify_coupling_marginals(pair, joint, tree) for pair in pairs), default=F(0)
+            )
             lemma = max(verify_independence_lemma(joint, tree, i) for i in range(1, joint.n))
-            assert _coupling_checks(joint, tree) == (verify_all_couplings(joint, tree), lemma)
+            return coupling, lemma
+
+        for joint, tree, g in toy_joints[:8]:
+            assert verify_all_couplings(joint, tree) == one_by_one(joint, tree)
         # full-support joints dependent along no path: with the dependency
-        # check switched off, the lemma gaps are positive and must still agree
+        # check switched off, both gaps are positive and must still agree
         monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
         rng = random.Random(31)
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
@@ -689,9 +699,9 @@ class TestEndToEndOnToyJoints:
             weights = [rng.randint(1, 9) for _ in points]
             pmf = {x: F(w, sum(weights)) for x, w in zip(points, weights)}
             joint = finite_joint([(0, 1)] * 4, pmf)
-            lemma = max(verify_independence_lemma(joint, tree, i) for i in range(1, 4))
-            assert lemma > 0
-            assert _coupling_checks(joint, tree) == (verify_all_couplings(joint, tree), lemma)
+            expected = one_by_one(joint, tree)
+            assert min(expected) > 0
+            assert verify_all_couplings(joint, tree) == expected
 
     def test_theorem_chain_on_one_joint(self, toy_joints):
         joint, tree, g = toy_joints[5]
