@@ -139,28 +139,42 @@ def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
     raise InputError(f"sampler spec needs model 'latent_graph' or 'block_factor', got {model!r}")
 
 
-def _emit_callable(kind: str, table: dict | None, incident_edges: list):
+def _check_latents(kind: str, values, types: tuple) -> None:
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
+
+
+def _emit_callable(kind: str, table, incident_edges: list):
     edges = sorted(incident_edges)
     if kind == "xor":
         def fn(xi, ev):
-            out = int(xi)
+            _check_latents(kind, [xi, *(ev[e] for e in edges)], (int,))
+            out = xi
             for e in edges:
-                out ^= int(ev[e])
+                out ^= ev[e]
             return out
         return fn
     if kind == "sum":
         def fn(xi, ev):
+            _check_latents(kind, [xi, *(ev[e] for e in edges)], (int, float, Fraction))
             return xi + sum(ev[e] for e in edges)
         return fn
     if kind == "table":
         if table is None:
             raise InputError("table emit needs a 'map' entry")
+        if not isinstance(table, dict):
+            raise InputError(f"table emit 'map' must be an object, got {table!r}")
         parsed = {}
         for key, val in table.items():
-            parts = tuple(int(p) for p in str(key).split(","))
+            try:
+                parts = tuple(int(p) for p in str(key).split(","))
+            except ValueError as exc:
+                raise InputError(f"emit table key {key!r} is not comma-separated integers") from exc
             parsed[parts] = _json_symbol(val)
         def fn(xi, ev):
-            key = (int(xi),) + tuple(int(ev[e]) for e in edges)
+            key = (xi,) + tuple(ev[e] for e in edges)
+            _check_latents(kind, key, (int,))
             if key not in parsed:
                 raise InputError(f"emit table has no entry for latent combination {key}")
             return parsed[key]
@@ -183,11 +197,16 @@ def load_joint_spec(path: str):
     """A joint plus its tree and profile, from latent-tree or raw-pmf JSON.
 
     Returns (joint, tree, profile); tree/profile may be None for raw form
-    without a "tree" entry.
+    without a "tree" entry.  A field of the wrong JSON type is an input
+    error, as is a missing one.
     """
     data = _json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: a joint spec must be a JSON object")
     profile = None
     if "profile" in data:
+        if not isinstance(data["profile"], list):
+            raise InputError(f"{path}: 'profile' must be a list")
         profile = lipschitz_profile([_fraction_value(c) for c in data["profile"]])
 
     if "pmf" in data:
@@ -199,6 +218,8 @@ def load_joint_spec(path: str):
                 pmf[x] = pmf.get(x, Fraction(0)) + _fraction_value(item["p"])
         except KeyError as exc:
             raise InputError(f"{path}: raw joint spec is missing field {exc}") from exc
+        except TypeError as exc:  # a field of the wrong JSON type
+            raise InputError(f"{path}: malformed raw joint spec: {exc}") from exc
         dep = graph_from_json_dict(data["tree"]) if "tree" in data else None
         joint = couplingmod.finite_joint(spaces, pmf, dependency=dep)
         tree = None
@@ -227,10 +248,15 @@ def load_joint_spec(path: str):
             emit[v] = _emit_callable(rule.get("kind", "xor"), rule.get("map"), incident)
     except KeyError as exc:
         raise InputError(f"{path}: latent-tree spec is missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+        raise InputError(f"{path}: malformed latent-tree spec: {exc}") from exc
     spec = couplingmod.latent_tree_spec(g, vertex_latents, edge_latents, emit, profile=profile)
     joint = couplingmod.build_tree_joint(spec)
     if "alphabets" in data:
-        declared = [sorted(_json_symbol(v) for v in s) for s in data["alphabets"]]
+        try:
+            declared = [sorted(_json_symbol(v) for v in s) for s in data["alphabets"]]
+        except TypeError as exc:
+            raise InputError(f"{path}: malformed 'alphabets': {exc}") from exc
         derived = [sorted(s) for s in joint.spaces]
         if declared != derived:
             raise InputError(

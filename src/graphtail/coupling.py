@@ -1,11 +1,13 @@
 """Exact finite-probability engine for tree-dependent joints and their couplings.
 
-Everything here is an exhaustive finite sum: joints are explicit pmfs over a
-small product space, couplings are explicit pmfs over the product of two
-copies of that space, and every lemma-style statement becomes a deviation
-that must be exactly zero.  Probabilities are ints or Fractions, never
-floats, so no check needs a tolerance.  The module refuses instances beyond
-its caps rather than subsampling; its whole value is exactness.
+Everything here is an exhaustive finite sum: a joint's law is one dense
+table, a ``dtype=object`` array of Python ints (int64 would overflow: the
+checks' cross products pass 2**80 at eight coordinates) with one axis per
+coordinate and one ``scale``, so that P(x) = weights[idx(x)] / scale.  Every
+check is integer array arithmetic on that table, and every lemma-style
+statement becomes a deviation that must be exactly zero, so no check needs a
+tolerance.  The module refuses instances beyond its caps rather than
+subsampling; its whole value is exactness.
 
 Coordinate conventions: a joint's coordinates are the vertex labels 1..n of
 its dependency graph.  Coupling-related operations re-express the joint in
@@ -18,7 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import graph as graphmod
 from .covers import LipschitzProfile, lipschitz_profile, uniform_profile
@@ -35,17 +40,27 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 # Joints
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteJoint:
-    """Exact joint distribution of a random vector over a finite product space."""
+    """Exact joint distribution of a random vector over a finite product space.
+
+    P(x) = weights[idx(x)] / scale, idx(x) being x's positions in ``spaces``.
+    """
 
     spaces: tuple[tuple, ...]
-    pmf: dict[tuple, Fraction]
+    weights: np.ndarray
+    scale: int
     dependency: Graph | None = None
 
     @property
     def n(self) -> int:
         return len(self.spaces)
+
+    @property
+    def pmf(self) -> Mapping[tuple, Fraction]:
+        """P(x) at each positive point x, read from ``weights`` on each access."""
+        points = zip(itertools.product(*self.spaces), self.weights.flat)
+        return MappingProxyType({x: Fraction(w, self.scale) for x, w in points if w})
 
 
 def _exact(p, where: tuple) -> Fraction:
@@ -54,23 +69,34 @@ def _exact(p, where: tuple) -> Fraction:
     return Fraction(p)
 
 
+def _sorted_alphabets(spaces: Iterable[Iterable]) -> tuple[tuple, ...]:
+    try:
+        return tuple(tuple(sorted(set(s))) for s in spaces)
+    except TypeError as exc:
+        raise InputError(f"alphabet values must be hashable and mutually ordered: {exc}") from exc
+
+
+def _capped(spaces: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    n = len(spaces)
+    if n > MAX_COORDINATES:
+        raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
+    for k, s in enumerate(spaces, start=1):
+        if not s:
+            raise InputError(f"alphabet of coordinate {k} is empty")
+        if len(s) > MAX_ALPHABET:
+            raise ScaleError(f"alphabet of coordinate {k} has {len(s)} symbols; cap is {MAX_ALPHABET}")
+    return spaces
+
+
 def finite_joint(
     spaces: Sequence[Sequence],
     pmf: Mapping[tuple, object],
     dependency: Graph | None = None,
 ) -> FiniteJoint:
-    spaces_t = tuple(tuple(sorted(set(s))) for s in spaces)
+    spaces_t = _capped(_sorted_alphabets(spaces))
     n = len(spaces_t)
-    if n > MAX_COORDINATES:
-        raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
-    for k, s in enumerate(spaces_t, start=1):
-        if not s:
-            raise InputError(f"alphabet of coordinate {k} is empty")
-        if len(s) > MAX_ALPHABET:
-            raise ScaleError(
-                f"alphabet of coordinate {k} has {len(s)} symbols; cap is {MAX_ALPHABET}"
-            )
-    clean: dict[tuple, Fraction] = {}
+    index = [{v: k for k, v in enumerate(s)} for s in spaces_t]
+    points: list[tuple[tuple, Fraction]] = []
     total = _ZERO
     for x, p in pmf.items():
         if len(x) != n:
@@ -81,15 +107,18 @@ def finite_joint(
         prob = _exact(p, x)
         if prob < 0:
             raise InputError(f"negative probability {p} at {x!r}")
-        if prob == 0:
-            continue
-        clean[tuple(x)] = clean.get(tuple(x), _ZERO) + prob
-        total += prob
+        if prob:
+            points.append((tuple(positions[xi] for xi, positions in zip(x, index)), prob))
+            total += prob
     if total != 1:
         raise InputError(f"probabilities sum to {total}, need exactly 1")
     if dependency is not None and dependency.n != n:
         raise InputError(f"dependency graph has {dependency.n} vertices, joint has {n}")
-    return FiniteJoint(spaces=spaces_t, pmf=clean, dependency=dependency)
+    scale = math.lcm(*(p.denominator for _, p in points))
+    weights = np.zeros(tuple(map(len, spaces_t)), dtype=object)
+    for idx, p in points:
+        weights[idx] += int(p * scale)
+    return FiniteJoint(spaces=spaces_t, weights=weights, scale=scale, dependency=dependency)
 
 
 def product_joint(marginals: Sequence[Sequence[tuple]]) -> FiniteJoint:
@@ -103,7 +132,7 @@ def product_joint(marginals: Sequence[Sequence[tuple]]) -> FiniteJoint:
 
 
 def conditional(joint: FiniteJoint, fixed: Mapping[int, object]) -> FiniteJoint:
-    """Exact conditional joint over the coordinates not in ``fixed``.
+    """Exact conditional joint over the coordinates not in ``fixed``: a slice of the table.
 
     The result's coordinates are the remaining original coordinates in
     ascending order; conditioning on every coordinate yields a point mass on
@@ -112,20 +141,16 @@ def conditional(joint: FiniteJoint, fixed: Mapping[int, object]) -> FiniteJoint:
     for c in fixed:
         if not (1 <= c <= joint.n):
             raise InputError(f"coordinate {c} outside 1..{joint.n}")
-    rest = [c for c in range(1, joint.n + 1) if c not in fixed]
-    num: dict[tuple, Fraction] = {}
-    z = _ZERO
-    for x, p in joint.pmf.items():
-        if all(x[c - 1] == v for c, v in fixed.items()):
-            key = tuple(x[c - 1] for c in rest)
-            num[key] = num.get(key, _ZERO) + p
-            z += p
-    if z == 0:
-        raise InputError(f"conditioning event {dict(fixed)!r} has probability zero")
-    spaces = tuple(joint.spaces[c - 1] for c in rest)
-    return FiniteJoint(
-        spaces=spaces, pmf={k: p / z for k, p in num.items()}, dependency=None
+    cut = tuple(  # a value outside the alphabet selects nothing
+        slice(None) if c not in fixed else s.index(fixed[c]) if fixed[c] in s else slice(0, 0)
+        for c, s in enumerate(joint.spaces, start=1)
     )
+    weights = np.asarray(joint.weights[cut], dtype=object)
+    total = weights.sum()
+    if total == 0:
+        raise InputError(f"conditioning event {dict(fixed)!r} has probability zero")
+    spaces = tuple(s for c, s in enumerate(joint.spaces, start=1) if c not in fixed)
+    return FiniteJoint(spaces=spaces, weights=weights, scale=total)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +219,7 @@ def latent_tree_spec(
 
 
 def build_tree_joint(spec: LatentTreeSpec) -> FiniteJoint:
-    """Exact pmf of the emitted vector, with the latents summed out by ``_latent_joint``."""
+    """Exact law of the emitted vector, with the latents summed out by ``_latent_joint``."""
     g = spec.graph
     latents = [((v,), spec.vertex_latents[v]) for v in g.vertices]
     latents += [(e, spec.edge_latents[e]) for e in g.edges]
@@ -211,35 +236,45 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
 
     ``latents`` holds (scope, support) pairs of independent latents.  Vertices
     are visited in label order, keeping the law of (emitted prefix, values of
-    the latents a later vertex reads): a latent joins at the first vertex of
-    its scope and is summed out after its last.  The work at a vertex, its
-    states times the supports joining there, never exceeds the full product
-    of supports; past ``MAX_LATENT_CONFIGS`` it raises ``ScaleError``.  Zero-
-    mass outcomes are kept, so alphabets hold every value emitted.
+    the latents a later vertex reads) as an integer array, one axis each: a
+    latent joins at the first vertex of its scope and is summed out after its
+    last.  The work at a vertex is the array's cells times the supports
+    joining there; past ``MAX_LATENT_CONFIGS`` it raises ``ScaleError``.
+    Alphabets hold every value emitted, zero-mass ones too.
     """
     if n > MAX_COORDINATES:
         raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
-    live: list[int] = []  # the latents in the state, in the order of its values
-    states: dict[tuple[tuple, tuple], Fraction] = {((), ()): Fraction(1)}
+    live: list[int] = []  # the latents in the state, in the order of its trailing axes
+    state, scale, spaces = np.ones((), dtype=object), 1, []
     for v in range(1, n + 1):
         joining = [k for k, (scope, _) in enumerate(latents) if min(scope) == v]
-        work = len(states) * math.prod(len(latents[k][1]) for k in joining)
+        work = state.size * math.prod(len(latents[k][1]) for k in joining)
         if work > MAX_LATENT_CONFIGS:
             raise ScaleError(f"{work} latent states at vertex {v} exceed cap {MAX_LATENT_CONFIGS}")
+        for k in joining:
+            den = math.lcm(*(q.denominator for _, q in latents[k][1]))
+            weights = np.array([int(q * den) for _, q in latents[k][1]], dtype=object)
+            state = state[..., None] * weights
+            scale *= den
         order = live + joining
         reads = [order.index(k) for k, (scope, _) in enumerate(latents) if v in scope]
         kept = [pos for pos, k in enumerate(order) if max(latents[k][0]) > v]
-        nxt: dict[tuple[tuple, tuple], Fraction] = {}
-        for (prefix, held), p in states.items():
-            for draw in itertools.product(*(latents[k][1] for k in joining)):
-                values = held + tuple(val for val, _ in draw)
-                x = prefix + (emit[v - 1](tuple(values[pos] for pos in reads)),)
-                key = (x, tuple(values[pos] for pos in kept))
-                nxt[key] = nxt.get(key, _ZERO) + math.prod((q for _, q in draw), start=p)
-        states = nxt
+        # the value emitted at each combination of the latents read, on the state's latent axes
+        shape = [len(latents[k][1]) if pos in reads else 1 for pos, k in enumerate(order)]
+        values = [
+            emit[v - 1](tuple(latents[order[pos]][1][idx[pos]][0] for pos in reads))
+            for idx in np.ndindex(*shape)
+        ]
+        alphabet = _sorted_alphabets([values])[0]
+        position = {value: u for u, value in enumerate(alphabet)}
+        emitted = np.array([position[value] for value in values]).reshape(shape)
+        summed = tuple(v - 1 + pos for pos in range(len(order)) if pos not in kept)
+        state = np.stack(
+            [(state * (emitted == u)).sum(axis=summed) for u in range(len(alphabet))], axis=v - 1
+        )
+        spaces.append(alphabet)
         live = [order[pos] for pos in kept]
-    pmf = {x: p for (x, _), p in states.items()}
-    return finite_joint(list(zip(*pmf)), pmf, dependency=dependency)
+    return FiniteJoint(_capped(tuple(spaces)), state, scale, dependency)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +312,7 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     """
     if g.n != joint.n:
         raise InputError(f"graph has {g.n} vertices, joint has {joint.n}")
-    # integer weights over a common denominator keep the sums exact and cheap
-    scale = math.lcm(*(p.denominator for p in joint.pmf.values()))
-    weights = {x: int(p * scale) for x, p in joint.pmf.items()}
+    weights, scale = joint.weights, joint.scale
     verts = range(1, joint.n + 1)
     worst = 0
     worst_pair = None
@@ -289,29 +322,14 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
             t = tuple(v for v in verts if v not in closed)
             if not t:
                 continue
-            gap = _independence_gap(weights, scale, s, t)
+            rest = tuple(v - 1 for v in closed if v not in s)
+            both = weights.sum(axis=rest, keepdims=True)
+            ws = both.sum(axis=tuple(v - 1 for v in t), keepdims=True)
+            wt = both.sum(axis=tuple(v - 1 for v in s), keepdims=True)
+            gap = abs(scale * both - ws * wt).sum()
             if gap > worst:
                 worst, worst_pair = gap, (frozenset(s), frozenset(t))
     return DependencyReport(deviation=Fraction(worst, 2 * scale * scale), worst_pair=worst_pair)
-
-
-def _independence_gap(weights: Mapping[tuple, int], scale: int, s: tuple, t: tuple) -> int:
-    """Twice the TV between (X_S, X_T) and its product law, times ``scale`` squared.
-
-    ``weights`` is the pmf times ``scale``, in integers.
-    """
-    both: dict[tuple, int] = {}
-    ws: dict[tuple, int] = {}
-    wt: dict[tuple, int] = {}
-    for x, w in weights.items():
-        xs = tuple(x[c - 1] for c in s)
-        xt = tuple(x[c - 1] for c in t)
-        both[xs, xt] = both.get((xs, xt), 0) + w
-        ws[xs] = ws.get(xs, 0) + w
-        wt[xt] = wt.get(xt, 0) + w
-    return sum(
-        abs(scale * both.get((a, b), 0) - wa * wb) for a, wa in ws.items() for b, wb in wt.items()
-    )
 
 
 def _require_dependent(joint: FiniteJoint) -> None:
@@ -326,66 +344,57 @@ def _require_dependent(joint: FiniteJoint) -> None:
 # ---------------------------------------------------------------------------
 # Lipschitz functions
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipschitzFunction:
-    """A function on the product space with an exhaustively validated profile."""
+    """A function on the product space with an exhaustively validated profile.
+
+    f(x) = table[idx(x)] / scale, with ``table`` an integer array on the axes
+    of a ``FiniteJoint`` over the same ``spaces``.
+    """
 
     spaces: tuple[tuple, ...]
-    table: dict[tuple, Fraction]
+    table: np.ndarray
+    scale: int
     profile: LipschitzProfile
 
     def value(self, x: tuple) -> Fraction:
-        return self.table[x]
+        return Fraction(self.table[tuple(s.index(v) for s, v in zip(self.spaces, x))], self.scale)
 
 
-def _full_table(spaces: Sequence[Sequence], fn: Callable[[tuple], object]) -> dict[tuple, Fraction]:
-    table = {}
-    for x in itertools.product(*spaces):
-        v = fn(x)
-        table[x] = v if isinstance(v, Fraction) else Fraction(v)
-    return table
+def _spreads(table: np.ndarray, scale: int) -> tuple[Fraction, ...]:
+    """Per coordinate, the largest change of f when that coordinate alone moves."""
+    return tuple(
+        Fraction(np.max(table.max(axis=k) - table.min(axis=k), initial=0), scale)
+        for k in range(table.ndim)
+    )
 
 
-def check_lipschitz(
-    spaces: Sequence[Sequence], table: Mapping[tuple, Fraction], profile: LipschitzProfile
-) -> None:
-    """Exhaustive validation of a declared profile.
+def check_lipschitz(f: LipschitzFunction) -> None:
+    """Exhaustive validation of ``f``'s declared profile against its spreads.
 
-    Checks every pair of assignments differing in a single coordinate, which
-    bounds every pair by the triangle inequality along a coordinate-by-
-    coordinate path, so the Hamming-weighted condition holds for all pairs
-    iff it holds here.  Raises naming the first violating pair.
+    Pairs differing in one coordinate bound every pair by the triangle
+    inequality along a coordinate-by-coordinate path, so the Hamming-weighted
+    condition holds for all pairs iff it holds here.  Raises naming the first
+    violating pair.
     """
-    spaces_t = [tuple(s) for s in spaces]
-    for i, space in enumerate(spaces_t):
-        ci = profile.values[i]
-        for x in itertools.product(*spaces_t):
-            fx = table[x]
-            for alt in space:
+    for i, (spread, ci) in enumerate(zip(_spreads(f.table, f.scale), f.profile.values)):
+        if spread <= ci:
+            continue
+        for x in itertools.product(*f.spaces):
+            for alt in f.spaces[i]:
                 if alt <= x[i]:
                     continue
                 y = x[:i] + (alt,) + x[i + 1 :]
-                if abs(fx - table[y]) > ci:
+                gap = abs(f.value(x) - f.value(y))
+                if gap > ci:
                     raise InputError(
-                        f"not {ci}-Lipschitz in coordinate {i + 1}:"
-                        f" |f{x} - f{y}| = {abs(fx - table[y])}"
+                        f"not {ci}-Lipschitz in coordinate {i + 1}: |f{x} - f{y}| = {gap}"
                     )
 
 
-def derive_profile(spaces: Sequence[Sequence], table: Mapping[tuple, Fraction]) -> LipschitzProfile:
+def derive_profile(spaces: Sequence[Sequence], table: Mapping[tuple, object]) -> LipschitzProfile:
     """Tightest per-coordinate profile of a finite function (exact)."""
-    spaces_t = [tuple(s) for s in spaces]
-    coeffs = []
-    for i, space in enumerate(spaces_t):
-        worst = _ZERO
-        for x in itertools.product(*spaces_t):
-            for alt in space:
-                if alt <= x[i]:
-                    continue
-                y = x[:i] + (alt,) + x[i + 1 :]
-                worst = max(worst, abs(table[x] - table[y]))
-        coeffs.append(worst)
-    return LipschitzProfile(values=tuple(coeffs))
+    return lipschitz_function(spaces, table).profile
 
 
 def lipschitz_function(
@@ -394,38 +403,54 @@ def lipschitz_function(
     profile: LipschitzProfile | Sequence | None = None,
 ) -> LipschitzFunction:
     """Build a function with a validated profile (derived tight when omitted)."""
-    spaces_t = tuple(tuple(sorted(set(s))) for s in spaces)
-    if callable(fn):
-        table = _full_table(spaces_t, fn)
-    else:
-        table = {tuple(k): (v if isinstance(v, Fraction) else Fraction(v)) for k, v in fn.items()}
-        for x in itertools.product(*spaces_t):
-            if x not in table:
+    spaces_t = _sorted_alphabets(spaces)
+    points = list(itertools.product(*spaces_t))
+    if not callable(fn):
+        given = {tuple(k): v for k, v in fn.items()}
+        for x in points:
+            if x not in given:
                 raise InputError(f"function table is missing assignment {x!r}")
+        fn = given.__getitem__
+    values = [Fraction(fn(x)) for x in points]
+    scale = math.lcm(*(q.denominator for q in values))
+    shape = tuple(map(len, spaces_t))
+    table = np.array([int(q * scale) for q in values], dtype=object).reshape(shape)
     if profile is None:
-        prof = derive_profile(spaces_t, table)
-    else:
-        prof = profile if isinstance(profile, LipschitzProfile) else lipschitz_profile(profile)
-        if len(prof) != len(spaces_t):
-            raise InputError(f"profile length {len(prof)} != {len(spaces_t)} coordinates")
-        check_lipschitz(spaces_t, table, prof)
-    return LipschitzFunction(spaces=spaces_t, table=table, profile=prof)
+        return LipschitzFunction(spaces_t, table, scale, LipschitzProfile(_spreads(table, scale)))
+    prof = profile if isinstance(profile, LipschitzProfile) else lipschitz_profile(profile)
+    if len(prof) != len(spaces_t):
+        raise InputError(f"profile length {len(prof)} != {len(spaces_t)} coordinates")
+    f = LipschitzFunction(spaces_t, table, scale, prof)
+    check_lipschitz(f)
+    return f
 
 
 def coordinate_sum(spaces: Sequence[Sequence]) -> LipschitzFunction:
     """f(x) = sum of coordinates, with the tight derived profile."""
-    return lipschitz_function(spaces, lambda x: sum(Fraction(v) for v in x))
+    spaces_t = _sorted_alphabets(spaces)
+    values = [[Fraction(v) for v in s] for s in spaces_t]
+    scale = math.lcm(*(q.denominator for s in values for q in s))
+    table = np.zeros((), dtype=object)
+    for k, s in enumerate(values):  # column k varies along axis k only
+        column = np.array([int(q * scale) for q in s], dtype=object)
+        table = table + column.reshape((-1,) + (1,) * (len(values) - k - 1))
+    return LipschitzFunction(spaces_t, table, scale, LipschitzProfile(_spreads(table, scale)))
+
+
+def _table_on(joint: FiniteJoint, f: LipschitzFunction) -> np.ndarray:
+    if f.spaces != joint.spaces:
+        raise InputError("the function and the joint have different alphabets")
+    return f.table
 
 
 def exact_mean(joint: FiniteJoint, f: LipschitzFunction) -> Fraction:
-    return sum((p * f.value(x) for x, p in joint.pmf.items()), _ZERO)
+    return Fraction((joint.weights * _table_on(joint, f)).sum(), joint.scale * f.scale)
 
 
 def exact_tail(joint: FiniteJoint, f: LipschitzFunction, t) -> Fraction:
     """P(f - E f >= t), exactly."""
-    mean = exact_mean(joint, f)
-    threshold = mean + (t if isinstance(t, Fraction) else Fraction(t))
-    return sum((p for x, p in joint.pmf.items() if f.value(x) >= threshold), _ZERO)
+    threshold = (exact_mean(joint, f) + Fraction(t)) * f.scale
+    return Fraction(joint.weights[_table_on(joint, f) >= threshold].sum(), joint.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +461,14 @@ def relabel_joint(joint: FiniteJoint, tree: OrderedTree) -> FiniteJoint:
     if tree.size != joint.n or set(tree.order) != set(range(1, joint.n + 1)):
         raise InputError("ordered tree does not cover the joint's coordinates")
     perm = [tree.original(k) - 1 for k in range(1, joint.n + 1)]
-    spaces = tuple(joint.spaces[p] for p in perm)
-    pmf = {tuple(x[p] for p in perm): prob for x, prob in joint.pmf.items()}
     dep = None
     if joint.dependency is not None:
         dep = graphmod.build_graph(
             joint.n,
             [(tree.rank(u), tree.rank(v)) for u, v in joint.dependency.edges],
         )
-    return FiniteJoint(spaces=spaces, pmf=pmf, dependency=dep)
+    spaces = tuple(joint.spaces[p] for p in perm)
+    return FiniteJoint(spaces, joint.weights.transpose(perm), joint.scale, dep)
 
 
 def coupling_effective_profile(tree: OrderedTree, profile: LipschitzProfile) -> tuple[Fraction, ...]:
@@ -463,6 +487,10 @@ def coupling_effective_profile(tree: OrderedTree, profile: LipschitzProfile) -> 
 
 # ---------------------------------------------------------------------------
 # The coupling construction
+#
+# For a value pair (a, b) at step i, A and B are the step table's slices at a
+# and b over some prefix rows; the conditional laws are A / hA and B / hB, and
+# WA / hA and WB / hB those of the copied coordinates (all but the parent).
 
 @dataclass(frozen=True)
 class CouplingContext:
@@ -488,54 +516,80 @@ class CouplingPair:
     parent_coord: int
 
 
-def _suffix_conditionals(
-    pmf: Mapping[tuple, Fraction], i: int
-) -> dict[tuple, dict[tuple, Fraction]]:
-    """Map (first i coordinates) -> normalized pmf of the remaining ones."""
-    grouped: dict[tuple, dict[tuple, Fraction]] = {}
-    totals: dict[tuple, Fraction] = {}
-    for x, p in pmf.items():
-        head, tail = x[:i], x[i:]
-        grouped.setdefault(head, {})
-        grouped[head][tail] = grouped[head].get(tail, _ZERO) + p
-        totals[head] = totals.get(head, _ZERO) + p
-    for head, dist in grouped.items():
-        z = totals[head]
-        for tail in dist:
-            dist[tail] /= z
-    return grouped
+def _step_table(weights: np.ndarray, i: int, parent: int) -> np.ndarray:
+    """The relabeled table as (prefix row, x_i, copied coordinates, parent coordinate)."""
+    copied = [k for k in range(i, weights.ndim) if k != parent - 1]
+    t = weights.transpose(list(range(i)) + copied + [parent - 1])
+    return t.reshape(-1, t.shape[i - 1], math.prod(t.shape[i:-1]), t.shape[-1])
 
 
-def _maximal_coupling(p: Mapping, q: Mapping) -> dict[tuple, Fraction]:
-    """Deterministic maximal coupling of two pmfs over the same value set.
+def _pair_laws(t: np.ndarray, rows, a: int, b: int) -> tuple:
+    """(A, B, WA, WB, hA, hB) of the value pair (a, b) at the given prefix rows."""
+    lhs, rhs = t[rows, a], t[rows, b]
+    w_lhs, w_rhs = lhs.sum(axis=-1), rhs.sum(axis=-1)
+    return lhs, rhs, w_lhs, w_rhs, w_lhs.sum(axis=-1), w_rhs.sum(axis=-1)
 
-    Shared mass sits on the diagonal; the leftovers are matched in sorted
-    value order.  Equal inputs couple to the identity.
+
+def _maximal_couplings(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Maximal couplings of the laws on the last axis of p and q, batched over the others.
+
+    Each pair of laws has equal totals.  Shared mass sits on the diagonal; the
+    leftovers are matched in value order by the north-west-corner rule: value
+    y of p sends to value z of q the overlap of their intervals of cumulative
+    leftover mass.  Equal inputs couple to the identity.
     """
-    out: dict[tuple, Fraction] = {}
-    left_p: list[list] = []
-    left_q: list[list] = []
-    for v in sorted(set(p) | set(q)):
-        shared = min(p.get(v, _ZERO), q.get(v, _ZERO))
-        if shared:
-            out[(v, v)] = shared
-        if p.get(v, _ZERO) > shared:
-            left_p.append([v, p[v] - shared])
-        if q.get(v, _ZERO) > shared:
-            left_q.append([v, q[v] - shared])
-    a = b = 0
-    while a < len(left_p) and b < len(left_q):
-        y, wp = left_p[a]
-        z, wq = left_q[b]
-        w = min(wp, wq)
-        out[(y, z)] = out.get((y, z), _ZERO) + w
-        left_p[a][1] -= w
-        left_q[b][1] -= w
-        if left_p[a][1] == 0:
-            a += 1
-        if left_q[b][1] == 0:
-            b += 1
+    shared = np.minimum(p, q)
+    left_p, left_q = p - shared, q - shared
+    top_p, top_q = np.cumsum(left_p, axis=-1), np.cumsum(left_q, axis=-1)
+    low = np.maximum((top_p - left_p)[..., :, None], (top_q - left_q)[..., None, :])
+    out = np.maximum(np.minimum(top_p[..., :, None], top_q[..., None, :]) - low, 0)
+    diagonal = np.arange(p.shape[-1])
+    out[..., diagonal, diagonal] += shared
     return out
+
+
+def _couple(lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs) -> np.ndarray:
+    """The coupling of ``build_coupling`` per prefix row: masses C, pair mass C / (hA * WB).
+
+    The copied coordinates keep the lhs law; given them, the Z side's parent
+    coordinate is redrawn with its rhs conditional law, coupled maximally to
+    the Y side.  Both parent laws are cross-multiplied to denominator WA * WB.
+    """
+    if ((w_lhs != 0) & (w_rhs == 0)).any():
+        raise KindError(
+            "coupling context unreachable: the copied coordinates have zero"
+            " probability under the substituted prefix, so the joint is not"
+            " tree-dependent for this tree"
+        )
+    return _maximal_couplings(lhs * w_rhs[..., None], rhs * w_lhs[..., None])
+
+
+def _worst_tv(num, den, target, tden) -> Fraction:
+    """Largest total variation, over the leading axis, between num / den and target / tden.
+
+    Each law lives on the last two axes; ``den`` may vary along all but the
+    last, ``tden`` along the leading one only.  Integer-only when no gap is.
+    """
+    gaps = abs(num * tden - target * den).sum(axis=-1)
+    if not (gaps != 0).any():
+        return _ZERO
+    dens = np.broadcast_to(den * tden, num.shape)[..., 0]
+    return max(sum(Fraction(g, d) for g, d in zip(*row) if g) for row in zip(gaps, dens)) / 2
+
+
+def _lemma_gap(lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs) -> Fraction:
+    """Largest |WA / hA - WB / hB| over the prefix rows and the copied coordinates."""
+    gaps = abs(h_rhs[:, None] * w_lhs - h_lhs[:, None] * w_rhs).max(axis=-1)
+    return max((Fraction(g, d) for g, d in zip(gaps, h_lhs * h_rhs) if g), default=_ZERO)
+
+
+def _head(rl: FiniteJoint, head: tuple) -> tuple[int, ...]:
+    """Alphabet positions of a head (prefix + value), which must have positive probability."""
+    if all(v in s for s, v in zip(rl.spaces, head)):
+        positions = tuple(s.index(v) for s, v in zip(rl.spaces, head))
+        if rl.weights[positions].sum():
+            return positions
+    raise InputError(f"conditioning event {head!r} has probability zero")
 
 
 def build_coupling(
@@ -562,59 +616,21 @@ def build_coupling(
     _require_dependent(joint)
     rl = relabel_joint(joint, tree)
     context = CouplingContext(i=i, prefix=prefix, lhs_value=lhs_value, rhs_value=rhs_value)
-    return _couple(rl.spaces, tree, _suffix_conditionals(rl.pmf, i), context)
-
-
-def _couple(
-    spaces: tuple[tuple, ...],
-    tree: OrderedTree,
-    conds: Mapping[tuple, Mapping[tuple, Fraction]],
-    context: CouplingContext,
-) -> CouplingPair:
-    """The coupling of ``build_coupling``, from the step's suffix conditionals."""
-    i = context.i
-    parent_coord = tree.parent[i - 1]
-    cut = parent_coord - i - 1  # the parent's index in a suffix; the rest are copied
-    lhs_head = context.prefix + (context.lhs_value,)
-    rhs_head = context.prefix + (context.rhs_value,)
-    for head in (lhs_head, rhs_head):
-        if head not in conds:
-            raise InputError(f"conditioning event {head!r} has probability zero")
-
-    def parent_laws(suffix: Mapping[tuple, Fraction]):
-        """Copied coordinates -> (their mass, law of the parent coordinate given them)."""
-        by_key: dict[tuple, dict[object, Fraction]] = {}
-        for tail, p in suffix.items():
-            by_key.setdefault(tail[:cut] + tail[cut + 1 :], {})[tail[cut]] = p
-        laws = {}
-        for key, dist in by_key.items():
-            mass = sum(dist.values(), _ZERO)
-            laws[key] = (mass, {v: w / mass for v, w in dist.items()})
-        return laws
-
-    lhs_laws = parent_laws(conds[lhs_head])
-    rhs_laws = parent_laws(conds[rhs_head])
-
-    # The copied coordinates keep the lhs law; given them, the parent
-    # coordinate of the Z side is redrawn with its rhs conditional law,
-    # coupled maximally to the Y side so equal laws coincide pointwise.
-    pair_pmf: dict[tuple[tuple, tuple], Fraction] = {}
-    for key, (mass, p_dist) in lhs_laws.items():
-        if key not in rhs_laws:
-            raise KindError(
-                "coupling context unreachable: the copied coordinates have zero"
-                " probability under the substituted prefix, so the joint is not"
-                " tree-dependent for this tree"
-            )
-        for (y_par, z_par), w in _maximal_coupling(p_dist, rhs_laws[key][1]).items():
-            y_point = lhs_head + key[:cut] + (y_par,) + key[cut:]
-            z_point = rhs_head + key[:cut] + (z_par,) + key[cut:]
-            weight = mass * w
-            if weight:
-                pair_pmf[(y_point, z_point)] = (
-                    pair_pmf.get((y_point, z_point), _ZERO) + weight
-                )
-    return CouplingPair(spaces=spaces, pmf=pair_pmf, context=context, parent_coord=parent_coord)
+    parent = tree.parent[i - 1]
+    lhs_head, rhs_head = prefix + (lhs_value,), prefix + (rhs_value,)
+    lhs_pos, rhs_pos = _head(rl, lhs_head), _head(rl, rhs_head)
+    # the prefix's slice of the table, viewed as step 1 of the remaining coordinates
+    t = _step_table(rl.weights[lhs_pos[:-1]], 1, parent - i + 1)
+    laws = _pair_laws(t, [0], lhs_pos[-1], rhs_pos[-1])
+    masses, den = _couple(*laws)[0], laws[4][0] * laws[3][0]  # pair mass: masses / (hA * WB)
+    keys = list(itertools.product(*(s for k, s in enumerate(rl.spaces[i:], i) if k != parent - 1)))
+    values, cut = rl.spaces[parent - 1], parent - i - 1  # the parent's alphabet and suffix index
+    pair_pmf = {}
+    for k, y, z in zip(*np.nonzero(masses)):
+        y_point = lhs_head + keys[k][:cut] + (values[y],) + keys[k][cut:]
+        z_point = rhs_head + keys[k][:cut] + (values[z],) + keys[k][cut:]
+        pair_pmf[(y_point, z_point)] = Fraction(masses[k, y, z], den[k])
+    return CouplingPair(spaces=rl.spaces, pmf=pair_pmf, context=context, parent_coord=parent)
 
 
 def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
@@ -628,70 +644,73 @@ def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
     return out
 
 
-def _tv(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> Fraction:
-    keys = set(a) | set(b)
-    gap = sum((abs(a.get(k, _ZERO) - b.get(k, _ZERO)) for k in keys), _ZERO)
-    return gap / 2
-
-
-def verify_coupling_marginals(
-    pair: CouplingPair, joint: FiniteJoint, tree: OrderedTree
-) -> Fraction:
+def verify_coupling_marginals(pair: CouplingPair, joint: FiniteJoint, tree: OrderedTree) -> Fraction:
     """Worst TV gap between the coupled suffix marginals and their target laws."""
     rl = relabel_joint(joint, tree)
-    return _marginal_gap(pair, _suffix_conditionals(rl.pmf, pair.context.i))
-
-
-def _marginal_gap(pair: CouplingPair, conds: Mapping[tuple, Mapping[tuple, Fraction]]) -> Fraction:
-    """``verify_coupling_marginals`` against the step's suffix conditionals."""
     ctx = pair.context
     i = ctx.i
-    y_marg: dict[tuple, Fraction] = {}
-    z_marg: dict[tuple, Fraction] = {}
-    for (y, z), p in pair.pmf.items():
-        y_marg[y[i:]] = y_marg.get(y[i:], _ZERO) + p
-        z_marg[z[i:]] = z_marg.get(z[i:], _ZERO) + p
-    return max(
-        _tv(y_marg, conds[ctx.prefix + (ctx.lhs_value,)]),
-        _tv(z_marg, conds[ctx.prefix + (ctx.rhs_value,)]),
-    )
+    den = math.lcm(*(p.denominator for p in pair.pmf.values()))
+    gaps = []
+    for side, value in enumerate((ctx.lhs_value, ctx.rhs_value)):
+        target = rl.weights[_head(rl, ctx.prefix + (value,))]
+        marginal = np.zeros(target.shape, dtype=object)
+        for points, p in pair.pmf.items():
+            suffix = points[side][i:]
+            marginal[tuple(s.index(v) for s, v in zip(rl.spaces[i:], suffix))] += int(p * den)
+        flat = (1, 1, -1)  # one prefix row, one copied block, the whole suffix
+        gaps.append(_worst_tv(marginal.reshape(flat), den, target.reshape(flat), target.sum()))
+    return max(gaps)
 
 
 def all_coupling_contexts(joint: FiniteJoint, tree: OrderedTree):
     """Every (i, prefix, a, b) with positive prefix-value probabilities, a < b.
 
-    Contexts come out grouped by step i, in ascending order.
+    Contexts come out grouped by step i, in ascending order, then by prefix.
     """
     rl = relabel_joint(joint, tree)
-    n = joint.n
-    for i in range(1, n):
-        by_prefix: dict[tuple, list] = {}
-        for head in sorted({x[:i] for x in rl.pmf}):
-            by_prefix.setdefault(head[:-1], []).append(head[-1])
-        for prefix, values in by_prefix.items():
+    for i in range(1, joint.n):
+        heads = rl.weights.sum(axis=tuple(range(i, joint.n)))
+        positive = heads.reshape(-1, len(rl.spaces[i - 1])) != 0
+        for prefix, row in zip(itertools.product(*rl.spaces[: i - 1]), positive):
+            values = [v for v, ok in zip(rl.spaces[i - 1], row) if ok]
             for a, b in itertools.combinations(values, 2):
                 yield i, prefix, a, b
+
+
+def _context_batches(joint: FiniteJoint, tree: OrderedTree):
+    """Yield (i, step table, a, b, prefix rows) for the contexts sharing a step and value pair."""
+    rl = relabel_joint(joint, tree)
+    for i, group in itertools.groupby(all_coupling_contexts(joint, tree), key=lambda c: c[0]):
+        rows = {prefix: r for r, prefix in enumerate(itertools.product(*rl.spaces[: i - 1]))}
+        position = {v: k for k, v in enumerate(rl.spaces[i - 1])}
+        batch: dict[tuple[int, int], list[int]] = {}
+        for _, prefix, a, b in group:
+            batch.setdefault((position[a], position[b]), []).append(rows[prefix])
+        t = _step_table(rl.weights, i, tree.parent[i - 1])
+        for (a, b), pair_rows in batch.items():
+            yield i, t, a, b, pair_rows
 
 
 def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fraction, Fraction]:
     """Worst exact deviations of the substitution coupling, over every step.
 
-    Returns (the worst marginal deviation over every valid context, the
-    worst ``verify_independence_lemma`` gap over steps 1..n-1); both are 0
-    on a tree-dependent joint.  Checks tree-dependence once (raising
-    ``DependencyViolation``), relabels once, and builds each step's suffix
-    conditionals once for that step's contexts and its lemma check.
+    Returns (the worst marginal deviation over every context of
+    ``all_coupling_contexts``, the worst ``verify_independence_lemma`` gap
+    over steps 1..n-1); both are 0 on a tree-dependent joint.  Checks
+    tree-dependence once (raising ``DependencyViolation``), then checks the
+    contexts sharing a step and value pair in array operations over all
+    their prefixes, the lemma from the laws their couplings are built from.
     """
     _require_dependent(joint)
-    rl = relabel_joint(joint, tree)
     coupling = independence = _ZERO
-    for i, contexts in itertools.groupby(all_coupling_contexts(joint, tree), key=lambda c: c[0]):
-        conds = _suffix_conditionals(rl.pmf, i)
-        for _, prefix, a, b in contexts:
-            pair = _couple(rl.spaces, tree, conds, CouplingContext(i, prefix, a, b))
-            coupling = max(coupling, _marginal_gap(pair, conds))
-        # a step without contexts has one value per prefix, so no lemma gap
-        independence = max(independence, _independence_gap_at(conds, tree, i))
+    # a step without contexts has one value per prefix, so no lemma gap
+    for _, t, a, b, rows in _context_batches(joint, tree):
+        lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs = laws = _pair_laws(t, rows, a, b)
+        pair, den = _couple(*laws), (h_lhs[:, None] * w_rhs)[..., None]
+        y_gap = _worst_tv(pair.sum(axis=-1), den, lhs, h_lhs[:, None, None])
+        z_gap = _worst_tv(pair.sum(axis=-2), den, rhs, h_rhs[:, None, None])
+        coupling = max(coupling, y_gap, z_gap)
+        independence = max(independence, _lemma_gap(*laws))
     return coupling, independence
 
 
@@ -708,50 +727,28 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     n = joint.n
     if not (1 <= i <= n - 1):
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
-    return _independence_gap_at(_suffix_conditionals(relabel_joint(joint, tree).pmf, i), tree, i)
+    batches = _context_batches(joint, tree)
+    gaps = (_lemma_gap(*_pair_laws(t, rows, a, b)) for j, t, a, b, rows in batches if j == i)
+    return max(gaps, default=_ZERO)
 
 
-def _independence_gap_at(conds: Mapping[tuple, Mapping], tree: OrderedTree, i: int) -> Fraction:
-    """``verify_independence_lemma`` at step i, from the step's suffix conditionals."""
-    cut = tree.parent[i - 1] - i - 1  # the parent's index in a suffix
-    by_prefix: dict[tuple, list[tuple]] = {}
-    for head in conds:
-        by_prefix.setdefault(head[:-1], []).append(head)
-    worst = _ZERO
-    for heads in by_prefix.values():
-        dists = []
-        for head in heads:
-            proj: dict[tuple, Fraction] = {}
-            for tail, p in conds[head].items():
-                key = tail[:cut] + tail[cut + 1 :]
-                proj[key] = proj.get(key, _ZERO) + p
-            dists.append(proj)
-        for da, db in itertools.combinations(dists, 2):
-            for key in set(da) | set(db):
-                gap = abs(da.get(key, _ZERO) - db.get(key, _ZERO))
-                if gap > worst:
-                    worst = gap
-    return worst
+def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
+    """Yield (i, prefix positions, spread of E[f | prefix, x_i] over x_i) for i = 1..n.
 
-
-def _conditional_swings(pmf: Mapping[tuple, Fraction], values: Mapping[tuple, Fraction], i: int):
-    """(prefix, spread of E[f | prefix, x_i] over x_i) for each prefix of length i-1.
-
-    ``values`` maps each point to f there; prefixes with a single positive
-    value at coordinate i have no spread and are skipped.
+    ``table`` is f times ``scale`` on the axes of ``weights``.  Prefixes come
+    in lexicographic order; those with one positive value at i are skipped.
     """
-    sums: dict[tuple, Fraction] = {}
-    totals: dict[tuple, Fraction] = {}
-    for x, p in pmf.items():
-        head = x[:i]
-        sums[head] = sums.get(head, _ZERO) + p * values[x]
-        totals[head] = totals.get(head, _ZERO) + p
-    by_prefix: dict[tuple, list[Fraction]] = {}
-    for head, tot in totals.items():
-        by_prefix.setdefault(head[:-1], []).append(sums[head] / tot)
-    for prefix, means in by_prefix.items():
-        if len(means) >= 2:
-            yield prefix, max(means) - min(means)
+    n = weights.ndim
+    mass, moment = [weights], [weights * table]  # entry j sums out the last j coordinates
+    for _ in range(n - 1):
+        mass.append(mass[-1].sum(axis=-1))
+        moment.append(moment[-1].sum(axis=-1))
+    for i in range(1, n + 1):
+        m, q = mass[n - i], moment[n - i]
+        for idx in np.ndindex(m.shape[:-1]):
+            means = [Fraction(b, a * scale) for a, b in zip(m[idx], q[idx]) if a]
+            if len(means) >= 2:
+                yield i, idx, max(means) - min(means)
 
 
 def verify_difference_bound(
@@ -765,16 +762,14 @@ def verify_difference_bound(
     n = joint.n
     rl = relabel_joint(joint, tree)
     perm = [tree.original(k) - 1 for k in range(1, n + 1)]
-    f_rl = {tuple(x[p] for p in perm): f.value(x) for x in joint.pmf}
+    budgets = coupling_effective_profile(tree, f.profile)
     worst = None
-    for i in range(1, n):
-        ci = f.profile.coefficient(tree.original(i))
-        cp = f.profile.coefficient(tree.original(tree.parent[i - 1]))
-        budget = ci + cp
-        for _, swing in _conditional_swings(rl.pmf, f_rl, i):
-            excess = swing - budget
-            if worst is None or excess > worst:
-                worst = excess
+    for i, _, swing in _conditional_swings(rl.weights, _table_on(joint, f).transpose(perm), f.scale):
+        if i == n:  # the root step is not a substitution step
+            break
+        excess = swing - budgets[i - 1]
+        if worst is None or excess > worst:
+            worst = excess
     return worst if worst is not None else -max(f.profile.values, default=_ZERO)
 
 
@@ -810,10 +805,10 @@ def mgf_check(
     eff = [c if isinstance(c, Fraction) else Fraction(c) for c in effective_c]
     if len(eff) != n:
         raise InputError(f"effective profile has {len(eff)} entries, needs {n}")
-    for i in range(1, n + 1):
-        for prefix, swing in _conditional_swings(joint.pmf, f.table, i):
-            if swing > eff[i - 1]:
-                raise SupInfViolation(i, prefix, swing, eff[i - 1])
+    for i, idx, swing in _conditional_swings(joint.weights, _table_on(joint, f), f.scale):
+        if swing > eff[i - 1]:
+            prefix = tuple(s[k] for s, k in zip(joint.spaces, idx))
+            raise SupInfViolation(i, prefix, swing, eff[i - 1])
 
     mean = exact_mean(joint, f)
     var_budget = float(sum((c * c for c in eff), _ZERO))

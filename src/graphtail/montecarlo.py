@@ -639,15 +639,21 @@ def estimates_to_csv(estimates: Sequence[TailEstimate]) -> str:
 def exact_joint(spec: SamplerSpec):
     """Exact joint of a finite-latent latent-graph spec, declared dependent along its graph.
 
-    The latents are summed out by ``coupling._latent_joint``; clamps are not applied.
+    The latents are summed out by ``coupling._latent_joint``, and each output
+    is clamped to its declared range, as ``sample`` clamps it.
     """
     if spec.model != LATENT_GRAPH:
         raise InputError("exact joints are available for latent-graph specs only")
     latents = [(lat.scope, dist_finite_support(lat.dist)) for lat in spec.latents]
     if any(support is None for _, support in latents):
         raise InputError("exact joints need finite-support latents everywhere")
-    emit = [partial(_combine_scalar, rule.kind) for rule in spec.emit]
+    emit = [partial(_exact_emit, rule) for rule in spec.emit]
     return couplingmod._latent_joint(spec.n, latents, emit, spec.graph)
+
+
+def _exact_emit(rule: EmitRule, values: Sequence):
+    out = _combine_scalar(rule.kind, values)
+    return out if rule.clamp is None else min(max(out, rule.clamp[0]), rule.clamp[1])
 
 
 def _combine_scalar(kind: str, values: Sequence):

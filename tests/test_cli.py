@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import csv
 import io
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtail import bounds as boundsmod
 from graphtail import cli
@@ -228,6 +232,24 @@ class TestVerifyCommand:
         assert payload["coupling_marginal_deviation"] == 0.0
         assert payload["dependency_deviation"] == 0.0
 
+    def test_ternary_xor_path_n7_is_exact(self, tmp_path, capsys):
+        # 4**7 points from 3**13 latent configurations, every deviation exactly 0
+        n = 7
+        eighths = [{"values": [0, 1, 2], "probs": probs}
+                   for probs in (["1/8", "3/8", "4/8"], ["3/8", "2/8", "3/8"])]
+        spec = {
+            "tree": {"n": n, "edges": [[v, v + 1] for v in range(1, n)]},
+            "vertex_latents": {str(v): eighths[0] for v in range(1, n + 1)},
+            "edge_latents": {f"{v}-{v + 1}": eighths[1] for v in range(1, n)},
+        }
+        path = tmp_path / "xor7.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        deviations = ("dependency_deviation", "coupling_marginal_deviation", "independence_deviation")
+        assert [payload[k] for k in deviations] == [0, 0, 0]
+        assert payload["ok"] is True
+
     def test_dependency_against_wrong_graph_exit_3(self, p2xor_file, tmp_path, capsys):
         empty = tmp_path / "empty2.json"
         empty.write_text(json.dumps({"n": 2, "edges": []}))
@@ -270,6 +292,45 @@ class TestVerifyCommand:
         path.write_text(json.dumps(raw))
         assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+_P2XOR = {
+    "tree": {"n": 2, "edges": [[1, 2]]},
+    "profile": ["1", "1"],
+    "vertex_latents": {
+        "1": {"values": [0, 1], "probs": ["3/4", "1/4"]},
+        "2": {"values": [0, 1], "probs": ["3/4", "1/4"]},
+    },
+    "edge_latents": {"1-2": {"values": [0, 1], "probs": ["1/2", "1/2"]}},
+    "emit": {"1": {"kind": "table", "map": {"0,0": 0, "0,1": 1, "1,0": 1, "1,1": 2}},
+             "2": {"kind": "sum"}},
+    "alphabets": [[0, 1, 2], [0, 1, 2]],
+}
+_RAW3 = {
+    "spaces": [[0, 1], [0, 1], [0, 1]],
+    "tree": {"n": 3, "edges": [[1, 2], [2, 3]]},
+    "pmf": [{"x": [a, b, c], "p": f"{1 + a + 2 * b + 4 * c}/36"}
+            for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9),
+    st.floats(-3, 3, allow_nan=False), st.text("ab01,-/", max_size=4),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text("ab12-", max_size=3), _JSON_SCALARS, max_size=2),
+)
+
+
+def _json_paths(doc, prefix=()):
+    """Every path to a value inside a JSON document, as tuples of keys and indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_json_paths(value, prefix + (key,)))
+    return out
 
 
 class TestExitCodes:
@@ -369,6 +430,58 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # mixed-type alphabet in a raw joint
+            {"spaces": [[0, "a"], [0, 1]], "pmf": [{"x": [0, 0], "p": 1}]},
+            # emit rule written as a string
+            {**_P2XOR, "emit": {"1": "xor"}},
+            # table key that is not a list of integers
+            {**_P2XOR, "emit": {"1": {"kind": "table", "map": {"a,0": 1}}}},
+            # table map given as a list
+            {**_P2XOR, "emit": {"1": {"kind": "table", "map": [[0, 0, 1]]}}},
+            # pmf given as an object instead of a list
+            {"spaces": [[0, 1]], "pmf": {"x": [0], "p": 1}},
+            # non-integer latent values under the default xor emit
+            {**_P2XOR, "emit": {}, "vertex_latents": {
+                "1": {"values": ["a", "b"], "probs": ["1/2", "1/2"]},
+                "2": {"values": [0, 1], "probs": ["1/2", "1/2"]},
+            }},
+        ],
+    )
+    def test_malformed_joint_specs_exit_1(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_joint_specs_never_end_in_a_traceback(self, data, tmp_path_factory):
+        spec = copy.deepcopy(data.draw(st.sampled_from([_P2XOR, _RAW3])))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(_json_paths(spec)))
+            parent = spec
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+        path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        path.write_text(json.dumps(spec))
+        what = data.draw(st.sampled_from(["coupling", "dependency"]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["verify", what, "--spec", str(path)])
+        assert code in (0, 1, 3), (spec, err.getvalue())
+        if code == 1:
+            assert err.getvalue().startswith("input error:") and err.getvalue().count("\n") == 1
+
 
 def _latent_spec(n, edges):
     uniform01 = {"kind": "uniform", "lo": 0, "hi": 1}

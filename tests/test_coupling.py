@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from graphtail.bounds import forest_denominator, tail_bound
@@ -35,7 +37,7 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
-from graphtail.coupling import _latent_joint
+from graphtail.coupling import _latent_joint, _maximal_couplings
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph, rooted_order
@@ -595,10 +597,39 @@ class TestLipschitzValidation:
             lipschitz_function([[0, 1]], {(0,): F(0), (1,): F(5)}, lipschitz_profile([1]))
 
 
+def greedy_maximal_coupling(p, q):
+    """Reference: a deterministic maximal coupling of two pmfs over the same value set.
+
+    Shared mass sits on the diagonal; the leftovers are matched in sorted
+    value order.  Equal inputs couple to the identity.
+    """
+    out = {}
+    left_p, left_q = [], []
+    for v in sorted(set(p) | set(q)):
+        shared = min(p.get(v, F(0)), q.get(v, F(0)))
+        if shared:
+            out[(v, v)] = shared
+        if p.get(v, F(0)) > shared:
+            left_p.append([v, p[v] - shared])
+        if q.get(v, F(0)) > shared:
+            left_q.append([v, q[v] - shared])
+    a = b = 0
+    while a < len(left_p) and b < len(left_q):
+        y, wp = left_p[a]
+        z, wq = left_q[b]
+        w = min(wp, wq)
+        out[(y, z)] = out.get((y, z), F(0)) + w
+        left_p[a][1] -= w
+        left_q[b][1] -= w
+        if left_p[a][1] == 0:
+            a += 1
+        if left_q[b][1] == 0:
+            b += 1
+    return out
+
+
 class TestMaximalCouplingHelper:
     def test_marginals_and_minimal_disagreement(self):
-        from graphtail.coupling import _maximal_coupling
-
         rng = random.Random(8)
         for _ in range(40):
             size = rng.randint(1, 5)
@@ -612,7 +643,13 @@ class TestMaximalCouplingHelper:
                 return {v: F(w, total) for v, w in zip(values, weights) if w}
 
             p, q = rand_dist(), rand_dist()
-            m = _maximal_coupling(p, q)
+            # the array coupling works on integer masses over a common denominator
+            scale = math.lcm(*(w.denominator for w in [*p.values(), *q.values()]))
+            masses = [np.array([int(d.get(v, 0) * scale) for v in values], dtype=object)
+                      for d in (p, q)]
+            array = _maximal_couplings(*masses)
+            m = {(y, z): F(array[y, z], scale) for y in values for z in values if array[y, z]}
+            assert m == greedy_maximal_coupling(p, q)
             assert sum(m.values()) == 1
             for y in p:
                 assert sum(w for (a, _), w in m.items() if a == y) == p[y]
@@ -700,6 +737,45 @@ class TestEndToEndOnToyJoints:
             pmf = {x: F(w, sum(weights)) for x, w in zip(points, weights)}
             joint = finite_joint([(0, 1)] * 4, pmf)
             expected = one_by_one(joint, tree)
+            assert min(expected) > 0
+            assert verify_all_couplings(joint, tree) == expected
+
+    def test_deviations_are_the_gaps_between_the_copied_laws(self, toy_joints, monkeypatch):
+        """Over every context, the coupling deviation is the worst TV distance
+        between the lhs and rhs laws of the copied coordinates, and the lemma
+        gap the worst sup-norm of the same difference."""
+
+        def copied_law_gaps(joint, tree):
+            pmf = relabel_joint(joint, tree).pmf
+            tv = sup = F(0)
+            for i, prefix, a, b in all_coupling_contexts(joint, tree):
+                cut = tree.parent[i - 1] - i - 1  # the parent's index in a suffix
+                laws = []
+                for head in (prefix + (a,), prefix + (b,)):
+                    total = sum(p for x, p in pmf.items() if x[:i] == head)
+                    law = {}
+                    for x, p in pmf.items():
+                        if x[:i] == head:
+                            key = x[i:][:cut] + x[i:][cut + 1 :]
+                            law[key] = law.get(key, F(0)) + p / total
+                    laws.append(law)
+                gaps = [abs(laws[0].get(k, F(0)) - laws[1].get(k, F(0))) for k in {*laws[0], *laws[1]}]
+                tv, sup = max(tv, sum(gaps) / 2), max(sup, max(gaps))
+            return tv, sup
+
+        for joint, tree, g in toy_joints:
+            assert verify_all_couplings(joint, tree) == copied_law_gaps(joint, tree) == (0, 0)
+        # full-support joints dependent along no tree: both gaps are positive
+        monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
+        rng = random.Random(47)
+        g = build_graph(4, [(1, 2), (2, 3), (2, 4)])
+        tree = rooted_order(g, g.vertices, [1, 2, 1, 1])
+        spaces = [(0, 1, 2), (0, 1), (0, 1), (0, 1, 2)]
+        for _ in range(5):
+            points = list(itertools.product(*spaces))
+            weights = [rng.randint(1, 9) for _ in points]
+            joint = finite_joint(spaces, {x: F(w, sum(weights)) for x, w in zip(points, weights)})
+            expected = copied_law_gaps(joint, tree)
             assert min(expected) > 0
             assert verify_all_couplings(joint, tree) == expected
 

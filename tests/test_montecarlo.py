@@ -382,6 +382,17 @@ class TestExactBridge:
             built_count += 1
         assert built_count >= 40
 
+    def test_declared_clamp_gives_the_sampled_support(self):
+        # one vertex emitting the sum of two fair bits, clamped to [0, 1]
+        spec = latent_graph_spec(
+            build_graph(1, []), [((1,), bernoulli(F(1, 2)))] * 2,
+            emit={1: EmitRule(kind="sum", clamp=(F(0), F(1)))},
+        )
+        joint = exact_joint(spec)
+        assert joint.spaces == ((0, 1),)
+        assert joint.pmf == {(0,): F(1, 4), (1,): F(3, 4)}
+        assert set(np.unique(sample(spec, seed=3, count=1000))) == {0.0, 1.0}
+
     def test_vertex_with_21_binary_latents_refused(self):
         spec = latent_graph_spec(build_graph(1, []), [((1,), bernoulli(F(1, 2)))] * 21)
         with pytest.raises(ScaleError, match="exceed cap"):
