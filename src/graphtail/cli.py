@@ -141,7 +141,7 @@ def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
 
 def _check_latents(kind: str, values, types: tuple) -> None:
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, types):
+        if not isinstance(v, types):
             raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
 
 
