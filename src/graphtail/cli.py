@@ -12,6 +12,7 @@ tool as a test oracle.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -460,7 +461,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing reads it and never changes it."""
     parser = _Parser(
         prog="graphtail",
         description="Concentration bounds for Lipschitz functions of graph-dependent variables",

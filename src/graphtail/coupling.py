@@ -235,46 +235,57 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
     """Exact joint of X_v = emit[v-1](values of the latents covering v, in list order).
 
     ``latents`` holds (scope, support) pairs of independent latents.  Vertices
-    are visited in label order, keeping the law of (emitted prefix, values of
-    the latents a later vertex reads) as an integer array, one axis each: a
+    are visited in label order, keeping each reachable state (emitted prefix,
+    values of the latents a later vertex reads) with its integer mass: a
     latent joins at the first vertex of its scope and is summed out after its
-    last.  The work at a vertex is the array's cells times the supports
-    joining there; past ``MAX_LATENT_CONFIGS`` it raises ``ScaleError``.
-    Alphabets hold every value emitted, zero-mass ones too.
+    last.  The work at a vertex, its states times the supports joining there,
+    is capped by ``MAX_LATENT_CONFIGS`` (``ScaleError``).  Zero-mass states
+    are kept, so alphabets hold every value emitted.
     """
     if n > MAX_COORDINATES:
         raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
-    live: list[int] = []  # the latents in the state, in the order of its trailing axes
-    state, scale, spaces = np.ones((), dtype=object), 1, []
+    live: list[int] = []  # the latents in the state, in the order of its trailing digits
+    # each state as one mixed-radix code: emitted prefix positions, then live latent values
+    codes, mass, scale, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=object), 1, []
     for v in range(1, n + 1):
         joining = [k for k, (scope, _) in enumerate(latents) if min(scope) == v]
-        work = state.size * math.prod(len(latents[k][1]) for k in joining)
+        work = len(codes) * math.prod(len(latents[k][1]) for k in joining)
         if work > MAX_LATENT_CONFIGS:
             raise ScaleError(f"{work} latent states at vertex {v} exceed cap {MAX_LATENT_CONFIGS}")
         for k in joining:
             den = math.lcm(*(q.denominator for _, q in latents[k][1]))
             weights = np.array([int(q * den) for _, q in latents[k][1]], dtype=object)
-            state = state[..., None] * weights
+            codes = (codes[:, None] * len(weights) + np.arange(len(weights))).ravel()
+            mass = np.multiply.outer(mass, weights).ravel()
             scale *= den
         order = live + joining
+        supports = [len(latents[k][1]) for k in order]
+        sizes = [*map(len, spaces), *supports]
+        digits = np.unravel_index(codes, sizes) if sizes else ()
+        held = digits[v - 1 :]  # the live latents' values, in the order of ``order``
         reads = [order.index(k) for k, (scope, _) in enumerate(latents) if v in scope]
         kept = [pos for pos, k in enumerate(order) if max(latents[k][0]) > v]
-        # the value emitted at each combination of the latents read, on the state's latent axes
-        shape = [len(latents[k][1]) if pos in reads else 1 for pos, k in enumerate(order)]
+        # the value emitted at each combination of the latents read, one emit call each
+        shape = [supports[pos] for pos in reads]
         values = [
-            emit[v - 1](tuple(latents[order[pos]][1][idx[pos]][0] for pos in reads))
+            emit[v - 1](tuple(latents[order[pos]][1][u][0] for pos, u in zip(reads, idx)))
             for idx in np.ndindex(*shape)
         ]
-        alphabet = _sorted_alphabets([values])[0]
-        position = {value: u for u, value in enumerate(alphabet)}
+        spaces.append(_sorted_alphabets([values])[0])
+        _capped(tuple(spaces))  # keeps the codes within int64
+        position = {value: u for u, value in enumerate(spaces[-1])}
         emitted = np.array([position[value] for value in values]).reshape(shape)
-        summed = tuple(v - 1 + pos for pos in range(len(order)) if pos not in kept)
-        state = np.stack(
-            [(state * (emitted == u)).sum(axis=summed) for u in range(len(alphabet))], axis=v - 1
-        )
-        spaces.append(alphabet)
+        x = np.broadcast_to(emitted[tuple(held[pos] for pos in reads)], len(codes))
+        # states agreeing on (emitted prefix, kept latents) merge into one
+        merged = [*digits[: v - 1], x, *(held[pos] for pos in kept)]
+        radices = [*map(len, spaces), *(supports[pos] for pos in kept)]
+        codes, which = np.unique(np.ravel_multi_index(merged, radices), return_inverse=True)
+        mass, summands = np.zeros(len(codes), dtype=object), mass
+        np.add.at(mass, which.reshape(-1), summands)
         live = [order[pos] for pos in kept]
-    return FiniteJoint(_capped(tuple(spaces)), state, scale, dependency)
+    weights = np.zeros(tuple(map(len, spaces)), dtype=object)
+    weights.flat[codes] = mass  # every latent is summed out: a code is a flat table index
+    return FiniteJoint(tuple(spaces), weights, scale, dependency)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +392,8 @@ def check_lipschitz(f: LipschitzFunction) -> None:
         if spread <= ci:
             continue
         for x in itertools.product(*f.spaces):
-            for alt in f.spaces[i]:
-                if alt <= x[i]:
-                    continue
-                y = x[:i] + (alt,) + x[i + 1 :]
-                gap = abs(f.value(x) - f.value(y))
-                if gap > ci:
+            for y in (x[:i] + (alt,) + x[i + 1 :] for alt in f.spaces[i] if alt > x[i]):
+                if (gap := abs(f.value(x) - f.value(y))) > ci:
                     raise InputError(
                         f"not {ci}-Lipschitz in coordinate {i + 1}: |f{x} - f{y}| = {gap}"
                     )
@@ -404,17 +411,17 @@ def lipschitz_function(
 ) -> LipschitzFunction:
     """Build a function with a validated profile (derived tight when omitted)."""
     spaces_t = _sorted_alphabets(spaces)
-    points = list(itertools.product(*spaces_t))
     if not callable(fn):
         given = {tuple(k): v for k, v in fn.items()}
-        for x in points:
+        for x in itertools.product(*spaces_t):
             if x not in given:
                 raise InputError(f"function table is missing assignment {x!r}")
         fn = given.__getitem__
-    values = [Fraction(fn(x)) for x in points]
-    scale = math.lcm(*(q.denominator for q in values))
-    shape = tuple(map(len, spaces_t))
-    table = np.array([int(q * scale) for q in values], dtype=object).reshape(shape)
+    values = [fn(x) for x in itertools.product(*spaces_t)]
+    exact = {q: Fraction(q) for q in set(values)}  # each distinct value converted once
+    scale = math.lcm(*(q.denominator for q in exact.values()))
+    scaled = {q: int(e * scale) for q, e in exact.items()}
+    table = np.array([scaled[q] for q in values], dtype=object).reshape(tuple(map(len, spaces_t)))
     if profile is None:
         return LipschitzFunction(spaces_t, table, scale, LipschitzProfile(_spreads(table, scale)))
     prof = profile if isinstance(profile, LipschitzProfile) else lipschitz_profile(profile)
@@ -427,14 +434,9 @@ def lipschitz_function(
 
 def coordinate_sum(spaces: Sequence[Sequence]) -> LipschitzFunction:
     """f(x) = sum of coordinates, with the tight derived profile."""
-    spaces_t = _sorted_alphabets(spaces)
-    values = [[Fraction(v) for v in s] for s in spaces_t]
-    scale = math.lcm(*(q.denominator for s in values for q in s))
-    table = np.zeros((), dtype=object)
-    for k, s in enumerate(values):  # column k varies along axis k only
-        column = np.array([int(q * scale) for q in s], dtype=object)
-        table = table + column.reshape((-1,) + (1,) * (len(values) - k - 1))
-    return LipschitzFunction(spaces_t, table, scale, LipschitzProfile(_spreads(table, scale)))
+    # int and Fraction symbols add exactly as they are (ints fast), others become Fractions
+    exact = {v: v if isinstance(v, (int, Fraction)) else Fraction(v) for s in spaces for v in s}
+    return lipschitz_function(spaces, lambda x: sum(map(exact.__getitem__, x)))
 
 
 def _table_on(joint: FiniteJoint, f: LipschitzFunction) -> np.ndarray:
@@ -648,15 +650,14 @@ def verify_coupling_marginals(pair: CouplingPair, joint: FiniteJoint, tree: Orde
     """Worst TV gap between the coupled suffix marginals and their target laws."""
     rl = relabel_joint(joint, tree)
     ctx = pair.context
-    i = ctx.i
     den = math.lcm(*(p.denominator for p in pair.pmf.values()))
     gaps = []
     for side, value in enumerate((ctx.lhs_value, ctx.rhs_value)):
         target = rl.weights[_head(rl, ctx.prefix + (value,))]
         marginal = np.zeros(target.shape, dtype=object)
         for points, p in pair.pmf.items():
-            suffix = points[side][i:]
-            marginal[tuple(s.index(v) for s, v in zip(rl.spaces[i:], suffix))] += int(p * den)
+            suffix = points[side][ctx.i :]
+            marginal[tuple(s.index(v) for s, v in zip(rl.spaces[ctx.i :], suffix))] += int(p * den)
         flat = (1, 1, -1)  # one prefix row, one copied block, the whole suffix
         gaps.append(_worst_tv(marginal.reshape(flat), den, target.reshape(flat), target.sum()))
     return max(gaps)
@@ -727,9 +728,12 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     n = joint.n
     if not (1 <= i <= n - 1):
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
-    batches = _context_batches(joint, tree)
-    gaps = (_lemma_gap(*_pair_laws(t, rows, a, b)) for j, t, a, b, rows in batches if j == i)
-    return max(gaps, default=_ZERO)
+    rl = relabel_joint(joint, tree)
+    t = _step_table(rl.weights, i, tree.parent[i - 1])
+    positive = t.sum(axis=(2, 3)) != 0  # per prefix row and value at i
+    pairs = itertools.combinations(range(t.shape[1]), 2)
+    rows = ((a, b, np.flatnonzero(positive[:, a] & positive[:, b])) for a, b in pairs)
+    return max((_lemma_gap(*_pair_laws(t, r, a, b)) for a, b, r in rows if r.size), default=_ZERO)
 
 
 def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):

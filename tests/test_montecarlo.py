@@ -393,6 +393,17 @@ class TestExactBridge:
         assert joint.pmf == {(0,): F(1, 4), (1,): F(3, 4)}
         assert set(np.unique(sample(spec, seed=3, count=1000))) == {0.0, 1.0}
 
+    def test_cap_counts_reachable_states_only(self):
+        # one six-valued latent read by every vertex of K8: 6 reachable states
+        # at each vertex, although the emitted prefixes alone span 6**7 cells
+        spec = latent_graph_spec(
+            complete(8), [(tuple(range(1, 9)), discrete(range(6), [F(1, 6)] * 6))],
+            emit={v: EmitRule(kind="identity") for v in range(1, 9)},
+        )
+        joint = exact_joint(spec)
+        assert joint.spaces == (tuple(range(6)),) * 8
+        assert joint.pmf == {(k,) * 8: F(1, 6) for k in range(6)}
+
     def test_vertex_with_21_binary_latents_refused(self):
         spec = latent_graph_spec(build_graph(1, []), [((1,), bernoulli(F(1, 2)))] * 21)
         with pytest.raises(ScaleError, match="exceed cap"):
