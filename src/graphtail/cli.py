@@ -71,29 +71,41 @@ def _json(path: str, text: str | None = None):
     """The JSON document in ``text``, or else in the file at ``path``."""
     try:
         return json.loads(_read(path) if text is None else text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def _fraction_value(x) -> Fraction:
+    """``x`` read exactly, once a float can hold it: the engines also compute in floats."""
     try:
-        return Fraction(str(x))
+        value = Fraction(str(x))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {x!r} as an exact number") from exc
+    if abs(value) > sys.float_info.max:
+        raise InputError(f"{x!r} is beyond the range of a float")
+    return value
 
 
-def _dist_from_json(data: dict) -> mcmod.Dist:
-    kind = data.get("kind")
+def _typed(value, kind: type, what: str):
+    """``value``, once it has the JSON type ``kind`` (dict or list); else ``InputError``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise InputError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _dist_from_json(data) -> mcmod.Dist:
+    kind = _typed(data, dict, "a latent distribution").get("kind")
     try:
         if kind == "uniform":
             return mcmod.uniform(_fraction_value(data["lo"]), _fraction_value(data["hi"]))
         if kind == "bernoulli":
-            values = tuple(data.get("values", (0, 1)))
+            values = _typed(data.get("values", [0, 1]), list, "Bernoulli 'values'")
             return mcmod.bernoulli(_fraction_value(data["p"]), values)
         if kind == "discrete":
             return mcmod.discrete(
-                [_json_symbol(v) for v in data["values"]],
-                [_fraction_value(p) for p in data["probs"]],
+                [_json_symbol(v) for v in _typed(data["values"], list, "discrete 'values'")],
+                [_fraction_value(p) for p in _typed(data["probs"], list, "discrete 'probs'")],
             )
     except KeyError as exc:
         raise InputError(f"latent distribution {data!r} is missing field {exc}") from exc
@@ -105,39 +117,43 @@ def _json_symbol(v):
 
 
 def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
-    data = _json(path)
+    data = _typed(_json(path), dict, f"{path}: a sampler spec")
     model = data.get("model")
     try:
-        if model == mcmod.BLOCK_FACTOR:
+        if model == "block_factor":
             return mcmod.block_factor_spec(
                 n=read_vertex_id(data["n"], "block_factor 'n'"),
                 k=read_vertex_id(data["k"], "block_factor 'k'"),
                 dist=_dist_from_json(data["dist"]),
                 combine=data.get("combine", "sum"),
             )
-        if model == mcmod.LATENT_GRAPH:
+        if model == "latent_graph":
             g = graph_from_json_dict(data["graph"])
-            latents = [
-                (item["scope"], _dist_from_json(item["dist"]))
-                for item in data["latents"]
-            ]
-            emit = data.get("emit", "sum")
-            if isinstance(emit, dict):
-                emit = {
-                    read_vertex_id(v, "emit key"): mcmod.EmitRule(
-                        kind=rule.get("kind", "sum"),
-                        clamp=(
-                            (_fraction_value(rule["range"][0]), _fraction_value(rule["range"][1]))
-                            if "range" in rule
-                            else None
-                        ),
-                    )
-                    for v, rule in emit.items()
-                }
-            return mcmod.latent_graph_spec(g, latents, emit=emit)
+            latents = []
+            for item in _typed(data["latents"], list, "'latents'"):
+                item = _typed(item, dict, "a latent entry")
+                scope = _typed(item["scope"], list, "a latent 'scope'")
+                latents.append((scope, _dist_from_json(item["dist"])))
+            return mcmod.latent_graph_spec(g, latents, emit=_emit_rules(data.get("emit", "sum")))
     except KeyError as exc:
         raise InputError(f"{path}: sampler spec is missing field {exc}") from exc
     raise InputError(f"sampler spec needs model 'latent_graph' or 'block_factor', got {model!r}")
+
+
+def _emit_rules(emit) -> str | dict[int, mcmod.EmitRule]:
+    """A sampler spec's 'emit': one kind for every vertex, or per-vertex rules."""
+    if isinstance(emit, str):
+        return emit
+    rules = {}
+    for v, rule in _typed(emit, dict, "'emit', when not a kind name,").items():
+        rule = _typed(rule, dict, f"emit rule {v!r}")
+        clamp = None
+        if "range" in rule:
+            clamp = tuple(map(_fraction_value, _typed(rule["range"], list, "an emit 'range'")))
+            if len(clamp) != 2:
+                raise InputError(f"an emit 'range' must be [lo, hi], got {rule['range']!r}")
+        rules[read_vertex_id(v, "emit key")] = mcmod.EmitRule(rule.get("kind", "sum"), clamp)
+    return rules
 
 
 def _check_latents(kind: str, values, types: tuple) -> None:

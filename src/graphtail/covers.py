@@ -377,9 +377,15 @@ class CoverSolution:
 
 
 def _trim_to_exact_cover(
-    g: Graph, kind: CoverKind, weights: dict[frozenset[int], Fraction]
+    g: Graph, kind: CoverKind, columns: Sequence[frozenset[int]], lp_weights: dict[int, Fraction]
 ) -> WeightedCover:
-    """Shrink a >=1 fractional cover to an exact one by dropping surplus coverage."""
+    """Shrink a >=1 fractional cover to an exact one by dropping surplus coverage.
+
+    ``lp_weights`` maps column indices to LP weights; equal columns pool theirs.
+    """
+    weights: dict[frozenset[int], Fraction] = {}
+    for j, w in lp_weights.items():
+        weights[columns[j]] = weights.get(columns[j], _ZERO) + w
     parts = {s: w for s, w in weights.items() if w > 0}
     coverage: dict[int, Fraction] = {v: _ZERO for v in g.vertices}
     for s, w in parts.items():
@@ -415,10 +421,7 @@ def _solve_unit_cover(g: Graph, kind: CoverKind, cap: int) -> CoverSolution:
     else:
         columns = enumerate_induced_forests(g, cap=cap)
     res = solve_min_cover_lp(g.n, columns, [_ONE] * len(columns))
-    weights: dict[frozenset[int], Fraction] = {}
-    for j, w in res.weights.items():
-        weights[columns[j]] = weights.get(columns[j], _ZERO) + w
-    cover = _trim_to_exact_cover(g, kind, weights)
+    cover = _trim_to_exact_cover(g, kind, columns, res.weights)
     objective = cover.total_weight
     if objective != res.objective:
         raise VerificationError("trimming changed the total weight of a unit-cost cover")
@@ -592,10 +595,7 @@ def _column_generation_d(
         pool.append(new_col)
         master.add_column(new_col, _sqrt_fraction(part_cost_radicand(g, new_col, profile), bits))
         res = master.solve()
-    weights: dict[frozenset[int], Fraction] = {}
-    for j, w in res.weights.items():
-        weights[pool[j]] = weights.get(pool[j], _ZERO) + w
-    cover = _trim_to_exact_cover(g, CoverKind.FOREST, weights)
+    cover = _trim_to_exact_cover(g, CoverKind.FOREST, pool, res.weights)
     return _package_d_solution(
         g, cover, profile, Strategy.COLUMN_GENERATION, Optimality.UPPER_BOUND
     )
@@ -640,10 +640,7 @@ def _optimize_decomposable(
         for j, radicand in enumerate(costs):  # radicands become costs in place
             costs[j] = _sqrt_fraction(Fraction(radicand, denom * denom))
         res = solve_min_cover_lp(g.n, columns, costs)
-        weights: dict[frozenset[int], Fraction] = {}
-        for j, w in res.weights.items():
-            weights[columns[j]] = weights.get(columns[j], _ZERO) + w
-        cover = _trim_to_exact_cover(g, CoverKind.FOREST, weights)
+        cover = _trim_to_exact_cover(g, CoverKind.FOREST, columns, res.weights)
         solution = _package_d_solution(
             g, cover, profile, Strategy.ENUMERATED_LP, Optimality.EXACT
         )

@@ -1,19 +1,23 @@
 """Sampling of graph-dependent vectors at scale and empirical bound validation.
 
-Two generative families are supported, both dependent-by-construction:
+A sampler has one model: independent latent variables, each scoped to the
+vertices that read it, and coordinate v emitted from the latents it reads.
+Two constructors build it, both dependent by construction:
 
-* latent-graph models: every latent variable is attached to a clique of the
-  dependency graph (a vertex, an edge, or a larger clique) and each
-  coordinate is emitted from the latents whose clique contains it.  Two
-  non-adjacent vertex sets then share no latent, which is exactly the
-  declared dependence.
-* block factors: X_i = g(Y_i, ..., Y_{i+k-1}) over an i.i.d. stream, which
-  is (k-1)-dependent.
+* latent-graph specs: every latent's scope is a clique of the declared
+  dependency graph (a vertex, an edge, or a larger clique), so two
+  non-adjacent vertex sets share no latent, which is exactly the declared
+  dependence.
+* block factors: X_i = g(Y_i, ..., Y_{i+k-1}) over an i.i.d. stream; Y_j is
+  read by vertices max(1, j-k+1)..min(n, j), a clique of the
+  (k-1)-dependence graph.
 
 Randomness is counter-based (Philox): every latent owns a stream keyed by
 (seed, latent index) and sample i always consumes draw i of each stream, so
 results are bit-identical for a given (spec, seed, N) no matter how the
-index range is chunked across workers.
+index range is chunked across workers.  A chunk's coordinates stream vertex
+by vertex: a latent is drawn when its first reader needs it and dropped
+after its last, so a worker holds O(live latents x CHUNK) floats, whatever n.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +25,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from math import log, sqrt
-from typing import Iterable, Mapping, Sequence
+from sys import float_info
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import beta as _beta_dist
@@ -31,16 +36,13 @@ from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
 from .errors import InputError
-from .graph import Graph, read_vertex_id
+from .graph import Graph, build_graph, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
 MEAN_PASS_FACTOR = 10
 MEAN_CONFIDENCE = 0.995
 CI_LEVEL = 0.99
-
-LATENT_GRAPH = "latent_graph"
-BLOCK_FACTOR = "block_factor"
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def bernoulli(p, values=(0, 1)) -> Bernoulli:
         raise InputError(f"Bernoulli probability {p} outside [0, 1]")
     if len(values) != 2:
         raise InputError("Bernoulli needs exactly two values")
-    return Bernoulli(p=pf, values=tuple(values))
+    return Bernoulli(p=pf, values=_latent_values(values))
 
 
 def discrete(values: Sequence, probs: Sequence) -> Discrete:
@@ -89,7 +91,16 @@ def discrete(values: Sequence, probs: Sequence) -> Discrete:
         raise InputError("discrete needs matching nonempty values/probs")
     if any(p < 0 for p in pf) or sum(pf) != 1:
         raise InputError("discrete probabilities must be nonnegative and sum to 1")
-    return Discrete(values=tuple(values), probs=tuple(pf))
+    return Discrete(values=_latent_values(values), probs=tuple(pf))
+
+
+def _latent_values(values: Sequence) -> tuple:
+    """The values as a tuple, once each is a number a float holds: coordinates are floats."""
+    for v in values:
+        numeric = isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
+        if not (numeric and abs(v) <= float_info.max):  # exact for ints, false for nan
+            raise InputError(f"latent value {v!r} is not a finite number")
+    return tuple(values)
 
 
 def dist_bounds(d: Dist) -> tuple[Fraction, Fraction]:
@@ -133,7 +144,7 @@ EMIT_KINDS = ("sum", "mean", "max", "identity")
 
 @dataclass(frozen=True)
 class Latent:
-    scope: tuple[int, ...]  # a clique of the dependency graph
+    scope: tuple[int, ...]  # the vertices that read it, sorted: a clique of the dependency graph
     dist: Dist
 
 
@@ -152,10 +163,10 @@ class Statistic:
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    model: str
     n: int
-    graph: Graph | None
-    latents: tuple[Latent, ...]
+    graph: Graph | None  # None for a block factor, whose dependence is its gap
+    latents: tuple[Latent, ...]  # a latent's index keys its Philox stream
+    readers: tuple[tuple[int, ...], ...]  # per vertex, the indices of the latents it reads
     emit: tuple[EmitRule, ...]  # one rule per coordinate
     block_width: int | None
     statistic: Statistic
@@ -213,31 +224,14 @@ def latent_graph_spec(
                     )
         lat.append(Latent(scope=sc, dist=dist))
     lat.sort(key=lambda l: (len(l.scope), l.scope))
-
     if isinstance(emit, str):
         rules = [EmitRule(kind=emit) for _ in range(g.n)]
     else:
+        stray = [v for v in emit if v not in g.vertices]
+        if stray:
+            raise InputError(f"emit rule for vertex {stray[0]!r} outside 1..{g.n}")
         rules = [emit.get(v, EmitRule()) for v in g.vertices]
-    ranges = []
-    for v in g.vertices:
-        covering = [l for l in lat if v in l.scope]
-        if not covering:
-            raise InputError(f"vertex {v} has no latent to emit from")
-        derived = _vertex_range(rules[v - 1].kind, [dist_bounds(l.dist) for l in covering])
-        ranges.append(rules[v - 1].clamp if rules[v - 1].clamp is not None else derived)
-    profile = lipschitz_profile([hi - lo for lo, hi in ranges])
-    stat = _make_statistic(statistic)
-    return SamplerSpec(
-        model=LATENT_GRAPH,
-        n=g.n,
-        graph=g,
-        latents=tuple(lat),
-        emit=tuple(rules),
-        block_width=None,
-        statistic=stat,
-        profile=profile,
-        ranges=tuple(ranges),
-    )
+    return _sampler_spec(g.n, g, lat, rules, None, statistic)
 
 
 def block_factor_spec(
@@ -247,26 +241,44 @@ def block_factor_spec(
     combine: str = "sum",
     statistic: Statistic | str = "sum",
 ) -> SamplerSpec:
-    """X_i = combine(Y_i, ..., Y_{i+k-1}) over an i.i.d. latent stream."""
+    """X_i = combine(Y_i, ..., Y_{i+k-1}) over an i.i.d. latent stream.
+
+    Latent Y_j sits at index j-1 and is read by vertices max(1, j-k+1)..min(n, j).
+    """
     if n < 1 or k < 1:
         raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if combine not in ("sum", "mean", "max"):
         raise InputError(f"block factor combine must be sum/mean/max, got {combine!r}")
-    lat = tuple(Latent(scope=(j,), dist=dist) for j in range(1, n + k))
-    rng = _vertex_range(combine, [dist_bounds(dist)] * k)
-    ranges = tuple(rng for _ in range(n))
-    profile = lipschitz_profile([hi - lo for lo, hi in ranges])
-    rules = tuple(EmitRule(kind=combine) for _ in range(n))
+    lat = [Latent(scope=tuple(range(max(1, j - k + 1), min(n, j) + 1)), dist=dist)
+           for j in range(1, n + k)]
+    return _sampler_spec(n, None, lat, [EmitRule(kind=combine)] * n, k, statistic)
+
+
+def _sampler_spec(n, graph, latents, rules, block_width, statistic) -> SamplerSpec:
+    """The spec of coordinates 1..n read from ``latents``, with ranges and profile derived."""
+    readers = [[] for _ in range(n)]
+    for i, lat in enumerate(latents):
+        for v in lat.scope:
+            readers[v - 1].append(i)
+    ranges = []
+    for v, (reads, rule) in enumerate(zip(readers, rules), start=1):
+        if not reads:
+            raise InputError(f"vertex {v} has no latent to emit from")
+        derived = _vertex_range(rule.kind, [dist_bounds(latents[i].dist) for i in reads])
+        if rule.clamp is not None and rule.clamp[0] > rule.clamp[1]:
+            lo, hi = rule.clamp
+            raise InputError(f"declared range [{lo}, {hi}] of vertex {v} is empty")
+        ranges.append(rule.clamp if rule.clamp is not None else derived)
     return SamplerSpec(
-        model=BLOCK_FACTOR,
         n=n,
-        graph=None,
-        latents=lat,
-        emit=rules,
-        block_width=k,
+        graph=graph,
+        latents=tuple(latents),
+        readers=tuple(map(tuple, readers)),
+        emit=tuple(rules),
+        block_width=block_width,
         statistic=_make_statistic(statistic),
-        profile=profile,
-        ranges=ranges,
+        profile=lipschitz_profile([hi - lo for lo, hi in ranges]),
+        ranges=tuple(ranges),
     )
 
 
@@ -299,27 +311,24 @@ def _stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarr
     return vals[start - aligned :]
 
 
-def _emit_chunk(spec: SamplerSpec, seed: int, start: int, count: int) -> np.ndarray:
-    """Coordinates of samples [start, start+count), shape (n, count)."""
-    draws = [
-        _draw(lat.dist, _stream_uniforms(seed, idx, start, count))
-        for idx, lat in enumerate(spec.latents)
-    ]
-    out = np.empty((spec.n, count), dtype=np.float64)
-    if spec.model == BLOCK_FACTOR:
-        k = spec.block_width
-        for v in range(1, spec.n + 1):
-            window = draws[v - 1 : v - 1 + k]
-            out[v - 1] = _combine(spec.emit[v - 1].kind, window)
-    else:
-        for v in range(1, spec.n + 1):
-            mine = [draws[i] for i, lat in enumerate(spec.latents) if v in lat.scope]
-            out[v - 1] = _combine(spec.emit[v - 1].kind, mine)
-    for v in range(1, spec.n + 1):
-        rule = spec.emit[v - 1]
+def _emit_chunk(spec: SamplerSpec, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """Coordinates of samples [start, start+count), one row per vertex in vertex order.
+
+    A latent is drawn when its first reader needs it and dropped after its
+    last.  A row may be a latent's own draw: consumers must not write to it.
+    """
+    live: dict[int, np.ndarray] = {}
+    for v, (reads, rule) in enumerate(zip(spec.readers, spec.emit), start=1):
+        for i in reads:
+            if i not in live:
+                live[i] = _draw(spec.latents[i].dist, _stream_uniforms(seed, i, start, count))
+        row = _combine(rule.kind, [live[i] for i in reads])
+        for i in reads:
+            if max(spec.latents[i].scope) == v:
+                del live[i]
         if rule.clamp is not None:
-            np.clip(out[v - 1], float(rule.clamp[0]), float(rule.clamp[1]), out=out[v - 1])
-    return out
+            row = np.clip(row, float(rule.clamp[0]), float(rule.clamp[1]))
+        yield row
 
 
 def _combine(kind: str, arrays: list[np.ndarray]) -> np.ndarray:
@@ -334,16 +343,23 @@ def _combine(kind: str, arrays: list[np.ndarray]) -> np.ndarray:
     raise InputError(f"unknown emit kind {kind!r}")
 
 
-def _statistic_values(spec: SamplerSpec, coords: np.ndarray) -> np.ndarray:
+def _statistic_values(spec: SamplerSpec, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """The statistic of each sample, from its coordinate rows in vertex order.
+
+    The sum adds the rows in vertex order.  For chunks of two or more samples
+    that is bit for bit what ``np.sum(axis=0)`` over the stacked rows gives.
+    """
+    rows = iter(rows)
     if spec.statistic.kind == "sum":
-        return coords.sum(axis=0)
+        total = next(rows).copy()
+        for row in rows:
+            total += row
+        return total
     spaces = spec.statistic.spaces
-    flat = np.zeros(coords.shape[1], dtype=np.int64)
-    for v in range(spec.n):
-        space = [float(s) for s in spaces[v]]
-        idx = np.searchsorted(space, coords[v])
-        idx = np.clip(idx, 0, len(space) - 1)
-        flat = flat * len(space) + idx
+    flat = 0
+    for row, space in zip(rows, spaces):
+        idx = np.searchsorted([float(s) for s in space], row)
+        flat = flat * len(space) + np.clip(idx, 0, len(space) - 1)
     lookup = np.empty(int(np.prod([len(s) for s in spaces])), dtype=np.float64)
     for key, val in spec.statistic.table:
         pos = 0
@@ -355,7 +371,7 @@ def _statistic_values(spec: SamplerSpec, coords: np.ndarray) -> np.ndarray:
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Samples [start, start+count) as an array of shape (count, n)."""
-    return _emit_chunk(spec, _check_seed(seed), start, count).T
+    return np.stack(list(_emit_chunk(spec, _check_seed(seed), start, count))).T
 
 
 def _check_seed(seed: int) -> int:
@@ -431,8 +447,9 @@ def _threshold_counts(
 def analytic_mean(spec: SamplerSpec) -> float | None:
     """Exact mean of the statistic when the emit structure allows it.
 
-    Linear emits (sum/mean/identity) always do; max is handled for i.i.d.
-    uniform windows.  Declared clamps disable the analytic route.
+    Linear emits (sum/mean/identity) always do; max is handled when every
+    latent a vertex reads is the same uniform.  Declared clamps disable the
+    analytic route.
     """
     if spec.statistic.kind != "sum":
         return None
@@ -441,10 +458,7 @@ def analytic_mean(spec: SamplerSpec) -> float | None:
         rule = spec.emit[v - 1]
         if rule.clamp is not None:
             return None
-        if spec.model == BLOCK_FACTOR:
-            covering = [spec.latents[j] for j in range(v - 1, v - 1 + spec.block_width)]
-        else:
-            covering = [l for l in spec.latents if v in l.scope]
+        covering = [spec.latents[i] for i in spec.readers[v - 1]]
         if rule.kind in ("sum", "mean", "identity"):
             s = sum((dist_mean(l.dist) for l in covering), Fraction(0))
             total += s / len(covering) if rule.kind == "mean" else s
@@ -637,18 +651,21 @@ def estimates_to_csv(estimates: Sequence[TailEstimate]) -> str:
 # Exact bridge for down-scaled specs
 
 def exact_joint(spec: SamplerSpec):
-    """Exact joint of a finite-latent latent-graph spec, declared dependent along its graph.
+    """Exact joint of a finite-latent spec, declared dependent along its graph.
 
-    The latents are summed out by ``coupling._latent_joint``, and each output
-    is clamped to its declared range, as ``sample`` clamps it.
+    A block factor of width k declares its (k-1)-dependence graph.  The
+    latents are summed out by ``coupling._latent_joint``, and each output is
+    clamped to its declared range, as ``sample`` clamps it.
     """
-    if spec.model != LATENT_GRAPH:
-        raise InputError("exact joints are available for latent-graph specs only")
+    graph = spec.graph
+    if graph is None:
+        gap = spec.dependence_gap
+        graph = m_dependence_graph(spec.n, gap) if gap else build_graph(spec.n, ())
     latents = [(lat.scope, dist_finite_support(lat.dist)) for lat in spec.latents]
     if any(support is None for _, support in latents):
         raise InputError("exact joints need finite-support latents everywhere")
     emit = [partial(_exact_emit, rule) for rule in spec.emit]
-    return couplingmod._latent_joint(spec.n, latents, emit, spec.graph)
+    return couplingmod._latent_joint(spec.n, latents, emit, graph)
 
 
 def _exact_emit(rule: EmitRule, values: Sequence):

@@ -333,6 +333,46 @@ def _json_paths(doc, prefix=()):
     return out
 
 
+_BLOCK4 = {"model": "block_factor", "n": 4, "k": 2, "combine": "max",
+           "dist": {"kind": "uniform", "lo": 0, "hi": 1}}
+_LATENT2 = {
+    "model": "latent_graph",
+    "graph": {"n": 2, "edges": [[1, 2]]},
+    "latents": [
+        {"scope": [1, 2], "dist": {"kind": "bernoulli", "p": "1/2", "values": [0, 2]}},
+        {"scope": [1],
+         "dist": {"kind": "discrete", "values": [0, 1, 3], "probs": ["1/2", "1/4", "1/4"]}},
+        {"scope": [2], "dist": {"kind": "uniform", "lo": "-1", "hi": 1}},
+    ],
+    "emit": {"1": {"kind": "max"}, "2": {"kind": "sum", "range": ["-1/2", 2]}},
+}
+_SIMULATE = ["simulate", "--t", "1", "--n", "64", "--seed", "1", "--spec"]
+
+
+def _mutated(data, specs):
+    """One of ``specs``, with one to three values replaced by random JSON or deleted."""
+    spec = copy.deepcopy(data.draw(st.sampled_from(specs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(_json_paths(spec)))
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    return spec
+
+
+def _assert_no_traceback(argv, spec):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 3), (spec, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("input error:") and err.getvalue().count("\n") == 1
+
+
 class TestExitCodes:
     def test_not_tree_dependent_coupling_prints_payload_exit_3(self, tmp_path, capsys):
         # all three coordinates equal: dependent along no path
@@ -462,25 +502,72 @@ class TestExitCodes:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_joint_specs_never_end_in_a_traceback(self, data, tmp_path_factory):
-        spec = copy.deepcopy(data.draw(st.sampled_from([_P2XOR, _RAW3])))
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(_json_paths(spec)))
-            parent = spec
-            for key in path[:-1]:
-                parent = parent[key]
-            if isinstance(parent, dict) and data.draw(st.booleans()):
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = data.draw(_JSON_VALUES)
+        spec = _mutated(data, [_P2XOR, _RAW3])
         path = tmp_path_factory.mktemp("fuzz") / "spec.json"
         path.write_text(json.dumps(spec))
         what = data.draw(st.sampled_from(["coupling", "dependency"]))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(["verify", what, "--spec", str(path)])
-        assert code in (0, 1, 3), (spec, err.getvalue())
-        if code == 1:
-            assert err.getvalue().startswith("input error:") and err.getvalue().count("\n") == 1
+        _assert_no_traceback(["verify", what, "--spec", str(path)], spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # the top-level spec is a list
+            [_BLOCK4],
+            # 'dist' is a list, or a string
+            {**_BLOCK4, "dist": [0, 1]},
+            {**_BLOCK4, "dist": "uniform"},
+            # a latent entry is a list
+            {**_LATENT2, "latents": [[[1], {"kind": "uniform", "lo": 0, "hi": 1}]]},
+            # 'latents' is an object
+            {**_LATENT2, "latents": {"scope": [1, 2], "dist": _LATENT2["latents"][0]["dist"]}},
+            # a scope is an int
+            {**_LATENT2, "latents": [{**_LATENT2["latents"][0], "scope": 1}]},
+            # an emit rule is a string, or 'emit' is an int
+            {**_LATENT2, "emit": {"1": "sum"}},
+            {**_LATENT2, "emit": 3},
+            # a declared range with one end
+            {**_LATENT2, "emit": {"1": {"kind": "sum", "range": [0]}}},
+            # non-numeric Bernoulli and discrete values
+            {**_BLOCK4, "dist": {"kind": "bernoulli", "p": "1/2", "values": ["a", "b"]}},
+            {**_BLOCK4,
+             "dist": {"kind": "discrete", "values": ["a", "b"], "probs": ["1/2", "1/2"]}},
+            # discrete probabilities given as an int
+            {**_BLOCK4, "dist": {"kind": "discrete", "values": [0], "probs": 1}},
+            # an emit rule for a vertex the graph does not have
+            {**_LATENT2, "emit": {"9": {"kind": "max"}}},
+            # a uniform bound and a declared range end that no float holds
+            {**_BLOCK4, "dist": {"kind": "uniform", "lo": 0, "hi": 10**400}},
+            {**_LATENT2, "emit": {"1": {"kind": "sum", "range": [0, 10**400]}}},
+        ],
+    )
+    def test_malformed_sampler_specs_exit_1(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run([*_SIMULATE, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    def test_integer_too_long_to_convert_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"model": "block_factor", "n": ' + "1" * 5000 + ', "k": 2}')
+        assert cli.run([*_SIMULATE, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and "malformed JSON" in captured.err
+
+    def test_empty_declared_range_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LATENT2, "emit": {"1": {"kind": "sum", "range": [1, 0]}}}))
+        assert cli.run([*_SIMULATE, str(path)]) == 1
+        assert "declared range [1, 0] of vertex 1 is empty" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_sampler_specs_never_end_in_a_traceback(self, data, tmp_path_factory):
+        spec = _mutated(data, [_BLOCK4, _LATENT2])
+        path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        path.write_text(json.dumps(spec))
+        _assert_no_traceback([*_SIMULATE, str(path)], spec)
 
 
 def _latent_spec(n, edges):

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,11 +18,13 @@ from graphtail.bounds import (
     M_DEPENDENT,
     M_DEPENDENT_PAULIN,
     compare_bounds,
+    m_dependent_denominator,
 )
 from graphtail.coupling import finite_joint, verify_dependency
 from graphtail.errors import InputError, ScaleError
-from graphtail.graph import build_graph
+from graphtail.graph import build_graph, m_dependence_graph
 from graphtail.montecarlo import (
+    CHUNK,
     EmitRule,
     analytic_mean,
     bernoulli,
@@ -40,7 +43,7 @@ from graphtail.montecarlo import (
     validate_bounds,
     validation_to_csv,
 )
-from graphtail.montecarlo import _combine_scalar
+from graphtail.montecarlo import _combine_scalar, _statistic_values, _threshold_counts
 
 
 def complete(n):
@@ -102,6 +105,36 @@ class TestSpecs:
         assert spec.dependence_gap == 2
         assert resolve_methods(spec) == (M_DEPENDENT, M_DEPENDENT_PAULIN)
 
+    def test_block_factor_latents_are_scoped_to_their_readers(self):
+        spec = block_factor_spec(4, 3, uniform(0, 1))
+        # Y_j at index j-1, read by vertices max(1, j-2)..min(4, j)
+        assert [lat.scope for lat in spec.latents] == [
+            (1,), (1, 2), (1, 2, 3), (2, 3, 4), (3, 4), (4,)
+        ]
+        assert spec.readers == ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5))
+        assert spec.profile.values == (F(3),) * 4
+
+    def test_empty_declared_range_is_named(self):
+        with pytest.raises(InputError, match=r"declared range \[1, 0\] of vertex 1 is empty"):
+            latent_graph_spec(
+                build_graph(1, []), [((1,), uniform(0, 1))],
+                emit={1: EmitRule(kind="sum", clamp=(F(1), F(0)))},
+            )
+
+    @pytest.mark.parametrize(
+        "values", [("a", "b"), (0, None), (True, 1), (0, float("nan")), (0, 10**400)]
+    )
+    def test_latent_values_must_be_finite_numbers(self, values):
+        with pytest.raises(InputError, match="not a finite number"):
+            bernoulli(F(1, 2), values)
+        with pytest.raises(InputError, match="not a finite number"):
+            discrete(values, [F(1, 2), F(1, 2)])
+
+    def test_emit_rule_for_a_missing_vertex_is_refused(self):
+        with pytest.raises(InputError, match="vertex 3 outside 1..2"):
+            latent_graph_spec(build_graph(2, []), [((1,), uniform(0, 1)), ((2,), uniform(0, 1))],
+                              emit={3: EmitRule()})
+
 
 class TestDeterminism:
     def test_worker_count_invariance(self):
@@ -130,6 +163,35 @@ class TestDeterminism:
         values = sample(spec, seed=23, count=120_000)[:, 0]
         for value, prob in zip((0, 5, 9), (1 / 2, 1 / 3, 1 / 6)):
             assert abs((values == value).mean() - prob) < 0.01
+
+
+class TestStreaming:
+    def test_one_chunk_holds_a_few_rows_whatever_n(self):
+        # 202 latents and 200 coordinates; only a window of 3 latents is live
+        spec = block_factor_spec(200, 3, uniform(0, 1), combine="max")
+        tracemalloc.start()
+        try:
+            _threshold_counts(spec, seed=5, n_samples=CHUNK, thresholds=[150.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * CHUNK * 8
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 60, 200])
+    def test_streamed_sum_adds_rows_as_the_axis_0_reduction_does(self, n):
+        """Bit for bit, for chunks of two or more samples.
+
+        A one-sample chunk is the exception: numpy reduces an (n, 1) stack
+        pairwise, as a vector of n floats, not row by row.
+        """
+        rng = np.random.default_rng(n)
+        spec = block_factor_spec(n, 1, uniform(0, 1))
+        for count in (2, 7, 4099):
+            # magnitudes spread over 12 decades, so a change of order shows in the bits
+            rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(n)]
+            streamed = _statistic_values(spec, iter(rows))
+            stacked = np.stack(rows).sum(axis=0)
+            assert streamed.tobytes() == stacked.tobytes()
 
 
 class TestAnalyticMean:
@@ -408,6 +470,28 @@ class TestExactBridge:
         spec = latent_graph_spec(build_graph(1, []), [((1,), bernoulli(F(1, 2)))] * 21)
         with pytest.raises(ScaleError, match="exceed cap"):
             exact_joint(spec)
+
+    def test_block_factor_joint_is_m_dependent(self):
+        from graphtail.bounds import tail_bound
+        from graphtail.coupling import coordinate_sum, exact_mean, exact_tail
+
+        spec = block_factor_spec(5, 3, discrete([0, 1, 3], [F(1, 2), F(1, 3), F(1, 6)]), "max")
+        joint = exact_joint(spec)
+        assert joint.dependency == m_dependence_graph(5, 2)
+        assert verify_dependency(joint, m_dependence_graph(5, 2)).deviation == 0
+        assert verify_dependency(joint, m_dependence_graph(5, 1)).deviation > 0
+        f = coordinate_sum(joint.spaces)
+        assert f.profile.values == spec.profile.values
+        den = float(m_dependent_denominator(5, 2, spec.profile)[0])
+        spread = max(f.value(x) for x in joint.pmf) - exact_mean(joint, f)
+        for k in range(1, 21):
+            t = F(spread) * k / 20
+            assert float(exact_tail(joint, f, t)) <= tail_bound(den, float(t))
+
+    def test_width_one_block_factor_joint_is_independent(self):
+        joint = exact_joint(block_factor_spec(3, 1, bernoulli(F(1, 3))))
+        assert joint.dependency == build_graph(3, [])
+        assert verify_dependency(joint, build_graph(3, [])).deviation == 0
 
     def test_uniform_latents_refuse_exact_joint(self):
         g = build_graph(2, [])
