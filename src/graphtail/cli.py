@@ -61,10 +61,12 @@ def parse_profile_spec(spec: str, n: int) -> LipschitzProfile:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path} as text: {exc}") from exc
 
 
 def _json(path: str, text: str | None = None):

@@ -51,7 +51,6 @@ _ONE = Fraction(1)
 ENUMERATION_VERTEX_LIMIT = 25
 DEFAULT_COLUMN_CAP = 200_000
 SQRT_BITS = 128
-_SQUAREFREE_LIMIT = 10**14
 
 
 # ---------------------------------------------------------------------------
@@ -291,58 +290,41 @@ def _sqrt_fraction(x: Fraction, bits: int = SQRT_BITS) -> Fraction:
     """Exact square root when x is a perfect square, else a 2^-bits approximation."""
     if x < 0:
         raise InputError(f"square root of negative value {x}")
-    if x == 0:
-        return _ZERO
+    exact = _rational_sqrt(x)
+    if exact is not None:
+        return exact
     num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
     r = isqrt((num * den) << (2 * bits))
     return Fraction(r, den << bits)
 
 
-def _squarefree_split(m: int) -> tuple[int, int] | None:
-    """m = s^2 * d with d square-free, by trial division; None when m is too big."""
-    if m > _SQUAREFREE_LIMIT:
-        return None
-    s, d, f = 1, 1, 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            s *= f ** (e // 2)
-            if e % 2:
-                d *= f
-        f += 1 if f == 2 else 2
-    return s, d * m
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """sqrt(x) for x >= 0 when it is rational, else None."""
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(rn, rd) if rn * rn == x.numerator and rd * rd == x.denominator else None
 
 
 def squared_objective_exact(parts: Sequence[tuple[Fraction, Fraction]]) -> Fraction | None:
     """Exact (sum_k w_k sqrt(r_k))^2 when all support radicands share a kernel.
 
-    Each radicand a/b contributes sqrt(a*b)/b; if every a*b has the same
-    square-free part d, the sum is sqrt(d) times a rational and its square is
-    exact.  Returns None when radicands mix incompatible kernels.
+    r_k shares the first radicand r_1's square-free kernel iff r_k * r_1 is a
+    rational square q_k^2.  Then sum_k w_k sqrt(r_k) = (sum_k w_k q_k) / sqrt(r_1),
+    whose square is exact.  Returns None when radicands mix kernels.
     """
-    kernel: int | None = None
+    first: Fraction | None = None
     rational_sum = _ZERO
     for w, r in parts:
         if w == 0 or r == 0:
             continue
-        split = _squarefree_split(r.numerator * r.denominator)
-        if split is None:
+        if first is None:
+            first = r
+        q = _rational_sqrt(r * first)
+        if q is None:
             return None
-        s, d = split
-        if kernel is None:
-            kernel = d
-        elif kernel != d:
-            return None
-        rational_sum += w * Fraction(s, r.denominator)
-    if kernel is None:
+        rational_sum += w * q
+    if first is None:
         return _ZERO
-    return kernel * rational_sum * rational_sum
+    return rational_sum * rational_sum / first
 
 
 # ---------------------------------------------------------------------------

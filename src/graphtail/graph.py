@@ -24,9 +24,6 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v - 1]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v - 1])
-
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -67,29 +64,11 @@ class ForestClassification:
 def classify(g: Graph) -> ForestClassification:
     """Partition into connected components and decide whether g is a forest.
 
-    A graph is a forest iff every component spans exactly |C| - 1 edges;
+    A graph is a forest iff it has n - (number of components) edges;
     components are reported sorted by their smallest vertex.
     """
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    acyclic = True
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp: set[int] = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        edge_count = sum(1 for (u, v) in g.edges if u in comp)
-        if edge_count != len(comp) - 1:
-            acyclic = False
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
+    comps = components_within(g, g.vertices)
+    acyclic = len(g.edges) == g.n - len(comps)
     return ForestClassification(
         is_forest=acyclic,
         components=tuple(comps),
@@ -143,7 +122,7 @@ def rooted_order(g: Graph, tree_vertices: Iterable[int], coefficients: Sequence)
             raise InputError(f"vertex {v} outside 1..{g.n}")
     vset = set(verts)
     inner_edges = [(u, v) for (u, v) in g.edges if u in vset and v in vset]
-    if len(inner_edges) != len(verts) - 1 or not _connected_within(g, vset):
+    if len(inner_edges) != len(verts) - 1 or len(components_within(g, vset)) != 1:
         raise KindError(f"induced subgraph on {sorted(vset)} is not a tree")
 
     root = min(verts, key=lambda v: (coefficients[v - 1], v))
@@ -185,19 +164,6 @@ def rooted_order(g: Graph, tree_vertices: Iterable[int], coefficients: Sequence)
         fringe=tuple(frozenset(s) for s in fringe_sets),
         exposure_rest=tuple(rest),
     )
-
-
-def _connected_within(g: Graph, vset: set[int]) -> bool:
-    start = next(iter(vset))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in vset and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vset
 
 
 def m_dependence_graph(n: int, m: int) -> Graph:
@@ -288,21 +254,23 @@ def is_acyclic_subset(g: Graph, subset: frozenset[int] | set[int]) -> bool:
     return True
 
 
-def components_within(g: Graph, subset: frozenset[int] | set[int]) -> list[frozenset[int]]:
+def components_within(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the induced subgraph, sorted by smallest vertex."""
     remaining = set(subset)
     comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
+        remaining.discard(start)
+        comp = [start]
         stack = [start]
         while stack:
             u = stack.pop()
             for w in g.neighbors(u):
-                if w in remaining and w not in comp:
-                    comp.add(w)
+                if w in remaining:
+                    remaining.discard(w)
+                    comp.append(w)
                     stack.append(w)
-        remaining -= comp
         comps.append(frozenset(comp))
     return comps
 

@@ -18,6 +18,12 @@ results are bit-identical for a given (spec, seed, N) no matter how the
 index range is chunked across workers.  A chunk's coordinates stream vertex
 by vertex: a latent is drawn when its first reader needs it and dropped
 after its last, so a worker holds O(live latents x CHUNK) floats, whatever n.
+
+The sampler screens sums: the statistic is the sum of the coordinates, whose
+Lipschitz profile is the coordinate ranges the bounds are computed from.
+Other statistics of finite specs go through the exact bridge instead:
+``exact_joint`` + ``coupling.lipschitz_function`` + ``coupling.exact_tail``
+derive and check their own profile.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +35,7 @@ from sys import float_info
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from . import bounds as boundsmod
 from . import coupling as couplingmod
@@ -155,13 +161,6 @@ class EmitRule:
 
 
 @dataclass(frozen=True)
-class Statistic:
-    kind: str  # "sum" | "table"
-    table: tuple[tuple[tuple, Fraction], ...] | None = None
-    spaces: tuple[tuple, ...] | None = None
-
-
-@dataclass(frozen=True)
 class SamplerSpec:
     n: int
     graph: Graph | None  # None for a block factor, whose dependence is its gap
@@ -169,7 +168,6 @@ class SamplerSpec:
     readers: tuple[tuple[int, ...], ...]  # per vertex, the indices of the latents it reads
     emit: tuple[EmitRule, ...]  # one rule per coordinate
     block_width: int | None
-    statistic: Statistic
     profile: LipschitzProfile
     ranges: tuple[tuple[Fraction, Fraction], ...]
 
@@ -200,7 +198,6 @@ def latent_graph_spec(
     g: Graph,
     latents: Iterable[tuple[Sequence[int], Dist]],
     emit: str | Mapping[int, EmitRule] = "sum",
-    statistic: Statistic | str = "sum",
 ) -> SamplerSpec:
     """Sampler over a dependency graph, with clique-scoped latents.
 
@@ -231,16 +228,10 @@ def latent_graph_spec(
         if stray:
             raise InputError(f"emit rule for vertex {stray[0]!r} outside 1..{g.n}")
         rules = [emit.get(v, EmitRule()) for v in g.vertices]
-    return _sampler_spec(g.n, g, lat, rules, None, statistic)
+    return _sampler_spec(g.n, g, lat, rules, None)
 
 
-def block_factor_spec(
-    n: int,
-    k: int,
-    dist: Dist,
-    combine: str = "sum",
-    statistic: Statistic | str = "sum",
-) -> SamplerSpec:
+def block_factor_spec(n: int, k: int, dist: Dist, combine: str = "sum") -> SamplerSpec:
     """X_i = combine(Y_i, ..., Y_{i+k-1}) over an i.i.d. latent stream.
 
     Latent Y_j sits at index j-1 and is read by vertices max(1, j-k+1)..min(n, j).
@@ -251,10 +242,10 @@ def block_factor_spec(
         raise InputError(f"block factor combine must be sum/mean/max, got {combine!r}")
     lat = [Latent(scope=tuple(range(max(1, j - k + 1), min(n, j) + 1)), dist=dist)
            for j in range(1, n + k)]
-    return _sampler_spec(n, None, lat, [EmitRule(kind=combine)] * n, k, statistic)
+    return _sampler_spec(n, None, lat, [EmitRule(kind=combine)] * n, k)
 
 
-def _sampler_spec(n, graph, latents, rules, block_width, statistic) -> SamplerSpec:
+def _sampler_spec(n, graph, latents, rules, block_width) -> SamplerSpec:
     """The spec of coordinates 1..n read from ``latents``, with ranges and profile derived."""
     readers = [[] for _ in range(n)]
     for i, lat in enumerate(latents):
@@ -276,26 +267,9 @@ def _sampler_spec(n, graph, latents, rules, block_width, statistic) -> SamplerSp
         readers=tuple(map(tuple, readers)),
         emit=tuple(rules),
         block_width=block_width,
-        statistic=_make_statistic(statistic),
         profile=lipschitz_profile([hi - lo for lo, hi in ranges]),
         ranges=tuple(ranges),
     )
-
-
-def _make_statistic(statistic) -> Statistic:
-    if isinstance(statistic, Statistic):
-        return statistic
-    if statistic == "sum":
-        return Statistic(kind="sum")
-    raise InputError(f"unknown statistic {statistic!r}")
-
-
-def table_statistic(spaces: Sequence[Sequence], table: Mapping[tuple, object]) -> Statistic:
-    spaces_t = tuple(tuple(sorted(set(s))) for s in spaces)
-    entries = []
-    for key, val in table.items():
-        entries.append((tuple(key), val if isinstance(val, Fraction) else Fraction(val)))
-    return Statistic(kind="table", table=tuple(sorted(entries)), spaces=spaces_t)
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +317,17 @@ def _combine(kind: str, arrays: list[np.ndarray]) -> np.ndarray:
     raise InputError(f"unknown emit kind {kind!r}")
 
 
-def _statistic_values(spec: SamplerSpec, rows: Iterable[np.ndarray]) -> np.ndarray:
-    """The statistic of each sample, from its coordinate rows in vertex order.
+def _statistic_values(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of each sample's coordinates, adding its rows in vertex order.
 
-    The sum adds the rows in vertex order.  For chunks of two or more samples
-    that is bit for bit what ``np.sum(axis=0)`` over the stacked rows gives.
+    For chunks of two or more samples that is bit for bit what
+    ``np.sum(axis=0)`` over the stacked rows gives.
     """
     rows = iter(rows)
-    if spec.statistic.kind == "sum":
-        total = next(rows).copy()
-        for row in rows:
-            total += row
-        return total
-    spaces = spec.statistic.spaces
-    flat = 0
-    for row, space in zip(rows, spaces):
-        idx = np.searchsorted([float(s) for s in space], row)
-        flat = flat * len(space) + np.clip(idx, 0, len(space) - 1)
-    lookup = np.empty(int(np.prod([len(s) for s in spaces])), dtype=np.float64)
-    for key, val in spec.statistic.table:
-        pos = 0
-        for v in range(spec.n):
-            pos = pos * len(spaces[v]) + spaces[v].index(key[v])
-        lookup[pos] = float(val)
-    return lookup[flat]
+    total = next(rows).copy()
+    for row in rows:
+        total += row
+    return total
 
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -395,10 +356,13 @@ class TailEstimate:
 
 
 def binomial_upper_ci(hits: int, n: int, level: float = CI_LEVEL) -> float:
-    """Exact (Clopper-Pearson) one-sided upper confidence limit for a proportion."""
+    """Exact (Clopper-Pearson) one-sided upper confidence limit for a proportion.
+
+    That is the ``level`` quantile of Beta(hits + 1, n - hits).
+    """
     if hits >= n:
         return 1.0
-    return float(_beta_dist.ppf(level, hits + 1, n - hits))
+    return float(betaincinv(hits + 1, n - hits, level))
 
 
 def _chunk_ranges(total: int, start: int = 0):
@@ -426,15 +390,11 @@ def _threshold_counts(
 
     def one(args):
         a, m = args
-        vals = _statistic_values(spec, _emit_chunk(spec, seed, a, m))
+        vals = _statistic_values(_emit_chunk(spec, seed, a, m))
         return [int((vals >= th).sum()) for th in ths], float(vals.sum())
 
-    ranges = list(_chunk_ranges(n_samples, start))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, ranges))
-    else:
-        parts = [one(r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(one, _chunk_ranges(n_samples, start)))
     counts = [0] * len(ths)
     total = 0.0
     for cnts, s in parts:  # fixed order: deterministic float accumulation
@@ -451,8 +411,6 @@ def analytic_mean(spec: SamplerSpec) -> float | None:
     latent a vertex reads is the same uniform.  Declared clamps disable the
     analytic route.
     """
-    if spec.statistic.kind != "sum":
-        return None
     total = Fraction(0)
     for v in range(1, spec.n + 1):
         rule = spec.emit[v - 1]
@@ -474,24 +432,20 @@ def analytic_mean(spec: SamplerSpec) -> float | None:
     return float(total)
 
 
-def _statistic_spread(spec: SamplerSpec) -> float:
-    """Width of the statistic's range (for the range-based mean margin)."""
-    if spec.statistic.kind == "table":
-        values = [float(v) for _, v in spec.statistic.table]
-        return max(values) - min(values)
-    return float(sum((hi - lo for lo, hi in spec.ranges), Fraction(0)))
-
-
-def _estimated_mean(spec: SamplerSpec, seed: int, n_samples: int) -> tuple[float, float]:
+def _estimated_mean(
+    spec: SamplerSpec, seed: int, n_samples: int, workers: int
+) -> tuple[float, float]:
     """Dedicated mean pass of 10x the sample budget, with a one-sided margin.
 
     Returns (mean estimate, margin) where the true mean exceeds estimate -
-    margin except with probability 1 - MEAN_CONFIDENCE (range-based bound).
+    margin except with probability 1 - MEAN_CONFIDENCE (Hoeffding's bound
+    over the width of the sum's range).
     """
     m = MEAN_PASS_FACTOR * n_samples
     start = ((n_samples + 3) // 4) * 4  # disjoint, block-aligned index range
-    _, total = _threshold_counts(spec, seed, m, [], start=start)
-    margin = _statistic_spread(spec) * sqrt(log(1.0 / (1.0 - MEAN_CONFIDENCE)) / (2.0 * m))
+    _, total = _threshold_counts(spec, seed, m, [], start=start, workers=workers)
+    spread = float(sum((hi - lo for lo, hi in spec.ranges), Fraction(0)))
+    margin = spread * sqrt(log(1.0 / (1.0 - MEAN_CONFIDENCE)) / (2.0 * m))
     return total / m, margin
 
 
@@ -528,7 +482,7 @@ def estimate_tails(
     t_grid = _check_run(t_grid, seed, n_samples, workers)
     mu = analytic_mean(spec)
     if mu is None:
-        mu, margin = _estimated_mean(spec, seed, n_samples)
+        mu, margin = _estimated_mean(spec, seed, n_samples, workers)
         mu -= margin
     thresholds = [mu + t for t in t_grid]
     counts, _ = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)

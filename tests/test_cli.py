@@ -353,6 +353,8 @@ def _mutated(data, specs):
     """One of ``specs``, with one to three values replaced by random JSON or deleted."""
     spec = copy.deepcopy(data.draw(st.sampled_from(specs)))
     for _ in range(data.draw(st.integers(1, 3))):
+        if not _json_paths(spec):  # every key deleted
+            break
         path = data.draw(st.sampled_from(_json_paths(spec)))
         parent = spec
         for key in path[:-1]:
@@ -362,6 +364,28 @@ def _mutated(data, specs):
         else:
             parent[path[-1]] = data.draw(_JSON_VALUES)
     return spec
+
+
+_EDGE_LIST_TOKENS = st.one_of(st.integers(-2, 31).map(str), st.text("0123456789 -ab,.{\t", max_size=5))
+
+
+def _mutated_lines(data, lines):
+    """An edge list's lines, with one to three replaced, deleted, inserted or re-tokenized."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        op = data.draw(st.sampled_from(["replace", "delete", "insert", "token"]))
+        if op == "insert" or at == len(lines):
+            lines.insert(at, data.draw(_EDGE_LIST_TOKENS))
+        elif op == "delete":
+            del lines[at]
+        elif op == "replace":
+            lines[at] = data.draw(_EDGE_LIST_TOKENS)
+        else:
+            tokens = lines[at].split() or [""]
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_EDGE_LIST_TOKENS)
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
 
 
 def _assert_no_traceback(argv, spec):
@@ -548,6 +572,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_graph_file_exits_1(self, kind, tmp_path, capsys):
+        path = tmp_path / "graph"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe3\n1 2\n")
+        assert cli.run(["bounds", "--graph", str(path), "--t", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: cannot read") and captured.err.count("\n") == 1
+
     def test_integer_too_long_to_convert_exits_1(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text('{"model": "block_factor", "n": ' + "1" * 5000 + ', "k": 2}')
@@ -568,6 +603,24 @@ class TestExitCodes:
         path = tmp_path_factory.mktemp("fuzz") / "spec.json"
         path.write_text(json.dumps(spec))
         _assert_no_traceback([*_SIMULATE, str(path)], spec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_graph_files_never_end_in_a_traceback(self, data, tmp_path_factory):
+        n = data.draw(st.integers(1, 30))
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40))
+        edges = [[u, v] for u, v in pairs if u != v]
+        path = tmp_path_factory.mktemp("fuzz") / "graph"
+        if data.draw(st.booleans()):
+            text = json.dumps(_mutated(data, [{"n": n, "edges": edges}]))
+        else:
+            text = _mutated_lines(data, [str(n)] + [f"{u} {v}" for u, v in edges])
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["bounds", "--graph", str(path), "--t", "1", "--methods", "mcdiarmid"])
+        assert code in (0, 1), (text, err.getvalue())
+        assert err.getvalue().count("\n") == code, (text, err.getvalue())
 
 
 def _latent_spec(n, edges):

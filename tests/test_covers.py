@@ -404,6 +404,50 @@ class TestExactReconstruction:
         parts = [(Fraction(0), Fraction(3)), (Fraction(1), Fraction(4))]
         assert squared_objective_exact(parts) == 4
 
+    def test_large_prime_kernel_needs_no_factoring(self):
+        # 1/2 sqrt(p) + 1/2 sqrt(4p) = 3/2 sqrt(p), p prime
+        p = 99_999_999_999_973
+        parts = [(Fraction(1, 2), Fraction(p)), (Fraction(1, 2), Fraction(4 * p))]
+        assert squared_objective_exact(parts) == Fraction(9 * p, 4)
+
+    def test_matches_the_kernel_factoring_it_replaced(self):
+        rng = random.Random(11)
+        compared = 0
+        for _ in range(400):
+            kernels = rng.choice([[1], [2], [3], [6], [5, 5, 20], [2, 3], [1, 7]])
+            parts = []
+            for _ in range(rng.randint(1, 5)):
+                d = rng.choice(kernels)
+                r = d * Fraction(rng.randint(0, 40), rng.randint(1, 40)) ** 2
+                parts.append((Fraction(rng.randint(0, 9), rng.randint(1, 9)), r))
+            old = _squared_objective_by_factoring(parts)
+            new = squared_objective_exact(parts)
+            assert new == old
+            compared += old is not None
+        assert compared > 200
+
+
+def _squared_objective_by_factoring(parts):
+    """The reference: each radicand a/b is sqrt(s^2 d)/b with d square-free, by trial division."""
+    kernel, rational_sum = None, Fraction(0)
+    for w, r in parts:
+        if w == 0 or r == 0:
+            continue
+        m, s, d, f = r.numerator * r.denominator, 1, 1, 2
+        while f * f <= m:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            s *= f ** (e // 2)
+            d *= f ** (e % 2)
+            f += 1 if f == 2 else 2
+        if kernel is not None and kernel != d * m:
+            return None
+        kernel = d * m
+        rational_sum += w * Fraction(s, r.denominator)
+    return Fraction(0) if kernel is None else kernel * rational_sum * rational_sum
+
 
 class TestCoverJson:
     def test_round_trip(self, k3):

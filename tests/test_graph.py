@@ -59,6 +59,13 @@ class TestClassify:
         assert not cls.is_forest
         assert cls.components == (frozenset({1, 2, 3}), frozenset({4, 5}))
 
+    def test_large_edgeless_graph_takes_one_scan(self):
+        # a min() over the unvisited vertices per component would take ~n^2/2 steps
+        n = 100_000
+        cls = classify(build_graph(n, []))
+        assert cls.is_forest and cls.tree_count == n
+        assert cls.components[0] == frozenset({1}) and cls.components[-1] == frozenset({n})
+
 
 class TestRootedOrder:
     def test_path_uniform_coefficients(self):
@@ -107,6 +114,12 @@ class TestRootedOrder:
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(KindError):
             rooted_order(g, [1, 2, 3], [Fraction(1)] * 3)
+
+    def test_disconnected_subset_with_tree_edge_count_rejected(self):
+        # a triangle plus an isolated vertex: 3 edges on 4 vertices, but no tree
+        g = build_graph(4, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(KindError):
+            rooted_order(g, [1, 2, 3, 4], [Fraction(1)] * 4)
 
     def test_subset_tree_inside_larger_graph(self):
         # the ordered tree only sees the induced subgraph: the triangle on

@@ -2,7 +2,10 @@ import csv
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from graphtail import covers as coversmod
+from graphtail import montecarlo as mcmod
 from graphtail.bounds import (
     DECOMPOSABLE,
     FOREST,
@@ -185,11 +189,10 @@ class TestStreaming:
         pairwise, as a vector of n floats, not row by row.
         """
         rng = np.random.default_rng(n)
-        spec = block_factor_spec(n, 1, uniform(0, 1))
         for count in (2, 7, 4099):
             # magnitudes spread over 12 decades, so a change of order shows in the bits
             rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(n)]
-            streamed = _statistic_values(spec, iter(rows))
+            streamed = _statistic_values(iter(rows))
             stacked = np.stack(rows).sum(axis=0)
             assert streamed.tobytes() == stacked.tobytes()
 
@@ -213,6 +216,28 @@ class TestAnalyticMean:
         # the estimation-pass route still produces a sane estimate
         est = estimate_tail(spec, 0.25, seed=21, n_samples=20_000)
         assert 0 < est.p_hat < 1
+
+    def test_mean_pass_runs_on_the_callers_workers(self, monkeypatch):
+        g = build_graph(3, [(1, 2)])
+        clamp = {v: EmitRule(kind="sum", clamp=(F(0), F(1))) for v in g.vertices}
+        spec = latent_graph_spec(
+            g, [((1, 2), uniform(0, 1)), ((1,), uniform(0, 1)), ((3,), uniform(0, 2))], emit=clamp
+        )
+        assert analytic_mean(spec) is None
+        seen = []
+        counts = mcmod._threshold_counts
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("start", 0), kwargs.get("workers", 1)))
+            return counts(*args, **kwargs)
+
+        monkeypatch.setattr(mcmod, "_threshold_counts", spy)
+        t_grid = [0.0, 0.1, 0.4, 1.0]
+        rows = {w: estimate_tails(spec, t_grid, seed=3, n_samples=CHUNK + 5, workers=w)
+                for w in (1, 2, 3)}
+        assert rows[1] == rows[2] == rows[3]
+        # per run, the mean pass (at its disjoint start) and then the counting pass
+        assert seen == [(start, w) for w in (1, 2, 3) for start in (CHUNK + 8, 0)]
 
     def test_sample_mean_agrees_with_analytic(self):
         ex9 = build_graph(9, [(1, 2), (1, 3), (2, 3)])
@@ -241,6 +266,24 @@ class TestEstimateTail:
         assert math.isclose(binomial_upper_ci(0, 100), 1 - 0.01 ** (1 / 100))
         assert binomial_upper_ci(100, 100) == 1.0
         assert binomial_upper_ci(3, 50) > 3 / 50
+
+    def test_ci_is_the_beta_quantile(self):
+        from scipy.stats import beta
+
+        rng = random.Random(8)
+        for n in [1, 2, 7, 100, 20_000, 3_000_000]:
+            for hits in {0, min(1, n - 1), n // 2, n - 1, rng.randrange(n)}:
+                assert binomial_upper_ci(hits, n) == float(beta.ppf(0.99, hits + 1, n - hits))
+
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        import graphtail
+
+        src = os.path.dirname(os.path.dirname(graphtail.__file__))
+        code = "import sys, graphtail.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout == "False\n"
 
 
 class TestValidateBounds:
@@ -323,34 +366,6 @@ class TestEmpiricalStructure:
         slope = float(np.polyfit(t2, logp, 1)[0])
         target = -2.0 / float(spec.profile.norm_sq)
         assert abs(slope - target) <= 0.25 * abs(target)
-
-
-class TestTableStatistic:
-    def test_table_statistic_matches_exact_joint(self):
-        from graphtail.coupling import exact_mean, lipschitz_function
-        from graphtail.montecarlo import table_statistic
-
-        g = build_graph(2, [(1, 2)])
-        lat = [((1, 2), bernoulli(F(1, 2))), ((1,), bernoulli(F(1, 3))), ((2,), bernoulli(F(1, 4)))]
-        plain = latent_graph_spec(g, lat)
-        joint = exact_joint(plain)
-        # an arbitrary non-linear statistic over the emitted alphabets
-        table = {x: F(x[0] * x[0] + 3 * x[1]) for x in itertools.product(*joint.spaces)}
-        spec = latent_graph_spec(g, lat, statistic=table_statistic(joint.spaces, table))
-        f = lipschitz_function(joint.spaces, table)
-        truth = float(exact_mean(joint, f))
-        # no analytic route for tables: the estimation pass must kick in
-        assert analytic_mean(spec) is None
-        est = estimate_tail(spec, 1e-9, seed=17, n_samples=40_000)
-        # exact tail above the (margin-lowered) mean, from the pmf
-        assert 0 < est.p_hat < 1
-        values = sample(spec, seed=17, count=40_000)
-        # spot-check the vectorized table evaluation against the dict
-        from graphtail.montecarlo import _statistic_values
-
-        evaluated = _statistic_values(spec, values[:256].T)
-        for row, got in zip(values[:256], evaluated):
-            assert float(table[tuple(int(v) for v in row)]) == got
 
 
 class TestDecomposableEndToEnd:
