@@ -1,20 +1,48 @@
-"""Exact revised simplex for small set-covering LPs over rational data.
+"""Exact revised simplex for small set-covering LPs, in integer arithmetic.
 
 Solves  min c'w  s.t.  Aw >= 1, w >= 0  where A is the 0/1 vertex-part
-incidence matrix.  All basis arithmetic is done in Fractions, so the optimum
-and the basic weights are exact for the given costs.  Pricing is screened in
-floating point for speed, but every entering column is re-priced exactly and
-optimality is certified by a final exact sweep, so the float pass can only
-cost time, never correctness.
+incidence matrix.  Costs arrive as integers c~_j over one common denominator
+C, so c_j = c~_j / C, and every step of the solve works on Python integers;
+the optimum, the basic weights and the duals are exact for the given costs.
+Pricing is screened in floating point for speed, but every entering column is
+re-priced exactly and optimality is certified by a final exact sweep, so the
+float pass can only cost time, never correctness.
 
-The duals y = c_B B^-1 are built once per ``solve`` and then updated exactly
-at each pivot: with q entering at row r, y <- y + rc_q * (row r of the new
-B^-1), where rc_q is q's exact reduced cost.  That touches only the nonzeros
-of the pivot row and gives the same Fractions as a rebuild from scratch.
+Integer representation.  For the basis B (its columns are parts a_j and
+surplus columns -e_v) the solver keeps D = det B > 0 and the integer matrix
+M = D B^-1 = adj(B), so B^-1 = M / D.  The basic solution and the duals
+y = c_B B^-1 are kept scaled to integers as well:
 
-The final Bland sweep prices exactly only the columns whose float reduced
-cost is at most 1e-9 * (1 + max|c| + sum|y|).  Computing c_j - a_j . y in
-doubles from correctly rounded c and y errs by at most about
+    x~ = D x_B = M 1,        y~ = C D y = c~_B M.
+
+The start basis is the identity of singletons: D = 1, M = I, x~ = 1.  With q
+entering at row r, d~ = M a_q and pivot p = d~_r > 0, the new basis B' has
+det B' = det B * (p / D) = p, and
+
+    M'_r = M_r,    M'_i = (p M_i - d~_i M_r) / D    (i != r),
+    x~ the same way,    y~' = (p y~ + rc~_q M_r) / D,
+
+where rc~_q = C D rc_q is q's scaled exact reduced cost.  Every quotient is
+exact: the results are adj(B'), adj(B') 1 and c~_B' adj(B'), integers since
+B' is an integer matrix with determinant D' = p.  This is Sylvester's identity
+behind Bareiss' integer-preserving elimination (Math. Comp. 22, 1968), and it
+keeps the numbers as small as a determinant rather than a product of pivots.
+``//`` only rounds if that invariant breaks, so ``solve`` checks B x~ = D 1,
+x~ >= 0 and y~ B = D c~_B exactly before it returns.
+
+No test needs a division.  The ratio test compares x~_i / d~_i with
+x~_b / d~_b by comparing x~_i d~_b with x~_b d~_i (both d~ are positive), and
+column j's reduced cost c_j - y a_j has the sign of c~_j D - sum_{v in j} y~_v.
+
+The float view is the one a Fraction solve would see: costs c~_j / C and
+duals y~_v / (C D) are computed by int true division, which Python rounds
+correctly, as it does ``float(Fraction)``.  So the Dantzig candidates and the
+Bland-sweep margin, and therefore the pivot path, do not depend on the scaling.
+
+The duals are updated at each pivot rather than rebuilt, and the final Bland
+sweep prices exactly only the columns whose float reduced cost is at most
+1e-9 * (1 + max|c| + sum|y|).  Computing c_j - a_j . y in doubles from
+correctly rounded c and y errs by at most about
 (n + 2) * 2^-53 * (|c_j| + sum|y|), below that margin for any n under about
 10^7, so a column above it has a positive exact reduced cost and the full
 sweep would skip it too.  The rest are visited in ascending index, so
@@ -24,9 +52,11 @@ exact pass over every column.
 The column pool must contain every singleton {v}: those columns form the
 identity start basis, which makes the covering LP feasible without a phase 1.
 ``CoverLp`` keeps its basis across ``add_column`` calls, so column generation
-re-optimizes in a handful of pivots instead of from scratch.
+re-optimizes in a handful of pivots instead of from scratch.  Fractions are
+built only for the returned ``CoverLpResult``.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +64,11 @@ import numpy as np
 
 from .errors import VerificationError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
+_INCIDENCE_BLOCK = 4096
 
 
 def _dantzig_candidates(reduced_f: np.ndarray, k: int) -> np.ndarray:
@@ -56,6 +85,23 @@ def _dantzig_candidates(reduced_f: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(vals, kind="stable")][:k]
 
 
+def _incidence(n: int, columns: list[frozenset[int]]) -> np.ndarray:
+    """The 0/1 part-vertex matrix in float64, one row per column.
+
+    Filled a block of columns at a time, so the index arrays stay small next
+    to the matrix itself.
+    """
+    out = np.zeros((len(columns), n), dtype=np.float64)
+    for start in range(0, len(columns), _INCIDENCE_BLOCK):
+        block = columns[start : start + _INCIDENCE_BLOCK]
+        sizes = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        vertices = np.fromiter(
+            itertools.chain.from_iterable(block), dtype=np.intp, count=int(sizes.sum())
+        )
+        out[np.repeat(np.arange(start, start + len(block)), sizes), vertices - 1] = 1.0
+    return out
+
+
 @dataclass
 class CoverLpResult:
     objective: Fraction
@@ -65,14 +111,23 @@ class CoverLpResult:
 
 
 class CoverLp:
-    """Warm-startable exact covering LP.  Surplus column ids are -v (v a vertex)."""
+    """Warm-startable exact covering LP.  Surplus column ids are -v (v a vertex).
 
-    def __init__(self, n: int, columns: list[frozenset[int]], costs: list[Fraction]):
+    ``costs`` are integers over ``denominator``: column j costs
+    ``costs[j] / denominator``.
+    """
+
+    def __init__(
+        self, n: int, columns: list[frozenset[int]], costs: list[int], denominator: int = 1
+    ):
         if len(columns) != len(costs):
             raise ValueError("columns and costs length mismatch")
+        if denominator <= 0:
+            raise ValueError(f"cost denominator must be positive, got {denominator}")
         self.n = n
         self.columns = list(columns)
         self.costs = list(costs)
+        self.denominator = denominator
         singleton_col: dict[int, int] = {}
         for j, col in enumerate(self.columns):
             if len(col) == 1:
@@ -82,60 +137,47 @@ class CoverLp:
             missing = [v for v in range(1, n + 1) if v not in singleton_col]
             raise VerificationError(f"column pool lacks singleton parts for {missing}")
         self.basis = [singleton_col[v] for v in range(1, n + 1)]
-        self.b_inv: list[list[Fraction]] = [
-            [_ONE if i == j else _ZERO for j in range(n)] for i in range(n)
-        ]
-        self.x_b: list[Fraction] = [_ONE] * n
+        self.det = 1  # D = det B
+        self.adj = [[int(i == j) for j in range(n)] for i in range(n)]  # M = D B^-1
+        self.x = [1] * n  # D x_B
+        self.y = [self.costs[j] for j in self.basis]  # C D y
         self.iterations = 0
-        self._rebuild_float_view()
+        self._incidence = _incidence(n, self.columns)
+        self._costs_f = np.fromiter(
+            (c / denominator for c in self.costs), dtype=np.float64, count=len(self.costs)
+        )
+        self._max_cost = float(np.abs(self._costs_f).max()) if self.columns else 0.0
 
-    def _rebuild_float_view(self) -> None:
-        k = len(self.columns)
-        self._incidence = np.zeros((k, self.n), dtype=np.float64)
-        for j, col in enumerate(self.columns):
-            for v in col:
-                self._incidence[j, v - 1] = 1.0
-        self._costs_f = np.array([float(c) for c in self.costs], dtype=np.float64)
-        self._max_cost = float(np.abs(self._costs_f).max()) if k else 0.0
-
-    def add_column(self, column: frozenset[int], cost: Fraction) -> int:
-        """Append a column; the current basis stays feasible."""
+    def add_column(self, column: frozenset[int], cost: int) -> int:
+        """Append a column costing ``cost / denominator``; the basis stays feasible."""
         self.columns.append(column)
         self.costs.append(cost)
-        self._rebuild_float_view()
+        cost_f = cost / self.denominator
+        self._incidence = np.vstack((self._incidence, _incidence(self.n, [column])))
+        self._costs_f = np.append(self._costs_f, cost_f)
+        self._max_cost = max(self._max_cost, abs(cost_f))
         return len(self.columns) - 1
-
-    # column ids: j >= 0 are parts, -v are surplus for vertex v
-    def _col_cost(self, ident: int) -> Fraction:
-        return self.costs[ident] if ident >= 0 else _ZERO
 
     @staticmethod
     def _priority(ident: int) -> int:
         return ident if ident >= 0 else _SURPLUS_BASE - ident
 
-    def _duals(self) -> list[Fraction]:
-        y = [_ZERO] * self.n
-        for i in range(self.n):
-            ci = self._col_cost(self.basis[i])
-            if ci:
-                row = self.b_inv[i]
-                for j in range(self.n):
-                    if row[j]:
-                        y[j] += ci * row[j]
-        return y
-
-    def _exact_reduced(self, ident: int, y: list[Fraction]) -> Fraction:
+    # column ids: j >= 0 are parts, -v are surplus for vertex v
+    def _reduced(self, ident: int) -> int:
+        """C D times the exact reduced cost of a column."""
         if ident >= 0:
-            return self.costs[ident] - sum(y[v - 1] for v in self.columns[ident])
-        return y[-ident - 1]
+            return self.costs[ident] * self.det - sum(self.y[v - 1] for v in self.columns[ident])
+        return self.y[-ident - 1]
 
-    def _entering(self, y: list[Fraction]) -> tuple[int, Fraction] | None:
-        """The entering column and its exact reduced cost, or None at an optimum."""
-        y_f = np.array([float(v) for v in y], dtype=np.float64)
+    def _entering(self) -> tuple[int, int] | None:
+        """The entering column and its scaled reduced cost, or None at an optimum."""
+        y = self.y
+        scale = self.denominator * self.det
+        y_f = np.array([v / scale for v in y], dtype=np.float64)
         reduced_f = self._costs_f - self._incidence @ y_f
         if self.iterations <= _BLAND_AFTER:
             for j in _dantzig_candidates(reduced_f, max(8, self.n)).tolist():
-                rc = self._exact_reduced(j, y)
+                rc = self._reduced(j)
                 if rc < 0:
                     return j, rc
             for v in range(self.n):
@@ -148,7 +190,7 @@ class CoverLp:
         in_basis = set(self.basis)
         for j in np.flatnonzero(reduced_f <= margin).tolist():
             if j not in in_basis:
-                rc = self._exact_reduced(j, y)
+                rc = self._reduced(j)
                 if rc < 0:
                     return j, rc
         for v in range(self.n):
@@ -156,61 +198,77 @@ class CoverLp:
                 return -(v + 1), y[v]
         return None
 
+    def _pivot(self, entering: int, rc: int) -> None:
+        """Bring in column ``entering``, of scaled reduced cost ``rc``, by the ratio test."""
+        adj, x, basis, det = self.adj, self.x, self.basis, self.det
+        if entering >= 0:
+            members = [v - 1 for v in self.columns[entering]]
+            d = [sum(row[v] for v in members) for row in adj]
+        else:
+            d = [-row[-entering - 1] for row in adj]
+        leave = -1
+        for i, di in enumerate(d):
+            if di > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, rhs = x[i] * d[leave], x[leave] * di
+                if lhs < rhs or (
+                    lhs == rhs and self._priority(basis[i]) < self._priority(basis[leave])
+                ):
+                    leave = i
+        if leave < 0:
+            raise VerificationError("covering LP reported unbounded; data is inconsistent")
+        p, prow, xr = d[leave], adj[leave], x[leave]
+        for i, di in enumerate(d):
+            if i == leave:
+                continue
+            if di:
+                adj[i] = [(p * a - di * b) // det for a, b in zip(adj[i], prow)]
+                x[i] = (p * x[i] - di * xr) // det
+            elif p != det:
+                adj[i] = [p * a // det for a in adj[i]]
+                x[i] = p * x[i] // det
+        self.y = [(p * yv + rc * b) // det for yv, b in zip(self.y, prow)]
+        self.det = p
+        basis[leave] = entering
+
+    def _check_basis(self) -> None:
+        """B x~ = D 1 with x~ >= 0, and y~ B = D c~_B, exactly."""
+        det, x, y = self.det, self.x, self.y
+        coverage = [0] * self.n
+        ok = det > 0 and all(xi >= 0 for xi in x)
+        for i, ident in enumerate(self.basis):
+            if ident >= 0:
+                col = self.columns[ident]
+                for v in col:
+                    coverage[v - 1] += x[i]
+                ok = ok and sum(y[v - 1] for v in col) == self.costs[ident] * det
+            else:
+                coverage[-ident - 1] -= x[i]
+                ok = ok and y[-ident - 1] == 0
+        if not ok or any(c != det for c in coverage):
+            raise VerificationError("exact basis check failed: B x = 1 or y B = c_B does not hold")
+
     def solve(self) -> CoverLpResult:
-        n = self.n
-        y = self._duals()
         while True:
             self.iterations += 1
-            found = self._entering(y)
+            found = self._entering()
             if found is None:
                 break
-            entering, rc = found
-            if entering >= 0:
-                d = [sum(row[v - 1] for v in self.columns[entering]) for row in self.b_inv]
-            else:
-                d = [-row[-entering - 1] for row in self.b_inv]
-            leave = -1
-            best: Fraction | None = None
-            for i in range(n):
-                if d[i] > 0:
-                    ratio = self.x_b[i] / d[i]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (
-                            ratio == best
-                            and self._priority(self.basis[i]) < self._priority(self.basis[leave])
-                        )
-                    ):
-                        best, leave = ratio, i
-            if leave < 0:
-                raise VerificationError("covering LP reported unbounded; data is inconsistent")
-            theta = best
-            piv = d[leave]
-            prow = [val / piv for val in self.b_inv[leave]]
-            self.b_inv[leave] = prow
-            nonzero = [j for j in range(n) if prow[j]]
-            for i in range(n):
-                if i != leave and d[i]:
-                    di = d[i]
-                    row = self.b_inv[i]
-                    for j in nonzero:
-                        row[j] -= di * prow[j]
-                    self.x_b[i] -= di * theta
-            self.x_b[leave] = theta
-            self.basis[leave] = entering
-            for j in nonzero:  # y <- y + rc * (row `leave` of the new inverse)
-                y[j] += rc * prow[j]
-
+            self._pivot(*found)
+        self._check_basis()
+        det, scale = self.det, self.denominator * self.det
         weights: dict[int, Fraction] = {}
-        for i in range(n):
-            if self.basis[i] >= 0 and self.x_b[i] > 0:
-                weights[self.basis[i]] = weights.get(self.basis[i], _ZERO) + self.x_b[i]
-        objective = sum((self.costs[j] * w for j, w in weights.items()), _ZERO)
+        total = 0
+        for j, xj in zip(self.basis, self.x):
+            if j >= 0 and xj > 0:
+                weights[j] = Fraction(xj, det)
+                total += self.costs[j] * xj
         return CoverLpResult(
-            objective=objective,
+            objective=Fraction(total, scale),
             weights=weights,
-            duals=tuple(y),
+            duals=tuple(Fraction(v, scale) for v in self.y),
             iterations=self.iterations,
         )
 
@@ -218,6 +276,7 @@ class CoverLp:
 def solve_min_cover_lp(
     n: int,
     columns: list[frozenset[int]],
-    costs: list[Fraction],
+    costs: list[int],
+    denominator: int = 1,
 ) -> CoverLpResult:
-    return CoverLp(n, columns, costs).solve()
+    return CoverLp(n, columns, costs, denominator).solve()

@@ -289,7 +289,10 @@ def load_joint_spec(path: str):
 
 def _emit_output(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

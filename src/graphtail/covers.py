@@ -28,7 +28,9 @@ column-generation pool.
 Part costs are square roots of rationals.  Roots of perfect squares are kept
 exact; other roots enter the LP as 128-bit rational approximations, which is
 far below the separation of distinct cover values at this scale, so basis
-selection is unaffected.  Basic weights always come out exact, and the
+selection is unaffected.  Both reach the LP as integers over the one
+denominator L**2 * 2**128, computed from the integer radicands without a
+Fraction per column.  Basic weights always come out exact, and the
 squared objective is reconstructed exactly whenever the support radicands
 share a square-free kernel (covering every rational-valued case).
 """
@@ -37,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import Callable, Iterable, Sequence
 
 from . import graph as graphmod
@@ -267,6 +269,12 @@ def _check_enumeration_scale(g: Graph) -> None:
 # ---------------------------------------------------------------------------
 # Part costs
 
+def _profile_scale(profile: LipschitzProfile) -> tuple[int, list[int]]:
+    """The profile's common denominator L and the integers a_v = L * c_v."""
+    denom = lcm(*(c.denominator for c in profile))
+    return denom, [c.numerator * (denom // c.denominator) for c in profile]
+
+
 def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: LipschitzProfile) -> Fraction:
     """Exact value under the square root of the forest-part cost."""
     if not graphmod.is_acyclic_subset(g, part):
@@ -286,16 +294,21 @@ def forest_part_cost(g: Graph, part: Iterable[int], profile: LipschitzProfile) -
     return sqrt(part_cost_radicand(g, frozenset(part), profile))
 
 
-def _sqrt_fraction(x: Fraction, bits: int = SQRT_BITS) -> Fraction:
-    """Exact square root when x is a perfect square, else a 2^-bits approximation."""
-    if x < 0:
-        raise InputError(f"square root of negative value {x}")
-    exact = _rational_sqrt(x)
-    if exact is not None:
-        return exact
-    num, den = x.numerator, x.denominator
-    r = isqrt((num * den) << (2 * bits))
-    return Fraction(r, den << bits)
+def _sqrt_numerator(radicand: int, scale: int, bits: int) -> int:
+    """scale * 2**bits times the root of radicand / scale, as an integer.
+
+    With radicand / scale = num / den in lowest terms, the root taken is
+    isqrt(num * den * 4**bits) / (den * 2**bits): exact when num / den is a
+    rational square, else less than 2^-bits / den below the true root.
+    Scaled by scale * 2**bits it is isqrt(num * den << 2 bits) * (scale / den),
+    an integer since den divides scale; so costs computed with one scale and
+    bits lie over the one denominator ``scale << bits``.
+    """
+    if radicand < 0:
+        raise InputError(f"square root of negative value {radicand}/{scale}")
+    unit = gcd(radicand, scale)
+    num, den = radicand // unit, scale // unit
+    return isqrt((num * den) << (2 * bits)) * unit
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -402,7 +415,7 @@ def _solve_unit_cover(g: Graph, kind: CoverKind, cap: int) -> CoverSolution:
         columns = enumerate_independent_sets(g, cap=cap)
     else:
         columns = enumerate_induced_forests(g, cap=cap)
-    res = solve_min_cover_lp(g.n, columns, [_ONE] * len(columns))
+    res = solve_min_cover_lp(g.n, columns, [1] * len(columns))
     cover = _trim_to_exact_cover(g, kind, columns, res.weights)
     objective = cover.total_weight
     if objective != res.objective:
@@ -561,13 +574,20 @@ def _column_generation_d(
     # which is recomputed exactly from the returned cover.  The basis is kept
     # warm across rounds, so each new column costs a handful of pivots.
     bits = 48
+    square_scale = _profile_scale(profile)[0] ** 2
+
+    def cost(part: frozenset[int]) -> int:  # over square_scale << bits
+        radicand = part_cost_radicand(g, part, profile)
+        unit, rest = divmod(square_scale, radicand.denominator)
+        if rest:
+            raise VerificationError(f"radicand {radicand} is not over the profile's scale")
+        return _sqrt_numerator(radicand.numerator * unit, square_scale, bits)
+
     pool: list[frozenset[int]] = [frozenset({v}) for v in g.vertices]
     for cls in greedy_forest_partition(g):
         if cls not in pool:
             pool.append(cls)
-    master = CoverLp(
-        g.n, pool, [_sqrt_fraction(part_cost_radicand(g, p, profile), bits) for p in pool]
-    )
+    master = CoverLp(g.n, pool, [cost(p) for p in pool], square_scale << bits)
     res = master.solve()
     cost_cache: dict[frozenset[int], float] = {}
     for _ in range(max_rounds):
@@ -575,7 +595,7 @@ def _column_generation_d(
         if new_col is None or new_col in pool:
             break
         pool.append(new_col)
-        master.add_column(new_col, _sqrt_fraction(part_cost_radicand(g, new_col, profile), bits))
+        master.add_column(new_col, cost(new_col))
         res = master.solve()
     cover = _trim_to_exact_cover(g, CoverKind.FOREST, pool, res.weights)
     return _package_d_solution(
@@ -616,12 +636,11 @@ def _optimize_decomposable(
     enumerate; it is called once, after the decomposable LP or heuristic.
     """
     if strategy is Strategy.ENUMERATED_LP:
-        denom = lcm(*(c.denominator for c in profile))
-        scaled = [c.numerator * (denom // c.denominator) for c in profile]
-        columns, costs = _walk_induced_forests(g, scaled, cap)
-        for j, radicand in enumerate(costs):  # radicands become costs in place
-            costs[j] = _sqrt_fraction(Fraction(radicand, denom * denom))
-        res = solve_min_cover_lp(g.n, columns, costs)
+        denom, scaled = _profile_scale(profile)
+        columns, radicands = _walk_induced_forests(g, scaled, cap)
+        square_scale = denom * denom
+        costs = [_sqrt_numerator(r, square_scale, SQRT_BITS) for r in radicands]
+        res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS)
         cover = _trim_to_exact_cover(g, CoverKind.FOREST, columns, res.weights)
         solution = _package_d_solution(
             g, cover, profile, Strategy.ENUMERATED_LP, Optimality.EXACT

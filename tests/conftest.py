@@ -6,6 +6,7 @@ golden values asserted in the tests were computed through these paths.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -103,6 +104,24 @@ def lp_cover_oracle(n: int, columns: list[frozenset[int]], costs: list[float]) -
     res = linprog(costs, A_ub=a_ub, b_ub=-np.ones(n), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def sqrt_fraction(x: Fraction, bits: int = 128) -> Fraction:
+    """Exact square root when x is a rational square, else rounded down to 2^-bits / den.
+
+    The Fraction form in which part costs were once handed to the LP; the
+    integer costs ``covers`` builds must equal it exactly.
+    """
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return Fraction(math.isqrt((x.numerator * x.denominator) << (2 * bits)), x.denominator << bits)
+
+
+def over_common_denominator(costs: list[Fraction]) -> tuple[list[int], int]:
+    """Rational costs as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in costs))
+    return [c.numerator * (den // c.denominator) for c in costs], den
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: cannot read") and captured.err.count("\n") == 1
 
+    def test_unwritable_out_path_exits_1(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.run(["bounds", "--graph", str(graph), "--t", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot write") and captured.err.count("\n") == 1
+
     def test_integer_too_long_to_convert_exits_1(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text('{"model": "block_factor", "n": ' + "1" * 5000 + ', "k": 2}')

@@ -13,6 +13,7 @@ from conftest import (
     cycle_graph,
     lp_cover_oracle,
     random_profile,
+    sqrt_fraction,
 )
 from graphtail import covers
 from graphtail.covers import (
@@ -36,7 +37,7 @@ from graphtail.covers import (
     uniform_profile,
     validate_cover,
 )
-from graphtail.errors import InputError, KindError, ScaleError
+from graphtail.errors import InputError, KindError, ScaleError, VerificationError
 from graphtail.graph import build_graph
 
 
@@ -255,6 +256,29 @@ class TestForestPartCost:
     def test_cyclic_part_rejected(self, k3):
         with pytest.raises(KindError):
             forest_part_cost(k3, {1, 2, 3}, uniform_profile(3))
+
+
+class TestIntegerLpCosts:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        root=st.fractions(min_value=0, max_value=50, max_denominator=40),
+        radicand=st.fractions(min_value=0, max_value=2000, max_denominator=40),
+        extra=st.integers(1, 12),
+        bits=st.sampled_from((0, 1, 48, 128)),
+    )
+    def test_numerator_equals_the_rounded_fraction_root(self, root, radicand, extra, bits):
+        """Scaled by scale * 2**bits, the integer cost is exactly the Fraction root."""
+        for x in (root * root, radicand):  # rational squares take the exact branch
+            scale = x.denominator * extra
+            numerator = covers._sqrt_numerator(x.numerator * extra, scale, bits)
+            assert numerator == sqrt_fraction(x, bits) * (scale << bits)
+
+    def test_master_rejects_a_radicand_off_the_profile_scale(self, path3, monkeypatch):
+        monkeypatch.setattr(covers, "part_cost_radicand", lambda g, part, profile: Fraction(1, 3))
+        with pytest.raises(VerificationError, match="not over the profile's scale"):
+            optimize_decomposable_denominator(
+                path3, uniform_profile(3), strategy=Strategy.COLUMN_GENERATION
+            )
 
 
 class TestOptimizeDecomposable:

@@ -1,19 +1,17 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphtail._simplex as simplexmod
-from conftest import lp_cover_oracle
+from conftest import lp_cover_oracle, over_common_denominator, sqrt_fraction
 from graphtail._simplex import CoverLp, CoverLpResult, solve_min_cover_lp
-from graphtail.covers import (
-    _sqrt_fraction,
-    enumerate_induced_forests,
-    lipschitz_profile,
-    part_cost_radicand,
-)
+from graphtail.covers import enumerate_induced_forests, lipschitz_profile, part_cost_radicand
 from graphtail.errors import VerificationError
 from graphtail.graph import build_graph
 
@@ -40,7 +38,7 @@ class TestExactness:
         rng = random.Random(271828)
         for _ in range(60):
             n, columns, costs = random_instance(rng)
-            res = solve_min_cover_lp(n, columns, costs)
+            res = solve_min_cover_lp(n, columns, *over_common_denominator(costs))
             coverage = {v: F(0) for v in range(1, n + 1)}
             for j, w in res.weights.items():
                 assert w > 0
@@ -56,19 +54,19 @@ class TestExactness:
         rng = random.Random(314159)
         for _ in range(25):
             n, columns, costs = random_instance(rng)
-            res = solve_min_cover_lp(n, columns, costs)
+            res = solve_min_cover_lp(n, columns, *over_common_denominator(costs))
             oracle = lp_cover_oracle(n, columns, [float(c) for c in costs])
             assert math.isclose(float(res.objective), oracle, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_zero_cost_columns(self):
         res = solve_min_cover_lp(
-            2, [frozenset({1}), frozenset({2}), frozenset({1, 2})], [F(1), F(1), F(0)]
+            2, [frozenset({1}), frozenset({2}), frozenset({1, 2})], [1, 1, 0]
         )
         assert res.objective == 0
 
     def test_missing_singletons_rejected(self):
         with pytest.raises(VerificationError, match="singleton"):
-            solve_min_cover_lp(2, [frozenset({1})], [F(1)])
+            solve_min_cover_lp(2, [frozenset({1})], [1])
 
 
 class TestWarmStart:
@@ -77,37 +75,80 @@ class TestWarmStart:
         for _ in range(15):
             n, columns, costs = random_instance(rng, extra=rng.randint(5, 15))
             base = n  # singleton prefix
-            lp = CoverLp(n, columns[:base], costs[:base])
+            nums, den = over_common_denominator(costs)
+            lp = CoverLp(n, columns[:base], nums[:base], den)
             lp.solve()
             for j in range(base, len(columns)):
-                lp.add_column(columns[j], costs[j])
+                lp.add_column(columns[j], nums[j])
             warm = lp.solve()
-            cold = solve_min_cover_lp(n, columns, costs)
+            cold = solve_min_cover_lp(n, columns, nums, den)
             assert warm.objective == cold.objective
             # the warm path must spend far fewer pivots than re-solving cold
             assert warm.iterations <= cold.iterations + len(columns)
 
     def test_adding_a_useless_column_is_free(self):
-        n, columns, costs = 3, [frozenset({1}), frozenset({2}), frozenset({3})], [F(1)] * 3
+        n, columns, costs = 3, [frozenset({1}), frozenset({2}), frozenset({3})], [1] * 3
         lp = CoverLp(n, columns, costs)
         first = lp.solve()
-        lp.add_column(frozenset({1, 2}), F(5))  # dominated: never enters
+        lp.add_column(frozenset({1, 2}), 5)  # dominated: never enters
         second = lp.solve()
         assert second.objective == first.objective == 3
 
 
-class ReferenceLp(CoverLp):
-    """The plain exact solve loop, as the reference for ``CoverLp``'s pivot path.
+class ReferenceLp:
+    """The plain exact Fraction solve loop, as the reference for ``CoverLp``'s pivot path.
 
-    Duals are rebuilt from scratch each iteration, Dantzig candidates come from
-    a full stable argsort, and the Bland sweep prices every column exactly.
-    Only ``_entering`` and ``solve`` differ from ``CoverLp``.
+    A standalone copy of the Fraction simplex that ``CoverLp`` replaced: B^-1,
+    x_B and the costs are Fractions, duals are rebuilt from scratch each
+    iteration, Dantzig candidates come from a full stable argsort, and the
+    Bland sweep prices every column exactly.  It shares only the pricing
+    constants with ``CoverLp``.
     """
+
+    SURPLUS_BASE = 10**9
+
+    def __init__(self, n, columns, costs):
+        self.n = n
+        self.columns = list(columns)
+        self.costs = list(costs)
+        singleton_col = {}
+        for j, col in enumerate(self.columns):
+            if len(col) == 1:
+                singleton_col.setdefault(next(iter(col)), j)
+        self.basis = [singleton_col[v] for v in range(1, n + 1)]
+        self.b_inv = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        self.x_b = [F(1)] * n
+        self.iterations = 0
+
+    def add_column(self, column, cost):
+        self.columns.append(column)
+        self.costs.append(cost)
+        return len(self.columns) - 1
+
+    def _priority(self, ident):
+        return ident if ident >= 0 else self.SURPLUS_BASE - ident
+
+    def _duals(self):
+        y = [F(0)] * self.n
+        for i, ident in enumerate(self.basis):
+            ci = self.costs[ident] if ident >= 0 else F(0)
+            for j in range(self.n):
+                y[j] += ci * self.b_inv[i][j]
+        return y
+
+    def _exact_reduced(self, ident, y):
+        if ident >= 0:
+            return self.costs[ident] - sum(y[v - 1] for v in self.columns[ident])
+        return y[-ident - 1]
 
     def _entering(self, y):
         if self.iterations <= simplexmod._BLAND_AFTER:
+            incidence = np.zeros((len(self.columns), self.n))
+            for j, col in enumerate(self.columns):
+                for v in col:
+                    incidence[j, v - 1] = 1.0
             y_f = np.array([float(v) for v in y], dtype=np.float64)
-            reduced_f = self._costs_f - self._incidence @ y_f
+            reduced_f = np.array([float(c) for c in self.costs]) - incidence @ y_f
             order = np.argsort(reduced_f, kind="stable")
             for j in order[: max(8, self.n)]:
                 if reduced_f[j] >= -simplexmod._SCREEN_TOL:
@@ -174,14 +215,31 @@ class ReferenceLp(CoverLp):
         return CoverLpResult(objective, weights, tuple(self._duals()), self.iterations)
 
 
-def basis_duals(lp):
-    """y with y B = c_B for the final basis, by exact Gauss-Jordan on B^T."""
-    n = lp.n
-    rows = []
-    for ident in lp.basis:  # row i of B^T is basic column i
+def scaled_lp(n, columns, costs):
+    """``CoverLp`` on rational costs, put over their least common denominator."""
+    return CoverLp(n, columns, *over_common_denominator(costs))
+
+
+def basis_matrix(n, basis, columns):
+    """B as Fractions: column i is basic column i, a part or a surplus column -e_v."""
+    b = [[F(0)] * n for _ in range(n)]
+    for i, ident in enumerate(basis):
         if ident >= 0:
-            row = [F(1) if v in lp.columns[ident] else F(0) for v in range(1, n + 1)]
-            rows.append(row + [lp.costs[ident]])
+            for v in columns[ident]:
+                b[v - 1][i] = F(1)
+        else:
+            b[-ident - 1][i] = F(-1)
+    return b
+
+
+def basis_duals(basis, columns, costs):
+    """y with y B = c_B for the final basis, by exact Gauss-Jordan on B^T."""
+    n = len(basis)
+    rows = []
+    for ident in basis:  # row i of B^T is basic column i
+        if ident >= 0:
+            row = [F(1) if v in columns[ident] else F(0) for v in range(1, n + 1)]
+            rows.append(row + [costs[ident]])
         else:
             rows.append([F(-1) if v == -ident else F(0) for v in range(1, n + 1)] + [F(0)])
     for c in range(n):
@@ -194,13 +252,31 @@ def basis_duals(lp):
     return tuple(rows[v][n] for v in range(n))
 
 
+def det_and_inverse(b):
+    """(det B, B^-1) by exact Gauss-Jordan with row swaps."""
+    n = len(b)
+    rows = [row[:] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(b)]
+    det = F(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [a - rows[r][c] * e for a, e in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]
+
+
 def forest_pool(rng, n):
     """The induced forests of a random graph with 128-bit sqrt part costs."""
     g = build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                         if rng.random() < 0.35])
     profile = lipschitz_profile([F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n)])
     columns = enumerate_induced_forests(g)
-    return columns, [_sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
+    return columns, [sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
 
 
 def near_tie_pool(rng, n):
@@ -210,8 +286,8 @@ def near_tie_pool(rng, n):
     the exact sweep can decide whether they enter.
     """
     n, columns, costs = random_instance(rng, n=n, extra=rng.randint(10, 30))
-    costs = [_sqrt_fraction(F(c)) for c in costs]
-    duals = solve_min_cover_lp(n, columns, costs).duals
+    costs = [sqrt_fraction(F(c)) for c in costs]
+    duals = ReferenceLp(n, columns, costs).solve().duals
     for _ in range(6):
         part = frozenset(rng.sample(range(1, n + 1), rng.randint(2, n)))
         price = sum(duals[v - 1] for v in part)
@@ -239,6 +315,22 @@ def oracle_pools():
 POOLS = list(oracle_pools())
 
 
+@st.composite
+def near_tie_pools(draw):
+    """A random pool plus columns priced 2^-120 off, or exactly at, its optimal duals."""
+    n = draw(st.integers(2, 7))
+    parts = st.frozensets(st.integers(1, n), min_size=2)
+    columns = [frozenset({v}) for v in range(1, n + 1)] + draw(st.lists(parts, max_size=20))
+    costs = [F(draw(st.integers(1, 20)), draw(st.integers(1, 6))) for _ in columns]
+    duals = ReferenceLp(n, columns, costs).solve().duals
+    for part in draw(st.lists(parts, min_size=1, max_size=6)):
+        price = sum(duals[v - 1] for v in part)
+        if price > 0:  # a negative cost would make the LP unbounded
+            columns.append(part)
+            costs.append(price + draw(st.sampled_from((-1, 0, 1))) * F(1, 2**120))
+    return n, columns, costs
+
+
 class TestDantzigCandidates:
     def test_first_k_of_stable_argsort(self):
         rng = np.random.default_rng(5)
@@ -254,6 +346,32 @@ class TestDantzigCandidates:
             assert simplexmod._dantzig_candidates(reduced, k).tolist() == expected
 
 
+class TestFloatView:
+    def test_incidence_matches_the_loop_across_blocks(self):
+        rng = random.Random(11)
+        n = 10
+        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                   for _ in range(2 * simplexmod._INCIDENCE_BLOCK + 5)]
+        expected = np.zeros((len(columns), n))
+        for j, col in enumerate(columns):
+            for v in col:
+                expected[j, v - 1] = 1.0
+        assert np.array_equal(simplexmod._incidence(n, columns), expected)
+
+    def test_add_column_appends_what_a_fresh_build_has(self):
+        rng = random.Random(12)
+        n, columns, costs = random_instance(rng, n=6, extra=20)
+        nums, den = over_common_denominator(costs)
+        grown = CoverLp(n, columns[:n], nums[:n], den)
+        for col, num in zip(columns[n:], nums[n:]):
+            grown.add_column(col, num)
+        fresh = CoverLp(n, columns, nums, den)
+        assert np.array_equal(grown._incidence, fresh._incidence)
+        assert np.array_equal(grown._costs_f, fresh._costs_f)
+        assert grown._costs_f.tolist() == [float(c) for c in costs]
+        assert grown._max_cost == fresh._max_cost
+
+
 class TestPivotPathOracle:
     """Same pivots, basis, weights and duals as the from-scratch reference loop."""
 
@@ -264,38 +382,96 @@ class TestPivotPathOracle:
         assert res.objective == expected.objective
         assert res.iterations == expected.iterations
         assert lp.basis == ref.basis
-        assert res.duals == basis_duals(lp)
+        assert res.duals == basis_duals(lp.basis, ref.columns, ref.costs)
 
     @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
     @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
     def test_cold_solve(self, name, n, columns, costs, bland_after, monkeypatch):
         monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
-        lp, ref = CoverLp(n, columns, costs), ReferenceLp(n, columns, costs)
+        lp, ref = scaled_lp(n, columns, costs), ReferenceLp(n, columns, costs)
         self.assert_same(lp, ref, lp.solve(), ref.solve())
 
-    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
-    def test_warm_starts_after_add_column(self, name, n, columns, costs):
+    @staticmethod
+    def check_warm_starts(name, n, columns, costs):
         rng = random.Random(name)
+        nums, den = over_common_denominator(costs)
         order = [j for j, col in enumerate(columns) if len(col) > 1]
         rng.shuffle(order)
         start = [j for j, col in enumerate(columns) if len(col) == 1] + order[: len(order) // 3]
-        lp = CoverLp(n, [columns[j] for j in start], [costs[j] for j in start])
+        lp = CoverLp(n, [columns[j] for j in start], [nums[j] for j in start], den)
         ref = ReferenceLp(n, [columns[j] for j in start], [costs[j] for j in start])
-        self.assert_same(lp, ref, lp.solve(), ref.solve())
+        TestPivotPathOracle.assert_same(lp, ref, lp.solve(), ref.solve())
         rest = order[len(order) // 3 :]
         for batch in (rest[: len(rest) // 2], rest[len(rest) // 2 :]):
             for j in batch:
-                assert lp.add_column(columns[j], costs[j]) == ref.add_column(columns[j], costs[j])
-            self.assert_same(lp, ref, lp.solve(), ref.solve())
+                assert lp.add_column(columns[j], nums[j]) == ref.add_column(columns[j], costs[j])
+            TestPivotPathOracle.assert_same(lp, ref, lp.solve(), ref.solve())
+
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_warm_starts_after_add_column(self, name, n, columns, costs):
+        self.check_warm_starts(name, n, columns, costs)
 
     def test_near_ties_are_decided_exactly(self):
         """A column 2^-120 below its dual price must still enter."""
-        n, columns, costs = 3, [frozenset({v}) for v in (1, 2, 3)], [F(1)] * 3
-        lp = CoverLp(n, columns, costs)
+        n, columns, scale = 3, [frozenset({v}) for v in (1, 2, 3)], 2**120
+        lp = CoverLp(n, columns, [scale] * 3, scale)
         assert lp.solve().objective == 3
-        lp.add_column(frozenset({1, 2, 3}), F(3) + F(1, 2**120))
+        lp.add_column(frozenset({1, 2, 3}), 3 * scale + 1)
         assert lp.solve().objective == 3
-        lp.add_column(frozenset({1, 2}), F(2) - F(1, 2**120))
+        lp.add_column(frozenset({1, 2}), 2 * scale - 1)
         res = lp.solve()
         assert res.objective == 3 - F(1, 2**120)
         assert res.weights == {4: F(1), 2: F(1)}
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pool=near_tie_pools(), bland=st.booleans())
+    def test_random_near_tie_pools(self, pool, bland):
+        """Random pools with columns 2^-120 off their dual price, cold and warm."""
+        n, columns, costs = pool
+        with mock.patch.object(simplexmod, "_BLAND_AFTER", 0 if bland else simplexmod._BLAND_AFTER):
+            lp, ref = scaled_lp(n, columns, costs), ReferenceLp(n, columns, costs)
+            self.assert_same(lp, ref, lp.solve(), ref.solve())
+            self.check_warm_starts(repr(pool), n, columns, costs)
+
+
+class InvariantCheckedLp(CoverLp):
+    """``CoverLp`` that checks its integer state against B before each pricing.
+
+    Pricing runs once per iteration, so this sees the start basis and the
+    state after every pivot.
+    """
+
+    checked = 0
+
+    def _entering(self):
+        b = basis_matrix(self.n, self.basis, self.columns)
+        det, inverse = det_and_inverse(b)
+        assert self.det == det
+        assert self.adj == [[det * v for v in row] for row in inverse]
+        assert self.x == [sum(row) for row in self.adj]
+        c_b = [self.costs[j] if j >= 0 else 0 for j in self.basis]
+        assert self.y == [sum(c * row[v] for c, row in zip(c_b, self.adj)) for v in range(self.n)]
+        InvariantCheckedLp.checked += 1
+        return super()._entering()
+
+
+class TestBareissInvariant:
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_adjugate_and_determinant_after_each_pivot(self, name, n, columns, costs):
+        """D = det B and M = D B^-1 hold exactly at every basis the solve visits."""
+        InvariantCheckedLp.checked = 0
+        lp = InvariantCheckedLp(n, columns, *over_common_denominator(costs))
+        res = lp.solve()
+        assert InvariantCheckedLp.checked == res.iterations
+        assert res == ReferenceLp(n, columns, costs).solve()
+
+    @pytest.mark.parametrize("field, value", [("x", 2), ("y", 0), ("det", 2)])
+    def test_a_broken_invariant_raises(self, field, value):
+        """The exact basis check catches a state off B x = 1, y B = c_B or D = det B."""
+        lp = CoverLp(2, [frozenset({1}), frozenset({2})], [1, 1])
+        if field == "det":
+            lp.det = value
+        else:
+            getattr(lp, field)[0] = value
+        with pytest.raises(VerificationError, match="exact basis check"):
+            lp.solve()
