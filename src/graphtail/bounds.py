@@ -284,8 +284,16 @@ def bound_methods(names) -> tuple[BoundMethod, ...]:
     return tuple(METHODS[name] for name in names)
 
 
+def float_denominator(den) -> float:
+    """A denominator as the float its tail bound is computed from; InputError if none holds it."""
+    try:
+        return float(den)
+    except OverflowError:
+        raise InputError("the bound's denominator is too large for a float") from None
+
+
 def _report(method: BoundMethod, t: float, m: int | None, den, witness) -> BoundReport:
-    den_f = float(den)
+    den_f = float_denominator(den)
     degenerate = den_f <= 0
     return BoundReport(
         method=method.name,

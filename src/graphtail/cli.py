@@ -115,7 +115,7 @@ def _dist_from_json(data) -> mcmod.Dist:
 
 
 def _json_symbol(v):
-    return int(v) if isinstance(v, (int, float)) and float(v).is_integer() else v
+    return int(v) if isinstance(v, int) or (isinstance(v, float) and v.is_integer()) else v
 
 
 def load_sampler_spec(path: str) -> mcmod.SamplerSpec:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
+from sys import float_info
 from typing import Callable, Iterable, Sequence
 
 from . import graph as graphmod
@@ -623,6 +624,18 @@ def optimize_decomposable_denominator(
     )
 
 
+def _check_float_costs(g: Graph, profile: LipschitzProfile) -> None:
+    """InputError unless floats hold every part cost and cover objective the search can meet.
+
+    No part's radicand exceeds R = sum over edges of (c_u + c_v)^2 plus sum of
+    c_v^2, and a cover's weights sum to at most n, so its squared cost is at
+    most n^2 R.
+    """
+    edges = sum(((profile.coefficient(u) + profile.coefficient(v)) ** 2 for u, v in g.edges), _ZERO)
+    if g.n * g.n * (edges + profile.norm_sq) > float_info.max:
+        raise InputError("the profile is too large for float part costs; rescale it")
+
+
 def _optimize_decomposable(
     g: Graph,
     profile: LipschitzProfile,
@@ -635,6 +648,7 @@ def _optimize_decomposable(
     ``chi`` raises ScaleError when the independent sets are too many to
     enumerate; it is called once, after the decomposable LP or heuristic.
     """
+    _check_float_costs(g, profile)
     if strategy is Strategy.ENUMERATED_LP:
         denom, scaled = _profile_scale(profile)
         columns, radicands = _walk_induced_forests(g, scaled, cap)

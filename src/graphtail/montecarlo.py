@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from math import log, sqrt
+from math import copysign, log, sqrt
 from sys import float_info
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -133,9 +133,13 @@ def dist_finite_support(d: Dist) -> tuple[tuple[object, Fraction], ...] | None:
 
 
 def _draw(d: Dist, u: np.ndarray) -> np.ndarray:
+    """Draws of ``d`` from the uniforms ``u``, which it may overwrite."""
     if isinstance(d, Uniform):
-        return float(d.lo) + u * float(d.hi - d.lo)
+        u *= float(d.hi - d.lo)
+        return np.add(u, float(d.lo), out=u)
     if isinstance(d, Bernoulli):
+        if d.values == (0, 1) and copysign(1, d.values[0]) > 0:  # not (-0.0, 1): -0.0 == 0
+            return (u < float(d.p)).astype(np.float64)
         return np.where(u < float(d.p), float(d.values[1]), float(d.values[0]))
     cum = np.cumsum([float(p) for p in d.probs])
     idx = np.searchsorted(cum, u, side="right")
@@ -255,11 +259,14 @@ def _sampler_spec(n, graph, latents, rules, block_width) -> SamplerSpec:
     for v, (reads, rule) in enumerate(zip(readers, rules), start=1):
         if not reads:
             raise InputError(f"vertex {v} has no latent to emit from")
-        derived = _vertex_range(rule.kind, [dist_bounds(latents[i].dist) for i in reads])
+        bounds = [dist_bounds(latents[i].dist) for i in reads]
+        _check_float_span(bounds, f"the latents of vertex {v}")  # draws and emits are floats
+        derived = _vertex_range(rule.kind, bounds)
         if rule.clamp is not None and rule.clamp[0] > rule.clamp[1]:
             lo, hi = rule.clamp
             raise InputError(f"declared range [{lo}, {hi}] of vertex {v} is empty")
         ranges.append(rule.clamp if rule.clamp is not None else derived)
+    _check_float_span(ranges, "the coordinates")  # so is the sum, and its mean's margin
     return SamplerSpec(
         n=n,
         graph=graph,
@@ -270,6 +277,13 @@ def _sampler_spec(n, graph, latents, rules, block_width) -> SamplerSpec:
         profile=lipschitz_profile([hi - lo for lo, hi in ranges]),
         ranges=tuple(ranges),
     )
+
+
+def _check_float_span(bounds: list[tuple[Fraction, Fraction]], what: str) -> None:
+    """InputError unless floats hold each partial sum of values in ``bounds`` and their spread."""
+    reach = sum(max(abs(lo), abs(hi)) for lo, hi in bounds)
+    if max(reach, sum(hi - lo for lo, hi in bounds)) > float_info.max:
+        raise InputError(f"{what} span more than a float holds")
 
 
 # ---------------------------------------------------------------------------
@@ -300,34 +314,35 @@ def _emit_chunk(spec: SamplerSpec, seed: int, start: int, count: int) -> Iterato
         for i in reads:
             if max(spec.latents[i].scope) == v:
                 del live[i]
-        if rule.clamp is not None:
-            row = np.clip(row, float(rule.clamp[0]), float(rule.clamp[1]))
+        if rule.clamp is not None:  # in place, unless the row is a latent's own draw
+            out = None if rule.kind == "identity" else row
+            row = np.clip(row, *map(float, rule.clamp), out=out)
         yield row
 
 
 def _combine(kind: str, arrays: list[np.ndarray]) -> np.ndarray:
+    """A fresh row unless ``kind`` is identity: bit for bit numpy's reduction of the row stack."""
     if kind == "identity":
         return arrays[0]
-    if kind == "sum":
-        return np.add.reduce(arrays)
+    ufunc = np.maximum if kind == "max" else np.add
+    # numpy sums a one-sample stack pairwise, not row by row
+    out = ufunc.reduce(arrays) if len(arrays[0]) == 1 else _fold(ufunc, arrays)
     if kind == "mean":
-        return np.add.reduce(arrays) / len(arrays)
-    if kind == "max":
-        return np.maximum.reduce(arrays)
-    raise InputError(f"unknown emit kind {kind!r}")
+        out /= len(arrays)
+    return out
 
 
-def _statistic_values(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """The sum of each sample's coordinates, adding its rows in vertex order.
+def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """``ufunc`` over the rows in order, into one fresh row.
 
-    For chunks of two or more samples that is bit for bit what
-    ``np.sum(axis=0)`` over the stacked rows gives.
+    For rows of two or more samples that is bit for bit numpy's axis-0
+    reduction of their stack.
     """
     rows = iter(rows)
-    total = next(rows).copy()
+    out = next(rows).copy()
     for row in rows:
-        total += row
-    return total
+        ufunc(out, row, out=out)
+    return out
 
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -390,7 +405,7 @@ def _threshold_counts(
 
     def one(args):
         a, m = args
-        vals = _statistic_values(_emit_chunk(spec, seed, a, m))
+        vals = _fold(np.add, _emit_chunk(spec, seed, a, m))  # coordinate sums, in vertex order
         return [int((vals >= th).sum()) for th in ths], float(vals.sum())
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -560,7 +575,7 @@ def validate_bounds(
         reason = method.unmet(inputs)
         if reason is not None:
             raise InputError(f"method {method.name!r} does not apply to this spec: {reason}")
-        denominators.append(float(method.denominator(inputs)[0]))
+        denominators.append(boundsmod.float_denominator(method.denominator(inputs)[0]))
     estimates = estimate_tails(spec, t_grid, seed, n_samples, workers=workers)
     rows = []
     for method, den in zip(chosen, denominators):

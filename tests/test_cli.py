@@ -388,13 +388,33 @@ def _mutated_lines(data, lines):
     return "\n".join(lines) + "\n"
 
 
-def _assert_no_traceback(argv, spec):
+def _assert_no_traceback(argv, spec, codes=(0, 1, 3)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    assert code in (0, 1, 3), (spec, err.getvalue())
+    assert code in codes, (spec, err.getvalue())
     if code == 1:
         assert err.getvalue().startswith("input error:") and err.getvalue().count("\n") == 1
+
+
+_HUGE = st.one_of(  # a mantissa times a power of ten up to 10**308, or an integer up to 10**400
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.7, 1.7),
+              st.integers(0, 308) | st.integers(300, 308)),
+    st.sampled_from([-1.7e308, 1.7e308]),
+    st.integers(-10**400, 10**400),
+)
+
+
+def _is_numeric_value_leaf(spec, path) -> bool:
+    """A number, or a number written as a string, inside a distribution or a declared range."""
+    value = spec
+    for key in path:
+        value = value[key]
+    if "dist" not in path and "range" not in path:
+        return False
+    if isinstance(value, str):
+        return value.lstrip("-").replace("/", "").isdigit()
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class TestExitCodes:
@@ -572,6 +592,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, spec, message",
+        [
+            # denominators and part costs no float holds
+            (["bounds", "--t", "1", "--c", "1e200,1"], None, "denominator is too large"),
+            (["bounds", "--t", "1", "--c", "1e200,1", "--methods", "decomposable"], None,
+             "too large for float part costs"),
+            (["covers", "decomposable", "--c", "1e200,1"], None, "too large for float part costs"),
+            (["simulate", "--validate", *_SIMULATE[1:]],
+             {**_BLOCK4, "dist": {"kind": "uniform", "lo": 0, "hi": 1e200}}, "denominator is too large"),
+            # a latent, and the coordinates' declared ranges, wider than a float
+            (_SIMULATE, {**_BLOCK4, "dist": {"kind": "uniform", "lo": -1e308, "hi": 1e308}},
+             "latents of vertex 1 span more than a float holds"),
+            (_SIMULATE, {**_LATENT2, "emit": {"1": {"kind": "sum", "range": [-1e308, 1e308]}}},
+             "coordinates span more than a float holds"),
+        ],
+    )
+    def test_values_beyond_float_arithmetic_exit_1(self, argv, spec, message, tmp_path, capsys):
+        if spec is None:
+            path = tmp_path / "g2.json"
+            path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+            argv = [*argv, "--graph", str(path)]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = [*argv, str(path)]  # each sampler argv ends in --spec
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
     def test_unreadable_graph_file_exits_1(self, kind, tmp_path, capsys):
         path = tmp_path / "graph"
@@ -613,6 +665,32 @@ class TestExitCodes:
         path = tmp_path_factory.mktemp("fuzz") / "spec.json"
         path.write_text(json.dumps(spec))
         _assert_no_traceback([*_SIMULATE, str(path)], spec)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_huge_magnitudes_never_end_in_a_traceback(self, data, tmp_path_factory):
+        spec = copy.deepcopy(data.draw(st.sampled_from([_BLOCK4, _LATENT2])))
+        leaves = [path for path in _json_paths(spec) if _is_numeric_value_leaf(spec, path)]
+        for leaf in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3)):
+            parent = spec
+            for key in leaf[:-1]:
+                parent = parent[key]
+            parent[leaf[-1]] = data.draw(_HUGE)
+        path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        path.write_text(json.dumps(spec))
+        # exit 3 is a FAIL verdict, which a tiny width gives: the bound falls below the
+        # CI limit that 64 samples with no hit reach
+        _assert_no_traceback(["simulate", "--validate", *_SIMULATE[1:], str(path)], spec)
+        graph = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3]]}))
+        coefficients = ",".join(repr(abs(data.draw(_HUGE))) for _ in range(3))
+        method = data.draw(st.sampled_from(ALL_METHODS))
+        argv = data.draw(st.sampled_from([
+            ["bounds", "--t", "1", "--m", "1", "--include-mcdiarmid"],
+            ["bounds", "--t", "1", "--m", "1", "--methods", method],
+            ["covers", "decomposable"],
+        ]))
+        _assert_no_traceback([*argv, "--graph", str(graph), "--c", coefficients], coefficients, (0, 1))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -47,7 +48,15 @@ from graphtail.montecarlo import (
     validate_bounds,
     validation_to_csv,
 )
-from graphtail.montecarlo import _combine_scalar, _statistic_values, _threshold_counts
+from graphtail.montecarlo import (
+    _combine,
+    _combine_scalar,
+    _draw,
+    _emit_chunk,
+    _fold,
+    _stream_uniforms,
+    _threshold_counts,
+)
 
 
 def complete(n):
@@ -192,9 +201,142 @@ class TestStreaming:
         for count in (2, 7, 4099):
             # magnitudes spread over 12 decades, so a change of order shows in the bits
             rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(n)]
-            streamed = _statistic_values(iter(rows))
+            streamed = _fold(np.add, iter(rows))
             stacked = np.stack(rows).sum(axis=0)
             assert streamed.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 4099])
+    def test_combined_rows_match_the_stacked_reductions(self, count):
+        """In place for two or more samples, and the stack's own pairwise sum for one."""
+        rng = np.random.default_rng(count)
+        for k in range(1, 13):
+            rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(k)]
+            rows[0][0] = -0.0  # max keeps the first of two equal zeros
+            rows[-1][0] = 0.0
+            stacked = np.stack(rows)
+            for kind, want in (
+                ("sum", np.add.reduce(stacked)),
+                ("mean", np.add.reduce(stacked) / k),
+                ("max", np.maximum.reduce(stacked)),
+            ):
+                assert _combine(kind, list(rows)).tobytes() == want.tobytes(), (kind, k)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, stacked)), k
+
+    @pytest.mark.parametrize("values", [(0, 1), (0.0, 1.0), (2, -5), (-0.0, 1)])
+    def test_bernoulli_draws_match_the_where_form(self, values):
+        p = F(1, 3)
+        u = np.random.default_rng(7).random(4099)
+        u[:3] = (0.0, float(p), np.nextafter(float(p), 0.0))
+        want = np.where(u < float(p), float(values[1]), float(values[0]))
+        assert _draw(bernoulli(p, values), u.copy()).tobytes() == want.tobytes()
+
+    def test_clamped_identity_leaves_the_shared_draw_to_its_neighbour(self):
+        # latent 1 is read by vertex 1 (identity, clamped) and vertex 2 (sum, unclamped)
+        spec = _pinned_specs()["shared"]
+        assert spec.readers == ((1,), (0, 1))
+        draws = [_draw(lat.dist, _stream_uniforms(11, i, 3, 500)) for i, lat in enumerate(spec.latents)]
+        first, second = _emit_chunk(spec, 11, 3, 500)
+        assert first.tobytes() == np.clip(draws[1], 0.25, 0.75).tobytes()
+        assert (first != draws[1]).any()
+        assert second.tobytes() == (draws[0] + draws[1]).tobytes()
+
+
+def _pinned_specs():
+    """Specs that reach every dist, emit and clamp kind the sampler's hot loop has."""
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
+    mixed = latent_graph_spec(
+        g,
+        [
+            ((1, 2, 3), uniform(-1, 3)),
+            ((2, 3), bernoulli(F(1, 3))),
+            ((3, 4), bernoulli(F(2, 5), (2, -5))),
+            ((1,), discrete([0, 1.5, 4], [F(1, 2), F(1, 4), F(1, 4)])),
+            ((2,), discrete([-1, 3], [F(1, 3), F(2, 3)])),
+            ((4,), uniform(F(1, 2), 2)),
+        ],
+        emit={
+            1: EmitRule(kind="sum", clamp=(F(-1, 2), F(3))),
+            2: EmitRule(kind="max", clamp=(F(0), F(5, 2))),
+            3: EmitRule(kind="mean", clamp=(F(-1), F(1))),
+            4: EmitRule(kind="sum"),
+        },
+    )
+    # vertex 1 clamps the latent it shares with vertex 2, which reads it unclamped
+    shared = latent_graph_spec(
+        build_graph(2, [(1, 2)]),
+        [((1, 2), uniform(0, 1)), ((2,), bernoulli(F(1, 2)))],
+        emit={1: EmitRule(kind="identity", clamp=(F(1, 4), F(3, 4)))},
+    )
+    # the block sum and mean read 8 or more rows per vertex, which numpy
+    # sums pairwise in a one-sample chunk
+    return {
+        "mixed": mixed,
+        "block-max": block_factor_spec(6, 3, uniform(-2, 1), combine="max"),
+        "block-sum": block_factor_spec(6, 9, uniform(-1, F(1, 3)), combine="sum"),
+        "block-mean": block_factor_spec(
+            6, 8, discrete([0, 0.1, 7], [F(1, 2), F(1, 3), F(1, 6)]), combine="mean"
+        ),
+        "shared": shared,
+    }
+
+
+_PIN_SLICES = ((1, 0), (1, 7), (2, 3), (5, 13), (CHUNK + 3, 1))
+
+# Per spec: the first 16 hex digits of the sha256 of sample()'s bytes at each of
+# _PIN_SLICES, then thresholds, counts and running sum of _threshold_counts over
+# 2 * CHUNK + 1 samples from start 5 on two workers (its last chunk has one sample).
+_PINNED = {
+    "mixed": (
+        ("78865bd9a290c98b", "2a91316a02f29869", "e276844232c84e23", "a9b905e8677864a0",
+         "068d64f4fc57a352"),
+        (6.0, 9.5, 10.4), [67600, 17312, 1092], "0x1.1fced8811303dp+19",
+    ),
+    "block-max": (
+        ("f28c13baa3cdf730", "267666fa51925d2e", "e806a7d8b3625a97", "389d45285b62cfbb",
+         "7997c6a75079d63a"),
+        (1.7, 4.1, 5.2), [66765, 12544, 1452], "0x1.7d519b99e8fa8p+17",
+    ),
+    "block-sum": (
+        ("9bdbf5c0243d1a40", "fbc8af833166c2fb", "c20c4da0ac70708b", "9435eaaa60ed0355",
+         "e8ef8d80bfcecdea"),
+        (-18.0, -12.0, -6.0), [65388, 21812, 3257], "-0x1.2012699530adbp+21",
+    ),
+    "block-mean": (
+        ("de0ab39f4e337e57", "457687b5f9ea9e1e", "96dec3e450e06486", "3a91f3f37df5686e",
+         "09923a8ad68ba75e"),
+        (7.0, 10.0, 13.0), [64152, 32813, 17051], "0x1.cd77eb999999ap+19",
+    ),
+    "shared": (
+        ("7d294f5b96e67be2", "0ae23ceff5eb7345", "5205eadafee27eee", "832064537c6676b8",
+         "73aeb8c6586800fd"),
+        (1.5, 2.5, 2.7), [65547, 16203, 3338], "0x1.7fe0191cefe97p+17",
+    ),
+}
+
+
+class TestPinnedBits:
+    """The sampler's output, pinned to the last bit of every float.
+
+    The golden ``simulate`` cases pin threshold counts only, so a change of
+    rounding in the hot loop could pass them; these pins cannot.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_sample_bytes(self, name):
+        spec = _pinned_specs()[name]
+        digests = tuple(
+            hashlib.sha256(sample(spec, seed=2718, count=count, start=start).tobytes()).hexdigest()[:16]
+            for count, start in _PIN_SLICES
+        )
+        assert digests == _PINNED[name][0]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_threshold_counts_and_running_sum(self, name):
+        _, thresholds, counts, total = _PINNED[name]
+        got = _threshold_counts(
+            _pinned_specs()[name], 2718, 2 * CHUNK + 1, thresholds, start=5, workers=2
+        )
+        assert (got[0], got[1].hex()) == (counts, total)
 
 
 class TestAnalyticMean:
