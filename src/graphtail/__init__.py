@@ -54,6 +54,7 @@ from .coupling import (
 )
 from .errors import (
     DegenerateProfileError,
+    FloatRangeError,
     InputError,
     KindError,
     ScaleError,

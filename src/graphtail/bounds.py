@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from . import covers as coversmod
 from . import graph as graphmod
 from .covers import CoverSolution, LipschitzProfile, Strategy
-from .errors import DegenerateProfileError, InputError, KindError, ScaleError
+from .errors import DegenerateProfileError, FloatRangeError, InputError, KindError, ScaleError
 from .graph import BlockPartition, Graph
 
 MCDIARMID = "mcdiarmid"
@@ -285,15 +285,16 @@ def bound_methods(names) -> tuple[BoundMethod, ...]:
 
 
 def float_denominator(den) -> float:
-    """A denominator as the float its tail bound is computed from; InputError if none holds it."""
+    """A denominator as the float its tail bound is computed from; FloatRangeError if it overflows."""
     try:
         return float(den)
     except OverflowError:
-        raise InputError("the bound's denominator is too large for a float") from None
+        raise FloatRangeError("the bound's denominator is too large for a float") from None
 
 
-def _report(method: BoundMethod, t: float, m: int | None, den, witness) -> BoundReport:
-    den_f = float_denominator(den)
+def _report(
+    method: BoundMethod, t: float, m: int | None, den, den_f: float, witness
+) -> BoundReport:
     degenerate = den_f <= 0
     return BoundReport(
         method=method.name,
@@ -334,11 +335,13 @@ def compare_bounds(
 ) -> list[BoundReport]:
     """Every applicable bound at threshold t, best (smallest) first.
 
-    Inapplicable methods are appended with the reason.  The independence-only
-    McDiarmid line is included only on request, as a reference that is not
-    valid under dependence.  ``m`` activates the m-dependent methods, which
-    treat the coordinates as an m-dependent sequence (the caller asserts that
-    reading).
+    Inapplicable methods are appended with the reason, and so are methods
+    whose denominator or part costs overflow a float, unless no method is
+    left with a denominator: then that FloatRangeError is raised.  The
+    independence-only McDiarmid line is included only on request, as a
+    reference that is not valid under dependence.  ``m`` activates the
+    m-dependent methods, which treat the coordinates as an m-dependent
+    sequence (the caller asserts that reading).
     """
     inputs = MethodInputs(g, g.n, profile, m, strategy, cap)
     t = check_threshold(t)
@@ -348,6 +351,7 @@ def compare_bounds(
         methods = methods + (MCDIARMID,)
 
     reports: list[BoundReport] = []
+    overflow = None
     for method in bound_methods(methods):
         reason = method.unmet(inputs)
         if reason is not None:
@@ -355,10 +359,17 @@ def compare_bounds(
             continue
         try:
             den, witness = method.denominator(inputs)
+            den_f = float_denominator(den)
         except ScaleError as exc:
             reports.append(_skipped(method, t, f"scale: {exc}"))
             continue
-        reports.append(_report(method, t, m, den, witness))
+        except FloatRangeError as exc:
+            overflow = overflow or exc
+            reports.append(_skipped(method, t, f"overflow: {exc}"))
+            continue
+        reports.append(_report(method, t, m, den, den_f, witness))
+    if overflow and not any(r.denominator is not None for r in reports):
+        raise overflow  # no method left a bound to report
     applicable = [r for r in reports if r.applicable]
     skipped = [r for r in reports if not r.applicable]
     applicable.sort(key=lambda r: (r.bound, r.method))

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import graph as graphmod
 from ._simplex import CoverLp, solve_min_cover_lp
-from .errors import InputError, KindError, ScaleError, VerificationError
+from .errors import FloatRangeError, InputError, KindError, ScaleError, VerificationError
 from .graph import Graph
 
 _ZERO = Fraction(0)
@@ -625,7 +625,7 @@ def optimize_decomposable_denominator(
 
 
 def _check_float_costs(g: Graph, profile: LipschitzProfile) -> None:
-    """InputError unless floats hold every part cost and cover objective the search can meet.
+    """FloatRangeError unless floats hold every part cost and cover objective the search can meet.
 
     No part's radicand exceeds R = sum over edges of (c_u + c_v)^2 plus sum of
     c_v^2, and a cover's weights sum to at most n, so its squared cost is at
@@ -633,7 +633,7 @@ def _check_float_costs(g: Graph, profile: LipschitzProfile) -> None:
     """
     edges = sum(((profile.coefficient(u) + profile.coefficient(v)) ** 2 for u, v in g.edges), _ZERO)
     if g.n * g.n * (edges + profile.norm_sq) > float_info.max:
-        raise InputError("the profile is too large for float part costs; rescale it")
+        raise FloatRangeError("the profile is too large for float part costs; rescale it")
 
 
 def _optimize_decomposable(

@@ -15,6 +15,10 @@ class KindError(InputError):
     """Structurally valid input of the wrong kind (cyclic part, non-tree subgraph)."""
 
 
+class FloatRangeError(InputError):
+    """A value the toolkit computes in floats (a denominator, a part cost) overflows a double."""
+
+
 class DegenerateProfileError(InputError):
     """An all-zero Lipschitz profile where a positive denominator is required."""
 

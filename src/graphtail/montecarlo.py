@@ -30,12 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from math import copysign, log, sqrt
+from math import copysign, factorial, lcm, log, prod, sqrt
 from sys import float_info
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import bounds as boundsmod
 from . import coupling as couplingmod
@@ -48,6 +47,8 @@ from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecar
 CHUNK = 1 << 16
 MEAN_PASS_FACTOR = 10
 MEAN_CONFIDENCE = 0.995
+MEAN_UNIFORM_CAP = 12  # uniform readers of a clamped sum whose mean is integrated exactly
+MEAN_TERM_CAP = 1 << 16  # terms of that integral: finite states times subsets of uniforms
 CI_LEVEL = 0.99
 
 
@@ -377,6 +378,8 @@ def binomial_upper_ci(hits: int, n: int, level: float = CI_LEVEL) -> float:
     """
     if hits >= n:
         return 1.0
+    from scipy.special import betaincinv  # its only user: importing the package loads no scipy
+
     return float(betaincinv(hits + 1, n - hits, level))
 
 
@@ -420,31 +423,113 @@ def _threshold_counts(
 
 
 def analytic_mean(spec: SamplerSpec) -> float | None:
-    """Exact mean of the statistic when the emit structure allows it.
+    """Exact mean of the coordinate sum, or None when a vertex is past the caps.
 
-    Linear emits (sum/mean/identity) always do; max is handled when every
-    latent a vertex reads is the same uniform.  Declared clamps disable the
-    analytic route.
+    Ef = sum_v E[X_v] however the coordinates depend on each other, and each
+    X_v is a function of the independent latents v reads, so every term is
+    an exact Fraction: by linearity for an unclamped sum, mean or identity,
+    by integrating the vertex's law for a clamped one (``_clamped_sum_mean``)
+    and for a max (``_max_mean``).  Vertices with the same rule and reader
+    laws share one computation, and the total is rounded to a float once.
+    A clamped sum or mean reading more than ``MEAN_UNIFORM_CAP`` uniforms,
+    or whose integral has more than ``MEAN_TERM_CAP`` terms, gives None.
     """
     total = Fraction(0)
-    for v in range(1, spec.n + 1):
-        rule = spec.emit[v - 1]
-        if rule.clamp is not None:
+    means: dict[tuple, Fraction | None] = {}
+    for rule, reads, (lo, hi) in zip(spec.emit, spec.readers, spec.ranges):
+        key = (rule, tuple(spec.latents[i].dist for i in reads))
+        if key not in means:
+            means[key] = _vertex_mean(rule, key[1], lo, hi)
+        if means[key] is None:
             return None
-        covering = [spec.latents[i] for i in spec.readers[v - 1]]
-        if rule.kind in ("sum", "mean", "identity"):
-            s = sum((dist_mean(l.dist) for l in covering), Fraction(0))
-            total += s / len(covering) if rule.kind == "mean" else s
-        elif rule.kind == "max":
-            dists = [l.dist for l in covering]
-            first = dists[0]
-            if not all(isinstance(d, Uniform) and d == first for d in dists):
-                return None
-            k = len(dists)
-            total += first.lo + (first.hi - first.lo) * Fraction(k, k + 1)
-        else:
-            return None
+        total += means[key]
     return float(total)
+
+
+def _vertex_mean(rule: EmitRule, dists: tuple, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """E[X_v] for a vertex emitting from independent ``dists``, with [lo, hi] its range."""
+    if rule.kind == "max":
+        return _max_mean(dists, lo, hi)
+    m = len(dists) if rule.kind == "mean" else 1
+    if rule.clamp is None:
+        return sum(map(dist_mean, dists), Fraction(0)) / m
+    mean = _clamped_sum_mean(dists, m * lo, m * hi)  # a mean's clamp, in units of the sum
+    return None if mean is None else mean / m
+
+
+def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction | None:
+    """E[clamp(S, a, b)] for S the sum of independent ``dists``, or None past the caps.
+
+    E[clamp(S, a, b)] = b - int_a^b F_S.  Given the finite latents' sum s,
+    the k uniforms U[lo_i, lo_i + w_i] add a part whose CDF is, by
+    inclusion-exclusion over the subsets T of the uniforms,
+
+        sum_T (-1)^|T| (x - c_T)_+^k / (k! prod w_i),   c_T = s + sum lo_i + sum_{i in T} w_i,
+
+    so int_a^b F_S = sum over (s, T) of P(s) (-1)^|T| [(b - c_T)_+^(k+1) -
+    (a - c_T)_+^(k+1)] / ((k+1)! prod w_i).  The weights P(s) (-1)^|T| are
+    convolved as one signed measure over c, keyed by value, so equal c merge.
+    Values run as integers over one common denominator ``scale``, and the
+    weights over ``mass``, the product of each law's denominator.
+    """
+    uniforms, laws = _split(dists)
+    if len(uniforms) > MEAN_UNIFORM_CAP:
+        return None
+    laws += [[(Fraction(0), Fraction(1)), (u.hi - u.lo, Fraction(-1))] for u in uniforms]
+    scale = lcm(a.denominator, b.denominator, *(u.lo.denominator for u in uniforms),
+                *(v.denominator for law in laws for v, _ in law))
+    terms = {int(sum((u.lo for u in uniforms), Fraction(0)) * scale): 1}
+    mass = 1
+    for law in laws:
+        den = lcm(*(p.denominator for _, p in law))
+        mass *= den
+        steps = [(int(v * scale), int(p * den)) for v, p in law]
+        convolved: dict[int, int] = {}
+        for c, weight in terms.items():
+            for v, p in steps:
+                convolved[c + v] = convolved.get(c + v, 0) + weight * p
+        terms = {c: weight for c, weight in convolved.items() if weight}
+        if len(terms) > MEAN_TERM_CAP:
+            return None
+    k = len(uniforms)
+    lo, hi = int(a * scale), int(b * scale)
+    area = sum(w * (max(hi - c, 0) ** (k + 1) - max(lo - c, 0) ** (k + 1)) for c, w in terms.items())
+    widths = prod(int((u.hi - u.lo) * scale) for u in uniforms)
+    return b - Fraction(area, mass * scale * factorial(k + 1) * widths)
+
+
+def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
+    """E[clamp(M, a, b)] for M the max of independent ``dists``.
+
+    E[clamp(M, a, b)] = b - int_a^b F_M with F_M = prod F_i.  Between two
+    consecutive breakpoints (uniform ends, finite atoms, a and b) each
+    finite F_i is constant and each uniform's F_i is 0, 1 or (x - lo_i)/w_i,
+    so F_M is a polynomial there and is integrated exactly.
+    """
+    uniforms, laws = _split(dists)
+    cuts = {a, b} | {end for u in uniforms for end in (u.lo, u.hi)}
+    cuts |= {value for law in laws for value, _ in law}
+    cuts = sorted(x for x in cuts if a <= x <= b)
+    area = Fraction(0)
+    for x0, x1 in zip(cuts, cuts[1:]):
+        poly = [prod((sum(p for value, p in law if value <= x0) for law in laws), start=Fraction(1))]
+        for u in uniforms:
+            if x1 <= u.lo:
+                poly = []
+                break
+            if x0 < u.hi:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
+                w = u.hi - u.lo
+                poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
+        area += sum(c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
+    return b - area
+
+
+def _split(dists: tuple) -> tuple[list[Uniform], list[list[tuple[Fraction, Fraction]]]]:
+    """The uniform laws, and the (value, probability) pairs of each finite law."""
+    uniforms = [d for d in dists if isinstance(d, Uniform)]
+    laws = [[(Fraction(v), p) for v, p in dist_finite_support(d)] for d in dists
+            if not isinstance(d, Uniform)]
+    return uniforms, laws
 
 
 def _estimated_mean(
@@ -490,9 +575,11 @@ def estimate_tails(
 ) -> list[TailEstimate]:
     """One sampling pass, counting threshold exceedances for the whole grid.
 
-    The deviation is measured against the analytic mean when available;
-    otherwise a separate (larger) mean pass supplies an estimate whose
-    one-sided error margin is folded into the thresholds conservatively.
+    The deviation is measured against the exact mean (``analytic_mean``).
+    Only past its per-vertex caps does a separate mean pass of 10x the
+    samples supply an estimate, whose one-sided Hoeffding margin is folded
+    into the thresholds conservatively; a PASS then holds at about
+    CI_LEVEL x MEAN_CONFIDENCE rather than at CI_LEVEL.
     """
     t_grid = _check_run(t_grid, seed, n_samples, workers)
     mu = analytic_mean(spec)

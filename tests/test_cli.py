@@ -624,6 +624,19 @@ class TestExitCodes:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    def test_overflowing_denominator_is_listed_as_skipped(self, tmp_path, capsys):
+        # McDiarmid's sum of c^2 = 1.62e308 is a float; Janson's twice that is not
+        path = tmp_path / "g2.json"
+        path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+        argv = ["bounds", "--graph", str(path), "--c", "9e153,9e153", "--t", "1",
+                "--include-mcdiarmid", "--format", "json"]
+        assert cli.run(argv) == 0
+        rows = {row["method"]: row for row in json.loads(capsys.readouterr().out)}
+        assert rows["mcdiarmid"]["denominator"] == 1.62e308
+        assert rows["mcdiarmid"]["applicable"] is True
+        assert rows["janson"]["applicable"] is False
+        assert rows["janson"]["reason"] == "overflow: the bound's denominator is too large for a float"
+
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
     def test_unreadable_graph_file_exits_1(self, kind, tmp_path, capsys):
         path = tmp_path / "graph"

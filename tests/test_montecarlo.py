@@ -349,10 +349,11 @@ class TestAnalyticMean:
         spec = block_factor_spec(12, 3, uniform(0, 1), combine="max")
         assert analytic_mean(spec) == 12 * 0.75
 
-    def test_clamp_disables_analytic_route(self):
-        g = build_graph(1, [])
+    def test_vertex_past_the_cap_takes_the_mean_pass(self):
+        # a clamped sum of 13 uniforms is past MEAN_UNIFORM_CAP
         spec = latent_graph_spec(
-            g, [((1,), uniform(0, 2))], emit={1: EmitRule(kind="sum", clamp=(F(0), F(1)))}
+            build_graph(1, []), [((1,), uniform(0, F(1, 4)))] * 13,
+            emit={1: EmitRule(kind="sum", clamp=(F(0), F(3)))},
         )
         assert analytic_mean(spec) is None
         # the estimation-pass route still produces a sane estimate
@@ -362,8 +363,9 @@ class TestAnalyticMean:
     def test_mean_pass_runs_on_the_callers_workers(self, monkeypatch):
         g = build_graph(3, [(1, 2)])
         clamp = {v: EmitRule(kind="sum", clamp=(F(0), F(1))) for v in g.vertices}
+        own = [((1,), uniform(0, F(1, 12)))] * 12  # vertex 1 reads 13 uniforms: past the cap
         spec = latent_graph_spec(
-            g, [((1, 2), uniform(0, 1)), ((1,), uniform(0, 1)), ((3,), uniform(0, 2))], emit=clamp
+            g, [((1, 2), uniform(0, 1)), *own, ((3,), uniform(0, 2))], emit=clamp
         )
         assert analytic_mean(spec) is None
         seen = []
@@ -380,6 +382,67 @@ class TestAnalyticMean:
         assert rows[1] == rows[2] == rows[3]
         # per run, the mean pass (at its disjoint start) and then the counting pass
         assert seen == [(start, w) for w in (1, 2, 3) for start in (CHUNK + 8, 0)]
+
+    def test_term_cap_returns_none(self):
+        # two latents whose sums are all distinct: 257**2 terms pass MEAN_TERM_CAP, 256**2 do not
+        def spec(size):
+            lat = [((1,), discrete([size**j * i for i in range(size)], [F(1, size)] * size))
+                   for j in range(2)]
+            return latent_graph_spec(build_graph(1, []), lat, emit={1: EmitRule("sum", (F(1), F(9)))})
+
+        assert analytic_mean(spec(257)) is None
+        assert analytic_mean(spec(256)) is not None
+
+    def test_matches_the_exact_joint_on_clamped_finite_specs(self):
+        from graphtail.coupling import coordinate_sum, exact_mean
+
+        rng = random.Random(1729)
+        checked = 0
+        for trial in range(120):
+            n = rng.randint(1, 4)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            g = build_graph(n, [e for e in pairs if rng.random() < 0.6])
+            scopes = [(v,) for v in g.vertices] + [e for e in g.edges if rng.random() < 0.5]
+            latents = [(sc, random_finite_latent(rng)) for sc in scopes]
+            emit = {}
+            for v in g.vertices:
+                kinds = ["sum", "mean", "max"]
+                if sum(v in sc for sc in scopes) == 1:
+                    kinds.append("identity")
+                lo = F(rng.randint(-2, 4), rng.randint(1, 3))
+                hi = lo + F(rng.randint(0, 4), rng.randint(1, 3))
+                emit[v] = EmitRule(rng.choice(kinds), (lo, hi) if rng.random() < 0.7 else None)
+            spec = latent_graph_spec(g, latents, emit=emit)
+            try:
+                joint = exact_joint(spec)
+            except ScaleError:  # more than 6 symbols at some coordinate
+                continue
+            want = float(exact_mean(joint, coordinate_sum(joint.spaces)))
+            assert analytic_mean(spec) == want, trial
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("kind", ["sum", "mean", "max", "identity"])
+    def test_lies_in_a_large_sample_ci_on_uniform_and_mixed_specs(self, kind):
+        g = build_graph(3, [(1, 2), (2, 3)])
+        latents = [
+            ((1, 2), uniform(-1, 2)),
+            ((2, 3), uniform(0, F(1, 2))),
+            ((1,), bernoulli(F(1, 3), (0, 2))),
+            ((2,), discrete([0, 1, 5], [F(1, 2), F(1, 4), F(1, 4)])),
+            ((3,), uniform(1, 4)),
+        ]
+        if kind == "identity":
+            latents = [((1, 2), uniform(-1, 2)), ((2,), uniform(F(1, 3), 3)), ((3,), uniform(1, 4))]
+        clamps = {1: (F(0), F(5, 2)), 2: (F(1, 2), F(3)), 3: (F(-1), F(3))}
+        emit = {v: EmitRule(kind, clamp) for v, clamp in clamps.items()}
+        if kind == "identity":
+            emit[2] = EmitRule("sum", clamps[2])  # vertex 2 reads two latents
+        spec = latent_graph_spec(g, latents, emit=emit)
+        mean = analytic_mean(spec)
+        values = sample(spec, seed=17, count=2_000_000).sum(axis=1)
+        # a two-sided 99.999% normal interval of the sample mean
+        assert abs(mean - values.mean()) < 4.42 * values.std() / math.sqrt(len(values))
 
     def test_sample_mean_agrees_with_analytic(self):
         ex9 = build_graph(9, [(1, 2), (1, 3), (2, 3)])
@@ -421,7 +484,7 @@ class TestEstimateTail:
         import graphtail
 
         src = os.path.dirname(os.path.dirname(graphtail.__file__))
-        code = "import sys, graphtail.cli; print('scipy.stats' in sys.modules)"
+        code = "import sys, graphtail.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
