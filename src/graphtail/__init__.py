@@ -26,7 +26,6 @@ from .covers import (
     WeightedCover,
     enumerate_independent_sets,
     enumerate_induced_forests,
-    forest_part_cost,
     fractional_chromatic_number,
     fractional_vertex_arboricity,
     lipschitz_profile,
@@ -36,21 +35,15 @@ from .covers import (
     validate_cover,
 )
 from .coupling import (
-    CouplingPair,
     FiniteJoint,
     LipschitzFunction,
-    build_coupling,
     build_tree_joint,
-    conditional,
     finite_joint,
     latent_tree_spec,
     lipschitz_function,
-    mgf_check,
     verify_all_couplings,
-    verify_coupling_marginals,
     verify_dependency,
     verify_difference_bound,
-    verify_independence_lemma,
 )
 from .errors import (
     DegenerateProfileError,
@@ -68,7 +61,6 @@ from .graph import (
     block_partition,
     build_graph,
     classify,
-    induced_subgraph,
     m_dependence_graph,
     rooted_order,
 )
@@ -76,7 +68,6 @@ from .montecarlo import (
     SamplerSpec,
     TailEstimate,
     block_factor_spec,
-    estimate_tail,
     estimate_tails,
     latent_graph_spec,
     sample,

@@ -121,38 +121,6 @@ def finite_joint(
     return FiniteJoint(spaces=spaces_t, weights=weights, scale=scale, dependency=dependency)
 
 
-def product_joint(marginals: Sequence[Sequence[tuple]]) -> FiniteJoint:
-    """Independent product of per-coordinate (value, probability) lists."""
-    spaces = [tuple(v for v, _ in m) for m in marginals]
-    pmf: dict[tuple, Fraction] = {}
-    for combo in itertools.product(*marginals):
-        x = tuple(v for v, _ in combo)
-        pmf[x] = math.prod((_exact(q, (v,)) for v, q in combo), start=Fraction(1))
-    return finite_joint(spaces, pmf)
-
-
-def conditional(joint: FiniteJoint, fixed: Mapping[int, object]) -> FiniteJoint:
-    """Exact conditional joint over the coordinates not in ``fixed``: a slice of the table.
-
-    The result's coordinates are the remaining original coordinates in
-    ascending order; conditioning on every coordinate yields a point mass on
-    the empty tuple.  Conditioning on a null event is an error.
-    """
-    for c in fixed:
-        if not (1 <= c <= joint.n):
-            raise InputError(f"coordinate {c} outside 1..{joint.n}")
-    cut = tuple(  # a value outside the alphabet selects nothing
-        slice(None) if c not in fixed else s.index(fixed[c]) if fixed[c] in s else slice(0, 0)
-        for c, s in enumerate(joint.spaces, start=1)
-    )
-    weights = np.asarray(joint.weights[cut], dtype=object)
-    total = weights.sum()
-    if total == 0:
-        raise InputError(f"conditioning event {dict(fixed)!r} has probability zero")
-    spaces = tuple(s for c, s in enumerate(joint.spaces, start=1) if c not in fixed)
-    return FiniteJoint(spaces=spaces, weights=weights, scale=total)
-
-
 # ---------------------------------------------------------------------------
 # Latent-tree construction of dependent joints
 
@@ -399,11 +367,6 @@ def check_lipschitz(f: LipschitzFunction) -> None:
                     )
 
 
-def derive_profile(spaces: Sequence[Sequence], table: Mapping[tuple, object]) -> LipschitzProfile:
-    """Tightest per-coordinate profile of a finite function (exact)."""
-    return lipschitz_function(spaces, table).profile
-
-
 def lipschitz_function(
     spaces: Sequence[Sequence],
     fn: Callable[[tuple], object] | Mapping[tuple, object],
@@ -633,17 +596,6 @@ def build_coupling(
         z_point = rhs_head + keys[k][:cut] + (values[z],) + keys[k][cut:]
         pair_pmf[(y_point, z_point)] = Fraction(masses[k, y, z], den[k])
     return CouplingPair(spaces=rl.spaces, pmf=pair_pmf, context=context, parent_coord=parent)
-
-
-def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
-    """P(Y_j != Z_j) per relabeled coordinate, from the coupled pmf."""
-    n = len(pair.spaces)
-    out = {j: _ZERO for j in range(1, n + 1)}
-    for (y, z), p in pair.pmf.items():
-        for j in range(1, n + 1):
-            if y[j - 1] != z[j - 1]:
-                out[j] += p
-    return out
 
 
 def verify_coupling_marginals(pair: CouplingPair, joint: FiniteJoint, tree: OrderedTree) -> Fraction:

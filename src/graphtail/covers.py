@@ -79,14 +79,6 @@ class LipschitzProfile:
     def norm_sq(self) -> Fraction:
         return sum((c * c for c in self.values), _ZERO)
 
-    @property
-    def minimum(self) -> Fraction:
-        return min(self.values)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return all(c == 0 for c in self.values)
-
 
 def lipschitz_profile(values: Iterable) -> LipschitzProfile:
     converted = []
@@ -142,7 +134,7 @@ def make_cover(kind: CoverKind, parts: Iterable[tuple[Iterable[int], object]]) -
     return WeightedCover(kind=kind, parts=tuple(norm))
 
 
-def validate_cover(g: Graph, cover: WeightedCover, tol: Fraction = _ZERO) -> list[CoverViolation]:
+def validate_cover(g: Graph, cover: WeightedCover) -> list[CoverViolation]:
     """Check exact coverage and part kinds; violations are data, not errors."""
     out: list[CoverViolation] = []
     for part, w in cover.parts:
@@ -163,7 +155,7 @@ def validate_cover(g: Graph, cover: WeightedCover, tol: Fraction = _ZERO) -> lis
         elif not graphmod.is_acyclic_subset(g, part):
             out.append(CoverViolation("kind", f"part {sorted(part)} induces a cycle"))
     for v, cov in enumerate(cover.coverage(g.n), start=1):
-        if abs(cov - 1) > tol:
+        if cov != 1:
             out.append(CoverViolation("coverage", f"vertex {v} has coverage {cov}, needs 1"))
     return out
 
@@ -288,11 +280,6 @@ def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: Lipsc
         m = min(profile.coefficient(v) for v in tree)
         total += m * m
     return total
-
-
-def forest_part_cost(g: Graph, part: Iterable[int], profile: LipschitzProfile) -> float:
-    """sqrt of edge-inflated coefficients plus one minimum per tree of G[part]."""
-    return sqrt(part_cost_radicand(g, frozenset(part), profile))
 
 
 def _sqrt_numerator(radicand: int, scale: int, bits: int) -> int:
@@ -441,17 +428,6 @@ def fractional_vertex_arboricity(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> Cov
     return _solve_unit_cover(g, CoverKind.FOREST, cap)
 
 
-def _cover_cost_parts(
-    g: Graph, cover: WeightedCover, profile: LipschitzProfile
-) -> list[tuple[Fraction, Fraction]]:
-    return [(w, part_cost_radicand(g, s, profile)) for s, w in cover.parts]
-
-
-def cover_weighted_cost(g: Graph, cover: WeightedCover, profile: LipschitzProfile) -> float:
-    """Recompute sum_k w_k * cost(F_k) for a forest cover, in floating point."""
-    return sum(float(w) * sqrt(r) for w, r in _cover_cost_parts(g, cover, profile))
-
-
 def _package_d_solution(
     g: Graph,
     cover: WeightedCover,
@@ -459,7 +435,7 @@ def _package_d_solution(
     method: Strategy,
     optimality: Optimality,
 ) -> CoverSolution:
-    parts = _cover_cost_parts(g, cover, profile)
+    parts = [(w, part_cost_radicand(g, s, profile)) for s, w in cover.parts]
     objective = sum(float(w) * sqrt(r) for w, r in parts)
     exact = squared_objective_exact(parts)
     return CoverSolution(
@@ -518,18 +494,17 @@ def _price_forest_column(
     g: Graph,
     profile: LipschitzProfile,
     duals: Sequence[Fraction],
-    size_limit: int = 3,
-    cost_cache: dict[frozenset[int], float] | None = None,
+    cache: dict[frozenset[int], float],
 ) -> frozenset[int] | None:
     """Heuristic pricing: a forest part with negative reduced cost, or None.
 
-    Exhausts all parts up to ``size_limit`` vertices, then runs add/drop local
-    search from the best seeds.  Finding the true minimizer is itself hard, so
-    a None here does not certify optimality (results stay labeled as bounds).
+    Exhausts all parts of up to 3 vertices, then runs add/drop local search
+    from the best seeds.  Finding the true minimizer is itself hard, so a
+    None here does not certify optimality (results stay labeled as bounds).
+    ``cache`` keeps float part costs across the rounds of one search.
     """
     y = [float(d) for d in duals]
     c = [float(x) for x in profile.values]
-    cache = cost_cache if cost_cache is not None else {}
 
     def reduced(part: frozenset[int]) -> float:
         cost = cache.get(part)
@@ -539,7 +514,7 @@ def _price_forest_column(
 
     best: dict[frozenset[int], float] = {}
     verts = list(g.vertices)
-    for size in range(1, min(size_limit, g.n) + 1):
+    for size in range(1, min(3, g.n) + 1):
         for combo in itertools.combinations(verts, size):
             part = frozenset(combo)
             if part in cache or graphmod.is_acyclic_subset(g, part):
@@ -567,13 +542,12 @@ def _price_forest_column(
     return winner if best[winner] < -1e-9 else None
 
 
-def _column_generation_d(
-    g: Graph, profile: LipschitzProfile, max_rounds: int = 30
-) -> CoverSolution:
-    # The master runs on coarser (48-bit) cost approximations: precision only
-    # steers which cover the heuristic lands on, never the reported value,
-    # which is recomputed exactly from the returned cover.  The basis is kept
-    # warm across rounds, so each new column costs a handful of pivots.
+def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
+    # At most 30 pricing rounds.  The master runs on coarser (48-bit) cost
+    # approximations: precision only steers which cover the heuristic lands
+    # on, never the reported value, which is recomputed exactly from the
+    # returned cover.  The basis is kept warm across rounds, so each new
+    # column costs a handful of pivots.
     bits = 48
     square_scale = _profile_scale(profile)[0] ** 2
 
@@ -591,8 +565,8 @@ def _column_generation_d(
     master = CoverLp(g.n, pool, [cost(p) for p in pool], square_scale << bits)
     res = master.solve()
     cost_cache: dict[frozenset[int], float] = {}
-    for _ in range(max_rounds):
-        new_col = _price_forest_column(g, profile, res.duals, cost_cache=cost_cache)
+    for _ in range(30):
+        new_col = _price_forest_column(g, profile, res.duals, cost_cache)
         if new_col is None or new_col in pool:
             break
         pool.append(new_col)

@@ -82,17 +82,12 @@ class OrderedTree:
 
     ``order[k-1]`` is the original label of the vertex relabeled k; the root
     (a vertex of minimum Lipschitz coefficient within the tree) is relabeled
-    last.  ``parent``, ``fringe`` and ``exposure_rest`` are all expressed in
-    relabeled coordinates: ``fringe[i-1]`` is the vertex set of the subtree
-    rooted at i, and ``exposure_rest[i-1]`` is [i+1, size] minus the parent
-    of i (the coordinates a coupling at step i must copy verbatim).
+    last.  ``parent`` is expressed in relabeled coordinates.
     """
 
     order: tuple[int, ...]
     root: int
     parent: tuple[int, ...]  # parent[i-1] = relabeled parent of i; 0 for the root
-    fringe: tuple[frozenset[int], ...]
-    exposure_rest: tuple[frozenset[int], ...]
 
     @property
     def size(self) -> int:
@@ -145,25 +140,10 @@ def rooted_order(g: Graph, tree_vertices: Iterable[int], coefficients: Sequence)
 
     order = tuple(post)
     rank = {v: k + 1 for k, v in enumerate(order)}
-    size = len(order)
-    parent = [0] * size
+    parent = [0] * len(order)
     for child, par in parent_orig.items():
         parent[rank[child] - 1] = rank[par]
-
-    fringe_sets: list[set[int]] = [{i} for i in range(1, size + 1)]
-    for i in range(1, size):  # relabels below the root, ascending: children first
-        fringe_sets[parent[i - 1] - 1] |= fringe_sets[i - 1]
-    rest = [
-        frozenset(range(i + 1, size + 1)) - {parent[i - 1]} if parent[i - 1] else frozenset()
-        for i in range(1, size + 1)
-    ]
-    return OrderedTree(
-        order=order,
-        root=root,
-        parent=tuple(parent),
-        fringe=tuple(frozenset(s) for s in fringe_sets),
-        exposure_rest=tuple(rest),
-    )
+    return OrderedTree(order=order, root=root, parent=tuple(parent))
 
 
 def m_dependence_graph(n: int, m: int) -> Graph:
@@ -184,10 +164,6 @@ class BlockPartition:
     m: int
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 def block_partition(n: int, m: int) -> BlockPartition:
     """Split 1..n into ceil(n/m) consecutive blocks of size m plus a remainder.
@@ -205,28 +181,6 @@ def block_partition(n: int, m: int) -> BlockPartition:
         blocks.append(tuple(range(start, min(start + m, n + 1))))
         start += m
     return BlockPartition(n=n, m=m, blocks=tuple(blocks))
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """Induced subgraph relabeled to 1..|S|, keeping the map back to the source.
-
-    ``original[k-1]`` is the source label of relabeled vertex k.
-    """
-
-    graph: Graph
-    original: tuple[int, ...]
-
-
-def induced_subgraph(g: Graph, subset: Iterable[int]) -> InducedSubgraph:
-    verts = sorted(set(subset))
-    for v in verts:
-        if not (1 <= v <= g.n):
-            raise InputError(f"vertex {v} outside 1..{g.n}")
-    rank = {v: k + 1 for k, v in enumerate(verts)}
-    vset = set(verts)
-    edges = [(rank[u], rank[v]) for (u, v) in g.edges if u in vset and v in vset]
-    return InducedSubgraph(graph=build_graph(len(verts), edges), original=tuple(verts))
 
 
 # Subset helpers used heavily by the cover machinery; these stay in original labels.
@@ -277,10 +231,6 @@ def components_within(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
 
 # External formats: JSON object {"n": int, "edges": [[u, v], ...]} and a plain
 # text form (first line "n", then one "u v" pair per line).
-
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for (u, v) in g.edges]}
-
 
 def read_vertex_id(value, what: str) -> int:
     """An int that is not a bool, or a decimal string; else ``InputError`` naming ``what``."""

@@ -62,18 +62,12 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class Bernoulli:
-    p: Fraction
-    values: tuple = (0, 1)
-
-
-@dataclass(frozen=True)
 class Discrete:
     values: tuple
     probs: tuple[Fraction, ...]
 
 
-Dist = Uniform | Bernoulli | Discrete
+Dist = Uniform | Discrete
 
 
 def uniform(lo, hi) -> Uniform:
@@ -83,13 +77,14 @@ def uniform(lo, hi) -> Uniform:
     return Uniform(lo=lo_f, hi=hi_f)
 
 
-def bernoulli(p, values=(0, 1)) -> Bernoulli:
+def bernoulli(p, values=(0, 1)) -> Discrete:
+    """values[1] with probability p, else values[0]: the two-point law listing values[1] first."""
     pf = Fraction(p)
     if not (0 <= pf <= 1):
         raise InputError(f"Bernoulli probability {p} outside [0, 1]")
     if len(values) != 2:
         raise InputError("Bernoulli needs exactly two values")
-    return Bernoulli(p=pf, values=_latent_values(values))
+    return Discrete(values=_latent_values(values[::-1]), probs=(pf, 1 - pf))
 
 
 def discrete(values: Sequence, probs: Sequence) -> Discrete:
@@ -120,17 +115,11 @@ def dist_bounds(d: Dist) -> tuple[Fraction, Fraction]:
 def dist_mean(d: Dist) -> Fraction:
     if isinstance(d, Uniform):
         return (d.lo + d.hi) / 2
-    if isinstance(d, Bernoulli):
-        return Fraction(d.values[0]) * (1 - d.p) + Fraction(d.values[1]) * d.p
     return sum((Fraction(v) * p for v, p in zip(d.values, d.probs)), Fraction(0))
 
 
 def dist_finite_support(d: Dist) -> tuple[tuple[object, Fraction], ...] | None:
-    if isinstance(d, Bernoulli):
-        return ((d.values[0], 1 - d.p), (d.values[1], d.p))
-    if isinstance(d, Discrete):
-        return tuple(zip(d.values, d.probs))
-    return None
+    return tuple(zip(d.values, d.probs)) if isinstance(d, Discrete) else None
 
 
 def _draw(d: Dist, u: np.ndarray) -> np.ndarray:
@@ -138,10 +127,11 @@ def _draw(d: Dist, u: np.ndarray) -> np.ndarray:
     if isinstance(d, Uniform):
         u *= float(d.hi - d.lo)
         return np.add(u, float(d.lo), out=u)
-    if isinstance(d, Bernoulli):
-        if d.values == (0, 1) and copysign(1, d.values[0]) > 0:  # not (-0.0, 1): -0.0 == 0
-            return (u < float(d.p)).astype(np.float64)
-        return np.where(u < float(d.p), float(d.values[1]), float(d.values[0]))
+    if len(d.values) == 2:  # the first value iff u < p0, as the searchsorted below draws it
+        p0 = float(d.probs[0])
+        if d.values == (1, 0) and copysign(1, d.values[1]) > 0:  # not (1, -0.0): -0.0 == 0
+            return (u < p0).astype(np.float64)
+        return np.where(u < p0, float(d.values[0]), float(d.values[1]))
     cum = np.cumsum([float(p) for p in d.probs])
     idx = np.searchsorted(cum, u, side="right")
     return np.asarray([float(v) for v in d.values])[np.minimum(idx, len(d.values) - 1)]
@@ -560,12 +550,6 @@ def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int)
     return t_grid
 
 
-def estimate_tail(
-    spec: SamplerSpec, t: float, seed: int, n_samples: int, workers: int = 1
-) -> TailEstimate:
-    return estimate_tails(spec, [t], seed, n_samples, workers)[0]
-
-
 def estimate_tails(
     spec: SamplerSpec,
     t_grid: Sequence[float],
@@ -711,15 +695,20 @@ def exact_joint(spec: SamplerSpec):
 
     A block factor of width k declares its (k-1)-dependence graph.  The
     latents are summed out by ``coupling._latent_joint``, and each output is
-    clamped to its declared range, as ``sample`` clamps it.
+    clamped to its declared range, as ``sample`` clamps it.  Latent values
+    are read exactly: a float becomes its Fraction, and ints stay ints.
     """
     graph = spec.graph
     if graph is None:
         gap = spec.dependence_gap
         graph = m_dependence_graph(spec.n, gap) if gap else build_graph(spec.n, ())
-    latents = [(lat.scope, dist_finite_support(lat.dist)) for lat in spec.latents]
-    if any(support is None for _, support in latents):
+    supports = [dist_finite_support(lat.dist) for lat in spec.latents]
+    if None in supports:
         raise InputError("exact joints need finite-support latents everywhere")
+    latents = [
+        (lat.scope, [(v if isinstance(v, (int, Fraction)) else Fraction(v), p) for v, p in support])
+        for lat, support in zip(spec.latents, supports)
+    ]
     emit = [partial(_exact_emit, rule) for rule in spec.emit]
     return couplingmod._latent_joint(spec.n, latents, emit, graph)
 

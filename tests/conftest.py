@@ -1,4 +1,4 @@
-"""Shared fixtures: standard graphs, seeded random structures, and LP oracles.
+"""Shared fixtures: standard graphs, seeded random structures, and oracles.
 
 The scipy covering-LP oracle and the brute-force enumerations here are kept
 independent of the library's own simplex / backtracking code on purpose:
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graphtail.coupling import build_tree_joint, latent_tree_spec
-from graphtail.covers import lipschitz_profile
-from graphtail.graph import Graph, build_graph
+from graphtail.coupling import CouplingPair, FiniteJoint, build_tree_joint, finite_joint, latent_tree_spec
+from graphtail.covers import LipschitzProfile, WeightedCover, lipschitz_profile, part_cost_radicand
+from graphtail.graph import Graph, OrderedTree, build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,49 @@ def over_common_denominator(costs: list[Fraction]) -> tuple[list[int], int]:
     """Rational costs as integer numerators over their least common denominator."""
     den = math.lcm(*(c.denominator for c in costs))
     return [c.numerator * (den // c.denominator) for c in costs], den
+
+
+def cover_weighted_cost(g: Graph, cover: WeightedCover, profile: LipschitzProfile) -> float:
+    """sum_k w_k * cost(F_k) of a forest cover, recomputed in floating point."""
+    return sum(float(w) * math.sqrt(part_cost_radicand(g, s, profile)) for s, w in cover.parts)
+
+
+# ---------------------------------------------------------------------------
+# Joints, couplings and rooted trees
+
+def product_joint(marginals) -> FiniteJoint:
+    """Independent product of per-coordinate (value, probability) lists."""
+    pmf = {
+        tuple(v for v, _ in combo): math.prod((q for _, q in combo), start=Fraction(1))
+        for combo in itertools.product(*marginals)
+    }
+    return finite_joint([[v for v, _ in m] for m in marginals], pmf)
+
+
+def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:
+    """P(Y_j != Z_j) per relabeled coordinate, from the coupled pmf."""
+    n = len(pair.spaces)
+    return {
+        j: sum((p for (y, z), p in pair.pmf.items() if y[j - 1] != z[j - 1]), Fraction(0))
+        for j in range(1, n + 1)
+    }
+
+
+def subtree(tree: OrderedTree, i: int) -> set[int]:
+    """The relabeled vertices of the subtree rooted at relabeled vertex i, read off ``parent``."""
+    out = set()
+    for j in range(1, tree.size + 1):
+        a = j
+        while a and a != i:
+            a = tree.parent[a - 1]
+        if a == i:
+            out.add(j)
+    return out
+
+
+def copied_coordinates(tree: OrderedTree, i: int) -> set[int]:
+    """[i+1, size] minus the parent of i: the coordinates a coupling at step i copies."""
+    return set(range(i + 1, tree.size + 1)) - {tree.parent[i - 1]} if tree.parent[i - 1] else set()
 
 
 # ---------------------------------------------------------------------------

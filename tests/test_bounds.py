@@ -117,7 +117,7 @@ class TestMDependent:
         c = lipschitz_profile([1, 2, 3])
         den, part = m_dependent_denominator(3, 5, c)
         assert den == 36  # (1+2+3)^2, no edge terms
-        assert part.block_count == 1
+        assert len(part.blocks) == 1
 
     def test_min_block_never_exceeds_paulin(self):
         rng = random.Random(17)

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from graphtail.bounds import forest_denominator, tail_bound
-from conftest import _table_emit, random_finite_dist, random_tree_edges
+from conftest import (
+    _table_emit,
+    copied_coordinates,
+    coupling_disagreements,
+    product_joint,
+    random_finite_dist,
+    random_tree_edges,
+)
 from graphtail.coupling import (
     MAX_LATENT_CONFIGS,
     CouplingContext,
@@ -17,18 +24,14 @@ from graphtail.coupling import (
     all_coupling_contexts,
     build_coupling,
     build_tree_joint,
-    conditional,
     coordinate_sum,
-    coupling_disagreements,
     coupling_effective_profile,
-    derive_profile,
     exact_tail,
     finite_dist,
     finite_joint,
     latent_tree_spec,
     lipschitz_function,
     mgf_check,
-    product_joint,
     relabel_joint,
     verify_all_couplings,
     verify_coupling_marginals,
@@ -333,30 +336,25 @@ class TestReducedDependencySweep:
         assert dependent >= 20 and not_dependent >= 20
 
 
+def conditional_law(joint, fixed: dict) -> dict:
+    """P(other coordinates | ``fixed``), read off the joint's pmf."""
+    hits = {x: p for x, p in joint.pmf.items() if all(x[c - 1] == v for c, v in fixed.items())}
+    total = sum(hits.values())
+    return {tuple(v for c, v in enumerate(x, 1) if c not in fixed): p / total for x, p in hits.items()}
+
+
 class TestConditional:
     def test_product_prefix_conditioning_keeps_product(self):
         joint = product_joint([[(0, F(1, 3)), (1, F(2, 3))], [(0, F(1, 4)), (1, F(3, 4))]])
-        cond = conditional(joint, {1: 1})
-        assert cond.pmf == {(0,): F(1, 4), (1,): F(3, 4)}
-
-    def test_full_conditioning_is_point_mass(self):
-        joint, _ = xor_pair_joint()
-        cond = conditional(joint, {1: 0, 2: 1})
-        assert cond.pmf == {(): F(1)}
+        assert conditional_law(joint, {1: 1}) == {(0,): F(1, 4), (1,): F(3, 4)}
 
     def test_xor_pair_conditional_from_latent_oracle(self):
         joint, _ = xor_pair_joint()
-        cond = conditional(joint, {1: 1})
+        cond = conditional_law(joint, {1: 1})
         # oracle: P(X2=1 | X1=1) via the latent sums
         num = F(1, 2) * F(1, 4) * F(1, 4) + F(1, 2) * F(3, 4) * F(3, 4)
         den = F(1, 2)
-        assert cond.pmf[(1,)] == num / den == F(5, 8)
-
-    def test_null_event_rejected(self):
-        pmf = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
-        joint = finite_joint([[0, 1], [0, 1]], pmf)
-        with pytest.raises(InputError, match="probability zero"):
-            conditional(joint, {1: 0, 2: 1})
+        assert cond[(1,)] == num / den == F(5, 8)
 
 
 class TestBuildCoupling:
@@ -422,7 +420,7 @@ class TestNegativeControls:
         rl = relabel_joint(joint, tree)
         i = 1
         parent_coord = tree.parent[i - 1]
-        rest = sorted(tree.exposure_rest[i - 1])
+        rest = sorted(copied_coordinates(tree, i))
         heads = sorted({x[:i] for x in rl.pmf})
         worst = F(0)
         for head in heads:
@@ -581,7 +579,7 @@ class TestLipschitzValidation:
         for _ in range(10):
             spaces = [list(range(rng.randint(2, 3))) for _ in range(2)]
             table = {x: F(rng.randint(-5, 5)) for x in itertools.product(*spaces)}
-            prof = derive_profile(spaces, table)
+            prof = lipschitz_function(spaces, table).profile
             assert self.brute_force_all_pairs(spaces, table, prof)
             for i in range(len(spaces)):
                 if prof.values[i] == 0:
@@ -697,11 +695,6 @@ class TestScaleGuards:
     def test_value_outside_alphabet_rejected(self):
         with pytest.raises(InputError, match="outside"):
             finite_joint([[0, 1]], {(7,): F(1)})
-
-    def test_conditional_coordinate_out_of_range(self):
-        joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]])
-        with pytest.raises(InputError):
-            conditional(joint, {3: 0})
 
 
 class TestEndToEndOnToyJoints:

@@ -10,6 +10,7 @@ from conftest import (
     brute_independent_sets,
     brute_induced_forests,
     complete_graph,
+    cover_weighted_cost,
     cycle_graph,
     lp_cover_oracle,
     random_profile,
@@ -23,10 +24,8 @@ from graphtail.covers import (
     Strategy,
     cover_from_json_dict,
     cover_to_json_dict,
-    cover_weighted_cost,
     enumerate_independent_sets,
     enumerate_induced_forests,
-    forest_part_cost,
     fractional_chromatic_number,
     fractional_vertex_arboricity,
     lipschitz_profile,
@@ -240,22 +239,20 @@ class TestForestPartCost:
     def test_edge_plus_four_isolated_uniform(self, example9):
         # an edge of the triangle plus four free vertices: sqrt(2^2 + 1 + 4)
         part = frozenset({1, 2, 4, 5, 6, 7})
-        assert forest_part_cost(example9, part, uniform_profile(9)) == 3.0
         assert part_cost_radicand(example9, part, uniform_profile(9)) == 9
 
     def test_singleton(self, k3):
         c = lipschitz_profile([5, 1, 2])
-        assert forest_part_cost(k3, {2}, c) == 1.0
+        assert part_cost_radicand(k3, {2}, c) == 1
 
     def test_path_mixed_coefficients(self, path3):
         c = lipschitz_profile([1, 2, 3])
         rad = part_cost_radicand(path3, frozenset({1, 2, 3}), c)
         assert rad == (1 + 2) ** 2 + (2 + 3) ** 2 + 1**2 == 35
-        assert math.isclose(forest_part_cost(path3, {1, 2, 3}, c), math.sqrt(35))
 
     def test_cyclic_part_rejected(self, k3):
         with pytest.raises(KindError):
-            forest_part_cost(k3, {1, 2, 3}, uniform_profile(3))
+            part_cost_radicand(k3, {1, 2, 3}, uniform_profile(3))
 
 
 class TestIntegerLpCosts:

@@ -4,14 +4,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import copied_coordinates, subtree
 from graphtail.errors import InputError, KindError
 from graphtail.graph import (
     block_partition,
     build_graph,
     classify,
+    components_within,
+    edges_within,
     graph_from_json_dict,
-    graph_to_json_dict,
-    induced_subgraph,
     m_dependence_graph,
     parse_edge_list,
     rooted_order,
@@ -73,8 +74,8 @@ class TestRootedOrder:
         tree = rooted_order(g, [1, 2, 3], [Fraction(1)] * 3)
         assert tree.root == 1  # tie broken to the smallest label
         assert tree.order[-1] == tree.root
-        # whole tree is the root's fringe
-        assert tree.fringe[tree.size - 1] == frozenset({1, 2, 3})
+        # whole tree is the root's subtree
+        assert subtree(tree, tree.size) == {1, 2, 3}
 
     def test_star_unique_minimum_becomes_root(self):
         g = build_graph(3, [(1, 2), (1, 3)])
@@ -86,13 +87,12 @@ class TestRootedOrder:
         tree = rooted_order(g, [1], [Fraction(3)])
         assert tree.order == (1,)
         assert tree.parent == (0,)
-        assert tree.exposure_rest == (frozenset(),)
 
     def test_descendants_precede_ancestors(self):
         g = build_graph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
         tree = rooted_order(g, range(1, 6), [Fraction(1)] * 5)
         for i in range(1, tree.size + 1):
-            for j in tree.fringe[i - 1]:
+            for j in subtree(tree, i):
                 assert j <= i
 
     def test_fringe_neighborhood_is_fringe_plus_parent(self):
@@ -102,13 +102,13 @@ class TestRootedOrder:
         relabeled_edges = {(tree.rank(u), tree.rank(v)) for u, v in g.edges}
         relabeled_edges |= {(b, a) for a, b in relabeled_edges}
         for i in range(1, tree.size):
-            fr = tree.fringe[i - 1]
+            fr = subtree(tree, i)
             closed = set(fr)
             for a in fr:
                 closed |= {b for (x, b) in relabeled_edges if x == a}
             assert closed == fr | {tree.parent[i - 1]}
             # the copied coordinates never touch the fringe or its neighborhood
-            assert not (tree.exposure_rest[i - 1] & closed)
+            assert not (copied_coordinates(tree, i) & closed)
 
     def test_non_tree_rejected(self):
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -181,32 +181,32 @@ class TestBlockPartition:
 
 
 class TestInducedSubgraph:
+    """The induced subgraph on a subset, in original labels: its edges and components."""
+
     def test_triangle_pair(self):
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-        sub = induced_subgraph(g, {1, 2})
-        assert sub.graph.n == 2 and sub.graph.edges == ((1, 2),)
-        assert sub.original == (1, 2)
+        assert edges_within(g, {1, 2}) == [(1, 2)]
+        assert components_within(g, {1, 2}) == [frozenset({1, 2})]
 
     def test_empty_subset(self):
         g = build_graph(3, [(1, 2)])
-        sub = induced_subgraph(g, set())
-        assert sub.graph.n == 0 and sub.graph.edges == ()
+        assert edges_within(g, set()) == [] and components_within(g, set()) == []
 
     def test_path_endpoints_isolated(self):
         g = build_graph(3, [(1, 2), (2, 3)])
-        sub = induced_subgraph(g, {1, 3})
-        assert sub.graph.edges == ()
+        assert edges_within(g, {1, 3}) == []
+        assert components_within(g, {1, 3}) == [frozenset({1}), frozenset({3})]
 
     def test_full_subset_is_identity(self):
         g = build_graph(4, [(1, 2), (3, 4), (2, 3)])
-        sub = induced_subgraph(g, g.vertices)
-        assert sub.graph == g
+        assert edges_within(g, set(g.vertices)) == list(g.edges)
+        assert components_within(g, g.vertices) == [frozenset(g.vertices)]
 
 
 class TestFormats:
     def test_json_round_trip(self):
         g = build_graph(4, [(1, 2), (3, 4)])
-        assert graph_from_json_dict(graph_to_json_dict(g)) == g
+        assert graph_from_json_dict({"n": 4, "edges": [[1, 2], [3, 4]]}) == g
 
     def test_edge_list(self):
         g = parse_edge_list("3\n1 2\n2 3\n")

@@ -12,6 +12,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtail import covers as coversmod
 from graphtail import montecarlo as mcmod
@@ -38,7 +40,6 @@ from graphtail.montecarlo import (
     discrete,
     dist_finite_support,
     dist_mean,
-    estimate_tail,
     estimate_tails,
     exact_joint,
     latent_graph_spec,
@@ -230,6 +231,21 @@ class TestStreaming:
         want = np.where(u < float(p), float(values[1]), float(values[0]))
         assert _draw(bernoulli(p, values), u.copy()).tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.fractions(0, 1, max_denominator=1000),
+        values=st.sampled_from([(1, 0), (0, 1), (1.0, 0.0), (2, -5), (1, -0.0), (-0.0, 1), (0.5, 0.5)]),
+    )
+    def test_two_point_draws_match_the_generic_form(self, p, values):
+        d = discrete(values, [p, 1 - p])
+        for count in (1, 7, CHUNK):
+            u = np.random.default_rng(count).random(count)
+            u[:3] = (float(p), np.nextafter(float(p), 0.0), 0.0)[:count]
+            cum = np.cumsum([float(q) for q in d.probs])
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), 1)
+            want = np.asarray([float(v) for v in d.values])[idx]
+            assert _draw(d, u.copy()).tobytes() == want.tobytes(), count
+
     def test_clamped_identity_leaves_the_shared_draw_to_its_neighbour(self):
         # latent 1 is read by vertex 1 (identity, clamped) and vertex 2 (sum, unclamped)
         spec = _pinned_specs()["shared"]
@@ -357,7 +373,7 @@ class TestAnalyticMean:
         )
         assert analytic_mean(spec) is None
         # the estimation-pass route still produces a sane estimate
-        est = estimate_tail(spec, 0.25, seed=21, n_samples=20_000)
+        est = estimate_tails(spec, [0.25], seed=21, n_samples=20_000)[0]
         assert 0 < est.p_hat < 1
 
     def test_mean_pass_runs_on_the_callers_workers(self, monkeypatch):
@@ -457,14 +473,14 @@ class TestEstimateTail:
     def test_independent_uniform_sum(self):
         g = build_graph(4, [])
         spec = latent_graph_spec(g, [((v,), uniform(0, 1)) for v in g.vertices])
-        est = estimate_tail(spec, 2.0, seed=7, n_samples=200_000)
+        est = estimate_tails(spec, [2.0], seed=7, n_samples=200_000)[0]
         assert est.p_hat <= math.exp(-2)
         assert est.ci_upper < 1
 
     def test_near_zero_threshold_has_half_mass(self):
         g = build_graph(4, [])
         spec = latent_graph_spec(g, [((v,), uniform(0, 1)) for v in g.vertices])
-        est = estimate_tail(spec, 1e-9, seed=7, n_samples=100_000)
+        est = estimate_tails(spec, [1e-9], seed=7, n_samples=100_000)[0]
         assert abs(est.p_hat - 0.5) < 0.01
 
     def test_ci_is_exact_binomial(self):
@@ -712,6 +728,20 @@ class TestExactBridge:
         joint = exact_joint(block_factor_spec(3, 1, bernoulli(F(1, 3))))
         assert joint.dependency == build_graph(3, [])
         assert verify_dependency(joint, build_graph(3, [])).deviation == 0
+
+    @pytest.mark.parametrize("kind, mean", [("mean", F(5, 8)), ("sum", F(5, 4)), ("max", F(1))])
+    def test_float_latent_values_are_read_exactly(self, kind, mean):
+        from graphtail.coupling import coordinate_sum, exact_mean
+
+        spec = latent_graph_spec(
+            build_graph(1, []),
+            [((1,), discrete([0, 1.5], [F(1, 2), F(1, 2)])), ((1,), bernoulli(F(1, 2)))],
+            emit=kind,
+        )
+        joint = exact_joint(spec)
+        assert all(isinstance(v, (int, F)) for v in joint.spaces[0])
+        assert exact_mean(joint, coordinate_sum(joint.spaces)) == mean
+        assert analytic_mean(spec) == float(mean)
 
     def test_uniform_latents_refuse_exact_joint(self):
         g = build_graph(2, [])
