@@ -57,45 +57,31 @@ def mcdiarmid_denominator(profile: LipschitzProfile) -> Fraction:
     return profile.norm_sq
 
 
-def janson_denominator(
-    g: Graph, profile: LipschitzProfile, cap: int = coversmod.DEFAULT_COLUMN_CAP
-) -> tuple[Fraction, CoverSolution]:
+def janson_denominator(g: Graph, profile: LipschitzProfile) -> tuple[Fraction, CoverSolution]:
     """Fractional chromatic number times the squared coefficient norm."""
-    return _janson(MethodInputs(g, g.n, profile, cap=cap))
+    return _janson(MethodInputs(g, g.n, profile))
 
 
 def forest_denominator(g: Graph, profile: LipschitzProfile) -> Fraction:
     """One squared minimum per tree plus the squared coefficient sum per edge.
 
-    Requires the dependency graph to be a forest; on an edgeless graph this
-    collapses to the independent-case denominator.
+    That is the part-cost radicand of the whole vertex set, so the dependency
+    graph must be a forest; on an edgeless graph this collapses to the
+    independent-case denominator.
     """
-    _check_profile(g, profile)
-    cls = graphmod.classify(g)
-    if not cls.is_forest:
+    if len(profile) != g.n:
+        raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
+    if not graphmod.classify(g).is_forest:
         raise KindError(
             "graph contains a cycle; the forest bound does not apply"
             " (use the decomposable bound instead)"
         )
-    total = Fraction(0)
-    for comp in cls.components:
-        m = min(profile.coefficient(v) for v in comp)
-        total += m * m
-    for u, v in g.edges:
-        s = profile.coefficient(u) + profile.coefficient(v)
-        total += s * s
-    return total
+    return coversmod.part_cost_radicand(g, g.vertices, profile)
 
 
-def decomposable_denominator(
-    g: Graph,
-    profile: LipschitzProfile,
-    strategy: Strategy = Strategy.ENUMERATED_LP,
-    cap: int = coversmod.DEFAULT_COLUMN_CAP,
-) -> tuple[float, CoverSolution]:
-    """Optimal (or upper-bounded) squared weighted forest-cover cost."""
-    _check_profile(g, profile)
-    sol = coversmod.optimize_decomposable_denominator(g, profile, strategy=strategy, cap=cap)
+def decomposable_denominator(g: Graph, profile: LipschitzProfile) -> tuple[float, CoverSolution]:
+    """Optimal squared weighted forest-cover cost, from the enumerated LP."""
+    sol = coversmod.optimize_decomposable_denominator(g, profile)
     return sol.objective, sol
 
 
@@ -104,20 +90,19 @@ def m_dependent_denominator(
     m: int,
     profile: LipschitzProfile,
     variant: str = MIN_BLOCK,
-    blocks: BlockPartition | None = None,
 ) -> tuple[Fraction, BlockPartition]:
     """Block-path denominator for an m-dependent sequence.
 
     With block sums S_1..S_p over consecutive size-m blocks, this is
     sum_{i<p} (S_i + S_{i+1})^2 plus min_i S_i^2 (or the last block's S_p^2
-    under the "paulin" variant, which is never smaller).  A custom grouping
-    may be supplied via ``blocks``; no grouping search is attempted.
+    under the "paulin" variant, which is never smaller).  No grouping search
+    is attempted.
     """
     if len(profile) != n:
         raise InputError(f"profile length {len(profile)} != n = {n}")
     if variant not in (MIN_BLOCK, PAULIN):
         raise InputError(f"unknown m-dependent variant {variant!r}")
-    part = blocks if blocks is not None else graphmod.block_partition(n, m)
+    part = graphmod.block_partition(n, m)
     sums = [sum((profile.coefficient(v) for v in blk), Fraction(0)) for blk in part.blocks]
     total = Fraction(0)
     for a, b in zip(sums, sums[1:]):
@@ -148,11 +133,6 @@ def tail_bound(denominator, t) -> float:
     return min(1.0, math.exp(-2.0 * t * t / float(denominator)))
 
 
-def _check_profile(g: Graph, profile: LipschitzProfile) -> None:
-    if len(profile) != g.n:
-        raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
-
-
 # ---------------------------------------------------------------------------
 # The method table
 
@@ -169,7 +149,6 @@ class MethodInputs:
     profile: LipschitzProfile
     m: int | None = None
     strategy: Strategy = Strategy.ENUMERATED_LP
-    cap: int = coversmod.DEFAULT_COLUMN_CAP
 
     def __post_init__(self):
         if len(self.profile) != self.n:
@@ -182,7 +161,7 @@ class MethodInputs:
     @cached_property
     def _chi(self) -> CoverSolution | ScaleError:
         try:
-            return coversmod.fractional_chromatic_number(self.g, cap=self.cap)
+            return coversmod.fractional_chromatic_number(self.g)
         except ScaleError as exc:
             return exc
 
@@ -238,7 +217,7 @@ def _forest(x: MethodInputs) -> tuple[Fraction, list]:
 
 
 def _decomposable(x: MethodInputs) -> tuple[Fraction | float, CoverSolution]:
-    sol = coversmod._optimize_decomposable(x.g, x.profile, x.strategy, x.cap, x.chi)
+    sol = coversmod._optimize_decomposable(x.g, x.profile, x.strategy, x.chi)
     return (sol.objective_exact if sol.objective_exact is not None else sol.objective), sol
 
 
@@ -331,7 +310,6 @@ def compare_bounds(
     m: int | None = None,
     include_mcdiarmid: bool = False,
     strategy: Strategy = Strategy.ENUMERATED_LP,
-    cap: int = coversmod.DEFAULT_COLUMN_CAP,
 ) -> list[BoundReport]:
     """Every applicable bound at threshold t, best (smallest) first.
 
@@ -343,7 +321,7 @@ def compare_bounds(
     m-dependent methods, which treat the coordinates as an m-dependent
     sequence (the caller asserts that reading).
     """
-    inputs = MethodInputs(g, g.n, profile, m, strategy, cap)
+    inputs = MethodInputs(g, g.n, profile, m, strategy)
     t = check_threshold(t)
     if methods is None:
         methods = tuple(mm for mm in ALL_METHODS if mm != MCDIARMID or include_mcdiarmid)

@@ -106,7 +106,7 @@ def _dist_from_json(data) -> mcmod.Dist:
             return mcmod.bernoulli(_fraction_value(data["p"]), values)
         if kind == "discrete":
             return mcmod.discrete(
-                [_json_symbol(v) for v in _typed(data["values"], list, "discrete 'values'")],
+                _symbols(data["values"], "discrete 'values'"),
                 [_fraction_value(p) for p in _typed(data["probs"], list, "discrete 'probs'")],
             )
     except KeyError as exc:
@@ -116,6 +116,11 @@ def _dist_from_json(data) -> mcmod.Dist:
 
 def _json_symbol(v):
     return int(v) if isinstance(v, int) or (isinstance(v, float) and v.is_integer()) else v
+
+
+def _symbols(value, what: str) -> list:
+    """A JSON list of symbols; a string is an error, not split into characters."""
+    return [_json_symbol(v) for v in _typed(value, list, what)]
 
 
 def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
@@ -201,8 +206,12 @@ def _emit_callable(kind: str, table, incident_edges: list):
     raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
 
 
-def _support(dist: dict) -> list:
-    return list(zip(map(_json_symbol, dist["values"]), map(_fraction_value, dist["probs"])))
+def _support(dist: dict, what: str) -> list:
+    values = _symbols(dist["values"], f"{what} 'values'")
+    probs = _typed(dist["probs"], list, f"{what} 'probs'")
+    if len(values) != len(probs):
+        raise InputError(f"{what} has {len(values)} 'values' but {len(probs)} 'probs'")
+    return list(zip(values, map(_fraction_value, probs)))
 
 
 def _edge_key(text: str) -> tuple[int, ...]:
@@ -219,21 +228,18 @@ def load_joint_spec(path: str):
     without a "tree" entry.  A field of the wrong JSON type is an input
     error, as is a missing one.
     """
-    data = _json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: a joint spec must be a JSON object")
+    data = _typed(_json(path), dict, f"{path}: a joint spec")
     profile = None
     if "profile" in data:
-        if not isinstance(data["profile"], list):
-            raise InputError(f"{path}: 'profile' must be a list")
-        profile = lipschitz_profile([_fraction_value(c) for c in data["profile"]])
+        coefficients = _typed(data["profile"], list, f"{path}: 'profile'")
+        profile = lipschitz_profile([_fraction_value(c) for c in coefficients])
 
     if "pmf" in data:
         try:
-            spaces = [[_json_symbol(v) for v in s] for s in data["spaces"]]
+            spaces = [_symbols(s, "each of 'spaces'") for s in _typed(data["spaces"], list, "'spaces'")]
             pmf = {}
             for item in data["pmf"]:
-                x = tuple(_json_symbol(v) for v in item["x"])
+                x = tuple(_symbols(item["x"], "a pmf entry's 'x'"))
                 pmf[x] = pmf.get(x, Fraction(0)) + _fraction_value(item["p"])
         except KeyError as exc:
             raise InputError(f"{path}: raw joint spec is missing field {exc}") from exc
@@ -254,11 +260,12 @@ def load_joint_spec(path: str):
         profile = coversmod.uniform_profile(g.n)
     try:
         vertex_latents = {
-            read_vertex_id(v, "vertex latent key"): _support(dist)
+            read_vertex_id(v, "vertex latent key"): _support(dist, f"vertex latent {v!r}")
             for v, dist in data["vertex_latents"].items()
         }
         edge_latents = {
-            _edge_key(e): _support(dist) for e, dist in data.get("edge_latents", {}).items()
+            _edge_key(e): _support(dist, f"edge latent {e!r}")
+            for e, dist in data.get("edge_latents", {}).items()
         }
         emit = {}
         for v in g.vertices:
@@ -273,7 +280,8 @@ def load_joint_spec(path: str):
     joint = couplingmod.build_tree_joint(spec)
     if "alphabets" in data:
         try:
-            declared = [sorted(_json_symbol(v) for v in s) for s in data["alphabets"]]
+            alphabets = _typed(data["alphabets"], list, "'alphabets'")
+            declared = [sorted(_symbols(s, "each of 'alphabets'")) for s in alphabets]
         except TypeError as exc:
             raise InputError(f"{path}: malformed 'alphabets': {exc}") from exc
         derived = [sorted(s) for s in joint.spaces]
@@ -334,7 +342,6 @@ def _cmd_bounds(args) -> int:
         m=args.m,
         include_mcdiarmid=args.include_mcdiarmid,
         strategy=Strategy(args.strategy),
-        cap=args.cap,
     )
     _emit_rows(reports, args, boundsmod.report_to_json_dict, boundsmod.reports_to_csv)
     return EXIT_OK
@@ -343,14 +350,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_covers(args) -> int:
     g = load_graph(args.graph)
     if args.problem == "chi-f":
-        sol = coversmod.fractional_chromatic_number(g, cap=args.cap)
+        sol = coversmod.fractional_chromatic_number(g)
     elif args.problem == "arboricity":
-        sol = coversmod.fractional_vertex_arboricity(g, cap=args.cap)
+        sol = coversmod.fractional_vertex_arboricity(g)
     else:
         profile = parse_profile_spec(args.c, g.n)
-        sol = coversmod.optimize_decomposable_denominator(
-            g, profile, strategy=Strategy(args.strategy), cap=args.cap
-        )
+        sol = coversmod.optimize_decomposable_denominator(g, profile, strategy=Strategy(args.strategy))
     payload = {"problem": args.problem, **coversmod.solution_to_json_dict(sol)}
     _emit_output(_json_dumps(payload), args.out)
     return EXIT_OK
@@ -365,6 +370,8 @@ def _parse_t_grid(args) -> list[float]:
             raise InputError(f"--t-grid needs 'start:stop:count', got {args.t_grid!r}") from exc
         if count < 1:
             raise InputError("--t-grid count must be >= 1")
+        if count > mcmod.THRESHOLD_CAP:
+            raise ScaleError(f"--t-grid asks for {count} thresholds; at most {mcmod.THRESHOLD_CAP}")
         if count == 1:
             return [start]
         step = (stop - start) / (count - 1)
@@ -499,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--m", type=int, default=None, help="m-dependence gap, if any")
     p_bounds.add_argument("--include-mcdiarmid", action="store_true")
     p_bounds.add_argument("--strategy", default="enumerated_lp", choices=[s.value for s in Strategy])
-    p_bounds.add_argument("--cap", type=int, default=coversmod.DEFAULT_COLUMN_CAP)
     p_bounds.add_argument("--format", default="csv", choices=("csv", "json"))
     p_bounds.add_argument("--out", default=None)
     p_bounds.set_defaults(handler=_cmd_bounds)
@@ -509,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_covers.add_argument("--graph", required=True)
     p_covers.add_argument("--c", default="uniform:1")
     p_covers.add_argument("--strategy", default="enumerated_lp", choices=[s.value for s in Strategy])
-    p_covers.add_argument("--cap", type=int, default=coversmod.DEFAULT_COLUMN_CAP)
     p_covers.add_argument("--out", default=None)
     p_covers.set_defaults(handler=_cmd_covers)
 

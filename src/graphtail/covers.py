@@ -18,10 +18,13 @@ the witness is then trimmed part-by-part to an exact cover; dropping a
 covered-elsewhere vertex from a part keeps independence and acyclicity and
 never increases its cost, so the trimmed witness attains the same optimum.
 
-The enumerated decomposable LP gets its radicands from the forest walk
-itself: over the profile's common denominator L every coefficient is an
-integer a_v = L * c_v, and each partial forest carries L**2 times its
-radicand as an integer, updated as vertices join and trees merge.
+One walk lists the columns of every enumerated LP, in lexicographic order:
+the induced forests, and with a flag the independent sets (the forests with
+no edge).  Past ``COLUMN_CAP`` columns it raises ScaleError.  The enumerated
+decomposable LP gets its radicands from that walk itself: over the profile's
+common denominator L every coefficient is an integer a_v = L * c_v, and each
+partial forest carries L**2 times its radicand as an integer, updated as
+vertices join and trees merge.
 ``part_cost_radicand`` prices only the parts of returned witnesses and the
 column-generation pool.
 
@@ -52,7 +55,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 ENUMERATION_VERTEX_LIMIT = 25
-DEFAULT_COLUMN_CAP = 200_000
+COLUMN_CAP = 200_000  # enumerated LP columns; past it, ScaleError
 SQRT_BITS = 128
 
 
@@ -90,8 +93,8 @@ def lipschitz_profile(values: Iterable) -> LipschitzProfile:
     return LipschitzProfile(values=tuple(converted))
 
 
-def uniform_profile(n: int, value=1) -> LipschitzProfile:
-    return lipschitz_profile([value] * n)
+def uniform_profile(n: int) -> LipschitzProfile:
+    return lipschitz_profile([1] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +166,18 @@ def validate_cover(g: Graph, cover: WeightedCover) -> list[CoverViolation]:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def enumerate_independent_sets(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[frozenset[int]]:
+def enumerate_independent_sets(g: Graph) -> list[frozenset[int]]:
     """All nonempty independent sets in lexicographic order."""
-    _check_enumeration_scale(g)
-    out: list[frozenset[int]] = []
-
-    def extend(chosen: tuple[int, ...], candidates: list[int]) -> None:
-        for idx, v in enumerate(candidates):
-            new = chosen + (v,)
-            sub = [w for w in candidates[idx + 1 :] if w not in g.neighbors(v)]
-            out.append(frozenset(new))
-            if len(out) > cap:
-                raise ScaleError(f"more than {cap} independent sets; use column generation instead")
-            extend(new, sub)
-
-    extend((), list(g.vertices))
-    del extend  # see _walk_induced_forests
-    return out
+    return _walk_induced_forests(g, [0] * g.n, independent=True)[0]
 
 
-def enumerate_induced_forests(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> list[frozenset[int]]:
+def enumerate_induced_forests(g: Graph) -> list[frozenset[int]]:
     """All nonempty vertex sets whose induced subgraph is acyclic, lexicographic."""
-    return _walk_induced_forests(g, [0] * g.n, cap)[0]
+    return _walk_induced_forests(g, [0] * g.n)[0]
 
 
 def _walk_induced_forests(
-    g: Graph, scaled: Sequence[int], cap: int
+    g: Graph, scaled: Sequence[int], independent: bool = False
 ) -> tuple[list[frozenset[int]], list[int]]:
     """The induced forests in ``enumerate_induced_forests`` order, with radicands.
 
@@ -198,8 +187,15 @@ def _walk_induced_forests(
     adding v to a partial forest adds (a_v + a_u)**2 for each chosen neighbour
     u, and merges the trees holding those neighbours into one, so each merged
     tree's min**2 is subtracted and the new tree's min**2 added.
+
+    With ``independent`` set it lists only the edgeless forests, the
+    independent sets, stopping at any chosen neighbour, not just at a cycle.
     """
-    _check_enumeration_scale(g)
+    if g.n > ENUMERATION_VERTEX_LIMIT:
+        raise ScaleError(
+            f"enumeration supports n <= {ENUMERATION_VERTEX_LIMIT}, got n = {g.n};"
+            " use column generation instead"
+        )
     n = g.n
     a = [0, *scaled]
     lower = [()] + [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices]
@@ -221,8 +217,8 @@ def _walk_induced_forests(
             for u in lower[v]:  # every chosen vertex is below v
                 if u in chosen:
                     r = find(u)
-                    if r in roots:
-                        break  # a cycle; any superset keeps it, but later vertices may not
+                    if independent or r in roots:
+                        break  # an edge or a cycle: supersets keep it, later vertices may not
                     roots.append(r)
                     m = tree_min[r]
                     total += (av + a[u]) ** 2 - m * m
@@ -235,10 +231,9 @@ def _walk_induced_forests(
                 new = chosen | {v}
                 columns.append(new)
                 radicands.append(total)
-                if len(columns) > cap:
-                    raise ScaleError(
-                        f"more than {cap} induced forests; use column generation instead"
-                    )
+                if len(columns) > COLUMN_CAP:  # read here, so tests can lower it
+                    what = "independent sets" if independent else "induced forests"
+                    raise ScaleError(f"more than {COLUMN_CAP} {what}; use column generation instead")
                 extend(new, total, v + 1)
                 for r in roots:
                     parent[r] = r
@@ -249,14 +244,6 @@ def _walk_induced_forests(
     # full collection
     del extend
     return columns, radicands
-
-
-def _check_enumeration_scale(g: Graph) -> None:
-    if g.n > ENUMERATION_VERTEX_LIMIT:
-        raise ScaleError(
-            f"enumeration supports n <= {ENUMERATION_VERTEX_LIMIT}, got n = {g.n};"
-            " use column generation instead"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +385,7 @@ def _trim_to_exact_cover(
     return cover
 
 
-def _solve_unit_cover(g: Graph, kind: CoverKind, cap: int) -> CoverSolution:
-    if kind is CoverKind.INDEPENDENT:
-        columns = enumerate_independent_sets(g, cap=cap)
-    else:
-        columns = enumerate_induced_forests(g, cap=cap)
+def _solve_unit_cover(g: Graph, kind: CoverKind, columns: list[frozenset[int]]) -> CoverSolution:
     res = solve_min_cover_lp(g.n, columns, [1] * len(columns))
     cover = _trim_to_exact_cover(g, kind, columns, res.weights)
     objective = cover.total_weight
@@ -418,14 +401,14 @@ def _solve_unit_cover(g: Graph, kind: CoverKind, cap: int) -> CoverSolution:
     )
 
 
-def fractional_chromatic_number(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> CoverSolution:
+def fractional_chromatic_number(g: Graph) -> CoverSolution:
     """Minimum total weight of an exact fractional cover by independent sets."""
-    return _solve_unit_cover(g, CoverKind.INDEPENDENT, cap)
+    return _solve_unit_cover(g, CoverKind.INDEPENDENT, enumerate_independent_sets(g))
 
 
-def fractional_vertex_arboricity(g: Graph, cap: int = DEFAULT_COLUMN_CAP) -> CoverSolution:
+def fractional_vertex_arboricity(g: Graph) -> CoverSolution:
     """Minimum total weight of an exact fractional cover by forest-inducing sets."""
-    return _solve_unit_cover(g, CoverKind.FOREST, cap)
+    return _solve_unit_cover(g, CoverKind.FOREST, enumerate_induced_forests(g))
 
 
 def _package_d_solution(
@@ -582,7 +565,6 @@ def optimize_decomposable_denominator(
     g: Graph,
     profile: LipschitzProfile,
     strategy: Strategy = Strategy.ENUMERATED_LP,
-    cap: int = DEFAULT_COLUMN_CAP,
 ) -> CoverSolution:
     """Minimize the weighted forest-cover cost; the objective is the squared optimum.
 
@@ -593,9 +575,7 @@ def optimize_decomposable_denominator(
     """
     if len(profile) != g.n:
         raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
-    return _optimize_decomposable(
-        g, profile, strategy, cap, lambda: fractional_chromatic_number(g, cap=cap)
-    )
+    return _optimize_decomposable(g, profile, strategy, lambda: fractional_chromatic_number(g))
 
 
 def _check_float_costs(g: Graph, profile: LipschitzProfile) -> None:
@@ -614,7 +594,6 @@ def _optimize_decomposable(
     g: Graph,
     profile: LipschitzProfile,
     strategy: Strategy,
-    cap: int,
     chi: Callable[[], CoverSolution],
 ) -> CoverSolution:
     """``optimize_decomposable_denominator``, with ``chi()`` supplying the χ_f witness.
@@ -625,7 +604,7 @@ def _optimize_decomposable(
     _check_float_costs(g, profile)
     if strategy is Strategy.ENUMERATED_LP:
         denom, scaled = _profile_scale(profile)
-        columns, radicands = _walk_induced_forests(g, scaled, cap)
+        columns, radicands = _walk_induced_forests(g, scaled)
         square_scale = denom * denom
         costs = [_sqrt_numerator(r, square_scale, SQRT_BITS) for r in radicands]
         res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS)

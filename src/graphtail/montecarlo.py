@@ -39,8 +39,8 @@ import numpy as np
 from . import bounds as boundsmod
 from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
-from .covers import LipschitzProfile, Strategy, lipschitz_profile
-from .errors import InputError
+from .covers import LipschitzProfile, lipschitz_profile
+from .errors import InputError, ScaleError
 from .graph import Graph, build_graph, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
@@ -50,6 +50,7 @@ MEAN_CONFIDENCE = 0.995
 MEAN_UNIFORM_CAP = 12  # uniform readers of a clamped sum whose mean is integrated exactly
 MEAN_TERM_CAP = 1 << 16  # terms of that integral: finite states times subsets of uniforms
 CI_LEVEL = 0.99
+THRESHOLD_CAP = 10_000  # thresholds per run: each costs a pass over every chunk
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +173,6 @@ class SamplerSpec:
         return self.block_width - 1 if self.block_width else None
 
 
-def _vertex_range(kind: str, bounds: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    los = [b[0] for b in bounds]
-    his = [b[1] for b in bounds]
-    if kind == "sum":
-        return sum(los, Fraction(0)), sum(his, Fraction(0))
-    if kind == "mean":
-        m = len(bounds)
-        return sum(los, Fraction(0)) / m, sum(his, Fraction(0)) / m
-    if kind == "max":
-        return max(los), max(his)
-    if kind == "identity":
-        if len(bounds) != 1:
-            raise InputError("identity emit needs exactly one latent on the vertex")
-        return bounds[0]
-    raise InputError(f"unknown emit kind {kind!r}; choose from {EMIT_KINDS}")
-
-
 def latent_graph_spec(
     g: Graph,
     latents: Iterable[tuple[Sequence[int], Dist]],
@@ -252,7 +236,8 @@ def _sampler_spec(n, graph, latents, rules, block_width) -> SamplerSpec:
             raise InputError(f"vertex {v} has no latent to emit from")
         bounds = [dist_bounds(latents[i].dist) for i in reads]
         _check_float_span(bounds, f"the latents of vertex {v}")  # draws and emits are floats
-        derived = _vertex_range(rule.kind, bounds)
+        # every emit kind is monotone in each latent, so the ends map to the ends
+        derived = tuple(_combine_scalar(rule.kind, ends) for ends in zip(*bounds))
         if rule.clamp is not None and rule.clamp[0] > rule.clamp[1]:
             lo, hi = rule.clamp
             raise InputError(f"declared range [{lo}, {hi}] of vertex {v} is empty")
@@ -361,16 +346,16 @@ class TailEstimate:
     seed: int
 
 
-def binomial_upper_ci(hits: int, n: int, level: float = CI_LEVEL) -> float:
+def binomial_upper_ci(hits: int, n: int) -> float:
     """Exact (Clopper-Pearson) one-sided upper confidence limit for a proportion.
 
-    That is the ``level`` quantile of Beta(hits + 1, n - hits).
+    That is the ``CI_LEVEL`` quantile of Beta(hits + 1, n - hits).
     """
     if hits >= n:
         return 1.0
     from scipy.special import betaincinv  # its only user: importing the package loads no scipy
 
-    return float(betaincinv(hits + 1, n - hits, level))
+    return float(betaincinv(hits + 1, n - hits, CI_LEVEL))
 
 
 def _chunk_ranges(total: int, start: int = 0):
@@ -541,6 +526,8 @@ def _estimated_mean(
 
 def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int) -> list[float]:
     """The thresholds as floats, once every input of a sampling run is in range."""
+    if len(t_grid) > THRESHOLD_CAP:
+        raise ScaleError(f"{len(t_grid)} thresholds given; at most {THRESHOLD_CAP} per run")
     t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
     if n_samples < 1:
         raise InputError(f"sample count must be at least 1, got {n_samples}")
@@ -606,15 +593,15 @@ class ValidationRow:
 DEFAULT_SCREENS = ((M_DEPENDENT, M_DEPENDENT_PAULIN), (FOREST,), (JANSON, DECOMPOSABLE))
 
 
-def _method_inputs(spec: SamplerSpec, strategy: Strategy) -> boundsmod.MethodInputs:
+def _method_inputs(spec: SamplerSpec) -> boundsmod.MethodInputs:
     # a block factor of width 1 is 0-dependent, and so also 1-dependent
     gap = max(spec.dependence_gap, 1) if spec.dependence_gap is not None else None
-    return boundsmod.MethodInputs(spec.graph, spec.n, spec.profile, m=gap, strategy=strategy)
+    return boundsmod.MethodInputs(spec.graph, spec.n, spec.profile, m=gap)
 
 
 def resolve_methods(spec: SamplerSpec) -> tuple[str, ...]:
     """Bound methods applicable to a spec's declared dependence structure."""
-    inputs = _method_inputs(spec, Strategy.ENUMERATED_LP)
+    inputs = _method_inputs(spec)
     return next(
         screen
         for screen in DEFAULT_SCREENS
@@ -628,7 +615,6 @@ def validate_bounds(
     seed: int,
     n_samples: int,
     methods: Sequence[str] | None = None,
-    strategy: Strategy = Strategy.ENUMERATED_LP,
     workers: int = 1,
 ) -> list[ValidationRow]:
     """Empirical soundness screen: PASS iff the CI upper limit is under the bound.
@@ -639,7 +625,7 @@ def validate_bounds(
     dependent spec.
     """
     _check_run(t_grid, seed, n_samples, workers)  # before any LP is solved
-    inputs = _method_inputs(spec, strategy)
+    inputs = _method_inputs(spec)
     chosen = boundsmod.bound_methods(methods if methods is not None else resolve_methods(spec))
     denominators = []
     for method in chosen:
@@ -668,15 +654,17 @@ def validate_bounds(
     return rows
 
 
+def _json_name(field: str) -> str:
+    return "N" if field == "n_samples" else field
+
+
 def row_to_json_dict(row: ValidationRow | TailEstimate) -> dict:
     """A sampler row's JSON form, which its CSV row is read from too."""
-    return {("N" if f.name == "n_samples" else f.name): getattr(row, f.name) for f in fields(row)}
+    return {_json_name(f.name): getattr(row, f.name) for f in fields(row)}
 
 
-VALIDATION_CSV_COLUMNS = (
-    "method", "t", "denominator", "bound", "p_hat", "ci_upper", "verdict", "seed", "N"
-)
-ESTIMATE_CSV_COLUMNS = ("t", "N", "hits", "p_hat", "ci_upper", "seed")
+VALIDATION_CSV_COLUMNS = tuple(_json_name(f.name) for f in fields(ValidationRow))
+ESTIMATE_CSV_COLUMNS = tuple(_json_name(f.name) for f in fields(TailEstimate))
 
 
 def validation_to_csv(rows: Sequence[ValidationRow]) -> str:
@@ -720,6 +708,8 @@ def _exact_emit(rule: EmitRule, values: Sequence):
 
 def _combine_scalar(kind: str, values: Sequence):
     if kind == "identity":
+        if len(values) != 1:
+            raise InputError("identity emit needs exactly one latent on the vertex")
         return values[0]
     if kind == "sum":
         return sum(values)
@@ -727,4 +717,4 @@ def _combine_scalar(kind: str, values: Sequence):
         return Fraction(sum(values), len(values))
     if kind == "max":
         return max(values)
-    raise InputError(f"unknown emit kind {kind!r}")
+    raise InputError(f"unknown emit kind {kind!r}; choose from {EMIT_KINDS}")

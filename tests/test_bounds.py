@@ -32,7 +32,7 @@ from graphtail.bounds import (
 from graphtail import covers as coversmod
 from graphtail.covers import lipschitz_profile, uniform_profile
 from graphtail.errors import DegenerateProfileError, InputError, KindError
-from graphtail.graph import block_partition, build_graph
+from graphtail.graph import build_graph
 
 
 class TestMcdiarmid:
@@ -140,13 +140,6 @@ class TestMDependent:
             assert den == (2 * m * c_val) ** 2 * (n // m - 1) + m**2 * c_val**2
             assert den <= 4 * m * n * c_val**2
 
-    def test_custom_grouping_override(self):
-        c = uniform_profile(4)
-        blocks = block_partition(4, 2)
-        den, part = m_dependent_denominator(4, 2, c, blocks=blocks)
-        assert part is blocks
-        assert den == (2 + 2) ** 2 + 4
-
 
 class TestTailBound:
     def test_plug_in(self):
@@ -222,8 +215,9 @@ class TestCompareBounds:
         mc = next(r for r in flagged if r.method == MCDIARMID)
         assert mc.valid_under == "independence-only"
 
-    def test_scale_limited_methods_are_skipped_with_reason(self, example9):
-        reports = compare_bounds(example9, uniform_profile(9), t=1.0, cap=5)
+    def test_scale_limited_methods_are_skipped_with_reason(self, example9, monkeypatch):
+        monkeypatch.setattr(coversmod, "COLUMN_CAP", 5)
+        reports = compare_bounds(example9, uniform_profile(9), t=1.0)
         skipped = {r.method: r for r in reports if not r.applicable}
         assert JANSON in skipped and DECOMPOSABLE in skipped
         assert skipped[JANSON].reason.startswith("scale:")
@@ -241,9 +235,9 @@ class TestCompareBounds:
         solve = coversmod.fractional_chromatic_number
         calls = []
 
-        def counted(g, cap):
+        def counted(g):
             calls.append(g)
-            return solve(g, cap=cap)
+            return solve(g)
 
         monkeypatch.setattr(coversmod, "fractional_chromatic_number", counted)
         reports = compare_bounds(example9, uniform_profile(9), t=3.0)

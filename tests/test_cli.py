@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphtail import bounds as boundsmod
 from graphtail import cli
+from graphtail import covers as coversmod
 from graphtail.bounds import ALL_METHODS
 from graphtail.errors import InputError, VerificationError
 
@@ -122,8 +123,13 @@ class TestCoversCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective_exact"] == "2"
 
-    def test_cap_exhaustion_exit_2(self, ex9_file):
-        assert cli.run(["covers", "chi-f", "--graph", ex9_file, "--cap", "3"]) == 2
+    def test_cap_exhaustion_exit_2(self, ex9_file, monkeypatch):
+        monkeypatch.setattr(coversmod, "COLUMN_CAP", 3)
+        assert cli.run(["covers", "chi-f", "--graph", ex9_file]) == 2
+
+    def test_cap_is_not_an_option(self, ex9_file):
+        assert cli.run(["covers", "chi-f", "--graph", ex9_file, "--cap", "3"]) == 1
+        assert cli.run(["bounds", "--graph", ex9_file, "--t", "1", "--cap", "3"]) == 1
 
     def test_greedy_strategy_reports_upper_bound(self, ex9_file, capsys):
         code = cli.run(
@@ -543,6 +549,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            # a latent value with no probability was dropped, and the check passed
+            ({**_P2XOR, "vertex_latents": {
+                "1": {"values": [0, 1, 2], "probs": ["1/2", "1/2"]},
+                "2": {"values": [0, 1], "probs": ["3/4", "1/4"]},
+            }}, "vertex latent '1' has 3 'values' but 2 'probs'"),
+            ({**_P2XOR, "edge_latents": {"1-2": {"values": [0, 1], "probs": ["1"]}}},
+             "edge latent '1-2' has 2 'values' but 1 'probs'"),
+            ({**_P2XOR, "edge_latents": {"1-2": {"values": "01", "probs": ["1/2", "1/2"]}}},
+             "edge latent '1-2' 'values' must be a list"),
+            # strings were split into one-character symbols, and the check passed
+            ({"spaces": ["01", "01"], "tree": {"n": 2, "edges": [[1, 2]]},
+              "pmf": [{"x": "00", "p": 1}]}, "each of 'spaces' must be a list"),
+            ({**_RAW3, "pmf": [{"x": "000", "p": 1}]}, "a pmf entry's 'x' must be a list"),
+            ({**_P2XOR, "alphabets": ["012", "012"]}, "each of 'alphabets' must be a list"),
+        ],
+    )
+    def test_joint_spec_lists_are_read_as_lists(self, spec, field, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {field}")
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_joint_specs_never_end_in_a_traceback(self, data, tmp_path_factory):
@@ -800,6 +833,17 @@ class TestNonFiniteAndEmptyInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("validate", [[], ["--validate"]])
+    def test_too_many_thresholds_exit_2_before_any_is_built(self, blockfactor_file, validate, capsys):
+        base = ["simulate", "--spec", blockfactor_file, "--seed", "1", "--n", "8"] + validate
+        assert cli.run(base + ["--t-grid", "0:1:1000000000000"]) == 2
+        assert cli.run(base + ["--t", ",".join(["1"] * 10_001)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("scale error: ") == 2
+        assert cli.run(base + ["--t-grid", "0:1:10000"]) == 0
 
 
 class TestWorkerAndSeedRange:

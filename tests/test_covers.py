@@ -18,7 +18,6 @@ from conftest import (
 )
 from graphtail import covers
 from graphtail.covers import (
-    DEFAULT_COLUMN_CAP,
     CoverKind,
     Optimality,
     Strategy,
@@ -80,9 +79,12 @@ class TestEnumeration:
     def test_example_graph_column_count(self, example9):
         assert len(enumerate_induced_forests(example9)) == 447
 
-    def test_cap_raises_scale_error(self, example9):
-        with pytest.raises(ScaleError, match="column generation"):
-            enumerate_induced_forests(example9, cap=100)
+    def test_cap_raises_scale_error(self, example9, monkeypatch):
+        monkeypatch.setattr(covers, "COLUMN_CAP", 100)
+        with pytest.raises(ScaleError, match="more than 100 induced forests; use column generation"):
+            enumerate_induced_forests(example9)
+        with pytest.raises(ScaleError, match="more than 100 independent sets; use column generation"):
+            enumerate_independent_sets(build_graph(8, []))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.1, max_value=0.8), st.integers())
@@ -135,10 +137,18 @@ class TestForestWalker:
             )
             denom = math.lcm(*(c.denominator for c in profile))
             scaled = [int(c * denom) for c in profile]
-            columns, radicands = covers._walk_induced_forests(g, scaled, DEFAULT_COLUMN_CAP)
+            columns, radicands = covers._walk_induced_forests(g, scaled)
             assert columns == reference_forest_order(g) == enumerate_induced_forests(g)
             for part, radicand in zip(columns, radicands):
                 assert Fraction(radicand, denom * denom) == part_cost_radicand(g, part, profile)
+
+    def test_independent_set_order_is_lexicographic(self):
+        # the chromatic LP's column indices, and so its pivots, follow this order
+        rng = random.Random(20240612)
+        for trial in range(24):
+            g = random_graph(rng.randint(1, 11), rng.choice((0.15, 0.3, 0.5)), rng)
+            expected = sorted(brute_independent_sets(g), key=sorted)
+            assert enumerate_independent_sets(g) == expected
 
     def test_enumerated_lp_prices_parts_only_for_witnesses(self, monkeypatch):
         g = random_graph(12, 0.3, random.Random(7))

@@ -542,7 +542,7 @@ class TestValidateBounds:
         solve = coversmod.fractional_chromatic_number
         calls = []
         monkeypatch.setattr(
-            coversmod, "fractional_chromatic_number", lambda g, cap: calls.append(g) or solve(g, cap=cap)
+            coversmod, "fractional_chromatic_number", lambda g: calls.append(g) or solve(g)
         )
         rows = validate_bounds(spec, [1.0], seed=3, n_samples=1000)
         assert len(calls) == 1
