@@ -267,9 +267,13 @@ def load_joint_spec(path: str):
             _edge_key(e): _support(dist, f"edge latent {e!r}")
             for e, dist in data.get("edge_latents", {}).items()
         }
+        rules = data.get("emit", {})
+        stray = set(rules) - {str(v) for v in g.vertices}
+        if stray:
+            raise InputError(f"emit rule for vertex {min(stray)!r}, which is not in the tree 1..{g.n}")
         emit = {}
         for v in g.vertices:
-            rule = data.get("emit", {}).get(str(v), {"kind": "xor"})
+            rule = rules.get(str(v), {"kind": "xor"})
             incident = [e for e in g.edges if v in e]
             emit[v] = _emit_callable(rule.get("kind", "xor"), rule.get("map"), incident)
     except KeyError as exc:

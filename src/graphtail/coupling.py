@@ -167,13 +167,21 @@ def latent_tree_spec(
         raise KindError("latent-tree specs need a single tree as dependency graph")
     prof = profile if profile is not None else uniform_profile(g.n)
     tree = rooted_order(g, g.vertices, prof.values)
+    for v in vertex_latents:
+        if v not in g.vertices:
+            raise InputError(f"vertex latent for vertex {v}, which is not in the tree 1..{g.n}")
     try:
         vl = {v: finite_dist(vertex_latents[v]) for v in g.vertices}
     except KeyError as exc:
         raise InputError(f"no vertex latent for vertex {exc}") from exc
     normalized_edges = {}
     for (a, b), dist in edge_latents.items():
-        normalized_edges[(a, b) if a < b else (b, a)] = dist
+        edge = (a, b) if a < b else (b, a)
+        if edge not in g.edges:
+            raise InputError(f"edge latent for {a}-{b}, which is not an edge of the tree")
+        if edge in normalized_edges:
+            raise InputError(f"edge latent for {a}-{b} repeats edge {edge[0]}-{edge[1]}")
+        normalized_edges[edge] = dist
     el = {}
     for edge in g.edges:
         if edge not in normalized_edges:

@@ -124,14 +124,17 @@ def dist_finite_support(d: Dist) -> tuple[tuple[object, Fraction], ...] | None:
 
 
 def _draw(d: Dist, u: np.ndarray) -> np.ndarray:
-    """Draws of ``d`` from the uniforms ``u``, which it may overwrite."""
+    """Draws of ``d`` from the uniforms ``u``, which it may overwrite; a 0/1 law's are bools."""
     if isinstance(d, Uniform):
-        u *= float(d.hi - d.lo)
-        return np.add(u, float(d.lo), out=u)
+        if d.hi - d.lo != 1:
+            u *= float(d.hi - d.lo)
+        if d.lo:  # u * width is never -0.0, so adding 0 would change no bit
+            u += float(d.lo)
+        return u
     if len(d.values) == 2:  # the first value iff u < p0, as the searchsorted below draws it
         p0 = float(d.probs[0])
-        if d.values == (1, 0) and copysign(1, d.values[1]) > 0:  # not (1, -0.0): -0.0 == 0
-            return (u < p0).astype(np.float64)
+        if sorted(d.values) == [0, 1] and all(copysign(1, x) > 0 for x in d.values):  # no -0.0
+            return u < p0 if d.values[0] == 1 else u >= p0
         return np.where(u < p0, float(d.values[0]), float(d.values[1]))
     cum = np.cumsum([float(p) for p in d.probs])
     idx = np.searchsorted(cum, u, side="right")
@@ -265,57 +268,74 @@ def _check_float_span(bounds: list[tuple[Fraction, Fraction]], what: str) -> Non
 # ---------------------------------------------------------------------------
 # Deterministic streams
 
-def _stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Draws [start, start+count) of the (seed, stream) Philox stream."""
-    aligned = start & ~3  # Philox advances in blocks of 4 doubles
+def _stream_uniforms(seed: int, stream: int, start: int, count: int, out: np.ndarray) -> np.ndarray:
+    """Draws [start, start+count) of the (seed, stream) Philox stream, written into ``out``."""
+    aligned = start & ~3  # Philox advances in blocks of 4 doubles: out holds count + start % 4
     bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if aligned:
         bitgen.advance(aligned >> 2)
-    vals = np.random.Generator(bitgen).random(count + (start - aligned))
+    vals = np.random.Generator(bitgen).random(count + (start - aligned), out=out)
     return vals[start - aligned :]
 
 
 def _emit_chunk(spec: SamplerSpec, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
     """Coordinates of samples [start, start+count), one row per vertex in vertex order.
 
-    A latent is drawn when its first reader needs it and dropped after its
-    last.  A row may be a latent's own draw: consumers must not write to it.
+    A latent is drawn into a pooled buffer when its first reader needs it and
+    dropped after its last.  A vertex combines into its first latent's float
+    row if it is that row's last reader, else into a scratch row.  A row is
+    valid until the next is requested, and consumers must not write to it.
     """
+    pool: list[np.ndarray] = []
+    owned: dict[int, np.ndarray] = {}  # the pool buffer a live latent's row lives in
     live: dict[int, np.ndarray] = {}
+    scratch = np.empty(count)
     for v, (reads, rule) in enumerate(zip(spec.readers, spec.emit), start=1):
         for i in reads:
             if i not in live:
-                live[i] = _draw(spec.latents[i].dist, _stream_uniforms(seed, i, start, count))
-        row = _combine(rule.kind, [live[i] for i in reads])
-        for i in reads:
-            if max(spec.latents[i].scope) == v:
-                del live[i]
-        if rule.clamp is not None:  # in place, unless the row is a latent's own draw
-            out = None if rule.kind == "identity" else row
+                buf = pool.pop() if pool else np.empty(count + (start & 3))
+                u = _stream_uniforms(seed, i, start, count, buf)
+                live[i] = _draw(spec.latents[i].dist, u)
+                if live[i] is u:
+                    owned[i] = buf
+                else:
+                    pool.append(buf)
+        done = [i for i in reads if spec.latents[i].scope[-1] == v]
+        first = live[reads[0]]
+        out = first if reads[0] in done and first.dtype == np.float64 else scratch
+        row = _combine(rule.kind, [live[i] for i in reads], out)
+        if rule.clamp is not None:
             row = np.clip(row, *map(float, rule.clamp), out=out)
         yield row
+        for i in done:
+            del live[i]
+            if i in owned:
+                pool.append(owned.pop(i))
 
 
-def _combine(kind: str, arrays: list[np.ndarray]) -> np.ndarray:
-    """A fresh row unless ``kind`` is identity: bit for bit numpy's reduction of the row stack."""
+def _combine(kind: str, arrays: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Bit for bit numpy's reduction of the row stack, into ``out`` unless ``kind`` is identity."""
     if kind == "identity":
         return arrays[0]
     ufunc = np.maximum if kind == "max" else np.add
-    # numpy sums a one-sample stack pairwise, not row by row
-    out = ufunc.reduce(arrays) if len(arrays[0]) == 1 else _fold(ufunc, arrays)
+    if len(out) == 1:  # numpy sums a one-sample stack pairwise, not row by row
+        ufunc.reduce(np.asarray(arrays, np.float64), out=out)
+    else:
+        _fold(ufunc, arrays, out)
     if kind == "mean":
         out /= len(arrays)
     return out
 
 
-def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray]) -> np.ndarray:
-    """``ufunc`` over the rows in order, into one fresh row.
+def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``ufunc`` over the rows in order, into ``out``, which may be the first row.
 
     For rows of two or more samples that is bit for bit numpy's axis-0
     reduction of their stack.
     """
     rows = iter(rows)
-    out = next(rows).copy()
+    if (first := next(rows)) is not out:
+        np.copyto(out, first)
     for row in rows:
         ufunc(out, row, out=out)
     return out
@@ -323,7 +343,10 @@ def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray]) -> np.ndarray:
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Samples [start, start+count) as an array of shape (count, n)."""
-    return np.stack(list(_emit_chunk(spec, _check_seed(seed), start, count))).T
+    out = np.empty((spec.n, count))
+    for coordinate, row in zip(out, _emit_chunk(spec, _check_seed(seed), start, count)):
+        coordinate[...] = row
+    return out.T
 
 
 def _check_seed(seed: int) -> int:
@@ -383,7 +406,7 @@ def _threshold_counts(
 
     def one(args):
         a, m = args
-        vals = _fold(np.add, _emit_chunk(spec, seed, a, m))  # coordinate sums, in vertex order
+        vals = _fold(np.add, _emit_chunk(spec, seed, a, m), np.empty(m))  # in vertex order
         return [int((vals >= th).sum()) for th in ths], float(vals.sum())
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -312,6 +312,12 @@ _P2XOR = {
              "2": {"kind": "sum"}},
     "alphabets": [[0, 1, 2], [0, 1, 2]],
 }
+_FAIR_BIT = {"values": [0, 1], "probs": ["1/2", "1/2"]}
+_P3XOR = {  # the path 1-2-3, every coordinate the xor of the latents it reads
+    "tree": {"n": 3, "edges": [[1, 2], [2, 3]]},
+    "vertex_latents": {v: _FAIR_BIT for v in ("1", "2", "3")},
+    "edge_latents": {"1-2": _FAIR_BIT, "2-3": _FAIR_BIT},
+}
 _RAW3 = {
     "spaces": [[0, 1], [0, 1], [0, 1]],
     "tree": {"n": 3, "edges": [[1, 2], [2, 3]]},
@@ -575,6 +581,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: {field}")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({**_P2XOR, "vertex_latents": {**_P2XOR["vertex_latents"], "3": _FAIR_BIT}},
+             "vertex latent for vertex 3, which is not in the tree 1..2"),
+            ({**_P3XOR, "edge_latents": {**_P3XOR["edge_latents"], "1-3": _FAIR_BIT}},
+             "edge latent for 1-3, which is not an edge of the tree"),
+            ({**_P2XOR, "edge_latents": {**_P2XOR["edge_latents"], "2-1": _FAIR_BIT}},
+             "edge latent for 2-1 repeats edge 1-2"),
+            ({**_P2XOR, "emit": {**_P2XOR["emit"], "3": {"kind": "sum"}}},
+             "emit rule for vertex '3', which is not in the tree 1..2"),
+        ],
+        ids=["vertex-latent", "non-edge-latent", "repeated-edge-latent", "emit-rule"],
+    )
+    def test_stray_joint_spec_keys_exit_1(self, spec, message, tmp_path, capsys):
+        # each was dropped without a word, and the check printed "ok": true
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())

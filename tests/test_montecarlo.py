@@ -153,12 +153,15 @@ class TestSpecs:
 class TestDeterminism:
     def test_worker_count_invariance(self):
         g = build_graph(4, [])
-        spec = latent_graph_spec(g, [((v,), uniform(0, 1)) for v in g.vertices])
-        runs = [
-            estimate_tails(spec, [0.5, 1.0], seed=13, n_samples=150_000, workers=w)
-            for w in (1, 2, 8)
-        ]
-        assert runs[0] == runs[1] == runs[2]
+        for spec, t_grid in (
+            (latent_graph_spec(g, [((v,), uniform(0, 1)) for v in g.vertices]), [0.5, 1.0]),
+            (_pinned_specs()["bool"], [0.5, 1.5]),  # 0/1 Bernoulli rows
+        ):
+            runs = [
+                estimate_tails(spec, t_grid, seed=13, n_samples=150_000, workers=w)
+                for w in (1, 2, 8)
+            ]
+            assert runs[0] == runs[1] == runs[2]
 
     def test_sample_slices_are_stream_consistent(self):
         spec = block_factor_spec(5, 2, uniform(0, 1))
@@ -191,6 +194,18 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 16 * CHUNK * 8
 
+    def test_live_zero_one_latents_are_held_as_bools(self):
+        # a star's 40 edge latents are all live from the centre until their leaf
+        star = build_graph(41, [(1, leaf) for leaf in range(2, 42)])
+        spec = latent_graph_spec(star, [((1, leaf), bernoulli(F(1, 3))) for leaf in range(2, 42)])
+        tracemalloc.start()
+        try:
+            _threshold_counts(spec, seed=5, n_samples=CHUNK, thresholds=[20.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * CHUNK * 8  # 40 bool rows are 5 float rows
+
     @pytest.mark.parametrize("n", [1, 2, 9, 60, 200])
     def test_streamed_sum_adds_rows_as_the_axis_0_reduction_does(self, n):
         """Bit for bit, for chunks of two or more samples.
@@ -202,26 +217,37 @@ class TestStreaming:
         for count in (2, 7, 4099):
             # magnitudes spread over 12 decades, so a change of order shows in the bits
             rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(n)]
-            streamed = _fold(np.add, iter(rows))
             stacked = np.stack(rows).sum(axis=0)
-            assert streamed.tobytes() == stacked.tobytes()
+            assert _fold(np.add, iter(rows), np.empty(count)).tobytes() == stacked.tobytes()
+            first = rows[0].copy()  # folded into in place
+            assert _fold(np.add, iter([first, *rows[1:]]), first).tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 7, 4099])
     def test_combined_rows_match_the_stacked_reductions(self, count):
-        """In place for two or more samples, and the stack's own pairwise sum for one."""
+        """In place for two or more samples, and the stack's own pairwise sum for one.
+
+        Into a scratch row or into the first row itself, with every other row
+        a bool row or not.
+        """
         rng = np.random.default_rng(count)
-        for k in range(1, 13):
-            rows = [rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for _ in range(k)]
-            rows[0][0] = -0.0  # max keeps the first of two equal zeros
-            rows[-1][0] = 0.0
+        for k, bools in itertools.product(range(1, 13), (False, True)):
+            rows = [rng.random(count) < 0.5 if bools and j % 2
+                    else rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6) for j in range(k)]
+            rows[0][0] = -0.0  # max keeps one of two equal zeros, the same one for a bool 0
+            rows[-1][0] = 0
             stacked = np.stack(rows)
+            assert stacked.dtype == np.float64
             for kind, want in (
                 ("sum", np.add.reduce(stacked)),
                 ("mean", np.add.reduce(stacked) / k),
                 ("max", np.maximum.reduce(stacked)),
             ):
-                assert _combine(kind, list(rows)).tobytes() == want.tobytes(), (kind, k)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, stacked)), k
+                got = _combine(kind, list(rows), np.empty(count))
+                assert got.tobytes() == want.tobytes(), (kind, k, bools)
+                first = rows[0].copy()
+                assert _combine(kind, [first, *rows[1:]], first).tobytes() == want.tobytes()
+            assert all(np.asarray(a, np.float64).tobytes() == b.tobytes()
+                       for a, b in zip(rows, stacked)), k
 
     @pytest.mark.parametrize("values", [(0, 1), (0.0, 1.0), (2, -5), (-0.0, 1)])
     def test_bernoulli_draws_match_the_where_form(self, values):
@@ -229,7 +255,9 @@ class TestStreaming:
         u = np.random.default_rng(7).random(4099)
         u[:3] = (0.0, float(p), np.nextafter(float(p), 0.0))
         want = np.where(u < float(p), float(values[1]), float(values[0]))
-        assert _draw(bernoulli(p, values), u.copy()).tobytes() == want.tobytes()
+        row = _draw(bernoulli(p, values), u.copy())
+        assert np.asarray(row, np.float64).tobytes() == want.tobytes()
+        assert row.dtype == _draw_dtype(values)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -244,17 +272,25 @@ class TestStreaming:
             cum = np.cumsum([float(q) for q in d.probs])
             idx = np.minimum(np.searchsorted(cum, u, side="right"), 1)
             want = np.asarray([float(v) for v in d.values])[idx]
-            assert _draw(d, u.copy()).tobytes() == want.tobytes(), count
+            row = _draw(d, u.copy())
+            assert np.asarray(row, np.float64).tobytes() == want.tobytes(), count
+            assert row.dtype == _draw_dtype(values), count
 
     def test_clamped_identity_leaves_the_shared_draw_to_its_neighbour(self):
         # latent 1 is read by vertex 1 (identity, clamped) and vertex 2 (sum, unclamped)
         spec = _pinned_specs()["shared"]
         assert spec.readers == ((1,), (0, 1))
-        draws = [_draw(lat.dist, _stream_uniforms(11, i, 3, 500)) for i, lat in enumerate(spec.latents)]
-        first, second = _emit_chunk(spec, 11, 3, 500)
+        draws = [_draw(lat.dist, _stream_uniforms(11, i, 3, 500, np.empty(503)))
+                 for i, lat in enumerate(spec.latents)]
+        first, second = (row.copy() for row in _emit_chunk(spec, 11, 3, 500))  # rows are reused
         assert first.tobytes() == np.clip(draws[1], 0.25, 0.75).tobytes()
         assert (first != draws[1]).any()
         assert second.tobytes() == (draws[0] + draws[1]).tobytes()
+
+
+def _draw_dtype(values):
+    """Bool for a law on 0 and 1, whose draws numpy reads as 1.0 and 0.0; a -0.0 keeps floats."""
+    return bool if sorted(values) == [0, 1] and math.copysign(1, min(values)) > 0 else np.float64
 
 
 def _pinned_specs():
@@ -283,6 +319,27 @@ def _pinned_specs():
         [((1, 2), uniform(0, 1)), ((2,), bernoulli(F(1, 2)))],
         emit={1: EmitRule(kind="identity", clamp=(F(1, 4), F(3, 4)))},
     )
+    # 0/1 Bernoulli latents read as identity (unclamped and clamped), as the
+    # only latent of a sum, mean and max, first in a max with a float latent,
+    # and shared by two sums; vertex 7 draws a 0/1 discrete law in (0, 1) order
+    zero_one = latent_graph_spec(
+        build_graph(8, [(6, 7), (7, 8)]),
+        [
+            *(((v,), bernoulli(p)) for v, p in enumerate(
+                (F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1, 5), F(2, 3)), start=1)),
+            ((6,), uniform(F(-1, 2), F(1, 2))),
+            ((7,), discrete([0, 1], [F(1, 3), F(2, 3)])),
+            ((7, 8), bernoulli(F(1, 4))),
+            ((8,), uniform(0, 2)),
+        ],
+        emit={
+            1: EmitRule(kind="identity"),
+            2: EmitRule(kind="identity", clamp=(F(1, 4), F(3, 4))),
+            4: EmitRule(kind="mean", clamp=(F(1, 8), F(7, 8))),
+            5: EmitRule(kind="max"),
+            6: EmitRule(kind="max"),
+        },
+    )
     # the block sum and mean read 8 or more rows per vertex, which numpy
     # sums pairwise in a one-sample chunk
     return {
@@ -293,6 +350,7 @@ def _pinned_specs():
             6, 8, discrete([0, 0.1, 7], [F(1, 2), F(1, 3), F(1, 6)]), combine="mean"
         ),
         "shared": shared,
+        "bool": zero_one,
     }
 
 
@@ -326,6 +384,11 @@ _PINNED = {
         ("7d294f5b96e67be2", "0ae23ceff5eb7345", "5205eadafee27eee", "832064537c6676b8",
          "73aeb8c6586800fd"),
         (1.5, 2.5, 2.7), [65547, 16203, 3338], "0x1.7fe0191cefe97p+17",
+    ),
+    "bool": (
+        ("894b8701625dd189", "e974a1c8e0cba76f", "cd681cc4b1e1e93d", "5c9c4f19e5c3fa0b",
+         "ccaeba3cf8bfbd59"),
+        (4.0, 5.5, 7.0), [97726, 48224, 14049], "0x1.42fbdaa9f7752p+19",
     ),
 }
 
