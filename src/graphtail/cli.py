@@ -5,7 +5,8 @@ Subcommands: ``bounds`` (denominator/bound reports for a graph and profile),
 validation), ``verify`` (exact coupling / dependency checks).  Machine
 output (JSON or CSV) goes to stdout or --out; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 input or usage error, 2 scale error, 3 verification
+Exit codes: 0 success, 1 input or usage error (or a standard output closed
+before the report was written), 2 scale error, 3 verification
 failure (a nonzero coupling or dependency deviation, an empirically violated
 bound, or an internal exact check that failed), so pipelines can use the
 tool as a test oracle.
@@ -18,6 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import bounds as boundsmod
 from . import coupling as couplingmod
@@ -221,6 +223,21 @@ def _edge_key(text: str) -> tuple[int, ...]:
     return tuple(read_vertex_id(p, f"endpoint of edge latent key {text!r}") for p in ends)
 
 
+def _latents_by_key(table: dict, read: Callable, what: str) -> dict:
+    """The latents of ``table`` under their keys as ``read`` reads them.
+
+    Two keys that read as one, such as "1" and "01", are an input error.
+    """
+    latents, first = {}, {}
+    for key, dist in table.items():
+        k = read(key)
+        if k in first:
+            raise InputError(f"{what} keys {first[k]!r} and {key!r} read as one key")
+        first[k] = key
+        latents[k] = _support(dist, f"{what} {key!r}")
+    return latents
+
+
 def load_joint_spec(path: str):
     """A joint plus its tree and profile, from latent-tree or raw-pmf JSON.
 
@@ -259,14 +276,10 @@ def load_joint_spec(path: str):
     if profile is None:
         profile = coversmod.uniform_profile(g.n)
     try:
-        vertex_latents = {
-            read_vertex_id(v, "vertex latent key"): _support(dist, f"vertex latent {v!r}")
-            for v, dist in data["vertex_latents"].items()
-        }
-        edge_latents = {
-            _edge_key(e): _support(dist, f"edge latent {e!r}")
-            for e, dist in data.get("edge_latents", {}).items()
-        }
+        vertex_latents = _latents_by_key(
+            data["vertex_latents"], lambda v: read_vertex_id(v, "vertex latent key"), "vertex latent"
+        )
+        edge_latents = _latents_by_key(data.get("edge_latents", {}), _edge_key, "edge latent")
         rules = data.get("emit", {})
         stray = set(rules) - {str(v) for v in g.vertices}
         if stray:
@@ -562,7 +575,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed stdout raises here, not at shutdown
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # point stdout at devnull, so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

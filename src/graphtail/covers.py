@@ -38,13 +38,16 @@ squared objective is reconstructed exactly whenever the support radicands
 share a square-free kernel (covering every rational-valued case).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 from sys import float_info
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import graph as graphmod
 from ._simplex import CoverLp, solve_min_cover_lp
@@ -461,6 +464,15 @@ def _greedy_d_solution(g: Graph, profile: LipschitzProfile) -> CoverSolution:
     return _package_d_solution(g, cover, profile, Strategy.GREEDY, Optimality.UPPER_BOUND)
 
 
+class _SmallParts(NamedTuple):
+    """Column generation's pricing data for the parts of up to 3 vertices."""
+
+    parts: list[frozenset[int]]  # the acyclic ones, in itertools.combinations order
+    orders: list[np.ndarray]  # per size: 0-based vertices, each part in its iteration order
+    costs: np.ndarray  # float part costs, aligned with parts
+    index: dict[frozenset[int], int]  # position of each part in parts
+
+
 def _part_cost_float(g: Graph, part: frozenset[int], c: list[float]) -> float:
     """Float twin of the part cost, for heuristic search only."""
     total = 0.0
@@ -473,21 +485,86 @@ def _part_cost_float(g: Graph, part: frozenset[int], c: list[float]) -> float:
     return sqrt(total)
 
 
+def _small_forest_parts(g: Graph, c: list[float]) -> _SmallParts:
+    """The acyclic parts of up to 3 vertices in ``itertools.combinations`` order, with costs.
+
+    Each cost is bit for bit ``_part_cost_float``'s: the squared sums of the
+    part's edges added in ``g.edges`` order, then each tree's squared minimum
+    in order of the tree's smallest vertex.  A part's vertices are sorted, so
+    its edges in ``g.edges`` order are its position pairs in lexicographic
+    order, and parts with the same edge pattern add the same terms in the
+    same order.
+    """
+    n = g.n
+    cv = np.array(c, dtype=np.float64)
+    adjacent = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges:
+        adjacent[u - 1, v - 1] = adjacent[v - 1, u - 1] = True
+    parts: list[frozenset[int]] = []
+    orders: list[np.ndarray] = []
+    costs: list[np.ndarray] = []
+    for size in range(1, min(3, n) + 1):
+        combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+        pairs = list(itertools.combinations(range(size), 2))
+        pattern = np.zeros(len(combos), dtype=np.intp)  # bit k: pair k is an edge
+        for k, (i, j) in enumerate(pairs):
+            pattern |= adjacent[combos[:, i], combos[:, j]].astype(np.intp) << k
+        if size == 3:  # a triangle is the one cycle on 3 vertices
+            combos, pattern = combos[pattern != 7], pattern[pattern != 7]
+        total = np.zeros(len(combos))
+        for code in set(pattern.tolist()):
+            mask = pattern == code
+            rows = combos[mask]
+            edges = [pair for k, pair in enumerate(pairs) if code >> k & 1]
+            terms = [cv[rows[:, i]] + cv[rows[:, j]] for i, j in edges]
+            terms += [cv[rows[:, list(tree)]].min(axis=1) for tree in _position_trees(size, edges)]
+            part_total = np.zeros(len(rows))
+            for x in terms:
+                part_total = part_total + x * x
+            total[mask] = part_total
+        costs.append(np.sqrt(total))
+        sized = [frozenset(combo) for combo in (combos + 1).tolist()]
+        parts += sized
+        orders.append(np.array([tuple(p) for p in sized], dtype=np.intp).reshape(-1, size) - 1)
+    return _SmallParts(parts, orders, np.concatenate(costs), {p: i for i, p in enumerate(parts)})
+
+
+def _position_trees(size: int, edges: list[tuple[int, int]]) -> list[set[int]]:
+    """The trees of a forest on positions 0..size-1, in order of their smallest position."""
+    trees = [{p} for p in range(size)]
+    for i, j in edges:
+        a = next(t for t in trees if i in t)
+        b = next(t for t in trees if j in t)
+        a |= b
+        trees.remove(b)
+    return sorted(trees, key=min)
+
+
 def _price_forest_column(
     g: Graph,
-    profile: LipschitzProfile,
+    c: list[float],
+    small: _SmallParts,
     duals: Sequence[Fraction],
     cache: dict[frozenset[int], float],
 ) -> frozenset[int] | None:
     """Heuristic pricing: a forest part with negative reduced cost, or None.
 
-    Exhausts all parts of up to 3 vertices, then runs add/drop local search
-    from the best seeds.  Finding the true minimizer is itself hard, so a
-    None here does not certify optimality (results stay labeled as bounds).
-    ``cache`` keeps float part costs across the rounds of one search.
+    Prices all parts of up to 3 vertices at once, then runs add/drop local
+    search from the best seeds.  Finding the true minimizer is itself hard,
+    so a None here does not certify optimality (results stay labeled as
+    bounds).  ``cache`` keeps float part costs across the rounds of one
+    search, the small parts' included.
+
+    Every sum of duals is taken in the part's own iteration order, as
+    Python's ``sum`` over it would, and the winner is the first minimum in
+    the order the parts were priced: the small parts, where a local-search
+    result that is itself a small part keeps its place, then larger results.
     """
     y = [float(d) for d in duals]
-    c = [float(x) for x in profile.values]
+    yv = np.array(y)
+    # ((y[i0] + y[i1]) + y[i2]), a column of duals per position in the part
+    paid = [functools.reduce(np.add, yv[order].T) for order in small.orders]
+    best = small.costs - np.concatenate(paid)
 
     def reduced(part: frozenset[int]) -> float:
         cost = cache.get(part)
@@ -495,16 +572,10 @@ def _price_forest_column(
             cost = cache[part] = _part_cost_float(g, part, c)
         return cost - sum(y[v - 1] for v in part)
 
-    best: dict[frozenset[int], float] = {}
-    verts = list(g.vertices)
-    for size in range(1, min(3, g.n) + 1):
-        for combo in itertools.combinations(verts, size):
-            part = frozenset(combo)
-            if part in cache or graphmod.is_acyclic_subset(g, part):
-                best[part] = reduced(part)
-    seeds = sorted(best, key=lambda p: best[p])[:3]
-    for seed in seeds:
-        current, value = seed, best[seed]
+    larger: dict[frozenset[int], float] = {}
+    for seed in np.argsort(best, kind="stable")[:3].tolist():
+        current, value = small.parts[seed], best[seed].item()
+        tree_of: dict[int, int] | None = None  # vertex -> its tree in current
         improved = True
         while improved:
             improved = False
@@ -514,15 +585,28 @@ def _price_forest_column(
                     if not cand:
                         continue
                 else:
-                    cand = current | {v}
-                    if not graphmod.is_acyclic_subset(g, cand):
+                    # current is a forest: v closes a cycle iff two of its
+                    # neighbours in current lie in one tree
+                    if tree_of is None:
+                        trees = graphmod.components_within(g, current)
+                        tree_of = {u: k for k, tree in enumerate(trees) for u in tree}
+                    hit = [tree_of[u] for u in g.neighbors(v) if u in tree_of]
+                    if len(hit) != len(set(hit)):
                         continue
+                    cand = current | {v}
                 r = reduced(cand)
                 if r < value - 1e-12:
-                    current, value, improved = cand, r, True
-            best[current] = value
-    winner = min(best, key=lambda p: best[p])
-    return winner if best[winner] < -1e-9 else None
+                    current, value, improved, tree_of = cand, r, True, None
+        if len(current) <= 3:
+            best[small.index[current]] = value
+        else:
+            larger[current] = value
+    first = int(np.argmin(best))
+    winner, value = small.parts[first], best[first].item()
+    for part, r in larger.items():
+        if r < value:
+            winner, value = part, r
+    return winner if value < -1e-9 else None
 
 
 def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
@@ -541,15 +625,17 @@ def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
             raise VerificationError(f"radicand {radicand} is not over the profile's scale")
         return _sqrt_numerator(radicand.numerator * unit, square_scale, bits)
 
+    c = [float(x) for x in profile.values]
+    small = _small_forest_parts(g, c)
+    cost_cache = dict(zip(small.parts, small.costs.tolist()))
     pool: list[frozenset[int]] = [frozenset({v}) for v in g.vertices]
     for cls in greedy_forest_partition(g):
         if cls not in pool:
             pool.append(cls)
     master = CoverLp(g.n, pool, [cost(p) for p in pool], square_scale << bits)
     res = master.solve()
-    cost_cache: dict[frozenset[int], float] = {}
     for _ in range(30):
-        new_col = _price_forest_column(g, profile, res.duals, cost_cache)
+        new_col = _price_forest_column(g, c, small, res.duals, cost_cache)
         if new_col is None or new_col in pool:
             break
         pool.append(new_col)
@@ -606,7 +692,9 @@ def _optimize_decomposable(
         denom, scaled = _profile_scale(profile)
         columns, radicands = _walk_induced_forests(g, scaled)
         square_scale = denom * denom
-        costs = [_sqrt_numerator(r, square_scale, SQRT_BITS) for r in radicands]
+        # columns share radicands (about half are repeats at n = 16): one root each
+        roots = {r: _sqrt_numerator(r, square_scale, SQRT_BITS) for r in set(radicands)}
+        costs = [roots[r] for r in radicands]
         res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS)
         cover = _trim_to_exact_cover(g, CoverKind.FOREST, columns, res.weights)
         solution = _package_d_solution(

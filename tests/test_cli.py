@@ -3,7 +3,11 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +434,24 @@ def _is_numeric_value_leaf(spec, path) -> bool:
 
 
 class TestExitCodes:
+    def test_stdout_closed_before_the_report_exits_1_quietly(self):
+        # as `graphtail verify coupling ... | head -2` when head has exited:
+        # the write to the closed pipe ended in a BrokenPipeError traceback
+        spec = Path(__file__).resolve().parent / "data" / "golden" / "joint_tree5.json"
+        src = Path(cli.__file__).resolve().parent.parent
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphtail.cli", "verify", "coupling", "--spec", str(spec)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
     def test_not_tree_dependent_coupling_prints_payload_exit_3(self, tmp_path, capsys):
         # all three coordinates equal: dependent along no path
         raw = {
@@ -593,8 +615,14 @@ class TestExitCodes:
              "edge latent for 2-1 repeats edge 1-2"),
             ({**_P2XOR, "emit": {**_P2XOR["emit"], "3": {"kind": "sum"}}},
              "emit rule for vertex '3', which is not in the tree 1..2"),
+            # keys that read as one: the later latent replaced the earlier
+            ({**_P2XOR, "vertex_latents": {**_P2XOR["vertex_latents"], "01": _FAIR_BIT}},
+             "vertex latent keys '1' and '01' read as one key"),
+            ({**_P2XOR, "edge_latents": {**_P2XOR["edge_latents"], "1,2": _FAIR_BIT}},
+             "edge latent keys '1-2' and '1,2' read as one key"),
         ],
-        ids=["vertex-latent", "non-edge-latent", "repeated-edge-latent", "emit-rule"],
+        ids=["vertex-latent", "non-edge-latent", "repeated-edge-latent", "emit-rule",
+             "vertex-key-read-twice", "edge-key-read-twice"],
     )
     def test_stray_joint_spec_keys_exit_1(self, spec, message, tmp_path, capsys):
         # each was dropped without a word, and the check printed "ok": true

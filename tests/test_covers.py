@@ -17,6 +17,7 @@ from conftest import (
     sqrt_fraction,
 )
 from graphtail import covers
+from graphtail._simplex import solve_min_cover_lp
 from graphtail.covers import (
     CoverKind,
     Optimality,
@@ -167,6 +168,29 @@ class TestForestWalker:
             sorted(s) for cover in (sol.cover, chi.cover) for s, _ in cover.parts
         )
         assert len(calls) < len(enumerate_induced_forests(g)) / 10
+
+    def test_enumerated_lp_takes_one_root_per_distinct_radicand(self, monkeypatch):
+        g = random_graph(13, 0.3, random.Random(5))
+        profile = random_profile(13, random.Random(6))
+        denom, scaled = covers._profile_scale(profile)
+        columns, radicands = covers._walk_induced_forests(g, scaled)
+        root = covers._sqrt_numerator
+        # the LP over one root per column, as the solution must come out
+        scale = denom * denom
+        per_column = [root(r, scale, covers.SQRT_BITS) for r in radicands]
+        lp = solve_min_cover_lp(g.n, columns, per_column, scale << covers.SQRT_BITS)
+        expected = covers._trim_to_exact_cover(g, CoverKind.FOREST, columns, lp.weights)
+        calls = []
+
+        def counting(radicand, scale, bits):
+            calls.append(radicand)
+            return root(radicand, scale, bits)
+
+        monkeypatch.setattr(covers, "_sqrt_numerator", counting)
+        sol = optimize_decomposable_denominator(g, profile, strategy=Strategy.ENUMERATED_LP)
+        assert len(set(radicands)) < len(radicands)
+        assert sorted(calls) == sorted(set(radicands))
+        assert sol.cover == expected
 
 
 class TestValidateCover:
