@@ -267,7 +267,7 @@ def load_joint_spec(path: str):
         tree = None
         if dep is not None:
             prof = profile if profile is not None else coversmod.uniform_profile(dep.n)
-            tree = rooted_order(dep, dep.vertices, prof.values)
+            tree = rooted_order(dep, prof.values)
         return joint, tree, profile
 
     if "tree" not in data:

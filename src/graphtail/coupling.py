@@ -16,6 +16,7 @@ ancestors, root last); contexts such as ``(i, prefix, a, b)`` always refer to
 that relabeled order.  ``relabel_joint`` exposes the permutation.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,7 +167,7 @@ def latent_tree_spec(
     if not (cls.is_forest and cls.tree_count == 1):
         raise KindError("latent-tree specs need a single tree as dependency graph")
     prof = profile if profile is not None else uniform_profile(g.n)
-    tree = rooted_order(g, g.vertices, prof.values)
+    tree = rooted_order(g, prof.values)
     for v in vertex_latents:
         if v not in g.vertices:
             raise InputError(f"vertex latent for vertex {v}, which is not in the tree 1..{g.n}")
@@ -701,18 +702,22 @@ def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
 
     ``table`` is f times ``scale`` on the axes of ``weights``.  Prefixes come
     in lexicographic order; those with one positive value at i are skipped.
+    Each conditional mean is an integer pair (mass a, moment b) worth
+    b / (a scale), so the extremes are picked by cross-multiplying.
     """
     n = weights.ndim
     mass, moment = [weights], [weights * table]  # entry j sums out the last j coordinates
     for _ in range(n - 1):
         mass.append(mass[-1].sum(axis=-1))
         moment.append(moment[-1].sum(axis=-1))
+    by_mean = functools.cmp_to_key(lambda x, y: x[1] * y[0] - y[1] * x[0])
     for i in range(1, n + 1):
         m, q = mass[n - i], moment[n - i]
         for idx in np.ndindex(m.shape[:-1]):
-            means = [Fraction(b, a * scale) for a, b in zip(m[idx], q[idx]) if a]
-            if len(means) >= 2:
-                yield i, idx, max(means) - min(means)
+            pairs = [(a, b) for a, b in zip(m[idx], q[idx]) if a]
+            if len(pairs) >= 2:
+                (a_hi, b_hi), (a_lo, b_lo) = max(pairs, key=by_mean), min(pairs, key=by_mean)
+                yield i, idx, Fraction(b_hi, a_hi * scale) - Fraction(b_lo, a_lo * scale)
 
 
 def verify_difference_bound(

@@ -101,26 +101,18 @@ class OrderedTree:
         return self.order[relabeled - 1]
 
 
-def rooted_order(g: Graph, tree_vertices: Iterable[int], coefficients: Sequence) -> OrderedTree:
-    """Root a tree at its minimum-coefficient vertex and relabel it post-order.
+def rooted_order(g: Graph, coefficients: Sequence) -> OrderedTree:
+    """Root the tree ``g`` at its minimum-coefficient vertex and relabel it post-order.
 
-    ``coefficients`` is indexed by original vertex label (entry v-1).  Ties on
-    the minimum go to the smallest original label, and children are visited in
-    ascending label order, so the result is deterministic.  Raises KindError
-    when the induced subgraph is not a tree.
+    ``coefficients`` is indexed by vertex label (entry v-1).  Ties on the
+    minimum go to the smallest label, and children are visited in ascending
+    label order, so the result is deterministic.  Raises KindError when ``g``
+    is not a tree.
     """
-    verts = sorted(set(tree_vertices))
-    if not verts:
-        raise KindError("cannot order an empty vertex set")
-    for v in verts:
-        if not (1 <= v <= g.n):
-            raise InputError(f"vertex {v} outside 1..{g.n}")
-    vset = set(verts)
-    inner_edges = [(u, v) for (u, v) in g.edges if u in vset and v in vset]
-    if len(inner_edges) != len(verts) - 1 or len(components_within(g, vset)) != 1:
-        raise KindError(f"induced subgraph on {sorted(vset)} is not a tree")
+    if len(g.edges) != g.n - 1 or len(components_within(g, g.vertices)) != 1:
+        raise KindError(f"graph on {g.n} vertices is not a tree")
 
-    root = min(verts, key=lambda v: (coefficients[v - 1], v))
+    root = min(g.vertices, key=lambda v: (coefficients[v - 1], v))
 
     # Iterative post-order, children ascending: descendants come out first,
     # which is exactly the required numbering (descendant j of i gets j < i).
@@ -133,7 +125,7 @@ def rooted_order(g: Graph, tree_vertices: Iterable[int], coefficients: Sequence)
             post.append(v)
             continue
         stack.append((v, True))
-        children = sorted(w for w in g.neighbors(v) if w in vset and w != parent_orig.get(v))
+        children = sorted(w for w in g.neighbors(v) if w != parent_orig.get(v))
         for w in reversed(children):
             parent_orig[w] = v
             stack.append((w, False))

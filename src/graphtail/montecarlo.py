@@ -26,11 +26,12 @@ Other statistics of finite specs go through the exact bridge instead:
 derive and check their own profile.
 """
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from math import copysign, factorial, lcm, log, prod, sqrt
+from math import copysign, factorial, lcm, prod
 from sys import float_info
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,10 +46,7 @@ from .graph import Graph, build_graph, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
-MEAN_PASS_FACTOR = 10
-MEAN_CONFIDENCE = 0.995
-MEAN_UNIFORM_CAP = 12  # uniform readers of a clamped sum whose mean is integrated exactly
-MEAN_TERM_CAP = 1 << 16  # terms of that integral: finite states times subsets of uniforms
+MEAN_TERM_CAP = 1 << 17  # steps of one vertex's exact mean: convolution products, polynomial updates
 CI_LEVEL = 0.99
 THRESHOLD_CAP = 10_000  # thresholds per run: each costs a pass over every chunk
 
@@ -245,7 +243,7 @@ def _sampler_spec(n, graph, latents, rules, block_width) -> SamplerSpec:
             lo, hi = rule.clamp
             raise InputError(f"declared range [{lo}, {hi}] of vertex {v} is empty")
         ranges.append(rule.clamp if rule.clamp is not None else derived)
-    _check_float_span(ranges, "the coordinates")  # so is the sum, and its mean's margin
+    _check_float_span(ranges, "the coordinates")  # so is their sum
     return SamplerSpec(
         n=n,
         graph=graph,
@@ -396,32 +394,26 @@ def _threshold_counts(
     thresholds: Sequence[float],
     start: int = 0,
     workers: int = 1,
-) -> tuple[list[int], float]:
-    """Hit counts per threshold plus the statistic's running sum, chunk-merged.
+) -> list[int]:
+    """Hit counts per threshold, chunk-merged.
 
-    The merge is a sum of per-chunk integer counts in fixed chunk order, so
-    the result is identical for any worker count.
+    The merge is a sum of per-chunk integer counts, so the result is
+    identical for any worker count.
     """
     ths = np.asarray(list(thresholds), dtype=np.float64)
 
     def one(args):
         a, m = args
         vals = _fold(np.add, _emit_chunk(spec, seed, a, m), np.empty(m))  # in vertex order
-        return [int((vals >= th).sum()) for th in ths], float(vals.sum())
+        return [int((vals >= th).sum()) for th in ths]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(one, _chunk_ranges(n_samples, start)))
-    counts = [0] * len(ths)
-    total = 0.0
-    for cnts, s in parts:  # fixed order: deterministic float accumulation
-        for j, c in enumerate(cnts):
-            counts[j] += c
-        total += s
-    return counts, total
+    return [sum(column) for column in zip(*parts)]
 
 
-def analytic_mean(spec: SamplerSpec) -> float | None:
-    """Exact mean of the coordinate sum, or None when a vertex is past the caps.
+def analytic_mean(spec: SamplerSpec) -> float:
+    """Exact mean of the coordinate sum, the one mean the sampler screens against.
 
     Ef = sum_v E[X_v] however the coordinates depend on each other, and each
     X_v is a function of the independent latents v reads, so every term is
@@ -429,34 +421,37 @@ def analytic_mean(spec: SamplerSpec) -> float | None:
     by integrating the vertex's law for a clamped one (``_clamped_sum_mean``)
     and for a max (``_max_mean``).  Vertices with the same rule and reader
     laws share one computation, and the total is rounded to a float once.
-    A clamped sum or mean reading more than ``MEAN_UNIFORM_CAP`` uniforms,
-    or whose integral has more than ``MEAN_TERM_CAP`` terms, gives None.
+    A vertex whose integral takes more than ``MEAN_TERM_CAP`` steps raises
+    ScaleError naming it, having taken at most that many: the mean is exact
+    or refused, never estimated.
     """
     total = Fraction(0)
-    means: dict[tuple, Fraction | None] = {}
-    for rule, reads, (lo, hi) in zip(spec.emit, spec.readers, spec.ranges):
+    means: dict[tuple, Fraction] = {}
+    for v, (rule, reads, (lo, hi)) in enumerate(zip(spec.emit, spec.readers, spec.ranges), start=1):
         key = (rule, tuple(spec.latents[i].dist for i in reads))
         if key not in means:
-            means[key] = _vertex_mean(rule, key[1], lo, hi)
-        if means[key] is None:
-            return None
+            try:
+                means[key] = _vertex_mean(rule, key[1], lo, hi)
+            except ScaleError:
+                raise ScaleError(
+                    f"the exact mean of vertex {v} takes more than {MEAN_TERM_CAP} steps"
+                ) from None
         total += means[key]
     return float(total)
 
 
-def _vertex_mean(rule: EmitRule, dists: tuple, lo: Fraction, hi: Fraction) -> Fraction | None:
+def _vertex_mean(rule: EmitRule, dists: tuple, lo: Fraction, hi: Fraction) -> Fraction:
     """E[X_v] for a vertex emitting from independent ``dists``, with [lo, hi] its range."""
     if rule.kind == "max":
         return _max_mean(dists, lo, hi)
     m = len(dists) if rule.kind == "mean" else 1
     if rule.clamp is None:
         return sum(map(dist_mean, dists), Fraction(0)) / m
-    mean = _clamped_sum_mean(dists, m * lo, m * hi)  # a mean's clamp, in units of the sum
-    return None if mean is None else mean / m
+    return _clamped_sum_mean(dists, m * lo, m * hi) / m  # a mean's clamp, in units of the sum
 
 
-def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction | None:
-    """E[clamp(S, a, b)] for S the sum of independent ``dists``, or None past the caps.
+def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
+    """E[clamp(S, a, b)] for S the sum of independent ``dists``.
 
     E[clamp(S, a, b)] = b - int_a^b F_S.  Given the finite latents' sum s,
     the k uniforms U[lo_i, lo_i + w_i] add a part whose CDF is, by
@@ -468,17 +463,20 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction | None
     (a - c_T)_+^(k+1)] / ((k+1)! prod w_i).  The weights P(s) (-1)^|T| are
     convolved as one signed measure over c, keyed by value, so equal c merge.
     Values run as integers over one common denominator ``scale``, and the
-    weights over ``mass``, the product of each law's denominator.
+    weights over ``mass``, the product of each law's denominator.  Each
+    convolution step's (term, value) products are counted before it is
+    taken, and past ``MEAN_TERM_CAP`` in all it raises ScaleError.
     """
     uniforms, laws = _split(dists)
-    if len(uniforms) > MEAN_UNIFORM_CAP:
-        return None
     laws += [[(Fraction(0), Fraction(1)), (u.hi - u.lo, Fraction(-1))] for u in uniforms]
     scale = lcm(a.denominator, b.denominator, *(u.lo.denominator for u in uniforms),
                 *(v.denominator for law in laws for v, _ in law))
     terms = {int(sum((u.lo for u in uniforms), Fraction(0)) * scale): 1}
-    mass = 1
+    mass, work = 1, 0
     for law in laws:
+        work += len(terms) * len(law)
+        if work > MEAN_TERM_CAP:
+            raise ScaleError
         den = lcm(*(p.denominator for _, p in law))
         mass *= den
         steps = [(int(v * scale), int(p * den)) for v, p in law]
@@ -487,8 +485,6 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction | None
             for v, p in steps:
                 convolved[c + v] = convolved.get(c + v, 0) + weight * p
         terms = {c: weight for c, weight in convolved.items() if weight}
-        if len(terms) > MEAN_TERM_CAP:
-            return None
     k = len(uniforms)
     lo, hi = int(a * scale), int(b * scale)
     area = sum(w * (max(hi - c, 0) ** (k + 1) - max(lo - c, 0) ** (k + 1)) for c, w in terms.items())
@@ -499,25 +495,30 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction | None
 def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     """E[clamp(M, a, b)] for M the max of independent ``dists``.
 
-    E[clamp(M, a, b)] = b - int_a^b F_M with F_M = prod F_i.  Between two
-    consecutive breakpoints (uniform ends, finite atoms, a and b) each
-    finite F_i is constant and each uniform's F_i is 0, 1 or (x - lo_i)/w_i,
-    so F_M is a polynomial there and is integrated exactly.
+    E[clamp(M, a, b)] = b - int_a^b F_M with F_M = prod F_i, which is 0
+    below ``floor``, the greatest of a and the laws' least values.  Between
+    two consecutive breakpoints above it (uniform tops, finite atoms and b)
+    each finite F_i is constant and each uniform's F_i is 1 or
+    (x - lo_i)/w_i, so F_M is a polynomial there and is integrated exactly.
+    The steps, each segment's finite atoms and polynomial coefficient
+    updates, are counted before any is taken; past ``MEAN_TERM_CAP`` it
+    raises ScaleError.
     """
     uniforms, laws = _split(dists)
-    cuts = {a, b} | {end for u in uniforms for end in (u.lo, u.hi)}
-    cuts |= {value for law in laws for value, _ in law}
-    cuts = sorted(x for x in cuts if a <= x <= b)
+    uniforms.sort(key=lambda u: u.hi)
+    tops = [u.hi for u in uniforms]
+    floor = max([a, *(u.lo for u in uniforms), *(min(v for v, _ in law) for law in laws)])
+    cuts = sorted(x for x in {floor, b, *tops, *(v for law in laws for v, _ in law)} if floor <= x <= b)
+    live = [len(tops) - bisect_right(tops, x0) for x0 in cuts[:-1]]  # the uniforms with x0 < hi
+    atoms = sum(map(len, laws))
+    if sum(atoms + d * (d + 3) // 2 for d in live) > MEAN_TERM_CAP:
+        raise ScaleError
     area = Fraction(0)
-    for x0, x1 in zip(cuts, cuts[1:]):
+    for x0, x1, d in zip(cuts, cuts[1:], live):
         poly = [prod((sum(p for value, p in law if value <= x0) for law in laws), start=Fraction(1))]
-        for u in uniforms:
-            if x1 <= u.lo:
-                poly = []
-                break
-            if x0 < u.hi:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
-                w = u.hi - u.lo
-                poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
+        for u in uniforms[len(uniforms) - d:]:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
+            w = u.hi - u.lo
+            poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
         area += sum(c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
     return b - area
 
@@ -528,23 +529,6 @@ def _split(dists: tuple) -> tuple[list[Uniform], list[list[tuple[Fraction, Fract
     laws = [[(Fraction(v), p) for v, p in dist_finite_support(d)] for d in dists
             if not isinstance(d, Uniform)]
     return uniforms, laws
-
-
-def _estimated_mean(
-    spec: SamplerSpec, seed: int, n_samples: int, workers: int
-) -> tuple[float, float]:
-    """Dedicated mean pass of 10x the sample budget, with a one-sided margin.
-
-    Returns (mean estimate, margin) where the true mean exceeds estimate -
-    margin except with probability 1 - MEAN_CONFIDENCE (Hoeffding's bound
-    over the width of the sum's range).
-    """
-    m = MEAN_PASS_FACTOR * n_samples
-    start = ((n_samples + 3) // 4) * 4  # disjoint, block-aligned index range
-    _, total = _threshold_counts(spec, seed, m, [], start=start, workers=workers)
-    spread = float(sum((hi - lo for lo, hi in spec.ranges), Fraction(0)))
-    margin = spread * sqrt(log(1.0 / (1.0 - MEAN_CONFIDENCE)) / (2.0 * m))
-    return total / m, margin
 
 
 def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int) -> list[float]:
@@ -567,21 +551,16 @@ def estimate_tails(
     n_samples: int,
     workers: int = 1,
 ) -> list[TailEstimate]:
-    """One sampling pass, counting threshold exceedances for the whole grid.
+    """One sampling pass, counting exceedances of Ef + t for the whole grid.
 
-    The deviation is measured against the exact mean (``analytic_mean``).
-    Only past its per-vertex caps does a separate mean pass of 10x the
-    samples supply an estimate, whose one-sided Hoeffding margin is folded
-    into the thresholds conservatively; a PASS then holds at about
-    CI_LEVEL x MEAN_CONFIDENCE rather than at CI_LEVEL.
+    Ef is the exact mean (``analytic_mean``), so a PASS holds at CI_LEVEL.
+    A vertex whose exact mean is past ``MEAN_TERM_CAP`` raises ScaleError
+    before any sample is drawn: there is no estimated mean to fall back on.
     """
     t_grid = _check_run(t_grid, seed, n_samples, workers)
     mu = analytic_mean(spec)
-    if mu is None:
-        mu, margin = _estimated_mean(spec, seed, n_samples, workers)
-        mu -= margin
     thresholds = [mu + t for t in t_grid]
-    counts, _ = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)
+    counts = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)
     return [
         TailEstimate(
             t=t,

@@ -238,7 +238,7 @@ def test_criterion_5_coupling_exactness(toy_joints):
         pmf = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
         lying = finite_joint([[0, 1], [0, 1]], pmf, dependency=build_graph(2, []))
         assert verify_dependency(lying, build_graph(2, [])).deviation == F(1, 2)
-        tree2 = rooted_order(build_graph(2, [(1, 2)]), [1, 2], [F(1), F(1)])
+        tree2 = rooted_order(build_graph(2, [(1, 2)]), [F(1), F(1)])
         with pytest.raises(KindError):
             verify_all_couplings(lying, tree2)
         assert time.time() - c.start < 60.0

@@ -40,7 +40,7 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
-from graphtail.coupling import _latent_joint, _maximal_couplings
+from graphtail.coupling import _conditional_swings, _latent_joint, _maximal_couplings
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph, rooted_order
@@ -368,7 +368,7 @@ class TestBuildCoupling:
     def test_product_joint_identity_on_parent(self):
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))], [(0, F(1, 3)), (1, F(2, 3))]])
         joint = finite_joint(joint.spaces, joint.pmf, dependency=build_graph(2, [(1, 2)]))
-        tree = rooted_order(joint.dependency, [1, 2], [F(1), F(1)])
+        tree = rooted_order(joint.dependency, [F(1), F(1)])
         pair = build_coupling(joint, tree, 1, (), 0, 1)
         dis = coupling_disagreements(pair)
         assert dis[1] == 1 and dis[2] == 0  # identity coupling on the parent
@@ -398,7 +398,7 @@ class TestBuildCoupling:
         pmf = {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)}  # all three equal
         path = build_graph(3, [(1, 2), (2, 3)])
         joint = finite_joint([[0, 1]] * 3, pmf, dependency=path)
-        tree = rooted_order(path, [1, 2, 3], [F(1)] * 3)
+        tree = rooted_order(path, [F(1)] * 3)
         with pytest.raises(KindError) as exc:
             build_coupling(joint, tree, 1, (), 0, 1)
         assert isinstance(exc.value, DependencyViolation)
@@ -457,7 +457,7 @@ class TestNegativeControls:
     def test_false_dependency_declaration_fails(self):
         pmf = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
         joint = finite_joint([[0, 1], [0, 1]], pmf, dependency=build_graph(2, []))
-        tree = rooted_order(build_graph(2, [(1, 2)]), [1, 2], [F(1), F(1)])
+        tree = rooted_order(build_graph(2, [(1, 2)]), [F(1), F(1)])
         with pytest.raises(KindError):
             verify_all_couplings(joint, tree)
 
@@ -477,11 +477,34 @@ class TestVerifyDifferenceBound:
     def test_single_coordinate_function_is_tight(self):
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]] * 2)
         joint = finite_joint(joint.spaces, joint.pmf, dependency=build_graph(2, [(1, 2)]))
-        tree = rooted_order(joint.dependency, [1, 2], [F(1), F(0)])
+        tree = rooted_order(joint.dependency, [F(1), F(0)])
         f = lipschitz_function(joint.spaces, lambda x: F(x[0]))
         assert f.profile.values == (F(1), F(0))
         # the swing at the leaf step is exactly 1 = c_1 + c_2
         assert verify_difference_bound(joint, tree, f) == 0
+
+    def test_swings_match_the_per_value_fraction_form(self):
+        def per_value(weights, table, scale):
+            n = weights.ndim
+            for i in range(1, n + 1):
+                axes = tuple(range(i, n))
+                m, q = weights.sum(axis=axes), (weights * table).sum(axis=axes)
+                for idx in np.ndindex(m.shape[:-1]):
+                    means = [F(b, a * scale) for a, b in zip(m[idx], q[idx]) if a]
+                    if len(means) >= 2:
+                        yield i, idx, max(means) - min(means)
+
+        rng = random.Random(699)
+        checked = 0
+        for _ in range(60):
+            joint, _ = random_block_joint(rng.randint(1, 5), rng)
+            table = np.array([rng.randint(-9, 9) for _ in range(joint.weights.size)], dtype=object)
+            table = table.reshape(joint.weights.shape)
+            scale = rng.randint(1, 6)
+            got = list(_conditional_swings(joint.weights, table, scale))
+            assert got == list(per_value(joint.weights, table, scale))
+            checked += len(got)
+        assert checked > 500
 
 
 class TestVerifyIndependenceLemma:
@@ -493,7 +516,7 @@ class TestVerifyIndependenceLemma:
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]] * 3)
         g = build_graph(3, [(1, 2), (2, 3)])
         joint = finite_joint(joint.spaces, joint.pmf, dependency=g)
-        tree = rooted_order(g, [1, 2, 3], [F(1)] * 3)
+        tree = rooted_order(g, [F(1)] * 3)
         for i in (1, 2):
             assert verify_independence_lemma(joint, tree, i) == 0
 
@@ -723,7 +746,7 @@ class TestEndToEndOnToyJoints:
         monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
         rng = random.Random(31)
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-        tree = rooted_order(g, g.vertices, [1, 1, 1, 1])
+        tree = rooted_order(g, [1, 1, 1, 1])
         for _ in range(5):
             points = list(itertools.product((0, 1), repeat=4))
             weights = [rng.randint(1, 9) for _ in points]
@@ -762,7 +785,7 @@ class TestEndToEndOnToyJoints:
         monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
         rng = random.Random(47)
         g = build_graph(4, [(1, 2), (2, 3), (2, 4)])
-        tree = rooted_order(g, g.vertices, [1, 2, 1, 1])
+        tree = rooted_order(g, [1, 2, 1, 1])
         spaces = [(0, 1, 2), (0, 1), (0, 1), (0, 1, 2)]
         for _ in range(5):
             points = list(itertools.product(*spaces))

@@ -1,7 +1,7 @@
 """Every definition in ``src/graphtail`` has a use somewhere in the project.
 
 A function, class, method or property counts as used when its name appears
-as a ``Name``, an ``Attribute``, an import alias or a whole string constant
+as a loaded ``Name``, an ``Attribute``, an import alias or a whole string constant
 (the benchmark's tracer names the functions it patches as strings) in any
 module under ``src/``, ``tests/`` or ``perfbench/``.  A definition with no
 such use is dead code: delete it rather than keep it tested.
@@ -9,9 +9,13 @@ such use is dead code: delete it rather than keep it tested.
 Likewise every defaulted parameter of a function there is passed, by keyword
 or by position, by some call of the function's name in those modules.  A
 default no call overrides is a constant in disguise.
+
+And every module-level UPPER_CASE constant there is read: its name is used
+as above, which its own assignment (a stored ``Name``) is not.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +49,8 @@ def _used_names() -> set[str]:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    if isinstance(node.ctx, ast.Load):
+                        used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.alias):
@@ -64,6 +69,27 @@ def test_every_definition_has_a_use():
             if not hook and name not in used:
                 dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not dead, "definitions with no use:\n" + "\n".join(dead)
+
+
+def _constants(tree: ast.Module):
+    """(name, line) of every module-level UPPER_CASE constant assigned in ``tree``."""
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", target.id):
+                found.append((target.id, node.lineno))
+    return found
+
+
+def test_every_constant_is_read():
+    used = _used_names()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, line in _constants(ast.parse(path.read_text(), str(path))):
+            if name not in used:
+                unread.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not unread, "constants nothing reads:\n" + "\n".join(unread)
 
 
 def _functions(tree: ast.Module):

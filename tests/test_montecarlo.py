@@ -2,11 +2,13 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtail import cli
 from graphtail import covers as coversmod
 from graphtail import montecarlo as mcmod
 from graphtail.bounds import (
@@ -50,6 +53,7 @@ from graphtail.montecarlo import (
     validation_to_csv,
 )
 from graphtail.montecarlo import (
+    _chunk_ranges,
     _combine,
     _combine_scalar,
     _draw,
@@ -412,10 +416,24 @@ class TestPinnedBits:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_threshold_counts_and_running_sum(self, name):
         _, thresholds, counts, total = _PINNED[name]
-        got = _threshold_counts(
-            _pinned_specs()[name], 2718, 2 * CHUNK + 1, thresholds, start=5, workers=2
-        )
-        assert (got[0], got[1].hex()) == (counts, total)
+        spec = _pinned_specs()[name]
+        got = _threshold_counts(spec, 2718, 2 * CHUNK + 1, thresholds, start=5, workers=2)
+        running = 0.0
+        for a, m in _chunk_ranges(2 * CHUNK + 1, 5):  # chunk order, as the sum was recorded
+            running += float(_fold(np.add, _emit_chunk(spec, 2718, a, m), np.empty(m)).sum())
+        assert (got, running.hex()) == (counts, total)
+
+
+def _one_vertex_spec(dists, rule):
+    return latent_graph_spec(build_graph(1, []), [((1,), d) for d in dists], emit={1: rule})
+
+
+def _in_large_sample_ci(spec, mean):
+    """Whether ``mean`` lies in a two-sided 99.999% normal interval of a 2M-sample mean."""
+    values = np.concatenate(
+        [sample(spec, seed=17, count=m, start=a).sum(axis=1) for a, m in _chunk_ranges(2_000_000)]
+    )
+    return abs(mean - values.mean()) < 4.42 * values.std() / math.sqrt(len(values))
 
 
 class TestAnalyticMean:
@@ -428,49 +446,61 @@ class TestAnalyticMean:
         spec = block_factor_spec(12, 3, uniform(0, 1), combine="max")
         assert analytic_mean(spec) == 12 * 0.75
 
-    def test_vertex_past_the_cap_takes_the_mean_pass(self):
-        # a clamped sum of 13 uniforms is past MEAN_UNIFORM_CAP
-        spec = latent_graph_spec(
-            build_graph(1, []), [((1,), uniform(0, F(1, 4)))] * 13,
-            emit={1: EmitRule(kind="sum", clamp=(F(0), F(3)))},
-        )
-        assert analytic_mean(spec) is None
-        # the estimation-pass route still produces a sane estimate
-        est = estimate_tails(spec, [0.25], seed=21, n_samples=20_000)[0]
-        assert 0 < est.p_hat < 1
-
-    def test_mean_pass_runs_on_the_callers_workers(self, monkeypatch):
-        g = build_graph(3, [(1, 2)])
-        clamp = {v: EmitRule(kind="sum", clamp=(F(0), F(1))) for v in g.vertices}
-        own = [((1,), uniform(0, F(1, 12)))] * 12  # vertex 1 reads 13 uniforms: past the cap
-        spec = latent_graph_spec(
-            g, [((1, 2), uniform(0, 1)), *own, ((3,), uniform(0, 2))], emit=clamp
-        )
-        assert analytic_mean(spec) is None
-        seen = []
-        counts = mcmod._threshold_counts
-
-        def spy(*args, **kwargs):
-            seen.append((kwargs.get("start", 0), kwargs.get("workers", 1)))
-            return counts(*args, **kwargs)
-
-        monkeypatch.setattr(mcmod, "_threshold_counts", spy)
-        t_grid = [0.0, 0.1, 0.4, 1.0]
-        rows = {w: estimate_tails(spec, t_grid, seed=3, n_samples=CHUNK + 5, workers=w)
-                for w in (1, 2, 3)}
-        assert rows[1] == rows[2] == rows[3]
-        # per run, the mean pass (at its disjoint start) and then the counting pass
-        assert seen == [(start, w) for w in (1, 2, 3) for start in (CHUNK + 8, 0)]
-
-    def test_term_cap_returns_none(self):
-        # two latents whose sums are all distinct: 257**2 terms pass MEAN_TERM_CAP, 256**2 do not
+    def test_term_cap_bounds_the_clamped_sum_products(self):
+        # two latents whose sums are all distinct take k + k**2 products:
+        # 361 values per latent fit MEAN_TERM_CAP, 362 do not
         def spec(size):
-            lat = [((1,), discrete([size**j * i for i in range(size)], [F(1, size)] * size))
-                   for j in range(2)]
-            return latent_graph_spec(build_graph(1, []), lat, emit={1: EmitRule("sum", (F(1), F(9)))})
+            lat = [discrete([size**j * i for i in range(size)], [F(1, size)] * size) for j in range(2)]
+            return _one_vertex_spec(lat, EmitRule("sum", (F(1), F(9))))
 
-        assert analytic_mean(spec(257)) is None
-        assert analytic_mean(spec(256)) is not None
+        assert 361 * 362 <= mcmod.MEAN_TERM_CAP < 362 * 363
+        assert analytic_mean(spec(361)) == float(9 - F(44, 361**2))  # S is uniform on 0..361**2 - 1
+        with pytest.raises(ScaleError, match="exact mean of vertex 1 takes more than 131072 steps"):
+            analytic_mean(spec(362))
+
+    def test_term_cap_bounds_the_max_segments(self):
+        # U(0, 1) and m atoms i/m: m segments, each reading m atoms and updating 2 coefficients
+        def spec(m):
+            atoms = discrete([F(i, m) for i in range(m)], [F(1, m)] * m)
+            return _one_vertex_spec([uniform(0, 1), atoms], EmitRule("max"))
+
+        assert 361 * 363 <= mcmod.MEAN_TERM_CAP < 362 * 364
+        want = sum((1 + F(i, 361) ** 2) / (2 * 361) for i in range(361))  # E max(i/m, U), averaged
+        assert analytic_mean(spec(361)) == float(want)
+        with pytest.raises(ScaleError, match="exact mean of vertex 1 takes more than 131072 steps"):
+            analytic_mean(spec(362))
+
+    @pytest.mark.parametrize(
+        "latents, rule",
+        [
+            ([{"kind": "bernoulli", "p": "1/3"}] * 4000, {"kind": "sum", "range": [0, 2000]}),
+            ([{"kind": "uniform", "lo": f"{i}/1000", "hi": f"{997 + i}/997"} for i in range(200)],
+             {"kind": "max"}),
+        ],
+        ids=["clamped-sum-4000-bernoulli", "max-200-staggered-uniform"],
+    )
+    def test_vertex_past_the_cap_exits_2(self, tmp_path, capsys, latents, rule):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "model": "latent_graph",
+            "graph": {"n": 1, "edges": []},
+            "latents": [{"scope": [1], "dist": d} for d in latents],
+            "emit": {"1": rule},
+        }))
+        started = time.process_time()  # CPU time: other processes' load does not count
+        code = cli.run(["simulate", "--spec", str(path), "--t", "1", "--n", "1000", "--seed", "1"])
+        assert time.process_time() - started < 1  # uncapped, the two integrals take 14 s and 102 s
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"scale error: the exact mean of vertex 1 takes more than {mcmod.MEAN_TERM_CAP} steps\n"
+        )
+
+    def test_staggered_max_lies_in_a_large_sample_ci(self):
+        # one segment per uniform above the greatest lo, with one live uniform fewer each
+        spec = _one_vertex_spec([uniform(F(i, 1000), 1 + F(i, 997)) for i in range(20)], EmitRule("max"))
+        assert _in_large_sample_ci(spec, analytic_mean(spec))
 
     def test_matches_the_exact_joint_on_clamped_finite_specs(self):
         from graphtail.coupling import coordinate_sum, exact_mean
@@ -518,10 +548,15 @@ class TestAnalyticMean:
         if kind == "identity":
             emit[2] = EmitRule("sum", clamps[2])  # vertex 2 reads two latents
         spec = latent_graph_spec(g, latents, emit=emit)
-        mean = analytic_mean(spec)
-        values = sample(spec, seed=17, count=2_000_000).sum(axis=1)
-        # a two-sided 99.999% normal interval of the sample mean
-        assert abs(mean - values.mean()) < 4.42 * values.std() / math.sqrt(len(values))
+        assert _in_large_sample_ci(spec, analytic_mean(spec))
+
+    @pytest.mark.parametrize("k", [13, 30, 60])
+    def test_lies_in_a_large_sample_ci_on_clamped_sums_of_equal_width_uniforms(self, k):
+        # equal widths keep k + 1 terms whatever the offsets; the clamp cuts both tails
+        centre = sum(F(i, 7) + F(1, 2) for i in range(k))
+        spec = _one_vertex_spec([uniform(F(i, 7) - 1, F(i, 7) + 2) for i in range(k)],
+                                EmitRule("sum", (centre - 3, centre + 2)))
+        assert _in_large_sample_ci(spec, analytic_mean(spec))
 
     def test_sample_mean_agrees_with_analytic(self):
         ex9 = build_graph(9, [(1, 2), (1, 3), (2, 3)])
