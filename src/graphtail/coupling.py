@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import graph as graphmod
 from .covers import LipschitzProfile, lipschitz_profile, uniform_profile
 from .errors import InputError, KindError, ScaleError
 from .graph import Graph, OrderedTree, rooted_order
@@ -163,11 +162,8 @@ def latent_tree_spec(
     emit: Mapping[int, Callable],
     profile: LipschitzProfile | None = None,
 ) -> LatentTreeSpec:
-    cls = graphmod.classify(g)
-    if not (cls.is_forest and cls.tree_count == 1):
-        raise KindError("latent-tree specs need a single tree as dependency graph")
     prof = profile if profile is not None else uniform_profile(g.n)
-    tree = rooted_order(g, prof.values)
+    tree = rooted_order(g, prof.values)  # KindError unless g is a single tree
     for v in vertex_latents:
         if v not in g.vertices:
             raise InputError(f"vertex latent for vertex {v}, which is not in the tree 1..{g.n}")
@@ -431,18 +427,12 @@ def exact_tail(joint: FiniteJoint, f: LipschitzFunction, t) -> Fraction:
 # Relabeling to the rooted order
 
 def relabel_joint(joint: FiniteJoint, tree: OrderedTree) -> FiniteJoint:
-    """The same distribution with coordinate k = relabeled vertex k of the tree."""
+    """The same distribution with coordinate k = relabeled vertex k of the tree, no graph declared."""
     if tree.size != joint.n or set(tree.order) != set(range(1, joint.n + 1)):
         raise InputError("ordered tree does not cover the joint's coordinates")
     perm = [tree.original(k) - 1 for k in range(1, joint.n + 1)]
-    dep = None
-    if joint.dependency is not None:
-        dep = graphmod.build_graph(
-            joint.n,
-            [(tree.rank(u), tree.rank(v)) for u, v in joint.dependency.edges],
-        )
     spaces = tuple(joint.spaces[p] for p in perm)
-    return FiniteJoint(spaces, joint.weights.transpose(perm), joint.scale, dep)
+    return FiniteJoint(spaces, joint.weights.transpose(perm), joint.scale)
 
 
 def coupling_effective_profile(tree: OrderedTree, profile: LipschitzProfile) -> tuple[Fraction, ...]:

@@ -260,13 +260,15 @@ def _profile_scale(profile: LipschitzProfile) -> tuple[int, list[int]]:
 
 def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: LipschitzProfile) -> Fraction:
     """Exact value under the square root of the forest-part cost."""
-    if not graphmod.is_acyclic_subset(g, part):
+    edges = graphmod.edges_within(g, part)
+    trees = graphmod.components_within(g, part)
+    if not graphmod.induces_forest(len(edges), len(part), len(trees)):
         raise KindError(f"part {sorted(part)} induces a cycle; forest parts must be acyclic")
     total = _ZERO
-    for u, v in graphmod.edges_within(g, part):
+    for u, v in edges:
         s = profile.coefficient(u) + profile.coefficient(v)
         total += s * s
-    for tree in graphmod.components_within(g, part):
+    for tree in trees:
         m = min(profile.coefficient(v) for v in tree)
         total += m * m
     return total

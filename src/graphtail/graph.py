@@ -61,14 +61,18 @@ class ForestClassification:
     tree_count: int | None  # len(components) when a forest, else None
 
 
+def induces_forest(edge_count: int, size: int, component_count: int) -> bool:
+    """The forest rule: a vertex set induces a forest iff it induces |S| - (number of components) edges."""
+    return edge_count == size - component_count
+
+
 def classify(g: Graph) -> ForestClassification:
     """Partition into connected components and decide whether g is a forest.
 
-    A graph is a forest iff it has n - (number of components) edges;
-    components are reported sorted by their smallest vertex.
+    Components are reported sorted by their smallest vertex.
     """
     comps = components_within(g, g.vertices)
-    acyclic = len(g.edges) == g.n - len(comps)
+    acyclic = induces_forest(len(g.edges), g.n, len(comps))
     return ForestClassification(
         is_forest=acyclic,
         components=tuple(comps),
@@ -107,10 +111,12 @@ def rooted_order(g: Graph, coefficients: Sequence) -> OrderedTree:
     ``coefficients`` is indexed by vertex label (entry v-1).  Ties on the
     minimum go to the smallest label, and children are visited in ascending
     label order, so the result is deterministic.  Raises KindError when ``g``
-    is not a tree.
+    is not a tree, and InputError unless there is one coefficient per vertex.
     """
     if len(g.edges) != g.n - 1 or len(components_within(g, g.vertices)) != 1:
         raise KindError(f"graph on {g.n} vertices is not a tree")
+    if len(coefficients) != g.n:
+        raise InputError(f"profile has {len(coefficients)} coefficients for a tree on {g.n} vertices")
 
     root = min(g.vertices, key=lambda v: (coefficients[v - 1], v))
 
@@ -182,22 +188,8 @@ def edges_within(g: Graph, subset: frozenset[int] | set[int]) -> list[Edge]:
 
 
 def is_acyclic_subset(g: Graph, subset: frozenset[int] | set[int]) -> bool:
-    """Whether the induced subgraph on ``subset`` is a forest (union-find)."""
-    parent = {v: v for v in subset}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        if u in parent and v in parent:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
+    """Whether ``subset`` induces a forest (``induces_forest`` on its edges and components)."""
+    return induces_forest(len(edges_within(g, subset)), len(subset), len(components_within(g, subset)))
 
 
 def components_within(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:

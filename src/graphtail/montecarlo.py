@@ -15,9 +15,11 @@ Two constructors build it, both dependent by construction:
 Randomness is counter-based (Philox): every latent owns a stream keyed by
 (seed, latent index) and sample i always consumes draw i of each stream, so
 results are bit-identical for a given (spec, seed, N) no matter how the
-index range is chunked across workers.  A chunk's coordinates stream vertex
-by vertex: a latent is drawn when its first reader needs it and dropped
-after its last, so a worker holds O(live latents x CHUNK) floats, whatever n.
+index range is chunked: each sample is folded from its own draws, row by
+row, whatever the chunk length, one sample included.  A chunk's coordinates
+stream vertex by vertex: a latent is drawn when its first reader needs it
+and dropped after its last, so a worker holds O(live latents x CHUNK)
+floats, whatever n.
 
 The sampler screens sums: the statistic is the sum of the coordinates, whose
 Lipschitz profile is the coordinate ranges the bounds are computed from.
@@ -46,7 +48,7 @@ from .graph import Graph, build_graph, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
-MEAN_TERM_CAP = 1 << 17  # steps of one vertex's exact mean: convolution products, polynomial updates
+MEAN_TERM_CAP = 1 << 17  # steps of a spec's exact mean: convolution products, polynomial updates
 CI_LEVEL = 0.99
 THRESHOLD_CAP = 10_000  # thresholds per run: each costs a pass over every chunk
 
@@ -312,14 +314,13 @@ def _emit_chunk(spec: SamplerSpec, seed: int, start: int, count: int) -> Iterato
 
 
 def _combine(kind: str, arrays: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Bit for bit numpy's reduction of the row stack, into ``out`` unless ``kind`` is identity."""
+    """The rows folded by ``_fold`` into ``out``, bit-identical for every chunk length.
+
+    An identity vertex returns its one row as it is.
+    """
     if kind == "identity":
         return arrays[0]
-    ufunc = np.maximum if kind == "max" else np.add
-    if len(out) == 1:  # numpy sums a one-sample stack pairwise, not row by row
-        ufunc.reduce(np.asarray(arrays, np.float64), out=out)
-    else:
-        _fold(ufunc, arrays, out)
+    _fold(np.maximum if kind == "max" else np.add, arrays, out)
     if kind == "mean":
         out /= len(arrays)
     return out
@@ -328,8 +329,10 @@ def _combine(kind: str, arrays: list[np.ndarray], out: np.ndarray) -> np.ndarray
 def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
     """``ufunc`` over the rows in order, into ``out``, which may be the first row.
 
-    For rows of two or more samples that is bit for bit numpy's axis-0
-    reduction of their stack.
+    Sample j is folded from the rows' entries j alone, left to right, so its
+    bits do not depend on the chunk length.  For rows of two or more samples
+    that is bit for bit numpy's axis-0 reduction of their stack; numpy
+    reduces a one-sample stack pairwise instead.
     """
     rows = iter(rows)
     if (first := next(rows)) is not out:
@@ -374,9 +377,22 @@ def binomial_upper_ci(hits: int, n: int) -> float:
     """
     if hits >= n:
         return 1.0
-    from scipy.special import betaincinv  # its only user: importing the package loads no scipy
+    from scipy.special import betaincinv  # lazy in both CI helpers: the package loads no scipy
 
     return float(betaincinv(hits + 1, n - hits, CI_LEVEL))
+
+
+def binomial_lower_ci(hits: int, n: int) -> float:
+    """Exact (Clopper-Pearson) one-sided lower confidence limit for a proportion.
+
+    That is the ``1 - CI_LEVEL`` quantile of Beta(hits, n - hits + 1), and 0
+    when there is no hit.
+    """
+    if hits == 0:
+        return 0.0
+    from scipy.special import betaincinv
+
+    return float(betaincinv(hits, n - hits + 1, 1 - CI_LEVEL))
 
 
 def _chunk_ranges(total: int, start: int = 0):
@@ -421,36 +437,46 @@ def analytic_mean(spec: SamplerSpec) -> float:
     by integrating the vertex's law for a clamped one (``_clamped_sum_mean``)
     and for a max (``_max_mean``).  Vertices with the same rule and reader
     laws share one computation, and the total is rounded to a float once.
-    A vertex whose integral takes more than ``MEAN_TERM_CAP`` steps raises
-    ScaleError naming it, having taken at most that many: the mean is exact
-    or refused, never estimated.
+    The integrals of all vertices share ``MEAN_TERM_CAP`` steps, a shared
+    computation counting once.  A vertex whose integral would take more
+    steps than are left raises ScaleError naming it, the spec having taken
+    at most the cap's steps: the mean is exact or refused, never estimated.
     """
     total = Fraction(0)
     means: dict[tuple, Fraction] = {}
+    spent = 0
     for v, (rule, reads, (lo, hi)) in enumerate(zip(spec.emit, spec.readers, spec.ranges), start=1):
         key = (rule, tuple(spec.latents[i].dist for i in reads))
         if key not in means:
             try:
-                means[key] = _vertex_mean(rule, key[1], lo, hi)
+                means[key], steps = _vertex_mean(rule, key[1], lo, hi, MEAN_TERM_CAP - spent)
             except ScaleError:
                 raise ScaleError(
-                    f"the exact mean of vertex {v} takes more than {MEAN_TERM_CAP} steps"
+                    f"the exact mean takes more than {MEAN_TERM_CAP} steps, running out at vertex {v}"
                 ) from None
+            spent += steps
         total += means[key]
     return float(total)
 
 
-def _vertex_mean(rule: EmitRule, dists: tuple, lo: Fraction, hi: Fraction) -> Fraction:
-    """E[X_v] for a vertex emitting from independent ``dists``, with [lo, hi] its range."""
+def _vertex_mean(
+    rule: EmitRule, dists: tuple, lo: Fraction, hi: Fraction, budget: int
+) -> tuple[Fraction, int]:
+    """E[X_v] for a vertex emitting from independent ``dists``, with [lo, hi] its range.
+
+    Returns the mean and the steps its integral took; past ``budget`` steps
+    it raises ScaleError.
+    """
     if rule.kind == "max":
-        return _max_mean(dists, lo, hi)
+        return _max_mean(dists, lo, hi, budget)
     m = len(dists) if rule.kind == "mean" else 1
     if rule.clamp is None:
-        return sum(map(dist_mean, dists), Fraction(0)) / m
-    return _clamped_sum_mean(dists, m * lo, m * hi) / m  # a mean's clamp, in units of the sum
+        return sum(map(dist_mean, dists), Fraction(0)) / m, 0
+    mean, steps = _clamped_sum_mean(dists, m * lo, m * hi, budget)  # a clamp in units of the sum
+    return mean / m, steps
 
 
-def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
+def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction, budget: int) -> tuple[Fraction, int]:
     """E[clamp(S, a, b)] for S the sum of independent ``dists``.
 
     E[clamp(S, a, b)] = b - int_a^b F_S.  Given the finite latents' sum s,
@@ -465,7 +491,8 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     Values run as integers over one common denominator ``scale``, and the
     weights over ``mass``, the product of each law's denominator.  Each
     convolution step's (term, value) products are counted before it is
-    taken, and past ``MEAN_TERM_CAP`` in all it raises ScaleError.
+    taken, and past ``budget`` in all it raises ScaleError; else it returns
+    the mean and that count.
     """
     uniforms, laws = _split(dists)
     laws += [[(Fraction(0), Fraction(1)), (u.hi - u.lo, Fraction(-1))] for u in uniforms]
@@ -475,7 +502,7 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     mass, work = 1, 0
     for law in laws:
         work += len(terms) * len(law)
-        if work > MEAN_TERM_CAP:
+        if work > budget:
             raise ScaleError
         den = lcm(*(p.denominator for _, p in law))
         mass *= den
@@ -489,10 +516,10 @@ def _clamped_sum_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     lo, hi = int(a * scale), int(b * scale)
     area = sum(w * (max(hi - c, 0) ** (k + 1) - max(lo - c, 0) ** (k + 1)) for c, w in terms.items())
     widths = prod(int((u.hi - u.lo) * scale) for u in uniforms)
-    return b - Fraction(area, mass * scale * factorial(k + 1) * widths)
+    return b - Fraction(area, mass * scale * factorial(k + 1) * widths), work
 
 
-def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
+def _max_mean(dists: tuple, a: Fraction, b: Fraction, budget: int) -> tuple[Fraction, int]:
     """E[clamp(M, a, b)] for M the max of independent ``dists``.
 
     E[clamp(M, a, b)] = b - int_a^b F_M with F_M = prod F_i, which is 0
@@ -501,8 +528,8 @@ def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     each finite F_i is constant and each uniform's F_i is 1 or
     (x - lo_i)/w_i, so F_M is a polynomial there and is integrated exactly.
     The steps, each segment's finite atoms and polynomial coefficient
-    updates, are counted before any is taken; past ``MEAN_TERM_CAP`` it
-    raises ScaleError.
+    updates, are counted before any is taken; past ``budget`` it raises
+    ScaleError, else it returns the mean and that count.
     """
     uniforms, laws = _split(dists)
     uniforms.sort(key=lambda u: u.hi)
@@ -511,7 +538,8 @@ def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
     cuts = sorted(x for x in {floor, b, *tops, *(v for law in laws for v, _ in law)} if floor <= x <= b)
     live = [len(tops) - bisect_right(tops, x0) for x0 in cuts[:-1]]  # the uniforms with x0 < hi
     atoms = sum(map(len, laws))
-    if sum(atoms + d * (d + 3) // 2 for d in live) > MEAN_TERM_CAP:
+    steps = sum(atoms + d * (d + 3) // 2 for d in live)
+    if steps > budget:
         raise ScaleError
     area = Fraction(0)
     for x0, x1, d in zip(cuts, cuts[1:], live):
@@ -520,7 +548,7 @@ def _max_mean(dists: tuple, a: Fraction, b: Fraction) -> Fraction:
             w = u.hi - u.lo
             poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
         area += sum(c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
-    return b - area
+    return b - area, steps
 
 
 def _split(dists: tuple) -> tuple[list[Uniform], list[list[tuple[Fraction, Fraction]]]]:
@@ -554,7 +582,7 @@ def estimate_tails(
     """One sampling pass, counting exceedances of Ef + t for the whole grid.
 
     Ef is the exact mean (``analytic_mean``), so a PASS holds at CI_LEVEL.
-    A vertex whose exact mean is past ``MEAN_TERM_CAP`` raises ScaleError
+    A spec whose exact mean is past ``MEAN_TERM_CAP`` raises ScaleError
     before any sample is drawn: there is no estimated mean to fall back on.
     """
     t_grid = _check_run(t_grid, seed, n_samples, workers)
@@ -585,7 +613,7 @@ class ValidationRow:
     bound: float
     p_hat: float
     ci_upper: float
-    verdict: str  # "PASS" | "FAIL"
+    verdict: str  # "PASS" | "FAIL" | "INCONCLUSIVE"
     seed: int
     n_samples: int
 
@@ -619,12 +647,14 @@ def validate_bounds(
     methods: Sequence[str] | None = None,
     workers: int = 1,
 ) -> list[ValidationRow]:
-    """Empirical soundness screen: PASS iff the CI upper limit is under the bound.
+    """Empirical soundness screen at ``CI_LEVEL``, one verdict per (method, t).
 
-    A FAIL on a method that is valid for the spec signals an implementation
-    defect (the bounds are theorems); FAILs are expected when deliberately
-    misapplying a method, e.g. the independence-only reference on a
-    dependent spec.
+    PASS when the Clopper-Pearson upper limit is at most the bound, FAIL
+    when the lower limit is above it, and INCONCLUSIVE otherwise: a sample
+    too small to tell proves nothing either way.  A FAIL on a method that is
+    valid for the spec signals an implementation defect (the bounds are
+    theorems); FAILs are expected when deliberately misapplying a method,
+    e.g. the independence-only reference on a dependent spec.
     """
     _check_run(t_grid, seed, n_samples, workers)  # before any LP is solved
     inputs = _method_inputs(spec)
@@ -636,10 +666,15 @@ def validate_bounds(
             raise InputError(f"method {method.name!r} does not apply to this spec: {reason}")
         denominators.append(boundsmod.float_denominator(method.denominator(inputs)[0]))
     estimates = estimate_tails(spec, t_grid, seed, n_samples, workers=workers)
+    lower = [binomial_lower_ci(est.hits, est.n_samples) for est in estimates]
     rows = []
     for method, den in zip(chosen, denominators):
-        for est in estimates:
+        for est, ci_lower in zip(estimates, lower):
             bound = boundsmod.tail_bound(den, est.t) if est.t > 0 else 1.0
+            if est.ci_upper <= bound:
+                verdict = "PASS"
+            else:
+                verdict = "FAIL" if ci_lower > bound else "INCONCLUSIVE"
             rows.append(
                 ValidationRow(
                     method=method.name,
@@ -648,7 +683,7 @@ def validate_bounds(
                     bound=bound,
                     p_hat=est.p_hat,
                     ci_upper=est.ci_upper,
-                    verdict="PASS" if est.ci_upper <= bound else "FAIL",
+                    verdict=verdict,
                     seed=seed,
                     n_samples=est.n_samples,
                 )

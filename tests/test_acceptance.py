@@ -341,12 +341,12 @@ def test_criterion_8_monte_carlo_soundness():
         }
         for name, (spec, t_grid, methods) in grids.items():
             rows = validate_bounds(spec, t_grid, seed=20240801, n_samples=n_samples, methods=methods)
-            failed = [r for r in rows if r.verdict == "FAIL"]
+            failed = [r for r in rows if r.verdict != "PASS"]
             if failed:  # one retry: the CI itself has a 1% one-sided miss mass
                 rows = validate_bounds(
                     spec, t_grid, seed=20240802, n_samples=n_samples, methods=methods
                 )
-                failed = [r for r in rows if r.verdict == "FAIL"]
+                failed = [r for r in rows if r.verdict != "PASS"]
             assert not failed, (name, failed[:3])
 
         # the example spec must come in under the worked-example bound at t = 4

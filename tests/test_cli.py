@@ -155,10 +155,24 @@ class TestSimulateCommand:
                 "--n", "60000", "--validate"]
         assert cli.run(args + ["--workers", "1", "--out", out1]) == 0
         assert cli.run(args + ["--workers", "8", "--out", out2]) == 0
-        b1 = open(out1, "rb").read()
-        assert b1 == open(out2, "rb").read()
+        b1 = Path(out1).read_bytes()
+        assert b1 == Path(out2).read_bytes()
         rows = list(csv.DictReader(io.StringIO(b1.decode())))
         assert all(r["verdict"] == "PASS" for r in rows)
+
+    def test_undersized_sample_is_inconclusive_not_a_fail(self, tmp_path, capsys):
+        # f <= 4, so P(f - Ef >= 5) = 0; without a hit in 64 samples the CI upper
+        # limit stays above the bound, and that alone was a FAIL exiting 3
+        path = tmp_path / "bf4.json"
+        path.write_text(json.dumps({"model": "block_factor", "n": 4, "k": 2, "combine": "max",
+                                    "dist": {"kind": "uniform", "lo": 0, "hi": 1}}))
+        code = cli.run(["simulate", "--spec", str(path), "--validate", "--t", "5", "--n", "64",
+                        "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [r["verdict"] for r in rows] == ["INCONCLUSIVE"] * 2
+        assert all(float(r["ci_upper"]) > float(r["bound"]) for r in rows)
 
     def test_estimates_csv(self, blockfactor_file, capsys):
         code = cli.run(
@@ -222,7 +236,7 @@ class TestMoreCommands:
         assert cli.run(args + ["--out", out1]) == 0
         monkeypatch.setenv("GRAPHTAIL_WORKERS", "4")
         assert cli.run(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_simulate_json_format(self, blockfactor_file, capsys):
         code = cli.run(
@@ -276,7 +290,7 @@ class TestVerifyCommand:
         assert cli.run(["simulate", "--spec", str(path), "--t", "1", "--seed", "1"]) == 1
 
     def test_declared_alphabets_checked(self, p2xor_file, tmp_path):
-        data = json.loads(open(p2xor_file).read())
+        data = json.loads(Path(p2xor_file).read_text())
         data["alphabets"] = [[0, 1], [0, 1]]
         good = tmp_path / "good.json"
         good.write_text(json.dumps(data))
@@ -516,7 +530,7 @@ class TestExitCodes:
         [("vertex_latents", "x"), ("edge_latents", "1-2-3"), ("edge_latents", "1.5-2")],
     )
     def test_malformed_latent_keys_exit_1(self, p2xor_file, field, key, tmp_path, capsys):
-        spec = json.loads(open(p2xor_file).read())
+        spec = json.loads(Path(p2xor_file).read_text())
         spec[field][key] = spec[field].pop(next(iter(spec[field])))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -632,6 +646,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("form", ["latent-tree", "raw"])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_profile_of_another_length_exits_1(self, form, size, tmp_path, capsys):
+        # a shorter profile ended in an IndexError traceback, and a longer one lost its tail
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**(_P3XOR if form == "latent-tree" else _RAW3),
+                                    "profile": ["1"] * size}))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: profile has {size} coefficients for a tree on 3 vertices\n"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -781,8 +807,8 @@ class TestExitCodes:
             parent[leaf[-1]] = data.draw(_HUGE)
         path = tmp_path_factory.mktemp("fuzz") / "spec.json"
         path.write_text(json.dumps(spec))
-        # exit 3 is a FAIL verdict, which a tiny width gives: the bound falls below the
-        # CI limit that 64 samples with no hit reach
+        # exit 3 is a FAIL verdict, which a tiny width can give: the bound falls below
+        # the CI lower limit of the hits
         _assert_no_traceback(["simulate", "--validate", *_SIMULATE[1:], str(path)], spec)
         graph = tmp_path_factory.mktemp("fuzz") / "graph.json"
         graph.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3]]}))
@@ -969,4 +995,4 @@ class TestByteIdenticalReports:
         args = ["bounds", "--graph", ex9_file, "--t", "2.5", "--format", "csv"]
         assert cli.run(args + ["--out", out1]) == 0
         assert cli.run(args + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()

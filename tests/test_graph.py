@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copied_coordinates, subtree
+from conftest import _acyclic_brute, copied_coordinates, subtree
 from graphtail.errors import InputError, KindError
 from graphtail.graph import (
     block_partition,
@@ -13,6 +16,7 @@ from graphtail.graph import (
     components_within,
     edges_within,
     graph_from_json_dict,
+    is_acyclic_subset,
     m_dependence_graph,
     parse_edge_list,
     rooted_order,
@@ -191,6 +195,17 @@ class TestInducedSubgraph:
         g = build_graph(4, [(1, 2), (3, 4), (2, 3)])
         assert edges_within(g, set(g.vertices)) == list(g.edges)
         assert components_within(g, g.vertices) == [frozenset(g.vertices)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forest_test_matches_the_brute_oracle_on_every_subset(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 9):
+            density = rng.choice((0.2, 0.4, 0.7))
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            g = build_graph(n, [e for e in pairs if rng.random() < density])
+            for r in range(n + 1):
+                for combo in itertools.combinations(g.vertices, r):
+                    assert is_acyclic_subset(g, set(combo)) == _acyclic_brute(g, set(combo)), combo
 
 
 class TestFormats:

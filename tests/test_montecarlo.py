@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -38,6 +39,7 @@ from graphtail.montecarlo import (
     EmitRule,
     analytic_mean,
     bernoulli,
+    binomial_lower_ci,
     binomial_upper_ci,
     block_factor_spec,
     discrete,
@@ -173,6 +175,14 @@ class TestDeterminism:
         part = sample(spec, seed=99, count=16, start=37)
         assert np.array_equal(full[37:53], part)
 
+    @pytest.mark.parametrize("kind", ["sum", "mean"])
+    def test_one_sample_chunks_hold_the_same_bits(self, kind):
+        # 12 rows a vertex, which numpy would reduce pairwise in a one-sample stack
+        spec = latent_graph_spec(build_graph(1, []), [((1,), uniform(0, 1))] * 12, emit=kind)
+        full = sample(spec, seed=5, count=10)
+        for i in range(10):
+            assert sample(spec, seed=5, count=1, start=i).tobytes() == full[i].tobytes(), i
+
     def test_different_seeds_differ(self):
         spec = block_factor_spec(5, 2, uniform(0, 1))
         assert not np.array_equal(sample(spec, 1, 32), sample(spec, 2, 32))
@@ -228,7 +238,8 @@ class TestStreaming:
 
     @pytest.mark.parametrize("count", [1, 2, 7, 4099])
     def test_combined_rows_match_the_stacked_reductions(self, count):
-        """In place for two or more samples, and the stack's own pairwise sum for one.
+        """Row by row for every count: numpy's axis-0 reduction for two or more
+        samples, and a left-to-right fold for one, which numpy sums pairwise.
 
         Into a scratch row or into the first row itself, with every other row
         a bool row or not.
@@ -241,10 +252,14 @@ class TestStreaming:
             rows[-1][0] = 0
             stacked = np.stack(rows)
             assert stacked.dtype == np.float64
+
+            def fold(ufunc):  # numpy reduces a one-sample stack pairwise, so fold that one here
+                return ufunc.reduce(stacked) if count > 1 else functools.reduce(ufunc, stacked)
+
             for kind, want in (
-                ("sum", np.add.reduce(stacked)),
-                ("mean", np.add.reduce(stacked) / k),
-                ("max", np.maximum.reduce(stacked)),
+                ("sum", fold(np.add)),
+                ("mean", fold(np.add) / k),
+                ("max", fold(np.maximum)),
             ):
                 got = _combine(kind, list(rows), np.empty(count))
                 assert got.tobytes() == want.tobytes(), (kind, k, bools)
@@ -344,8 +359,8 @@ def _pinned_specs():
             6: EmitRule(kind="max"),
         },
     )
-    # the block sum and mean read 8 or more rows per vertex, which numpy
-    # sums pairwise in a one-sample chunk
+    # the block sum and mean read 8 or more rows per vertex, which numpy would
+    # sum pairwise in a one-sample chunk; the sampler folds them row by row
     return {
         "mixed": mixed,
         "block-max": block_factor_spec(6, 3, uniform(-2, 1), combine="max"),
@@ -375,12 +390,12 @@ _PINNED = {
         (1.7, 4.1, 5.2), [66765, 12544, 1452], "0x1.7d519b99e8fa8p+17",
     ),
     "block-sum": (
-        ("9bdbf5c0243d1a40", "fbc8af833166c2fb", "c20c4da0ac70708b", "9435eaaa60ed0355",
+        ("74313db4fad2878f", "8483d2545736cc8a", "c20c4da0ac70708b", "9435eaaa60ed0355",
          "e8ef8d80bfcecdea"),
         (-18.0, -12.0, -6.0), [65388, 21812, 3257], "-0x1.2012699530adbp+21",
     ),
     "block-mean": (
-        ("de0ab39f4e337e57", "457687b5f9ea9e1e", "96dec3e450e06486", "3a91f3f37df5686e",
+        ("a0424815eebf95e2", "e2208f96391fe8ba", "96dec3e450e06486", "3a91f3f37df5686e",
          "09923a8ad68ba75e"),
         (7.0, 10.0, 13.0), [64152, 32813, 17051], "0x1.cd77eb999999ap+19",
     ),
@@ -455,7 +470,7 @@ class TestAnalyticMean:
 
         assert 361 * 362 <= mcmod.MEAN_TERM_CAP < 362 * 363
         assert analytic_mean(spec(361)) == float(9 - F(44, 361**2))  # S is uniform on 0..361**2 - 1
-        with pytest.raises(ScaleError, match="exact mean of vertex 1 takes more than 131072 steps"):
+        with pytest.raises(ScaleError, match="more than 131072 steps, running out at vertex 1$"):
             analytic_mean(spec(362))
 
     def test_term_cap_bounds_the_max_segments(self):
@@ -467,8 +482,26 @@ class TestAnalyticMean:
         assert 361 * 363 <= mcmod.MEAN_TERM_CAP < 362 * 364
         want = sum((1 + F(i, 361) ** 2) / (2 * 361) for i in range(361))  # E max(i/m, U), averaged
         assert analytic_mean(spec(361)) == float(want)
-        with pytest.raises(ScaleError, match="exact mean of vertex 1 takes more than 131072 steps"):
+        with pytest.raises(ScaleError, match="more than 131072 steps, running out at vertex 1$"):
             analytic_mean(spec(362))
+
+    def test_term_cap_bounds_the_whole_spec(self):
+        # two latents of 100 values whose sums are all distinct take 100 + 100**2 products
+        def spec(n, shared=False):
+            def laws(v):
+                shift = 0 if shared else 5 * v
+                return [discrete([100**j * i + shift for i in range(100)], [F(1, 100)] * 100)
+                        for j in range(2)]
+
+            g = build_graph(n, [])
+            return latent_graph_spec(g, [((v,), d) for v in g.vertices for d in laws(v)],
+                                     emit={v: EmitRule("sum", (F(1), F(9))) for v in g.vertices})
+
+        assert 12 * 10_100 <= mcmod.MEAN_TERM_CAP < 13 * 10_100
+        assert analytic_mean(spec(12)) == 12 * 9.0  # every sum is at least 10, so it clamps to 9
+        assert analytic_mean(spec(100, shared=True)) == 100 * float(9 - F(44, 100**2))  # counted once
+        with pytest.raises(ScaleError, match="more than 131072 steps, running out at vertex 13$"):
+            analytic_mean(spec(100))
 
     @pytest.mark.parametrize(
         "latents, rule",
@@ -494,7 +527,8 @@ class TestAnalyticMean:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"scale error: the exact mean of vertex 1 takes more than {mcmod.MEAN_TERM_CAP} steps\n"
+            f"scale error: the exact mean takes more than {mcmod.MEAN_TERM_CAP} steps,"
+            " running out at vertex 1\n"
         )
 
     def test_staggered_max_lies_in_a_large_sample_ci(self):
@@ -593,6 +627,17 @@ class TestEstimateTail:
         for n in [1, 2, 7, 100, 20_000, 3_000_000]:
             for hits in {0, min(1, n - 1), n // 2, n - 1, rng.randrange(n)}:
                 assert binomial_upper_ci(hits, n) == float(beta.ppf(0.99, hits + 1, n - hits))
+
+    def test_lower_ci_is_the_beta_quantile(self):
+        from scipy.stats import beta
+
+        rng = random.Random(9)
+        for n in [1, 2, 7, 100, 20_000, 3_000_000]:
+            assert binomial_lower_ci(0, n) == 0.0
+            for hits in {1, n // 2 or 1, n, rng.randrange(1, n + 1)}:
+                want = float(beta.ppf(1 - mcmod.CI_LEVEL, hits, n - hits + 1))
+                assert binomial_lower_ci(hits, n) == want
+                assert binomial_lower_ci(hits, n) < binomial_upper_ci(hits, n)
 
     def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
         import graphtail
