@@ -165,47 +165,39 @@ def _emit_rules(emit) -> str | dict[int, mcmod.EmitRule]:
     return rules
 
 
-def _check_latents(kind: str, values, types: tuple) -> None:
-    for v in values:
-        if not isinstance(v, types):
-            raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
-
-
 def _emit_callable(kind: str, table, incident_edges: list):
+    """A vertex's emit: ``kind`` combines its latent, then its edges' in sorted edge order."""
     edges = sorted(incident_edges)
-    if kind == "xor":
-        def fn(xi, ev):
-            _check_latents(kind, [xi, *(ev[e] for e in edges)], (int,))
-            out = xi
-            for e in edges:
-                out ^= ev[e]
-            return out
-        return fn
-    if kind == "sum":
-        def fn(xi, ev):
-            _check_latents(kind, [xi, *(ev[e] for e in edges)], (int, float, Fraction))
-            return xi + sum(ev[e] for e in edges)
-        return fn
+    types = (int, float, Fraction) if kind == "sum" else (int,)
+    parsed = {}
     if kind == "table":
         if table is None:
             raise InputError("table emit needs a 'map' entry")
         if not isinstance(table, dict):
             raise InputError(f"table emit 'map' must be an object, got {table!r}")
-        parsed = {}
         for key, val in table.items():
             try:
-                parts = tuple(int(p) for p in str(key).split(","))
+                parsed[tuple(int(p) for p in str(key).split(","))] = _json_symbol(val)
             except ValueError as exc:
                 raise InputError(f"emit table key {key!r} is not comma-separated integers") from exc
-            parsed[parts] = _json_symbol(val)
-        def fn(xi, ev):
-            key = (xi,) + tuple(ev[e] for e in edges)
-            _check_latents(kind, key, (int,))
-            if key not in parsed:
-                raise InputError(f"emit table has no entry for latent combination {key}")
-            return parsed[key]
-        return fn
-    raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
+    elif kind not in ("xor", "sum"):
+        raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
+
+    def fn(xi, ev):
+        key = (xi, *(ev[e] for e in edges))
+        for v in key:
+            if not isinstance(v, types):
+                raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
+        if kind == "xor":
+            for v in key[1:]:
+                xi ^= v
+            return xi
+        if kind == "sum":
+            return xi + sum(key[1:])
+        if key not in parsed:
+            raise InputError(f"emit table has no entry for latent combination {key}")
+        return parsed[key]
+    return fn
 
 
 def _support(dist: dict, what: str) -> list:
@@ -239,11 +231,11 @@ def _latents_by_key(table: dict, read: Callable, what: str) -> dict:
 
 
 def load_joint_spec(path: str):
-    """A joint plus its tree and profile, from latent-tree or raw-pmf JSON.
+    """A joint and its rooted tree, from latent-tree or raw-pmf JSON.
 
-    Returns (joint, tree, profile); tree/profile may be None for raw form
-    without a "tree" entry.  A field of the wrong JSON type is an input
-    error, as is a missing one.
+    Returns (joint, tree); tree is None for a raw spec without a "tree".  A
+    "profile" only picks the tree's root, so it needs a tree.  A field of the
+    wrong JSON type is an input error, as is a missing one.
     """
     data = _typed(_json(path), dict, f"{path}: a joint spec")
     profile = None
@@ -262,19 +254,17 @@ def load_joint_spec(path: str):
             raise InputError(f"{path}: raw joint spec is missing field {exc}") from exc
         except TypeError as exc:  # a field of the wrong JSON type
             raise InputError(f"{path}: malformed raw joint spec: {exc}") from exc
-        dep = graph_from_json_dict(data["tree"]) if "tree" in data else None
-        joint = couplingmod.finite_joint(spaces, pmf, dependency=dep)
-        tree = None
-        if dep is not None:
-            prof = profile if profile is not None else coversmod.uniform_profile(dep.n)
-            tree = rooted_order(dep, prof.values)
-        return joint, tree, profile
+        if "tree" not in data:
+            if profile is not None:
+                raise InputError(f"{path}: a 'profile' needs a 'tree' to root")
+            return couplingmod.finite_joint(spaces, pmf), None
+        dep = graph_from_json_dict(data["tree"])
+        prof = profile if profile is not None else coversmod.uniform_profile(dep.n)
+        return couplingmod.finite_joint(spaces, pmf, dependency=dep), rooted_order(dep, prof.values)
 
     if "tree" not in data:
         raise InputError(f"{path}: joint spec needs a 'tree' (or a raw 'pmf') entry")
     g = graph_from_json_dict(data["tree"])
-    if profile is None:
-        profile = coversmod.uniform_profile(g.n)
     try:
         vertex_latents = _latents_by_key(
             data["vertex_latents"], lambda v: read_vertex_id(v, "vertex latent key"), "vertex latent"
@@ -306,7 +296,7 @@ def load_joint_spec(path: str):
             raise InputError(
                 f"{path}: declared alphabets {declared} do not match the emitted ones {derived}"
             )
-    return joint, spec.tree, profile
+    return joint, spec.tree
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +429,7 @@ def _pair_json(pair) -> list | None:
 
 
 def _cmd_verify(args) -> int:
-    joint, tree, _ = load_joint_spec(args.spec)
+    joint, tree = load_joint_spec(args.spec)
     if args.what == "dependency":
         g = load_graph(args.graph) if args.graph else joint.dependency
         if g is None:

@@ -477,7 +477,6 @@ class CouplingPair:
     spaces: tuple[tuple, ...]
     pmf: dict[tuple[tuple, tuple], Fraction]
     context: CouplingContext
-    parent_coord: int
 
 
 def _step_table(weights: np.ndarray, i: int, parent: int) -> np.ndarray:
@@ -594,7 +593,7 @@ def build_coupling(
         y_point = lhs_head + keys[k][:cut] + (values[y],) + keys[k][cut:]
         z_point = rhs_head + keys[k][:cut] + (values[z],) + keys[k][cut:]
         pair_pmf[(y_point, z_point)] = Fraction(masses[k, y, z], den[k])
-    return CouplingPair(spaces=rl.spaces, pmf=pair_pmf, context=context, parent_coord=parent)
+    return CouplingPair(spaces=rl.spaces, pmf=pair_pmf, context=context)
 
 
 def verify_coupling_marginals(pair: CouplingPair, joint: FiniteJoint, tree: OrderedTree) -> Fraction:

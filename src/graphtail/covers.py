@@ -25,8 +25,8 @@ decomposable LP gets its radicands from that walk itself: over the profile's
 common denominator L every coefficient is an integer a_v = L * c_v, and each
 partial forest carries L**2 times its radicand as an integer, updated as
 vertices join and trees merge.
-``part_cost_radicand`` prices only the parts of returned witnesses and the
-column-generation pool.
+Witness parts (``part_cost_radicand``), column generation's pool (over the
+a_v) and its search (in floats) are priced by one sum, ``_part_radicand``.
 
 Part costs are square roots of rationals.  Roots of perfect squares are kept
 exact; other roots enter the LP as 128-bit rational approximations, which is
@@ -40,7 +40,7 @@ share a square-free kernel (covering every rational-valued case).
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
@@ -258,20 +258,29 @@ def _profile_scale(profile: LipschitzProfile) -> tuple[int, list[int]]:
     return denom, [c.numerator * (denom // c.denominator) for c in profile]
 
 
-def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: LipschitzProfile) -> Fraction:
-    """Exact value under the square root of the forest-part cost."""
+def _part_radicand(g: Graph, part: frozenset[int] | set[int], c: Sequence):
+    """The part cost's radicand in the number type of ``c``, ``c[v - 1]`` being vertex v's coefficient.
+
+    Adds the squared sums of the part's edges in ``g.edges`` order, then each
+    tree's squared minimum by the tree's smallest vertex; KindError on a cycle.
+    """
     edges = graphmod.edges_within(g, part)
     trees = graphmod.components_within(g, part)
     if not graphmod.induces_forest(len(edges), len(part), len(trees)):
         raise KindError(f"part {sorted(part)} induces a cycle; forest parts must be acyclic")
-    total = _ZERO
+    total = 0
     for u, v in edges:
-        s = profile.coefficient(u) + profile.coefficient(v)
+        s = c[u - 1] + c[v - 1]
         total += s * s
     for tree in trees:
-        m = min(profile.coefficient(v) for v in tree)
+        m = min(c[v - 1] for v in tree)
         total += m * m
     return total
+
+
+def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: LipschitzProfile) -> Fraction:
+    """Exact value under the square root of the forest-part cost."""
+    return _part_radicand(g, part, profile.values)
 
 
 def _sqrt_numerator(radicand: int, scale: int, bits: int) -> int:
@@ -477,14 +486,7 @@ class _SmallParts(NamedTuple):
 
 def _part_cost_float(g: Graph, part: frozenset[int], c: list[float]) -> float:
     """Float twin of the part cost, for heuristic search only."""
-    total = 0.0
-    for u, v in graphmod.edges_within(g, part):
-        s = c[u - 1] + c[v - 1]
-        total += s * s
-    for tree in graphmod.components_within(g, part):
-        m = min(c[v - 1] for v in tree)
-        total += m * m
-    return sqrt(total)
+    return sqrt(_part_radicand(g, part, c))
 
 
 def _small_forest_parts(g: Graph, c: list[float]) -> _SmallParts:
@@ -618,14 +620,11 @@ def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
     # returned cover.  The basis is kept warm across rounds, so each new
     # column costs a handful of pivots.
     bits = 48
-    square_scale = _profile_scale(profile)[0] ** 2
+    denom, scaled = _profile_scale(profile)
+    square_scale = denom * denom
 
     def cost(part: frozenset[int]) -> int:  # over square_scale << bits
-        radicand = part_cost_radicand(g, part, profile)
-        unit, rest = divmod(square_scale, radicand.denominator)
-        if rest:
-            raise VerificationError(f"radicand {radicand} is not over the profile's scale")
-        return _sqrt_numerator(radicand.numerator * unit, square_scale, bits)
+        return _sqrt_numerator(_part_radicand(g, part, scaled), square_scale, bits)
 
     c = [float(x) for x in profile.values]
     small = _small_forest_parts(g, c)
@@ -717,9 +716,7 @@ def _optimize_decomposable(
         raise InputError(f"unknown strategy {strategy!r}")
     upper = _janson_candidate(g, profile, chi)
     if upper is not None and upper.objective < solution.objective:
-        solution = _package_d_solution(
-            g, upper.cover, profile, strategy, Optimality.UPPER_BOUND
-        )
+        solution = replace(upper, method=strategy)
     return solution
 
 

@@ -527,9 +527,10 @@ def _max_mean(dists: tuple, a: Fraction, b: Fraction, budget: int) -> tuple[Frac
     two consecutive breakpoints above it (uniform tops, finite atoms and b)
     each finite F_i is constant and each uniform's F_i is 1 or
     (x - lo_i)/w_i, so F_M is a polynomial there and is integrated exactly.
-    The steps, each segment's finite atoms and polynomial coefficient
-    updates, are counted before any is taken; past ``budget`` it raises
-    ScaleError, else it returns the mean and that count.
+    Values run as integers over ``scale``, the polynomial's coefficients over
+    ``den``.  The steps, each segment's finite atoms and polynomial updates,
+    are counted before any is taken; past ``budget`` it raises ScaleError,
+    else it returns the mean and that count.
     """
     uniforms, laws = _split(dists)
     uniforms.sort(key=lambda u: u.hi)
@@ -541,13 +542,17 @@ def _max_mean(dists: tuple, a: Fraction, b: Fraction, budget: int) -> tuple[Frac
     steps = sum(atoms + d * (d + 3) // 2 for d in live)
     if steps > budget:
         raise ScaleError
+    scale = lcm(*(x.denominator for x in cuts), *(x.denominator for u in uniforms for x in (u.lo, u.hi)))
+    bounds = [(int(u.lo * scale), int((u.hi - u.lo) * scale)) for u in uniforms]
     area = Fraction(0)
     for x0, x1, d in zip(cuts, cuts[1:], live):
-        poly = [prod((sum(p for value, p in law if value <= x0) for law in laws), start=Fraction(1))]
-        for u in uniforms[len(uniforms) - d:]:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
-            w = u.hi - u.lo
-            poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
-        area += sum(c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
+        poly, den = [1], scale
+        for lo, w in bounds[len(bounds) - d:]:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
+            poly = [q - c * lo for q, c in zip([0, *poly], [*poly, 0])]
+            den *= w
+        y0, y1 = int(x0 * scale), int(x1 * scale)
+        integral = sum(Fraction(c * (y1 ** (j + 1) - y0 ** (j + 1)), j + 1) for j, c in enumerate(poly))
+        area += prod((sum(p for value, p in law if value <= x0) for law in laws), start=integral) / den
     return b - area, steps
 
 
@@ -578,16 +583,19 @@ def estimate_tails(
     seed: int,
     n_samples: int,
     workers: int = 1,
+    mean: float | None = None,
 ) -> list[TailEstimate]:
     """One sampling pass, counting exceedances of Ef + t for the whole grid.
 
     Ef is the exact mean (``analytic_mean``), so a PASS holds at CI_LEVEL.
     A spec whose exact mean is past ``MEAN_TERM_CAP`` raises ScaleError
     before any sample is drawn: there is no estimated mean to fall back on.
+    A caller passing ``mean`` has checked the run and taken its exact mean.
     """
-    t_grid = _check_run(t_grid, seed, n_samples, workers)
-    mu = analytic_mean(spec)
-    thresholds = [mu + t for t in t_grid]
+    if mean is None:
+        t_grid = _check_run(t_grid, seed, n_samples, workers)
+        mean = analytic_mean(spec)
+    thresholds = [mean + t for t in t_grid]
     counts = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)
     return [
         TailEstimate(
@@ -656,16 +664,16 @@ def validate_bounds(
     theorems); FAILs are expected when deliberately misapplying a method,
     e.g. the independence-only reference on a dependent spec.
     """
-    _check_run(t_grid, seed, n_samples, workers)  # before any LP is solved
+    t_grid = _check_run(t_grid, seed, n_samples, workers)  # this, preconditions and mean before LPs
     inputs = _method_inputs(spec)
     chosen = boundsmod.bound_methods(methods if methods is not None else resolve_methods(spec))
-    denominators = []
     for method in chosen:
         reason = method.unmet(inputs)
         if reason is not None:
             raise InputError(f"method {method.name!r} does not apply to this spec: {reason}")
-        denominators.append(boundsmod.float_denominator(method.denominator(inputs)[0]))
-    estimates = estimate_tails(spec, t_grid, seed, n_samples, workers=workers)
+    mean = analytic_mean(spec)
+    denominators = [boundsmod.float_denominator(method.denominator(inputs)[0]) for method in chosen]
+    estimates = estimate_tails(spec, t_grid, seed, n_samples, workers=workers, mean=mean)
     lower = [binomial_lower_ci(est.hits, est.n_samples) for est in estimates]
     rows = []
     for method, den in zip(chosen, denominators):

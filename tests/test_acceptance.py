@@ -274,7 +274,6 @@ def _worst_corrupted_deviation(joint, tree):
                     spaces=rl.spaces,
                     pmf=pmf,
                     context=CouplingContext(i=i, prefix=prefix, lhs_value=a, rhs_value=b),
-                    parent_coord=parent_coord,
                 )
                 worst = max(worst, verify_coupling_marginals(pair, joint, tree))
     return worst

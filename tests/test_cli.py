@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from graphtail import bounds as boundsmod
 from graphtail import cli
 from graphtail import covers as coversmod
+from graphtail import montecarlo as mcmod
+from graphtail._simplex import CoverLp
 from graphtail.bounds import ALL_METHODS
 from graphtail.errors import InputError, VerificationError
 
@@ -659,6 +662,34 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"input error: profile has {size} coefficients for a tree on 3 vertices\n"
 
+    def test_raw_profile_without_a_tree_exits_1(self, tmp_path, capsys):
+        # the profile was read and dropped: "ok": true, exit 0
+        spec, graph = tmp_path / "spec.json", tmp_path / "graph.json"
+        spec.write_text(json.dumps({**{k: v for k, v in _RAW3.items() if k != "tree"},
+                                    "profile": ["1"] * 5}))
+        graph.write_text(json.dumps(_RAW3["tree"]))
+        assert cli.run(["verify", "dependency", "--spec", str(spec), "--graph", str(graph)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {spec}: a 'profile' needs a 'tree' to root\n"
+
+    def test_sum_emit_adds_the_edges_to_the_vertex_latent(self, tmp_path):
+        # float sums depend on their order: 0.1 + (0.2 + 0.7) != (0.1 + 0.2) + 0.7
+        thirds = {"values": [0.1, 0.2, 0.7], "probs": ["1/3", "1/3", "1/3"]}
+        halves = {"values": [0.2, 0.7], "probs": ["1/2", "1/2"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            **_P3XOR,
+            "vertex_latents": {"1": thirds, "2": {"values": [0.1], "probs": [1]}, "3": thirds},
+            "edge_latents": {"1-2": halves, "2-3": halves},
+            "emit": {v: {"kind": "sum"} for v in ("1", "2", "3")},
+        }))
+        joint, _ = cli.load_joint_spec(str(path))
+        leaf = {x + sum([e]) for x in thirds["values"] for e in halves["values"]}
+        middle = {0.1 + sum([e, f]) for e in halves["values"] for f in halves["values"]}
+        assert [set(space) for space in joint.spaces] == [leaf, middle, leaf]
+        assert middle != {(0.1 + e) + f for e in halves["values"] for f in halves["values"]}
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_joint_specs_never_end_in_a_traceback(self, data, tmp_path_factory):
@@ -973,6 +1004,29 @@ class TestWorkerAndSeedRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+    def test_validate_refuses_the_exact_mean_before_any_lp(self, tmp_path, monkeypatch, capsys):
+        # vertex 1 reads 400 clamped Bernoulli(1/3) latents: its exact mean is past the cap
+        rng = random.Random(16)
+        pairs = [[u, v] for u in range(1, 17) for v in range(u + 1, 17)]
+        spec = _latent_spec(16, sorted(rng.sample(pairs, 30)))
+        spec["latents"] += [{"scope": [1], "dist": {"kind": "bernoulli", "p": "1/3"}}] * 400
+        spec["emit"] = {"1": {"kind": "sum", "range": [0, 200]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        solves = []
+        solve = CoverLp.solve
+        monkeypatch.setattr(CoverLp, "solve", lambda self: solves.append(self) or solve(self))
+        for extra in ([], ["--validate"]):
+            argv = ["simulate", "--spec", str(path), "--t", "1", "--n", "100", "--seed", "1"]
+            assert cli.run(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"scale error: the exact mean takes more than {mcmod.MEAN_TERM_CAP} steps,"
+                " running out at vertex 1\n"
+            )
+        assert solves == []
 
     def test_worker_env_ignored_when_flag_given_or_not_simulating(
         self, blockfactor_file, ex9_file, monkeypatch

@@ -449,7 +449,6 @@ class TestNegativeControls:
                     spaces=rl.spaces,
                     pmf=pmf,
                     context=CouplingContext(i=i, prefix=prefix, lhs_value=a, rhs_value=b),
-                    parent_coord=parent_coord,
                 )
                 worst = max(worst, verify_coupling_marginals(corrupted, joint, tree))
         assert worst > 0

@@ -17,6 +17,7 @@ from conftest import (
     sqrt_fraction,
 )
 from graphtail import covers
+from graphtail import graph as graphmod
 from graphtail._simplex import solve_min_cover_lp
 from graphtail.covers import (
     CoverKind,
@@ -36,7 +37,7 @@ from graphtail.covers import (
     uniform_profile,
     validate_cover,
 )
-from graphtail.errors import InputError, KindError, ScaleError, VerificationError
+from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph
 
 
@@ -304,12 +305,99 @@ class TestIntegerLpCosts:
             numerator = covers._sqrt_numerator(x.numerator * extra, scale, bits)
             assert numerator == sqrt_fraction(x, bits) * (scale << bits)
 
-    def test_master_rejects_a_radicand_off_the_profile_scale(self, path3, monkeypatch):
-        monkeypatch.setattr(covers, "part_cost_radicand", lambda g, part, profile: Fraction(1, 3))
-        with pytest.raises(VerificationError, match="not over the profile's scale"):
-            optimize_decomposable_denominator(
-                path3, uniform_profile(3), strategy=Strategy.COLUMN_GENERATION
-            )
+
+
+def _float_cost_loop(g, part, c):
+    """The float loop ``_part_cost_float`` ran before it shared ``_part_radicand``: its oracle."""
+    total = 0.0
+    for u, v in graphmod.edges_within(g, part):
+        s = c[u - 1] + c[v - 1]
+        total += s * s
+    for tree in graphmod.components_within(g, part):
+        m = min(c[v - 1] for v in tree)
+        total += m * m
+    return math.sqrt(total)
+
+
+def _colgen_cost_from_the_fraction(g, part, profile, square_scale):
+    """Column generation's integer cost as it was taken: from the Fraction radicand."""
+    radicand = part_cost_radicand(g, part, profile)
+    unit, rest = divmod(square_scale, radicand.denominator)
+    assert rest == 0
+    return covers._sqrt_numerator(radicand.numerator * unit, square_scale, 48)
+
+
+class TestOnePartCostSum:
+    """Fraction, integer and float part costs all come from one summation."""
+
+    @staticmethod
+    def _case(seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        g = random_graph(n, rng.choice((0.2, 0.4, 0.6)), rng)
+        return g, random_profile(n, rng, allow_zero=True), rng
+
+    @staticmethod
+    def _acyclic_parts(g, rng):
+        """Forests of every size up to a maximal one, grown vertex by vertex in random orders."""
+        parts = []
+        for _ in range(4):
+            order, part = list(g.vertices), frozenset()
+            rng.shuffle(order)
+            for v in order:
+                if graphmod.is_acyclic_subset(g, part | {v}):
+                    part = part | {v}
+                    parts.append(part)
+        return parts
+
+    @staticmethod
+    def _column_generation(g, profile, monkeypatch):
+        """The master and every float cost the pricing searches cached, from one search."""
+        masters, caches = [], []
+        price = covers._price_forest_column
+
+        class Recorded(covers.CoverLp):
+            def __init__(self, *args):
+                super().__init__(*args)
+                masters.append(self)
+
+        def recorded(g, c, small, duals, cache):
+            caches.append(cache)
+            return price(g, c, small, duals, cache)
+
+        monkeypatch.setattr(covers, "CoverLp", Recorded)
+        monkeypatch.setattr(covers, "_price_forest_column", recorded)
+        optimize_decomposable_denominator(g, profile, strategy=Strategy.COLUMN_GENERATION)
+        monkeypatch.undo()
+        (master,) = masters
+        return master, {part: cost for cache in caches for part, cost in cache.items()}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_sum_is_the_scaled_fraction_sum(self, seed):
+        g, profile, rng = self._case(seed)
+        denom, scaled = covers._profile_scale(profile)
+        for part in self._acyclic_parts(g, rng):
+            assert covers._part_radicand(g, part, scaled) == denom**2 * part_cost_radicand(g, part, profile)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_column_generation_costs_are_unchanged(self, seed, monkeypatch):
+        g, profile, _ = self._case(seed)
+        square_scale = covers._profile_scale(profile)[0] ** 2
+        master, searched = self._column_generation(g, profile, monkeypatch)
+        assert master.denominator == square_scale << 48
+        assert master.costs == [
+            _colgen_cost_from_the_fraction(g, part, profile, square_scale) for part in master.columns
+        ]
+        assert g.n < 4 or any(len(part) > 3 for part in searched)  # the local search's parts
+        c = [float(x) for x in profile.values]
+        assert all(cost == _float_cost_loop(g, part, c) for part, cost in searched.items())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float_cost_is_the_loop_bit_for_bit(self, seed):
+        g, profile, rng = self._case(seed)
+        c = [float(x) for x in profile.values]
+        for part in self._acyclic_parts(g, rng):
+            assert covers._part_cost_float(g, part, c).hex() == _float_cost_loop(g, part, c).hex()
 
 
 class TestOptimizeDecomposable:

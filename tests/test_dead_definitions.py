@@ -12,6 +12,11 @@ default no call overrides is a constant in disguise.
 
 And every module-level UPPER_CASE constant there is read: its name is used
 as above, which its own assignment (a stored ``Name``) is not.
+
+And every field of a dataclass or NamedTuple there is read: its name is
+loaded as an attribute or is a whole string constant in those modules, or
+its class is passed to ``dataclasses.fields``.  Setting a field, by keyword
+or by assignment, is not reading it.
 """
 
 import ast
@@ -149,3 +154,44 @@ def test_every_defaulted_parameter_is_set_somewhere():
                 if not any(_passes(call, name, position) for call in calls.get(called_as, ())):
                     unset.append(f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}({name})")
     assert not unset, "defaulted parameters no call sets:\n" + "\n".join(unset)
+
+
+def _record_fields(tree: ast.Module):
+    """(class, field, line) of every annotated field of a dataclass or NamedTuple in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+        if not any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.append((node.name, item.target.id, item.lineno))
+    return found
+
+
+def _field_reads() -> tuple[set[str], set[str]]:
+    """Names loaded as attributes or written as whole strings, and classes passed to ``fields``."""
+    read, listed = set(), set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+                elif isinstance(node, ast.Call):
+                    if getattr(node.func, "id", getattr(node.func, "attr", None)) == "fields":
+                        listed.update(a.id for a in node.args if isinstance(a, ast.Name))
+    return read, listed
+
+
+def test_every_record_field_is_read():
+    read, listed = _field_reads()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name, line in _record_fields(ast.parse(path.read_text(), str(path))):
+            if cls not in listed and name not in read:
+                unread.append(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
+    assert not unread, "record fields nothing reads:\n" + "\n".join(unread)

@@ -443,6 +443,24 @@ def _one_vertex_spec(dists, rule):
     return latent_graph_spec(build_graph(1, []), [((1,), d) for d in dists], emit={1: rule})
 
 
+def _max_mean_by_fractions(dists, a, b):
+    """E[clamp(max, a, b)] as ``_max_mean`` took it in Fractions: the oracle of its integer form."""
+    uniforms, laws = mcmod._split(dists)
+    uniforms.sort(key=lambda u: u.hi)
+    tops = [u.hi for u in uniforms]
+    floor = max([a, *(u.lo for u in uniforms), *(min(v for v, _ in law) for law in laws)])
+    cuts = sorted(x for x in {floor, b, *tops, *(v for law in laws for v, _ in law)} if floor <= x <= b)
+    area = F(0)
+    for x0, x1 in zip(cuts, cuts[1:]):
+        poly = [math.prod((sum(p for value, p in law if value <= x0) for law in laws), start=F(1))]
+        for u in uniforms:
+            if u.hi > x0:  # times (x - lo) / w, with [x0, x1] inside [lo, hi]
+                w = u.hi - u.lo
+                poly = [(q - c * u.lo) / w for q, c in zip([0, *poly], [*poly, 0])]
+        area += sum(c * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1) for j, c in enumerate(poly))
+    return b - area
+
+
 def _in_large_sample_ci(spec, mean):
     """Whether ``mean`` lies in a two-sided 99.999% normal interval of a 2M-sample mean."""
     values = np.concatenate(
@@ -530,6 +548,33 @@ class TestAnalyticMean:
             f"scale error: the exact mean takes more than {mcmod.MEAN_TERM_CAP} steps,"
             " running out at vertex 1\n"
         )
+
+    def test_max_mean_matches_the_fraction_oracle(self):
+        rng = random.Random(2021)
+        for _ in range(300):
+            dists = []
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.5:
+                    lo = F(rng.randint(-12, 12), rng.randint(1, 7))
+                    dists.append(uniform(lo, lo + F(rng.randint(1, 12), rng.randint(1, 7))))
+                elif rng.random() < 0.5:
+                    dists.append(random_finite_latent(rng))
+                else:
+                    values = rng.sample([F(k, rng.randint(1, 5)) for k in range(-10, 10)], rng.randint(1, 4))
+                    weights = [rng.randint(1, 6) for _ in values]
+                    dists.append(discrete(values, [F(w, sum(weights)) for w in weights]))
+            a = F(rng.randint(-8, 4), rng.randint(1, 4))
+            b = a + F(rng.randint(0, 16), rng.randint(1, 4))
+            mean, _ = mcmod._max_mean(tuple(dists), a, b, mcmod.MEAN_TERM_CAP)
+            assert mean == _max_mean_by_fractions(tuple(dists), a, b)
+
+    def test_max_of_90_staggered_uniforms_takes_under_a_second(self):
+        dists = tuple(uniform(F(i, 1000), 1 + F(i, 997)) for i in range(90))
+        started = time.process_time()  # CPU time: other processes' load does not count
+        mean, steps = mcmod._max_mean(dists, F(89, 1000), 1 + F(89, 997), mcmod.MEAN_TERM_CAP)
+        assert time.process_time() - started < 1  # in Fractions it took 2.7 s
+        assert steps == 129_675
+        assert F(89, 1000) < mean < 1 + F(89, 997)
 
     def test_staggered_max_lies_in_a_large_sample_ci(self):
         # one segment per uniform above the greatest lo, with one live uniform fewer each
