@@ -256,10 +256,12 @@ ALL_METHODS = tuple(METHODS)
 
 
 def bound_methods(names) -> tuple[BoundMethod, ...]:
-    """The table rows named by ``names``, in order."""
-    for name in names:
+    """The table rows named by ``names``, in order; a name listed twice is an input error."""
+    for k, name in enumerate(names):
         if name not in METHODS:
             raise InputError(f"unknown method {name!r}; choose from {ALL_METHODS}")
+        if name in names[:k]:
+            raise InputError(f"method {name!r} is listed twice")
     return tuple(METHODS[name] for name in names)
 
 

@@ -15,6 +15,7 @@ tool as a test oracle.
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -85,7 +86,7 @@ def _fraction_value(x) -> Fraction:
         value = Fraction(str(x))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {x!r} as an exact number") from exc
-    if abs(value) > sys.float_info.max:
+    if not mcmod.finite_number(value):
         raise InputError(f"{x!r} is beyond the range of a float")
     return value
 
@@ -104,7 +105,7 @@ def _dist_from_json(data) -> mcmod.Dist:
         if kind == "uniform":
             return mcmod.uniform(_fraction_value(data["lo"]), _fraction_value(data["hi"]))
         if kind == "bernoulli":
-            values = _typed(data.get("values", [0, 1]), list, "Bernoulli 'values'")
+            values = _symbols(data.get("values", [0, 1]), "Bernoulli 'values'")
             return mcmod.bernoulli(_fraction_value(data["p"]), values)
         if kind == "discrete":
             return mcmod.discrete(
@@ -116,13 +117,16 @@ def _dist_from_json(data) -> mcmod.Dist:
     raise InputError(f"unknown latent distribution kind {kind!r}")
 
 
-def _json_symbol(v):
-    return int(v) if isinstance(v, int) or (isinstance(v, float) and v.is_integer()) else v
+def _json_symbol(v, what: str):
+    """A string, or a finite number with an integral float read as an int; else ``InputError``."""
+    if not (isinstance(v, str) or mcmod.finite_number(v)):
+        raise InputError(f"{what} holds {v!r}, which is neither a string nor a finite number")
+    return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
 def _symbols(value, what: str) -> list:
     """A JSON list of symbols; a string is an error, not split into characters."""
-    return [_json_symbol(v) for v in _typed(value, list, what)]
+    return [_json_symbol(v, what) for v in _typed(value, list, what)]
 
 
 def load_sampler_spec(path: str) -> mcmod.SamplerSpec:
@@ -168,7 +172,6 @@ def _emit_rules(emit) -> str | dict[int, mcmod.EmitRule]:
 def _emit_callable(kind: str, table, incident_edges: list):
     """A vertex's emit: ``kind`` combines its latent, then its edges' in sorted edge order."""
     edges = sorted(incident_edges)
-    types = (int, float, Fraction) if kind == "sum" else (int,)
     parsed = {}
     if kind == "table":
         if table is None:
@@ -177,26 +180,26 @@ def _emit_callable(kind: str, table, incident_edges: list):
             raise InputError(f"table emit 'map' must be an object, got {table!r}")
         for key, val in table.items():
             try:
-                parsed[tuple(int(p) for p in str(key).split(","))] = _json_symbol(val)
+                combo = tuple(int(p) for p in str(key).split(","))
             except ValueError as exc:
                 raise InputError(f"emit table key {key!r} is not comma-separated integers") from exc
+            parsed[combo] = _json_symbol(val, "emit 'map'")
     elif kind not in ("xor", "sum"):
         raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
 
     def fn(xi, ev):
         key = (xi, *(ev[e] for e in edges))
         for v in key:
-            if not isinstance(v, types):
+            if not (mcmod.finite_number(v) if kind == "sum" else isinstance(v, int)):
                 raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
-        if kind == "xor":
-            for v in key[1:]:
-                xi ^= v
-            return xi
-        if kind == "sum":
-            return xi + sum(key[1:])
-        if key not in parsed:
-            raise InputError(f"emit table has no entry for latent combination {key}")
-        return parsed[key]
+        if kind == "table":
+            if key not in parsed:
+                raise InputError(f"emit table has no entry for latent combination {key}")
+            return parsed[key]
+        value = functools.reduce(operator.xor, key) if kind == "xor" else xi + sum(key[1:])
+        if not mcmod.finite_number(value):
+            raise InputError(f"{kind} emit of {tuple(map(float, key))} overflows a float")
+        return value
     return fn
 
 
@@ -467,8 +470,8 @@ def _coupling_payload(joint, tree) -> dict:
         "independence_deviation": float(indep_dev),
         "ok": coupling_dev == 0 and indep_dev == 0,
     }
-    if all(isinstance(v, (int, Fraction)) for space in joint.spaces for v in space):
-        # swing bound for the coordinate sum (skipped for symbolic alphabets)
+    if all(mcmod.finite_number(v) for space in joint.spaces for v in space):
+        # swing bound for the coordinate sum, on every numeric alphabet
         f = couplingmod.coordinate_sum(joint.spaces)
         diff_excess = couplingmod.verify_difference_bound(joint, tree, f)
         payload["difference_bound_excess"] = float(diff_excess)

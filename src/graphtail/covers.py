@@ -521,27 +521,15 @@ def _small_forest_parts(g: Graph, c: list[float]) -> _SmallParts:
             rows = combos[mask]
             edges = [pair for k, pair in enumerate(pairs) if code >> k & 1]
             terms = [cv[rows[:, i]] + cv[rows[:, j]] for i, j in edges]
-            terms += [cv[rows[:, list(tree)]].min(axis=1) for tree in _position_trees(size, edges)]
-            part_total = np.zeros(len(rows))
-            for x in terms:
-                part_total = part_total + x * x
-            total[mask] = part_total
+            positions = graphmod.build_graph(size, [(i + 1, j + 1) for i, j in edges])
+            for tree in graphmod.components_within(positions, positions.vertices):
+                terms.append(cv[rows[:, [p - 1 for p in tree]]].min(axis=1))
+            total[mask] = sum((x * x for x in terms), np.zeros(len(rows)))
         costs.append(np.sqrt(total))
         sized = [frozenset(combo) for combo in (combos + 1).tolist()]
         parts += sized
         orders.append(np.array([tuple(p) for p in sized], dtype=np.intp).reshape(-1, size) - 1)
     return _SmallParts(parts, orders, np.concatenate(costs), {p: i for i, p in enumerate(parts)})
-
-
-def _position_trees(size: int, edges: list[tuple[int, int]]) -> list[set[int]]:
-    """The trees of a forest on positions 0..size-1, in order of their smallest position."""
-    trees = [{p} for p in range(size)]
-    for i, j in edges:
-        a = next(t for t in trees if i in t)
-        b = next(t for t in trees if j in t)
-        a |= b
-        trees.remove(b)
-    return sorted(trees, key=min)
 
 
 def _price_forest_column(

@@ -97,11 +97,16 @@ def discrete(values: Sequence, probs: Sequence) -> Discrete:
     return Discrete(values=_latent_values(values), probs=tuple(pf))
 
 
+def finite_number(v) -> bool:
+    """An int, float or Fraction, not a bool, that a float holds: coordinates are floats."""
+    numeric = isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
+    return numeric and abs(v) <= float_info.max  # exact for ints, false for nan
+
+
 def _latent_values(values: Sequence) -> tuple:
-    """The values as a tuple, once each is a number a float holds: coordinates are floats."""
+    """The values as a tuple, once each is a finite number."""
     for v in values:
-        numeric = isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
-        if not (numeric and abs(v) <= float_info.max):  # exact for ints, false for nan
+        if not finite_number(v):
             raise InputError(f"latent value {v!r} is not a finite number")
     return tuple(values)
 

@@ -1,0 +1,49 @@
+"""Print a digest of every benchmark job's outcome, to diff two versions of the program.
+
+Usage (from the repository root, with ``src`` on PYTHONPATH):
+
+    PYTHONPATH=src python tests/job_digests.py > digests.txt
+
+For each workload of ``perfbench/workloads.py`` and seeds 1-3 it writes the
+job inputs to a temporary directory, runs every job through ``cli.run``
+in-process and prints one line per job: ``workload seed job exit
+sha256(stdout)``.  Two versions whose outputs are byte-identical print the
+same lines, so one ``diff`` of two runs checks that claim.  Pytest does not
+collect this file.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import tempfile
+from pathlib import Path
+
+from graphtail import cli
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SEEDS = (1, 2, 3)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main() -> None:
+    workloads = load_workloads()
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as tmp:
+                for job in workloads.write_workload(name, seed, Path(tmp)):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.run(job["argv"])
+                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    print(name, seed, job["id"], code, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1043,6 +1043,120 @@ class TestWorkerAndSeedRange:
         assert json.loads(capsys.readouterr().out)[0]["seed"] == 2**64 - 1
 
 
+_NOT_FINITE = [True, False, None, float("nan"), float("inf"), float("-inf")]
+
+
+def _with_symbol(field, bad):
+    """(argv, spec, the field's name in the error) with one symbol of ``field`` set to ``bad``."""
+    values = {"values": [0, bad], "probs": ["1/2", "1/2"]}
+    if field == "discrete":
+        return _SIMULATE, {**_BLOCK4, "dist": {"kind": "discrete", **values}}, "discrete 'values'"
+    if field == "bernoulli":
+        spec = {**_BLOCK4, "dist": {"kind": "bernoulli", "p": "1/2", "values": [0, bad]}}
+        return _SIMULATE, spec, "Bernoulli 'values'"
+    verify = ["verify", "coupling", "--spec"]
+    if field == "spaces":  # a coordinate that is always ``bad``
+        pmf = [{"x": [bad, 0], "p": "1/2"}, {"x": [bad, 1], "p": "1/2"}]
+        spec = {"spaces": [[bad], [0, 1]], "tree": {"n": 2, "edges": [[1, 2]]}, "pmf": pmf}
+        return verify, spec, "each of 'spaces'"
+    if field == "x":
+        pmf = [{"x": [0, 0, bad], "p": "1/2"}, {"x": [1, 1, 1], "p": "1/2"}]
+        return verify, {**_RAW3, "pmf": pmf}, "a pmf entry's 'x'"
+    if field == "vertex-latent":
+        latents = {**_P3XOR["vertex_latents"], "1": values}
+        return verify, {**_P3XOR, "vertex_latents": latents}, "vertex latent '1' 'values'"
+    if field == "edge-latent":
+        latents = {**_P3XOR["edge_latents"], "1-2": values}
+        return verify, {**_P3XOR, "edge_latents": latents}, "edge latent '1-2' 'values'"
+    if field == "alphabets":
+        return verify, {**_P2XOR, "alphabets": [[0, 1, 2], [0, 1, bad]]}, "each of 'alphabets'"
+    table = {"kind": "table", "map": {"0,0": bad, "0,1": 1, "1,0": 1, "1,1": 2}}
+    return verify, {**_P2XOR, "emit": {**_P2XOR["emit"], "1": table}}, "emit 'map'"
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("bad", _NOT_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "field",
+        ["discrete", "bernoulli", "spaces", "x", "vertex-latent", "edge-latent", "alphabets", "map"],
+    )
+    def test_symbols_that_are_no_finite_number_exit_1(self, field, bad, tmp_path, capsys):
+        # true read as 1 and null, NaN or Infinity were kept as symbols, in every list
+        # but Bernoulli 'values', which named the latent value instead of the field
+        argv, spec, what = _with_symbol(field, bad)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {what} holds {bad!r}, which is neither a string nor a finite number\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"spaces": [[0, 1.5], [0, 1]], "tree": {"n": 2, "edges": [[1, 2]]},
+             "pmf": [{"x": [a, b], "p": f"{1 + i + 2 * b}/10"}
+                     for i, a in enumerate((0, 1.5)) for b in (0, 1)]},
+            {**_P3XOR,
+             "vertex_latents": {v: {"values": [0, 0.5], "probs": ["1/2", "1/2"]} for v in "123"},
+             "edge_latents": {e: {"values": [0, 0.25], "probs": ["1/4", "3/4"]}
+                              for e in ("1-2", "2-3")},
+             "emit": {v: {"kind": "sum"} for v in "123"}},
+        ],
+        ids=["raw", "latent-tree-sum"],
+    )
+    def test_float_alphabets_get_the_difference_bound(self, spec, tmp_path, capsys):
+        # a float alphabet was taken for a symbolic one, and "ok" printed with no bound checked
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["difference_bound_excess"] <= 0
+        assert payload["ok"] is True
+
+    @pytest.mark.parametrize(
+        "kind, latent, edge, operands",
+        [("sum", 1e308, 1e308, "(1e+308, 1e+308)"),
+         ("xor", 2**1023, 2**1023 - 1, "(8.98846567431158e+307, 8.98846567431158e+307)")],
+        ids=["sum", "xor"],
+    )
+    def test_emit_beyond_a_float_exits_1(self, kind, latent, edge, operands, tmp_path, capsys):
+        # 1e308 + 1e308, or 2**1024 - 1, became a symbol no float holds, and the
+        # difference bound was skipped as if the alphabet were symbolic
+        def point(value):
+            return {"values": [value], "probs": [1]}
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "tree": {"n": 2, "edges": [[1, 2]]},
+            "vertex_latents": {"1": point(latent), "2": point(0)}, "edge_latents": {"1-2": point(edge)},
+            "emit": {"1": {"kind": kind}, "2": {"kind": kind}},
+        }))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {kind} emit of {operands} overflows a float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--t", "1", "--methods", "tree,tree", "--graph"],
+            ["bounds", "--t", "1", "--methods", "decomposable,janson,decomposable", "--graph"],
+            ["simulate", "--validate", "--t", "1", "--n", "64", "--seed", "1",
+             "--methods", "m_dependent,m_dependent", "--spec"],
+        ],
+    )
+    def test_a_method_listed_twice_exits_1(self, argv, ex9_file, blockfactor_file, capsys):
+        # each listing printed its own row, and solved its own LP
+        path = blockfactor_file if argv[0] == "simulate" else ex9_file
+        assert cli.run([*argv, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: method {argv[-2].split(',')[0]!r} is listed twice\n"
+
+
 class TestByteIdenticalReports:
     def test_bounds_runs_are_byte_identical(self, ex9_file, tmp_path):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
