@@ -49,16 +49,19 @@ sweep would skip it too.  The rest are visited in ascending index, so
 the sweep returns the same column, and certifies the same optimum, as an
 exact pass over every column.
 
-The column pool must contain every singleton {v}: those columns form the
-identity start basis, which makes the covering LP feasible without a phase 1.
+A column is a bitmask with bit v set for each vertex v of its part: an int64
+while every bit fits (n < 63), a Python int in an object array past that.
+The pool must hold the mask 1 << v of every singleton {v}: those columns
+form the identity start basis, which makes the covering LP feasible without
+a phase 1.
 ``CoverLp`` keeps its basis across ``add_column`` calls, so column generation
 re-optimizes in a handful of pivots instead of from scratch.  Fractions are
 built only for the returned ``CoverLpResult``.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -68,7 +71,6 @@ _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
-_INCIDENCE_BLOCK = 4096
 
 
 def _dantzig_candidates(reduced_f: np.ndarray, k: int) -> np.ndarray:
@@ -85,21 +87,24 @@ def _dantzig_candidates(reduced_f: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(vals, kind="stable")][:k]
 
 
-def _incidence(n: int, columns: list[frozenset[int]]) -> np.ndarray:
-    """The 0/1 part-vertex matrix in float64, one row per column.
+def column_mask(part: Iterable[int]) -> int:
+    """The bitmask of a part, bit v set for each vertex v."""
+    return sum(1 << v for v in part)
 
-    Filled a block of columns at a time, so the index arrays stay small next
-    to the matrix itself.
-    """
-    out = np.zeros((len(columns), n), dtype=np.float64)
-    for start in range(0, len(columns), _INCIDENCE_BLOCK):
-        block = columns[start : start + _INCIDENCE_BLOCK]
-        sizes = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
-        vertices = np.fromiter(
-            itertools.chain.from_iterable(block), dtype=np.intp, count=int(sizes.sum())
-        )
-        out[np.repeat(np.arange(start, start + len(block)), sizes), vertices - 1] = 1.0
+
+def members(mask: int) -> list[int]:
+    """The vertices of a bitmask column, ascending, peeled off one low bit at a time."""
+    mask, out = int(mask), []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _incidence(n: int, columns: np.ndarray) -> np.ndarray:
+    """The 0/1 part-vertex matrix in float64, one row per bitmask column."""
+    return (columns[:, None] >> np.arange(1, n + 1) & 1).astype(np.float64)
 
 
 @dataclass
@@ -118,42 +123,40 @@ class CoverLp:
     """
 
     def __init__(
-        self, n: int, columns: list[frozenset[int]], costs: list[int], denominator: int = 1
+        self, n: int, columns: np.ndarray | list[int], costs: list[int], denominator: int = 1
     ):
         if len(columns) != len(costs):
             raise ValueError("columns and costs length mismatch")
         if denominator <= 0:
             raise ValueError(f"cost denominator must be positive, got {denominator}")
         self.n = n
-        self.columns = list(columns)
+        self.columns = np.asarray(columns, dtype=np.int64 if n < 63 else object)
         self.costs = list(costs)
         self.denominator = denominator
-        singleton_col: dict[int, int] = {}
-        for j, col in enumerate(self.columns):
-            if len(col) == 1:
-                v = next(iter(col))
-                singleton_col.setdefault(v, j)
-        if len(singleton_col) != n:
-            missing = [v for v in range(1, n + 1) if v not in singleton_col]
+        self._incidence = _incidence(n, self.columns)
+        # the first singleton column of each vertex
+        singles = np.flatnonzero(self._incidence.sum(axis=1) == 1)
+        vertex, first = np.unique(np.nonzero(self._incidence[singles])[1], return_index=True)
+        if len(vertex) != n:
+            missing = [v for v in range(1, n + 1) if v - 1 not in vertex]
             raise VerificationError(f"column pool lacks singleton parts for {missing}")
-        self.basis = [singleton_col[v] for v in range(1, n + 1)]
+        self.basis = singles[first].tolist()
         self.det = 1  # D = det B
         self.adj = [[int(i == j) for j in range(n)] for i in range(n)]  # M = D B^-1
         self.x = [1] * n  # D x_B
         self.y = [self.costs[j] for j in self.basis]  # C D y
         self.iterations = 0
-        self._incidence = _incidence(n, self.columns)
         self._costs_f = np.fromiter(
             (c / denominator for c in self.costs), dtype=np.float64, count=len(self.costs)
         )
-        self._max_cost = float(np.abs(self._costs_f).max()) if self.columns else 0.0
+        self._max_cost = float(np.abs(self._costs_f).max()) if len(self.columns) else 0.0
 
-    def add_column(self, column: frozenset[int], cost: int) -> int:
-        """Append a column costing ``cost / denominator``; the basis stays feasible."""
-        self.columns.append(column)
+    def add_column(self, column: int, cost: int) -> int:
+        """Append a bitmask column costing ``cost / denominator``; the basis stays feasible."""
+        self.columns = np.append(self.columns, column)
         self.costs.append(cost)
         cost_f = cost / self.denominator
-        self._incidence = np.vstack((self._incidence, _incidence(self.n, [column])))
+        self._incidence = np.vstack((self._incidence, _incidence(self.n, self.columns[-1:])))
         self._costs_f = np.append(self._costs_f, cost_f)
         self._max_cost = max(self._max_cost, abs(cost_f))
         return len(self.columns) - 1
@@ -166,7 +169,8 @@ class CoverLp:
     def _reduced(self, ident: int) -> int:
         """C D times the exact reduced cost of a column."""
         if ident >= 0:
-            return self.costs[ident] * self.det - sum(self.y[v - 1] for v in self.columns[ident])
+            paid = sum(self.y[v - 1] for v in members(self.columns[ident]))
+            return self.costs[ident] * self.det - paid
         return self.y[-ident - 1]
 
     def _entering(self) -> tuple[int, int] | None:
@@ -202,8 +206,8 @@ class CoverLp:
         """Bring in column ``entering``, of scaled reduced cost ``rc``, by the ratio test."""
         adj, x, basis, det = self.adj, self.x, self.basis, self.det
         if entering >= 0:
-            members = [v - 1 for v in self.columns[entering]]
-            d = [sum(row[v] for v in members) for row in adj]
+            part = [v - 1 for v in members(self.columns[entering])]
+            d = [sum(row[v] for v in part) for row in adj]
         else:
             d = [-row[-entering - 1] for row in adj]
         leave = -1
@@ -240,7 +244,7 @@ class CoverLp:
         ok = det > 0 and all(xi >= 0 for xi in x)
         for i, ident in enumerate(self.basis):
             if ident >= 0:
-                col = self.columns[ident]
+                col = members(self.columns[ident])
                 for v in col:
                     coverage[v - 1] += x[i]
                 ok = ok and sum(y[v - 1] for v in col) == self.costs[ident] * det
@@ -274,9 +278,6 @@ class CoverLp:
 
 
 def solve_min_cover_lp(
-    n: int,
-    columns: list[frozenset[int]],
-    costs: list[int],
-    denominator: int = 1,
+    n: int, columns: np.ndarray | list[int], costs: list[int], denominator: int = 1
 ) -> CoverLpResult:
     return CoverLp(n, columns, costs, denominator).solve()

@@ -18,13 +18,15 @@ the witness is then trimmed part-by-part to an exact cover; dropping a
 covered-elsewhere vertex from a part keeps independence and acyclicity and
 never increases its cost, so the trimmed witness attains the same optimum.
 
-One walk lists the columns of every enumerated LP, in lexicographic order:
-the induced forests, and with a flag the independent sets (the forests with
-no edge).  Past ``COLUMN_CAP`` columns it raises ScaleError.  The enumerated
-decomposable LP gets its radicands from that walk itself: over the profile's
-common denominator L every coefficient is an integer a_v = L * c_v, and each
-partial forest carries L**2 times its radicand as an integer, updated as
-vertices join and trees merge.
+One walk lists the columns of every enumerated LP, in lexicographic order,
+as int64 bitmasks (bit v for vertex v): the induced forests, and with a flag
+the independent sets (the forests with no edge).  It builds the family in
+array steps, one vertex at a time, and past ``COLUMN_CAP`` columns it raises
+ScaleError before building them.  The enumerated decomposable LP gets its
+radicands from that walk itself: over the profile's common denominator L
+every coefficient is an integer a_v = L * c_v, and each partial forest
+carries L**2 times its radicand as an integer, updated as vertices join and
+trees merge.
 Witness parts (``part_cost_radicand``), column generation's pool (over the
 a_v) and its search (in floats) are priced by one sum, ``_part_radicand``.
 
@@ -50,7 +52,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from ._simplex import CoverLp, solve_min_cover_lp
+from ._simplex import CoverLp, column_mask, members, solve_min_cover_lp
 from .errors import FloatRangeError, InputError, KindError, ScaleError, VerificationError
 from .graph import Graph
 
@@ -169,84 +171,76 @@ def validate_cover(g: Graph, cover: WeightedCover) -> list[CoverViolation]:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def enumerate_independent_sets(g: Graph) -> list[frozenset[int]]:
-    """All nonempty independent sets in lexicographic order."""
+def enumerate_independent_sets(g: Graph) -> np.ndarray:
+    """All nonempty independent sets, lexicographic, as int64 bitmasks (bit v: vertex v)."""
     return _walk_induced_forests(g, [0] * g.n, independent=True)[0]
 
 
-def enumerate_induced_forests(g: Graph) -> list[frozenset[int]]:
-    """All nonempty vertex sets whose induced subgraph is acyclic, lexicographic."""
+def enumerate_induced_forests(g: Graph) -> np.ndarray:
+    """All nonempty vertex sets inducing a forest, lexicographic, as int64 bitmasks."""
     return _walk_induced_forests(g, [0] * g.n)[0]
 
 
 def _walk_induced_forests(
     g: Graph, scaled: Sequence[int], independent: bool = False
-) -> tuple[list[frozenset[int]], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The induced forests in ``enumerate_induced_forests`` order, with radicands.
 
     ``scaled[v - 1]`` is the integer a_v = L * c_v for a common denominator L
-    of the profile, and the radicand returned for part F is the integer
-    L**2 * part_cost_radicand(g, F, profile).  It is carried along the walk:
-    adding v to a partial forest adds (a_v + a_u)**2 for each chosen neighbour
-    u, and merges the trees holding those neighbours into one, so each merged
-    tree's min**2 is subtracted and the new tree's min**2 added.
+    of the profile, and the radicand of part F is the integer
+    L**2 * part_cost_radicand(g, F, profile).
+
+    Builds L_v, the forests with every vertex >= v in lexicographic order,
+    from v = n down to 1: L_v = [{v}] ++ [{v} | T for T in L_{v+1} if adding
+    v closes no cycle] ++ L_{v+1}.  Each row labels each vertex of T by the
+    vertex of least a in its tree; adding v is acyclic iff its higher
+    neighbours in T carry distinct labels, and then adds (a_v + a_u)**2 per
+    such neighbour u, subtracts each merged tree's min**2 and adds the new
+    tree's.  Radicands are int64 when twice the largest possible radicand
+    fits, else Python ints in an object array.
 
     With ``independent`` set it lists only the edgeless forests, the
-    independent sets, stopping at any chosen neighbour, not just at a cycle.
+    independent sets, dropping T at any neighbour of v, not just at a cycle.
     """
     if g.n > ENUMERATION_VERTEX_LIMIT:
         raise ScaleError(
             f"enumeration supports n <= {ENUMERATION_VERTEX_LIMIT}, got n = {g.n};"
             " use column generation instead"
         )
-    n = g.n
-    a = [0, *scaled]
-    lower = [()] + [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices]
-    parent = list(range(n + 1))  # union-find over the chosen vertices
-    tree_min = [0] * (n + 1)  # min of a over a tree, kept at its root
-    columns: list[frozenset[int]] = []
-    radicands: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def extend(chosen: frozenset[int], radicand: int, start: int) -> None:
-        for v in range(start, n + 1):
-            av = a[v]
-            roots: list[int] = []
-            total, low = radicand, av
-            for u in lower[v]:  # every chosen vertex is below v
-                if u in chosen:
-                    r = find(u)
-                    if independent or r in roots:
-                        break  # an edge or a cycle: supersets keep it, later vertices may not
-                    roots.append(r)
-                    m = tree_min[r]
-                    total += (av + a[u]) ** 2 - m * m
-                    low = min(low, m)
-            else:
-                total += low * low
-                tree_min[v] = low
-                for r in roots:
-                    parent[r] = v
-                new = chosen | {v}
-                columns.append(new)
-                radicands.append(total)
-                if len(columns) > COLUMN_CAP:  # read here, so tests can lower it
-                    what = "independent sets" if independent else "induced forests"
-                    raise ScaleError(f"more than {COLUMN_CAP} {what}; use column generation instead")
-                extend(new, total, v + 1)
-                for r in roots:
-                    parent[r] = r
-
-    extend(frozenset(), 0, 1)
-    # extend reaches itself through its closure; dropping the name breaks that
-    # cycle, so the lists are freed with their last reference, not at a later
-    # full collection
-    del extend
-    return columns, radicands
+    n, a = g.n, [0, *scaled]
+    largest = sum((a[u] + a[v]) ** 2 for u, v in g.edges) + sum(x * x for x in a)
+    a = np.array(a, dtype=np.int64 if 2 * largest < 2**63 else object)
+    # the family is [{}] ++ L_v, so {v} comes in as the empty set's child
+    masks, radicands = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=a.dtype)
+    labels = np.zeros((1, n + 1), dtype=np.int8)
+    for v in range(n, 0, -1):
+        higher = [u for u in g.neighbors(v) if u > v]
+        present = {u: masks >> u & 1 == 1 for u in higher}
+        keep = np.ones(len(masks), dtype=bool)
+        for i, u in enumerate(higher):
+            if independent:
+                keep &= ~present[u]
+            else:  # two neighbours in one tree close a cycle
+                for w in higher[:i]:
+                    keep &= ~(present[u] & present[w] & (labels[:, u] == labels[:, w]))
+        count = int(keep.sum())
+        if count + len(masks) - 1 > COLUMN_CAP:  # read here, so tests can lower it
+            what = "independent sets" if independent else "induced forests"
+            raise ScaleError(f"more than {COLUMN_CAP} {what}; use column generation instead")
+        grown, kept = radicands[keep], labels[keep]
+        low, merged = np.full(count, v, dtype=np.int8), np.zeros(kept.shape, dtype=bool)
+        for u in higher:
+            hit, tree = present[u][keep], kept[:, u]
+            grown[hit] += (a[v] + a[u]) ** 2 - a[tree[hit]] ** 2
+            low = np.where(hit & (a[tree] < a[low]), tree, low)
+            merged |= hit[:, None] & (kept == tree[:, None])
+        grown += a[low] ** 2
+        kept = np.where(merged, low[:, None], kept)
+        kept[:, v] = low
+        masks = np.concatenate((masks[:1], masks[keep] | 1 << v, masks[1:]))
+        radicands = np.concatenate((radicands[:1], grown, radicands[1:]))
+        labels = np.concatenate((labels[:1], kept, labels[1:]))
+    return masks[1:], radicands[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +355,20 @@ class CoverSolution:
 
 
 def _trim_to_exact_cover(
-    g: Graph, kind: CoverKind, columns: Sequence[frozenset[int]], lp_weights: dict[int, Fraction]
+    g: Graph,
+    kind: CoverKind,
+    columns: np.ndarray | list[frozenset[int]],
+    lp_weights: dict[int, Fraction],
 ) -> WeightedCover:
     """Shrink a >=1 fractional cover to an exact one by dropping surplus coverage.
 
-    ``lp_weights`` maps column indices to LP weights; equal columns pool theirs.
+    ``lp_weights`` maps indices of ``columns``, bitmasks or parts, to LP
+    weights; equal columns pool theirs.
     """
     weights: dict[frozenset[int], Fraction] = {}
     for j, w in lp_weights.items():
-        weights[columns[j]] = weights.get(columns[j], _ZERO) + w
+        part = frozenset(members(columns[j])) if isinstance(columns, np.ndarray) else columns[j]
+        weights[part] = weights.get(part, _ZERO) + w
     parts = {s: w for s, w in weights.items() if w > 0}
     coverage: dict[int, Fraction] = {v: _ZERO for v in g.vertices}
     for s, w in parts.items():
@@ -399,7 +398,7 @@ def _trim_to_exact_cover(
     return cover
 
 
-def _solve_unit_cover(g: Graph, kind: CoverKind, columns: list[frozenset[int]]) -> CoverSolution:
+def _solve_unit_cover(g: Graph, kind: CoverKind, columns: np.ndarray) -> CoverSolution:
     res = solve_min_cover_lp(g.n, columns, [1] * len(columns))
     cover = _trim_to_exact_cover(g, kind, columns, res.weights)
     objective = cover.total_weight
@@ -621,14 +620,15 @@ def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
     for cls in greedy_forest_partition(g):
         if cls not in pool:
             pool.append(cls)
-    master = CoverLp(g.n, pool, [cost(p) for p in pool], square_scale << bits)
+    masks = [column_mask(p) for p in pool]
+    master = CoverLp(g.n, masks, [cost(p) for p in pool], square_scale << bits)
     res = master.solve()
     for _ in range(30):
         new_col = _price_forest_column(g, c, small, res.duals, cost_cache)
         if new_col is None or new_col in pool:
             break
         pool.append(new_col)
-        master.add_column(new_col, cost(new_col))
+        master.add_column(column_mask(new_col), cost(new_col))
         res = master.solve()
     cover = _trim_to_exact_cover(g, CoverKind.FOREST, pool, res.weights)
     return _package_d_solution(
@@ -682,8 +682,9 @@ def _optimize_decomposable(
         columns, radicands = _walk_induced_forests(g, scaled)
         square_scale = denom * denom
         # columns share radicands (about half are repeats at n = 16): one root each
-        roots = {r: _sqrt_numerator(r, square_scale, SQRT_BITS) for r in set(radicands)}
-        costs = [roots[r] for r in radicands]
+        distinct, inverse = np.unique(radicands, return_inverse=True)
+        roots = [_sqrt_numerator(r, square_scale, SQRT_BITS) for r in distinct.tolist()]
+        costs = np.array(roots, dtype=object)[inverse].tolist()
         res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS)
         cover = _trim_to_exact_cover(g, CoverKind.FOREST, columns, res.weights)
         solution = _package_d_solution(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from graphtail._simplex import column_mask, members
 from graphtail.coupling import CouplingPair, FiniteJoint, build_tree_joint, finite_joint, latent_tree_spec
 from graphtail.covers import LipschitzProfile, WeightedCover, lipschitz_profile, part_cost_radicand
 from graphtail.graph import Graph, OrderedTree, build_graph
@@ -104,6 +105,17 @@ def lp_cover_oracle(n: int, columns: list[frozenset[int]], costs: list[float]) -
     res = linprog(costs, A_ub=a_ub, b_ub=-np.ones(n), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def encoded(columns) -> np.ndarray:
+    """Vertex sets as bitmask columns: int64 while every bit fits, else Python ints."""
+    masks = [column_mask(col) for col in columns]
+    return np.array(masks, dtype=np.int64 if max(masks, default=0) < 2**63 else object)
+
+
+def decoded(masks) -> list[frozenset[int]]:
+    """Bitmask columns as vertex sets, through the LP's own decoder."""
+    return [frozenset(members(mask)) for mask in masks]
 
 
 def sqrt_fraction(x: Fraction, bits: int = 128) -> Fraction:

@@ -2,9 +2,10 @@
 
 Usage (from the repository root, with ``src`` on PYTHONPATH):
 
-    PYTHONPATH=src python tests/job_digests.py > digests.txt
+    PYTHONPATH=src python tests/job_digests.py [WORKLOAD ...] > digests.txt
 
-For each workload of ``perfbench/workloads.py`` and seeds 1-3 it writes the
+For each named workload of ``perfbench/workloads.py`` (default: all of them,
+in their order there) and seeds 1-3 it writes the
 job inputs to a temporary directory, runs every job through ``cli.run``
 in-process and prints one line per job: ``workload seed job exit
 sha256(stdout)``.  Two versions whose outputs are byte-identical print the
@@ -16,6 +17,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,9 +34,9 @@ def load_workloads():
     return module
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
     workloads = load_workloads()
-    for name in workloads.WORKLOADS:
+    for name in names or workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
                 for job in workloads.write_workload(name, seed, Path(tmp)):
@@ -46,4 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

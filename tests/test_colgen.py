@@ -11,6 +11,7 @@ reduced cost at a time; the array pricer must pick what it picks, round by
 round.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -25,7 +26,7 @@ import pytest
 from conftest import random_profile
 from graphtail import cli, covers
 from graphtail import graph as graphmod
-from graphtail._simplex import CoverLp
+from graphtail._simplex import CoverLp, members
 from graphtail.covers import Strategy, optimize_decomposable_denominator
 from graphtail.graph import build_graph
 
@@ -67,7 +68,7 @@ def run_column_generation(name: str, directory: Path) -> tuple[list[list[int]], 
     add_column = CoverLp.add_column
 
     def recorded(self, column, cost):
-        picks.append(sorted(column))
+        picks.append(members(column))
         return add_column(self, column, cost)
 
     CoverLp.add_column = recorded
@@ -88,6 +89,21 @@ def test_picks_and_stdout_match_recording(name, tmp_path):
     assert code == 0
     assert picks == pinned["picks"]
     assert stdout == pinned["stdout"]
+
+
+def test_wide_graph_picks_and_prints_as_recorded(tmp_path, monkeypatch):
+    """Vertex 63 and up do not fit an int64 mask; 64 vertices still pick and print as recorded.
+
+    The digest is the sha256 of the picks and stdout as the frozenset-column
+    master recorded them, before columns were bitmasks.
+    """
+    monkeypatch.setitem(CASES, "g64-uniform", _case(64, 0.005, 64))
+    picks, stdout, code = run_column_generation("g64-uniform", tmp_path)
+    assert code == 0
+    assert max(map(max, picks)) >= 63
+    recorded = json.dumps({"picks": picks, "stdout": stdout}).encode()
+    digest = "d36f8820f9097d11b1c7ecbf40bf65485ba28632a90f4dc3d0ee26fce4abb3f8"
+    assert hashlib.sha256(recorded).hexdigest() == digest
 
 
 def per_part_pricing(g, c, duals, cache):

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from conftest import (
     complete_graph,
     cover_weighted_cost,
     cycle_graph,
+    decoded,
+    encoded,
     lp_cover_oracle,
     random_profile,
     sqrt_fraction,
@@ -48,7 +52,7 @@ def random_graph(n, p, rng):
 
 class TestEnumeration:
     def test_triangle_independent_sets(self, k3):
-        assert set(enumerate_independent_sets(k3)) == {
+        assert set(decoded(enumerate_independent_sets(k3))) == {
             frozenset({1}),
             frozenset({2}),
             frozenset({3}),
@@ -56,14 +60,14 @@ class TestEnumeration:
 
     def test_two_isolated_vertices(self):
         g = build_graph(2, [])
-        assert set(enumerate_independent_sets(g)) == {
+        assert set(decoded(enumerate_independent_sets(g))) == {
             frozenset({1}),
             frozenset({2}),
             frozenset({1, 2}),
         }
 
     def test_path_independent_sets(self, path3):
-        assert set(enumerate_independent_sets(path3)) == {
+        assert set(decoded(enumerate_independent_sets(path3))) == {
             frozenset({1}),
             frozenset({2}),
             frozenset({3}),
@@ -71,7 +75,7 @@ class TestEnumeration:
         }
 
     def test_triangle_forests_are_proper_subsets(self, k3):
-        forests = set(enumerate_induced_forests(k3))
+        forests = set(decoded(enumerate_induced_forests(k3)))
         assert len(forests) == 6  # everything except the full triangle
         assert frozenset({1, 2, 3}) not in forests
 
@@ -92,8 +96,8 @@ class TestEnumeration:
     @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.1, max_value=0.8), st.integers())
     def test_matches_brute_force(self, n, p, seed):
         g = random_graph(n, p, random.Random(seed))
-        assert set(enumerate_independent_sets(g)) == brute_independent_sets(g)
-        assert set(enumerate_induced_forests(g)) == brute_induced_forests(g)
+        assert set(decoded(enumerate_independent_sets(g))) == brute_independent_sets(g)
+        assert set(decoded(enumerate_induced_forests(g))) == brute_induced_forests(g)
 
 
 def reference_forest_order(g):
@@ -126,7 +130,120 @@ def reference_forest_order(g):
     return out
 
 
+def recursive_walk(g, scaled, independent=False):
+    """The depth-first union-find walk the vector family build replaced, as its oracle.
+
+    Lists the induced forests (with ``independent``, the independent sets) as
+    frozensets in lexicographic order, each with its radicand: adding v to a
+    partial forest adds (a_v + a_u)**2 for each chosen neighbour u, and merges
+    the trees holding those neighbours into one, so each merged tree's min**2
+    is subtracted and the new tree's min**2 added.
+    """
+    n = g.n
+    a = [0, *scaled]
+    lower = [()] + [tuple(u for u in g.neighbors(v) if u < v) for v in g.vertices]
+    parent = list(range(n + 1))  # union-find over the chosen vertices
+    tree_min = [0] * (n + 1)  # min of a over a tree, kept at its root
+    columns, radicands = [], []
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def extend(chosen, radicand, start):
+        for v in range(start, n + 1):
+            av = a[v]
+            roots = []
+            total, low = radicand, av
+            for u in lower[v]:  # every chosen vertex is below v
+                if u in chosen:
+                    r = find(u)
+                    if independent or r in roots:
+                        break  # an edge or a cycle: supersets keep it, later vertices may not
+                    roots.append(r)
+                    m = tree_min[r]
+                    total += (av + a[u]) ** 2 - m * m
+                    low = min(low, m)
+            else:
+                total += low * low
+                tree_min[v] = low
+                for r in roots:
+                    parent[r] = v
+                new = chosen | {v}
+                columns.append(new)
+                radicands.append(total)
+                extend(new, total, v + 1)
+                for r in roots:
+                    parent[r] = r
+
+    extend(frozenset(), 0, 1)
+    return columns, radicands
+
+
+def walk_checked_against_oracle(g, scaled, independent):
+    """The family build's masks and radicands, once they equal the recursive walk's."""
+    masks, radicands = covers._walk_induced_forests(g, scaled, independent)
+    columns, expected = recursive_walk(g, scaled, independent)
+    assert masks.dtype == np.int64
+    assert masks.tolist() == encoded(columns).tolist()
+    assert radicands.tolist() == expected
+    return masks, radicands
+
+
 class TestForestWalker:
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_family_build_matches_the_recursive_walk(self, independent):
+        rng = random.Random(20261020)
+        for trial in range(24):
+            n = rng.randint(1, 16)
+            g = random_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+            scaled = [rng.choice((0, 0, rng.randint(1, 40))) for _ in range(n)]
+            assert walk_checked_against_oracle(g, scaled, independent)[1].dtype == np.int64
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_radicands_past_int64_stay_exact(self, independent):
+        # distinct prime denominators: their lcm puts a_v**2 far past 2**63
+        rng = random.Random(20261021)
+        primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099]
+        for trial in range(6):
+            n = rng.randint(8, 11)
+            g = random_graph(n, rng.choice((0.2, 0.4)), rng)
+            profile = lipschitz_profile(
+                [Fraction(rng.choice((0, rng.randint(1, 9))), primes[v]) for v in range(n)]
+            )
+            denom, scaled = covers._profile_scale(profile)
+            masks, radicands = walk_checked_against_oracle(g, scaled, independent)
+            assert radicands.dtype == object
+            for part, radicand in zip(decoded(masks), radicands.tolist()):
+                assert Fraction(radicand, denom * denom) == part_cost_radicand(g, part, profile)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_cap_admits_exactly_cap_columns(self, independent, monkeypatch):
+        g = random_graph(12, 0.3, random.Random(3))
+        total = len(covers._walk_induced_forests(g, [1] * 12, independent)[0])
+        monkeypatch.setattr(covers, "COLUMN_CAP", total)
+        assert len(covers._walk_induced_forests(g, [1] * 12, independent)[0]) == total
+        monkeypatch.setattr(covers, "COLUMN_CAP", total - 1)
+        with pytest.raises(ScaleError, match=f"more than {total - 1} "):
+            covers._walk_induced_forests(g, [1] * 12, independent)
+
+    def test_walk_memory_per_column(self):
+        # measured 74 B per column (int64 mask and radicand, one int8 tree
+        # label per vertex, and the arrays of one step); a frozenset per
+        # column in a list, with Python int radicands, took 583 B here
+        g = random_graph(18, 0.25, random.Random(0))
+        profile = random_profile(18, random.Random(1), allow_zero=True)
+        scaled = covers._profile_scale(profile)[1]
+        tracemalloc.start()
+        try:
+            masks, _ = covers._walk_induced_forests(g, scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) > 50_000
+        assert peak < 128 * len(masks)
+
     def test_order_and_radicands_match_part_cost_radicand(self):
         rng = random.Random(20240611)
         for trial in range(24):
@@ -139,9 +256,10 @@ class TestForestWalker:
             )
             denom = math.lcm(*(c.denominator for c in profile))
             scaled = [int(c * denom) for c in profile]
-            columns, radicands = covers._walk_induced_forests(g, scaled)
-            assert columns == reference_forest_order(g) == enumerate_induced_forests(g)
-            for part, radicand in zip(columns, radicands):
+            masks, radicands = covers._walk_induced_forests(g, scaled)
+            columns = decoded(masks)
+            assert columns == reference_forest_order(g) == decoded(enumerate_induced_forests(g))
+            for part, radicand in zip(columns, radicands.tolist()):
                 assert Fraction(radicand, denom * denom) == part_cost_radicand(g, part, profile)
 
     def test_independent_set_order_is_lexicographic(self):
@@ -150,7 +268,7 @@ class TestForestWalker:
         for trial in range(24):
             g = random_graph(rng.randint(1, 11), rng.choice((0.15, 0.3, 0.5)), rng)
             expected = sorted(brute_independent_sets(g), key=sorted)
-            assert enumerate_independent_sets(g) == expected
+            assert decoded(enumerate_independent_sets(g)) == expected
 
     def test_enumerated_lp_prices_parts_only_for_witnesses(self, monkeypatch):
         g = random_graph(12, 0.3, random.Random(7))
@@ -178,7 +296,7 @@ class TestForestWalker:
         root = covers._sqrt_numerator
         # the LP over one root per column, as the solution must come out
         scale = denom * denom
-        per_column = [root(r, scale, covers.SQRT_BITS) for r in radicands]
+        per_column = [root(r, scale, covers.SQRT_BITS) for r in radicands.tolist()]
         lp = solve_min_cover_lp(g.n, columns, per_column, scale << covers.SQRT_BITS)
         expected = covers._trim_to_exact_cover(g, CoverKind.FOREST, columns, lp.weights)
         calls = []
@@ -189,8 +307,8 @@ class TestForestWalker:
 
         monkeypatch.setattr(covers, "_sqrt_numerator", counting)
         sol = optimize_decomposable_denominator(g, profile, strategy=Strategy.ENUMERATED_LP)
-        assert len(set(radicands)) < len(radicands)
-        assert sorted(calls) == sorted(set(radicands))
+        assert len(set(radicands.tolist())) < len(radicands)
+        assert sorted(calls) == sorted(set(radicands.tolist()))
         assert sol.cover == expected
 
 
@@ -386,7 +504,8 @@ class TestOnePartCostSum:
         master, searched = self._column_generation(g, profile, monkeypatch)
         assert master.denominator == square_scale << 48
         assert master.costs == [
-            _colgen_cost_from_the_fraction(g, part, profile, square_scale) for part in master.columns
+            _colgen_cost_from_the_fraction(g, part, profile, square_scale)
+            for part in decoded(master.columns)
         ]
         assert g.n < 4 or any(len(part) > 3 for part in searched)  # the local search's parts
         c = [float(x) for x in profile.values]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphtail._simplex as simplexmod
-from conftest import lp_cover_oracle, over_common_denominator, sqrt_fraction
-from graphtail._simplex import CoverLp, CoverLpResult, solve_min_cover_lp
+from conftest import decoded, encoded, lp_cover_oracle, over_common_denominator, sqrt_fraction
+from graphtail._simplex import CoverLp, CoverLpResult, column_mask, solve_min_cover_lp
 from graphtail.covers import enumerate_induced_forests, lipschitz_profile, part_cost_radicand
 from graphtail.errors import VerificationError
 from graphtail.graph import build_graph
@@ -38,7 +38,7 @@ class TestExactness:
         rng = random.Random(271828)
         for _ in range(60):
             n, columns, costs = random_instance(rng)
-            res = solve_min_cover_lp(n, columns, *over_common_denominator(costs))
+            res = solve_min_cover_lp(n, encoded(columns), *over_common_denominator(costs))
             coverage = {v: F(0) for v in range(1, n + 1)}
             for j, w in res.weights.items():
                 assert w > 0
@@ -54,19 +54,19 @@ class TestExactness:
         rng = random.Random(314159)
         for _ in range(25):
             n, columns, costs = random_instance(rng)
-            res = solve_min_cover_lp(n, columns, *over_common_denominator(costs))
+            res = solve_min_cover_lp(n, encoded(columns), *over_common_denominator(costs))
             oracle = lp_cover_oracle(n, columns, [float(c) for c in costs])
             assert math.isclose(float(res.objective), oracle, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_zero_cost_columns(self):
         res = solve_min_cover_lp(
-            2, [frozenset({1}), frozenset({2}), frozenset({1, 2})], [1, 1, 0]
+            2, encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})]), [1, 1, 0]
         )
         assert res.objective == 0
 
     def test_missing_singletons_rejected(self):
         with pytest.raises(VerificationError, match="singleton"):
-            solve_min_cover_lp(2, [frozenset({1})], [1])
+            solve_min_cover_lp(2, encoded([frozenset({1})]), [1])
 
 
 class TestWarmStart:
@@ -76,21 +76,22 @@ class TestWarmStart:
             n, columns, costs = random_instance(rng, extra=rng.randint(5, 15))
             base = n  # singleton prefix
             nums, den = over_common_denominator(costs)
-            lp = CoverLp(n, columns[:base], nums[:base], den)
+            masks = encoded(columns)
+            lp = CoverLp(n, masks[:base], nums[:base], den)
             lp.solve()
             for j in range(base, len(columns)):
-                lp.add_column(columns[j], nums[j])
+                lp.add_column(masks[j], nums[j])
             warm = lp.solve()
-            cold = solve_min_cover_lp(n, columns, nums, den)
+            cold = solve_min_cover_lp(n, masks, nums, den)
             assert warm.objective == cold.objective
             # the warm path must spend far fewer pivots than re-solving cold
             assert warm.iterations <= cold.iterations + len(columns)
 
     def test_adding_a_useless_column_is_free(self):
         n, columns, costs = 3, [frozenset({1}), frozenset({2}), frozenset({3})], [1] * 3
-        lp = CoverLp(n, columns, costs)
+        lp = CoverLp(n, encoded(columns), costs)
         first = lp.solve()
-        lp.add_column(frozenset({1, 2}), 5)  # dominated: never enters
+        lp.add_column(column_mask(frozenset({1, 2})), 5)  # dominated: never enters
         second = lp.solve()
         assert second.objective == first.objective == 3
 
@@ -217,7 +218,7 @@ class ReferenceLp:
 
 def scaled_lp(n, columns, costs):
     """``CoverLp`` on rational costs, put over their least common denominator."""
-    return CoverLp(n, columns, *over_common_denominator(costs))
+    return CoverLp(n, encoded(columns), *over_common_denominator(costs))
 
 
 def basis_matrix(n, basis, columns):
@@ -275,7 +276,7 @@ def forest_pool(rng, n):
     g = build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                         if rng.random() < 0.35])
     profile = lipschitz_profile([F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n)])
-    columns = enumerate_induced_forests(g)
+    columns = decoded(enumerate_induced_forests(g))
     return columns, [sqrt_fraction(part_cost_radicand(g, p, profile)) for p in columns]
 
 
@@ -347,25 +348,30 @@ class TestDantzigCandidates:
 
 
 class TestFloatView:
-    def test_incidence_matches_the_loop_across_blocks(self):
+    def test_incidence_matches_the_loop(self):
         rng = random.Random(11)
-        n = 10
-        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-                   for _ in range(2 * simplexmod._INCIDENCE_BLOCK + 5)]
+        n = 25  # the enumeration's vertex limit: every bit a mask can carry
+        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(8197)]
         expected = np.zeros((len(columns), n))
         for j, col in enumerate(columns):
             for v in col:
                 expected[j, v - 1] = 1.0
-        assert np.array_equal(simplexmod._incidence(n, columns), expected)
+        assert np.array_equal(simplexmod._incidence(n, encoded(columns)), expected)
+        assert decoded(encoded(columns)) == columns
+
+    def test_start_basis_takes_the_first_singleton_of_each_vertex(self):
+        columns = [{1, 2}, {2}, {3}, {1}, {2}, {1}]
+        assert CoverLp(3, encoded(columns), [1] * 6).basis == [3, 1, 2]
 
     def test_add_column_appends_what_a_fresh_build_has(self):
         rng = random.Random(12)
         n, columns, costs = random_instance(rng, n=6, extra=20)
         nums, den = over_common_denominator(costs)
-        grown = CoverLp(n, columns[:n], nums[:n], den)
-        for col, num in zip(columns[n:], nums[n:]):
+        masks = encoded(columns)
+        grown = CoverLp(n, masks[:n], nums[:n], den)
+        for col, num in zip(masks[n:], nums[n:]):
             grown.add_column(col, num)
-        fresh = CoverLp(n, columns, nums, den)
+        fresh = CoverLp(n, masks, nums, den)
         assert np.array_equal(grown._incidence, fresh._incidence)
         assert np.array_equal(grown._costs_f, fresh._costs_f)
         assert grown._costs_f.tolist() == [float(c) for c in costs]
@@ -398,27 +404,37 @@ class TestPivotPathOracle:
         order = [j for j, col in enumerate(columns) if len(col) > 1]
         rng.shuffle(order)
         start = [j for j, col in enumerate(columns) if len(col) == 1] + order[: len(order) // 3]
-        lp = CoverLp(n, [columns[j] for j in start], [nums[j] for j in start], den)
+        masks = encoded(columns)
+        lp = CoverLp(n, masks[start], [nums[j] for j in start], den)
         ref = ReferenceLp(n, [columns[j] for j in start], [costs[j] for j in start])
         TestPivotPathOracle.assert_same(lp, ref, lp.solve(), ref.solve())
         rest = order[len(order) // 3 :]
         for batch in (rest[: len(rest) // 2], rest[len(rest) // 2 :]):
             for j in batch:
-                assert lp.add_column(columns[j], nums[j]) == ref.add_column(columns[j], costs[j])
+                assert lp.add_column(masks[j], nums[j]) == ref.add_column(columns[j], costs[j])
             TestPivotPathOracle.assert_same(lp, ref, lp.solve(), ref.solve())
 
     @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
     def test_warm_starts_after_add_column(self, name, n, columns, costs):
         self.check_warm_starts(name, n, columns, costs)
 
+    def test_columns_past_bit_62_are_python_ints(self):
+        """Vertex 63 and up overflow an int64 mask: the pool is an object array there."""
+        rng, n = random.Random(64), 64
+        columns = [frozenset({v}) for v in range(1, n + 1)]
+        columns += [frozenset(rng.sample(range(1, n + 1), rng.randint(2, 6))) for _ in range(12)]
+        costs = [F(rng.randint(1, 20), rng.randint(1, 6)) for _ in columns]
+        assert CoverLp(n, encoded(columns), *over_common_denominator(costs)).columns.dtype == object
+        self.check_warm_starts("n64", n, columns, costs)
+
     def test_near_ties_are_decided_exactly(self):
         """A column 2^-120 below its dual price must still enter."""
         n, columns, scale = 3, [frozenset({v}) for v in (1, 2, 3)], 2**120
-        lp = CoverLp(n, columns, [scale] * 3, scale)
+        lp = CoverLp(n, encoded(columns), [scale] * 3, scale)
         assert lp.solve().objective == 3
-        lp.add_column(frozenset({1, 2, 3}), 3 * scale + 1)
+        lp.add_column(column_mask(frozenset({1, 2, 3})), 3 * scale + 1)
         assert lp.solve().objective == 3
-        lp.add_column(frozenset({1, 2}), 2 * scale - 1)
+        lp.add_column(column_mask(frozenset({1, 2})), 2 * scale - 1)
         res = lp.solve()
         assert res.objective == 3 - F(1, 2**120)
         assert res.weights == {4: F(1), 2: F(1)}
@@ -444,7 +460,7 @@ class InvariantCheckedLp(CoverLp):
     checked = 0
 
     def _entering(self):
-        b = basis_matrix(self.n, self.basis, self.columns)
+        b = basis_matrix(self.n, self.basis, decoded(self.columns))
         det, inverse = det_and_inverse(b)
         assert self.det == det
         assert self.adj == [[det * v for v in row] for row in inverse]
@@ -460,7 +476,7 @@ class TestBareissInvariant:
     def test_adjugate_and_determinant_after_each_pivot(self, name, n, columns, costs):
         """D = det B and M = D B^-1 hold exactly at every basis the solve visits."""
         InvariantCheckedLp.checked = 0
-        lp = InvariantCheckedLp(n, columns, *over_common_denominator(costs))
+        lp = InvariantCheckedLp(n, encoded(columns), *over_common_denominator(costs))
         res = lp.solve()
         assert InvariantCheckedLp.checked == res.iterations
         assert res == ReferenceLp(n, columns, costs).solve()
@@ -468,7 +484,7 @@ class TestBareissInvariant:
     @pytest.mark.parametrize("field, value", [("x", 2), ("y", 0), ("det", 2)])
     def test_a_broken_invariant_raises(self, field, value):
         """The exact basis check catches a state off B x = 1, y B = c_B or D = det B."""
-        lp = CoverLp(2, [frozenset({1}), frozenset({2})], [1, 1])
+        lp = CoverLp(2, encoded([frozenset({1}), frozenset({2})]), [1, 1])
         if field == "det":
             lp.det = value
         else:
