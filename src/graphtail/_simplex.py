@@ -165,13 +165,9 @@ class CoverLp:
     def _priority(ident: int) -> int:
         return ident if ident >= 0 else _SURPLUS_BASE - ident
 
-    # column ids: j >= 0 are parts, -v are surplus for vertex v
-    def _reduced(self, ident: int) -> int:
-        """C D times the exact reduced cost of a column."""
-        if ident >= 0:
-            paid = sum(self.y[v - 1] for v in members(self.columns[ident]))
-            return self.costs[ident] * self.det - paid
-        return self.y[-ident - 1]
+    def _reduced(self, j: int) -> int:
+        """C D times the exact reduced cost of part column j (``_entering`` prices surplus inline)."""
+        return self.costs[j] * self.det - sum(self.y[v - 1] for v in members(self.columns[j]))
 
     def _entering(self) -> tuple[int, int] | None:
         """The entering column and its scaled reduced cost, or None at an optimum."""

@@ -371,9 +371,7 @@ def _witness_json(witness) -> object:
     if isinstance(witness, CoverSolution):
         full = coversmod.solution_to_json_dict(witness)
         return {key: full[key] for key in _COVER_WITNESS_KEYS}
-    if isinstance(witness, BlockPartition):
-        return {"m": witness.m, "blocks": [list(b) for b in witness.blocks]}
-    return str(witness)
+    return {"m": witness.m, "blocks": [list(b) for b in witness.blocks]}  # a BlockPartition
 
 
 def report_to_json_dict(r: BoundReport) -> dict:

@@ -348,7 +348,7 @@ class LipschitzFunction:
 def _spreads(table: np.ndarray, scale: int) -> tuple[Fraction, ...]:
     """Per coordinate, the largest change of f when that coordinate alone moves."""
     return tuple(
-        Fraction(np.max(table.max(axis=k) - table.min(axis=k), initial=0), scale)
+        Fraction(int(np.max(table.max(axis=k) - table.min(axis=k), initial=0)), scale)
         for k in range(table.ndim)
     )
 
@@ -671,19 +671,16 @@ def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fractio
 def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> Fraction:
     """Largest change in the copied coordinates' law when coordinate i is swapped.
 
-    For each positive prefix of length i-1, compares the conditional law of
-    the non-parent future coordinates across the possible values at i; under
-    tree-dependence the value at i cannot matter.
+    For each context of step i in ``all_coupling_contexts``, compares the
+    conditional law of the non-parent future coordinates across its two
+    values at i; under tree-dependence the value at i cannot matter.
     """
     n = joint.n
     if not (1 <= i <= n - 1):
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
-    rl = relabel_joint(joint, tree)
-    t = _step_table(rl.weights, i, tree.parent[i - 1])
-    positive = t.sum(axis=(2, 3)) != 0  # per prefix row and value at i
-    pairs = itertools.combinations(range(t.shape[1]), 2)
-    rows = ((a, b, np.flatnonzero(positive[:, a] & positive[:, b])) for a, b in pairs)
-    return max((_lemma_gap(*_pair_laws(t, r, a, b)) for a, b, r in rows if r.size), default=_ZERO)
+    batches = _context_batches(joint, tree)
+    gaps = (_lemma_gap(*_pair_laws(t, rows, a, b)) for step, t, a, b, rows in batches if step == i)
+    return max(gaps, default=_ZERO)
 
 
 def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
@@ -730,51 +727,3 @@ def verify_difference_bound(
             worst = excess
     return worst if worst is not None else -max(f.profile.values, default=_ZERO)
 
-
-class SupInfViolation(InputError):
-    """The per-step swing condition failed; carries the violating step and prefix."""
-
-    def __init__(self, i: int, prefix: tuple, swing, budget):
-        self.i = i
-        self.prefix = prefix
-        self.swing = swing
-        self.budget = budget
-        super().__init__(
-            f"conditional swing {swing} at coordinate {i}, prefix {prefix!r},"
-            f" exceeds the declared bound {budget}"
-        )
-
-
-def mgf_check(
-    joint: FiniteJoint,
-    f: LipschitzFunction,
-    effective_c: Sequence,
-    s_grid: Sequence[float],
-) -> float:
-    """Worst ratio of the exact mgf to its sub-Gaussian envelope.
-
-    First exhaustively verifies the swing condition in the joint's own
-    coordinate order: for every step i and positive prefix, the spread of
-    E[f | prefix, value] over values at i must be within effective_c[i-1]
-    (raising ``SupInfViolation`` otherwise).  Then returns
-    max over s of  E exp(s (f - Ef)) / exp(s^2 sum_i c_i^2 / 8).
-    """
-    n = joint.n
-    eff = [c if isinstance(c, Fraction) else Fraction(c) for c in effective_c]
-    if len(eff) != n:
-        raise InputError(f"effective profile has {len(eff)} entries, needs {n}")
-    for i, idx, swing in _conditional_swings(joint.weights, _table_on(joint, f), f.scale):
-        if swing > eff[i - 1]:
-            prefix = tuple(s[k] for s, k in zip(joint.spaces, idx))
-            raise SupInfViolation(i, prefix, swing, eff[i - 1])
-
-    mean = exact_mean(joint, f)
-    var_budget = float(sum((c * c for c in eff), _ZERO))
-    worst = 0.0
-    for s in s_grid:
-        if s <= 0:
-            raise InputError(f"mgf grid points must be positive, got {s}")
-        mgf = sum(float(p) * math.exp(s * float(f.value(x) - mean)) for x, p in joint.pmf.items())
-        envelope = math.exp(s * s * var_budget / 8.0)
-        worst = max(worst, mgf / envelope)
-    return worst

@@ -115,13 +115,6 @@ class WeightedCover:
     kind: CoverKind
     parts: tuple[tuple[frozenset[int], Fraction], ...]
 
-    def coverage(self, n: int) -> list[Fraction]:
-        cov = [_ZERO] * n
-        for part, w in self.parts:
-            for v in part:
-                cov[v - 1] += w
-        return cov
-
     @property
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.parts), _ZERO)
@@ -145,7 +138,10 @@ def make_cover(kind: CoverKind, parts: Iterable[tuple[Iterable[int], object]]) -
 def validate_cover(g: Graph, cover: WeightedCover) -> list[CoverViolation]:
     """Check exact coverage and part kinds; violations are data, not errors."""
     out: list[CoverViolation] = []
+    coverage = dict.fromkeys(g.vertices, _ZERO)
     for part, w in cover.parts:
+        for v in part & coverage.keys():
+            coverage[v] += w
         if not part:
             out.append(CoverViolation("empty-part", "a part with no vertices carries weight"))
             continue
@@ -155,14 +151,14 @@ def validate_cover(g: Graph, cover: WeightedCover) -> list[CoverViolation]:
             out.append(CoverViolation("kind", f"part {sorted(part)} has out-of-range vertices"))
             continue
         if cover.kind is CoverKind.INDEPENDENT:
-            bad = [e for e in graphmod.edges_within(g, part)]
+            bad = graphmod.edges_within(g, part)
             if bad:
                 out.append(
                     CoverViolation("kind", f"part {sorted(part)} is not independent (edge {bad[0]})")
                 )
         elif not graphmod.is_acyclic_subset(g, part):
             out.append(CoverViolation("kind", f"part {sorted(part)} induces a cycle"))
-    for v, cov in enumerate(cover.coverage(g.n), start=1):
+    for v, cov in coverage.items():
         if cov != 1:
             out.append(CoverViolation("coverage", f"vertex {v} has coverage {cov}, needs 1"))
     return out
@@ -357,17 +353,17 @@ class CoverSolution:
 def _trim_to_exact_cover(
     g: Graph,
     kind: CoverKind,
-    columns: np.ndarray | list[frozenset[int]],
+    columns: np.ndarray,
     lp_weights: dict[int, Fraction],
 ) -> WeightedCover:
     """Shrink a >=1 fractional cover to an exact one by dropping surplus coverage.
 
-    ``lp_weights`` maps indices of ``columns``, bitmasks or parts, to LP
-    weights; equal columns pool theirs.
+    ``lp_weights`` maps indices of the bitmask ``columns`` to LP weights;
+    equal columns pool theirs.
     """
     weights: dict[frozenset[int], Fraction] = {}
     for j, w in lp_weights.items():
-        part = frozenset(members(columns[j])) if isinstance(columns, np.ndarray) else columns[j]
+        part = frozenset(members(columns[j]))
         weights[part] = weights.get(part, _ZERO) + w
     parts = {s: w for s, w in weights.items() if w > 0}
     coverage: dict[int, Fraction] = {v: _ZERO for v in g.vertices}
@@ -616,21 +612,19 @@ def _column_generation_d(g: Graph, profile: LipschitzProfile) -> CoverSolution:
     c = [float(x) for x in profile.values]
     small = _small_forest_parts(g, c)
     cost_cache = dict(zip(small.parts, small.costs.tolist()))
-    pool: list[frozenset[int]] = [frozenset({v}) for v in g.vertices]
-    for cls in greedy_forest_partition(g):
-        if cls not in pool:
-            pool.append(cls)
-    masks = [column_mask(p) for p in pool]
-    master = CoverLp(g.n, masks, [cost(p) for p in pool], square_scale << bits)
+    # the singletons, then the greedy classes; these are disjoint, so only a
+    # one-vertex class could repeat a singleton
+    pool = [frozenset({v}) for v in g.vertices]
+    pool += [cls for cls in greedy_forest_partition(g) if len(cls) > 1]
+    master = CoverLp(g.n, [column_mask(p) for p in pool], [cost(p) for p in pool], square_scale << bits)
     res = master.solve()
     for _ in range(30):
         new_col = _price_forest_column(g, c, small, res.duals, cost_cache)
-        if new_col is None or new_col in pool:
+        if new_col is None or column_mask(new_col) in master.columns:
             break
-        pool.append(new_col)
         master.add_column(column_mask(new_col), cost(new_col))
         res = master.solve()
-    cover = _trim_to_exact_cover(g, CoverKind.FOREST, pool, res.weights)
+    cover = _trim_to_exact_cover(g, CoverKind.FOREST, master.columns, res.weights)
     return _package_d_solution(
         g, cover, profile, Strategy.COLUMN_GENERATION, Optimality.UPPER_BOUND
     )

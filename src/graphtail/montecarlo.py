@@ -44,7 +44,7 @@ from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, lipschitz_profile
 from .errors import InputError, ScaleError
-from .graph import Graph, build_graph, m_dependence_graph, read_vertex_id
+from .graph import MAX_VERTICES, Graph, build_graph, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
@@ -225,6 +225,8 @@ def block_factor_spec(n: int, k: int, dist: Dist, combine: str = "sum") -> Sampl
     """
     if n < 1 or k < 1:
         raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if n * k > MAX_VERTICES:
+        raise ScaleError(f"n * k = {n * k} latent reads exceed the cap of {MAX_VERTICES}")
     if combine not in ("sum", "mean", "max"):
         raise InputError(f"block factor combine must be sum/mean/max, got {combine!r}")
     lat = [Latent(scope=tuple(range(max(1, j - k + 1), min(n, j) + 1)), dist=dist)

@@ -180,6 +180,52 @@ def copied_coordinates(tree: OrderedTree, i: int) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
+# The sub-Gaussian mgf envelope, summed point by point over the pmf
+
+class SwingViolation(AssertionError):
+    """A conditional-mean swing above its step's bound; carries the step and prefix."""
+
+    def __init__(self, i: int, prefix: tuple, swing: Fraction, budget: Fraction):
+        self.i, self.prefix = i, prefix
+        super().__init__(f"swing {swing} at coordinate {i}, prefix {prefix!r}, exceeds {budget}")
+
+
+def mgf_envelope_ratio(joint: FiniteJoint, f, effective_c, s_grid) -> float:
+    """Worst ratio, over ``s_grid``, of E exp(s (f - Ef)) to exp(s^2 sum_i c_i^2 / 8).
+
+    First checks, in the joint's own coordinate order, that at every step i
+    and positive prefix the conditional means E[f | prefix, x_i] over the
+    positive values x_i spread by at most effective_c[i-1], raising
+    ``SwingViolation`` at the first step and prefix that do not.
+    """
+    pmf = joint.pmf
+    value = {x: f.value(x) for x in pmf}
+    eff = [Fraction(c) for c in effective_c]
+    assert len(eff) == joint.n
+    for i in range(1, joint.n + 1):
+        heads: dict[tuple, list[Fraction]] = {}  # (prefix, x_i) -> [mass, moment]
+        for x, p in pmf.items():
+            acc = heads.setdefault(x[:i], [Fraction(0), Fraction(0)])
+            acc[0] += p
+            acc[1] += p * value[x]
+        means: dict[tuple, list[Fraction]] = {}
+        for head, (mass, moment) in heads.items():
+            means.setdefault(head[:-1], []).append(moment / mass)
+        for prefix in sorted(means):
+            swing = max(means[prefix]) - min(means[prefix])
+            if swing > eff[i - 1]:
+                raise SwingViolation(i, prefix, swing, eff[i - 1])
+    mean = sum((p * value[x] for x, p in pmf.items()), Fraction(0))
+    var_budget = float(sum(c * c for c in eff))
+    ratios = (
+        sum(float(p) * math.exp(s * float(value[x] - mean)) for x, p in pmf.items())
+        / math.exp(s * s * var_budget / 8.0)
+        for s in s_grid
+    )
+    return max(ratios, default=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Random structures (all seeded by the caller)
 
 def random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

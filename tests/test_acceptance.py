@@ -17,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_forest_edges, random_profile
+from conftest import mgf_envelope_ratio, random_forest_edges, random_profile
 from graphtail import cli
 from graphtail.bounds import (
     MCDIARMID,
@@ -38,7 +38,6 @@ from graphtail.coupling import (
     exact_tail,
     finite_joint,
     lipschitz_function,
-    mgf_check,
     relabel_joint,
     verify_all_couplings,
     verify_coupling_marginals,
@@ -304,7 +303,7 @@ def test_criterion_7_mgf_envelope(toy_joints):
             rl = relabel_joint(joint, tree)
             f_rl = coordinate_sum(rl.spaces)
             eff = coupling_effective_profile(tree, f.profile)
-            assert mgf_check(rl, f_rl, eff, grid) <= 1 + 1e-9
+            assert mgf_envelope_ratio(rl, f_rl, eff, grid) <= 1 + 1e-9
 
 
 def _forest_mc_spec():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from graphtail import montecarlo as mcmod
 from graphtail._simplex import CoverLp
 from graphtail.bounds import ALL_METHODS
 from graphtail.errors import InputError, VerificationError
+from graphtail.graph import MAX_VERTICES
 
 
 @pytest.fixture
@@ -319,6 +321,26 @@ class TestVerifyCommand:
         path.write_text(json.dumps(raw))
         assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"spaces": [[0, 1]], "pmf": [{"x": [0], "p": "1/2"}, {"x": [1], "p": "1/2"}],
+             "tree": {"n": 1, "edges": []}},
+            {"tree": {"n": 1, "edges": []},
+             "vertex_latents": {"1": {"values": [0, 1], "probs": ["1/2", "1/2"]}}},
+        ],
+        ids=["raw", "latent-tree"],
+    )
+    def test_one_vertex_tree_is_ok(self, spec, tmp_path, capsys):
+        # a one-coordinate spread came out as a numpy integer, and ``ok`` as a
+        # numpy bool that json cannot dump
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["difference_bound_excess"] == -1.0
 
 
 _P2XOR = {
@@ -1155,6 +1177,104 @@ class TestFiniteNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: method {argv[-2].split(',')[0]!r} is listed twice\n"
+
+
+class TestDeclaredSizeCap:
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["bounds", "--t", "1", "--graph"], {"n": 10**18, "edges": []}),
+            (["simulate", "--t", "1", "--seed", "1", "--spec"],
+             {"model": "block_factor", "n": 10**9, "k": 10**9,
+              "dist": {"kind": "uniform", "lo": 0, "hi": 1}}),
+        ],
+        ids=["graph", "block-factor"],
+    )
+    def test_past_the_cap_exits_2_before_allocating(self, argv, doc, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = cli.run([*argv, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scale error:") and str(MAX_VERTICES) in captured.err
+
+
+_RAW2_NO_TREE = {
+    "spaces": [[0, 1], [0, 1]],
+    "pmf": [{"x": [a, b], "p": "1/4"} for a in (0, 1) for b in (0, 1)],
+}
+
+
+class TestDocumentedBranches:
+    def test_include_mcdiarmid_appends_to_an_explicit_list(self, ex9_file, capsys):
+        argv = ["bounds", "--graph", ex9_file, "--t", "1", "--methods", "janson",
+                "--include-mcdiarmid", "--format", "json"]
+        assert cli.run(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted(r["method"] for r in rows) == ["janson", "mcdiarmid"]
+
+    def test_a_one_point_t_grid_is_its_start(self, blockfactor_file, capsys):
+        argv = ["simulate", "--spec", blockfactor_file, "--seed", "1", "--n", "64",
+                "--t-grid", "1:5:1", "--format", "json"]
+        assert cli.run(argv) == 0
+        assert [r["t"] for r in json.loads(capsys.readouterr().out)] == [1.0]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--t-grid", "1:5"], "--t-grid needs 'start:stop:count', got '1:5'"),
+            (["--t-grid", "a:5:2"], "--t-grid needs 'start:stop:count', got 'a:5:2'"),
+            (["--t-grid", "1:5:0"], "--t-grid count must be >= 1"),
+            ([], "simulate needs --t or --t-grid"),
+        ],
+    )
+    def test_bad_or_missing_thresholds_exit_1(self, blockfactor_file, extra, message, capsys):
+        assert cli.run(["simulate", "--spec", blockfactor_file, "--seed", "1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "what, message",
+        [
+            ("dependency", "verify dependency needs --graph or a spec with a tree"),
+            ("coupling", "verify coupling needs a spec with a tree"),
+        ],
+    )
+    def test_raw_spec_without_a_tree_exits_1(self, what, message, tmp_path, capsys):
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps(_RAW2_NO_TREE))
+        assert cli.run(["verify", what, "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [("uniform:x", "bad uniform coefficient 'uniform:x'"), ("1,a", "bad coefficient list '1,a'")],
+    )
+    def test_malformed_profile_exits_1(self, profile, message, ex9_file, capsys):
+        assert cli.run(["bounds", "--graph", ex9_file, "--t", "1", "--c", profile]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {message}: ")
+
+    def test_alphabets_mixing_numbers_and_strings_exit_1(self, p2xor_file, tmp_path, capsys):
+        data = json.loads(Path(p2xor_file).read_text())
+        data["alphabets"] = [[0, "a"], [0, 1]]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path}: malformed 'alphabets': ")
 
 
 class TestByteIdenticalReports:

@@ -8,9 +8,11 @@ import pytest
 
 from graphtail.bounds import forest_denominator, tail_bound
 from conftest import (
+    SwingViolation,
     _table_emit,
     copied_coordinates,
     coupling_disagreements,
+    mgf_envelope_ratio,
     product_joint,
     random_finite_dist,
     random_tree_edges,
@@ -20,7 +22,6 @@ from graphtail.coupling import (
     CouplingContext,
     CouplingPair,
     DependencyViolation,
-    SupInfViolation,
     all_coupling_contexts,
     build_coupling,
     build_tree_joint,
@@ -31,7 +32,6 @@ from graphtail.coupling import (
     finite_joint,
     latent_tree_spec,
     lipschitz_function,
-    mgf_check,
     relabel_joint,
     verify_all_couplings,
     verify_coupling_marginals,
@@ -540,13 +540,13 @@ class TestMgfCheck:
     def test_independent_bernoulli_sum(self):
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]] * 2)
         f = coordinate_sum(joint.spaces)
-        ratio = mgf_check(joint, f, [F(1), F(1)], [0.5, 1, 2])
+        ratio = mgf_envelope_ratio(joint, f, [F(1), F(1)], [0.5, 1, 2])
         assert ratio <= 1 + 1e-9
 
     def test_constant_function(self):
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]] * 2)
         f = lipschitz_function(joint.spaces, lambda x: F(3))
-        assert mgf_check(joint, f, [F(1), F(1)], [1.0]) <= 1
+        assert mgf_envelope_ratio(joint, f, [F(1), F(1)], [1.0]) <= 1
 
     def test_tree_effective_profile_mechanism(self):
         joint, spec = xor_pair_joint()
@@ -554,13 +554,13 @@ class TestMgfCheck:
         rl = relabel_joint(joint, spec.tree)
         f_rl = coordinate_sum(rl.spaces)
         eff = coupling_effective_profile(spec.tree, f.profile)
-        assert mgf_check(rl, f_rl, eff, [0.25, 0.5, 1, 2, 4]) <= 1 + 1e-9
+        assert mgf_envelope_ratio(rl, f_rl, eff, [0.25, 0.5, 1, 2, 4]) <= 1 + 1e-9
 
     def test_sup_inf_violation_reports_step_and_prefix(self):
         joint = product_joint([[(0, F(1, 2)), (1, F(1, 2))]] * 2)
         f = coordinate_sum(joint.spaces)
-        with pytest.raises(SupInfViolation) as err:
-            mgf_check(joint, f, [F(0), F(1)], [1.0])
+        with pytest.raises(SwingViolation) as err:
+            mgf_envelope_ratio(joint, f, [F(0), F(1)], [1.0])
         assert err.value.i == 1
         assert err.value.prefix == ()
 
@@ -615,6 +615,10 @@ class TestLipschitzValidation:
     def test_violation_names_the_pair(self):
         with pytest.raises(InputError, match="coordinate 1"):
             lipschitz_function([[0, 1]], {(0,): F(0), (1,): F(5)}, lipschitz_profile([1]))
+
+    def test_one_coordinate_spread_is_a_python_int(self):
+        # a numpy integer numerator made every comparison a numpy bool
+        assert type(coordinate_sum([[0, 1]]).profile.values[0].numerator) is int
 
 
 def greedy_maximal_coupling(p, q):

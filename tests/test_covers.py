@@ -341,6 +341,23 @@ class TestValidateCover:
         cover = make_cover(CoverKind.FOREST, [(set(), Fraction(1)), ({1, 2, 3}, Fraction(1))])
         assert any(v.code == "empty-part" for v in validate_cover(path3, cover))
 
+    def test_negative_weight_is_named(self, path3):
+        cover = make_cover(CoverKind.FOREST, [({1, 2, 3}, Fraction(2)), ({1, 2, 3}, Fraction(-1))])
+        bad = validate_cover(path3, cover)
+        assert [(v.code, v.detail) for v in bad] == [
+            ("negative-weight", "part [1, 2, 3] has weight -1")
+        ]
+
+    def test_out_of_range_vertex_is_named(self, path3):
+        cover = make_cover(CoverKind.FOREST, [({1, 2, 3}, Fraction(1)), ({4}, Fraction(1))])
+        bad = validate_cover(path3, cover)
+        assert [(v.code, v.detail) for v in bad] == [("kind", "part [4] has out-of-range vertices")]
+
+    def test_cyclic_forest_part_is_named(self, k3):
+        cover = make_cover(CoverKind.FOREST, [({1, 2, 3}, Fraction(1))])
+        bad = validate_cover(k3, cover)
+        assert [(v.code, v.detail) for v in bad] == [("kind", "part [1, 2, 3] induces a cycle")]
+
 
 class TestFractionalChromatic:
     def test_triangle(self, k3):

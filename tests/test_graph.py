@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _acyclic_brute, copied_coordinates, subtree
-from graphtail.errors import InputError, KindError
+from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import (
+    MAX_VERTICES,
     block_partition,
     build_graph,
     classify,
@@ -42,6 +43,11 @@ class TestBuildGraph:
     def test_out_of_range_names_pair(self):
         with pytest.raises(InputError, match=r"\(1, 4\)"):
             build_graph(3, [(1, 4)])
+
+    def test_vertex_count_is_capped(self):
+        assert build_graph(MAX_VERTICES, []).n == MAX_VERTICES
+        with pytest.raises(ScaleError, match=f"cap of {MAX_VERTICES}"):
+            build_graph(MAX_VERTICES + 1, [])
 
 
 class TestClassify:
