@@ -252,7 +252,8 @@ def load_joint_spec(path: str):
             pmf = {}
             for item in data["pmf"]:
                 x = tuple(_symbols(item["x"], "a pmf entry's 'x'"))
-                pmf[x] = pmf.get(x, Fraction(0)) + _fraction_value(item["p"])
+                p = _fraction_value(item["p"])
+                pmf[x] = pmf[x] + p if x in pmf else p
         except KeyError as exc:
             raise InputError(f"{path}: raw joint spec is missing field {exc}") from exc
         except TypeError as exc:  # a field of the wrong JSON type
@@ -268,6 +269,7 @@ def load_joint_spec(path: str):
     if "tree" not in data:
         raise InputError(f"{path}: joint spec needs a 'tree' (or a raw 'pmf') entry")
     g = graph_from_json_dict(data["tree"])
+    couplingmod.check_coordinates(g.n)  # before any per-vertex work
     try:
         vertex_latents = _latents_by_key(
             data["vertex_latents"], lambda v: read_vertex_id(v, "vertex latent key"), "vertex latent"

@@ -1,13 +1,18 @@
 """Exact finite-probability engine for tree-dependent joints and their couplings.
 
 Everything here is an exhaustive finite sum: a joint's law is one dense
-table, a ``dtype=object`` array of Python ints (int64 would overflow: the
-checks' cross products pass 2**80 at eight coordinates) with one axis per
-coordinate and one ``scale``, so that P(x) = weights[idx(x)] / scale.  Every
-check is integer array arithmetic on that table, and every lemma-style
-statement becomes a deviation that must be exactly zero, so no check needs a
-tolerance.  The module refuses instances beyond its caps rather than
-subsampling; its whole value is exactness.
+integer table with one axis per coordinate and one ``scale``, so that
+P(x) = weights[idx(x)] / scale.  Every check is integer array arithmetic on
+that table, and every lemma-style statement becomes a deviation that must be
+exactly zero, so no check needs a tolerance.  The module refuses instances
+beyond its caps rather than subsampling; its whole value is exactness.
+
+The table is int64 when 2·scale² < 2**63 and Python ints (``dtype=object``)
+otherwise; one code path serves both (``_table_dtype``).  Each check states
+the bound that keeps its int64 intermediates within 2·scale².  The one
+quantity that reaches scale³, a nonzero marginal gap of the coupling sweep,
+is computed in Python ints.  A value leaves an int64 table through ``int()``
+or ``.tolist()``, so no numpy scalar enters a Fraction.
 
 Coordinate conventions: a joint's coordinates are the vertex labels 1..n of
 its dependency graph.  Coupling-related operations re-express the joint in
@@ -59,7 +64,7 @@ class FiniteJoint:
     @property
     def pmf(self) -> Mapping[tuple, Fraction]:
         """P(x) at each positive point x, read from ``weights`` on each access."""
-        points = zip(itertools.product(*self.spaces), self.weights.flat)
+        points = zip(itertools.product(*self.spaces), self.weights.ravel().tolist())
         return MappingProxyType({x: Fraction(w, self.scale) for x, w in points if w})
 
 
@@ -76,10 +81,19 @@ def _sorted_alphabets(spaces: Iterable[Iterable]) -> tuple[tuple, ...]:
         raise InputError(f"alphabet values must be hashable and mutually ordered: {exc}") from exc
 
 
-def _capped(spaces: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    n = len(spaces)
+def check_coordinates(n: int) -> None:
+    """Refuse (``ScaleError``) a joint of more than ``MAX_COORDINATES`` coordinates."""
     if n > MAX_COORDINATES:
         raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
+
+
+def _table_dtype(scale: int):
+    """int64 when every check's intermediate, at most 2·scale², fits; Python ints otherwise."""
+    return np.int64 if 2 * scale * scale < 2**63 else object
+
+
+def _capped(spaces: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    check_coordinates(len(spaces))
     for k, s in enumerate(spaces, start=1):
         if not s:
             raise InputError(f"alphabet of coordinate {k} is empty")
@@ -97,7 +111,6 @@ def finite_joint(
     n = len(spaces_t)
     index = [{v: k for k, v in enumerate(s)} for s in spaces_t]
     points: list[tuple[tuple, Fraction]] = []
-    total = _ZERO
     for x, p in pmf.items():
         if len(x) != n:
             raise InputError(f"assignment {x!r} has wrong arity")
@@ -109,15 +122,15 @@ def finite_joint(
             raise InputError(f"negative probability {p} at {x!r}")
         if prob:
             points.append((tuple(positions[xi] for xi, positions in zip(x, index)), prob))
-            total += prob
-    if total != 1:
-        raise InputError(f"probabilities sum to {total}, need exactly 1")
+    scale = math.lcm(*(p.denominator for _, p in points))
+    masses = [p.numerator * (scale // p.denominator) for _, p in points]
+    if sum(masses) != scale:  # the probabilities do not sum to 1
+        raise InputError(f"probabilities sum to {Fraction(sum(masses), scale)}, need exactly 1")
     if dependency is not None and dependency.n != n:
         raise InputError(f"dependency graph has {dependency.n} vertices, joint has {n}")
-    scale = math.lcm(*(p.denominator for _, p in points))
-    weights = np.zeros(tuple(map(len, spaces_t)), dtype=object)
-    for idx, p in points:
-        weights[idx] += int(p * scale)
+    weights = np.zeros(tuple(map(len, spaces_t)), dtype=_table_dtype(scale))
+    for (idx, _), mass in zip(points, masses):
+        weights[idx] = mass
     return FiniteJoint(spaces=spaces_t, weights=weights, scale=scale, dependency=dependency)
 
 
@@ -213,24 +226,26 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
     latent joins at the first vertex of its scope and is summed out after its
     last.  The work at a vertex, its states times the supports joining there,
     is capped by ``MAX_LATENT_CONFIGS`` (``ScaleError``).  Zero-mass states
-    are kept, so alphabets hold every value emitted.
+    are kept, so alphabets hold every value emitted.  The scale, the product
+    of the latents' lcm denominators, is known before any latent joins, so
+    the masses take the table's dtype from the start: each is at most the scale.
     """
-    if n > MAX_COORDINATES:
-        raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
+    check_coordinates(n)
+    dens = [math.lcm(*(q.denominator for _, q in support)) for _, support in latents]
+    scale = math.prod(dens)
+    dtype = _table_dtype(scale)
     live: list[int] = []  # the latents in the state, in the order of its trailing digits
     # each state as one mixed-radix code: emitted prefix positions, then live latent values
-    codes, mass, scale, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=object), 1, []
+    codes, mass, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), []
     for v in range(1, n + 1):
         joining = [k for k, (scope, _) in enumerate(latents) if min(scope) == v]
         work = len(codes) * math.prod(len(latents[k][1]) for k in joining)
         if work > MAX_LATENT_CONFIGS:
             raise ScaleError(f"{work} latent states at vertex {v} exceed cap {MAX_LATENT_CONFIGS}")
         for k in joining:
-            den = math.lcm(*(q.denominator for _, q in latents[k][1]))
-            weights = np.array([int(q * den) for _, q in latents[k][1]], dtype=object)
+            weights = np.array([int(q * dens[k]) for _, q in latents[k][1]], dtype=dtype)
             codes = (codes[:, None] * len(weights) + np.arange(len(weights))).ravel()
             mass = np.multiply.outer(mass, weights).ravel()
-            scale *= den
         order = live + joining
         supports = [len(latents[k][1]) for k in order]
         sizes = [*map(len, spaces), *supports]
@@ -253,10 +268,10 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
         merged = [*digits[: v - 1], x, *(held[pos] for pos in kept)]
         radices = [*map(len, spaces), *(supports[pos] for pos in kept)]
         codes, which = np.unique(np.ravel_multi_index(merged, radices), return_inverse=True)
-        mass, summands = np.zeros(len(codes), dtype=object), mass
+        mass, summands = np.zeros(len(codes), dtype=dtype), mass
         np.add.at(mass, which.reshape(-1), summands)
         live = [order[pos] for pos in kept]
-    weights = np.zeros(tuple(map(len, spaces)), dtype=object)
+    weights = np.zeros(tuple(map(len, spaces)), dtype=dtype)
     weights.flat[codes] = mass  # every latent is summed out: a code is a flat table index
     return FiniteJoint(tuple(spaces), weights, scale, dependency)
 
@@ -292,7 +307,8 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     T = V minus S and its neighbours is checked for each nonempty S: every
     other T' disjoint from and non-adjacent to S lies inside that T, and
     marginalising out the rest of T cannot increase the gap, so the worst
-    gap over all pairs is the same.
+    gap over all pairs is the same.  With scale S, the summed gap
+    Σ|S·w(s,t) − w(s)·w(t)| is at most 2S², twice a total variation.
     """
     if g.n != joint.n:
         raise InputError(f"graph has {g.n} vertices, joint has {joint.n}")
@@ -310,7 +326,7 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
             both = weights.sum(axis=rest, keepdims=True)
             ws = both.sum(axis=tuple(v - 1 for v in t), keepdims=True)
             wt = both.sum(axis=tuple(v - 1 for v in s), keepdims=True)
-            gap = abs(scale * both - ws * wt).sum()
+            gap = int(abs(scale * both - ws * wt).sum())
             if gap > worst:
                 worst, worst_pair = gap, (frozenset(s), frozenset(t))
     return DependencyReport(deviation=Fraction(worst, 2 * scale * scale), worst_pair=worst_pair)
@@ -414,13 +430,13 @@ def _table_on(joint: FiniteJoint, f: LipschitzFunction) -> np.ndarray:
 
 
 def exact_mean(joint: FiniteJoint, f: LipschitzFunction) -> Fraction:
-    return Fraction((joint.weights * _table_on(joint, f)).sum(), joint.scale * f.scale)
+    return Fraction(int((joint.weights * _table_on(joint, f)).sum()), joint.scale * f.scale)
 
 
 def exact_tail(joint: FiniteJoint, f: LipschitzFunction, t) -> Fraction:
-    """P(f - E f >= t), exactly."""
+    """P(f - E f >= t), exactly; the summed mass is at most the scale."""
     threshold = (exact_mean(joint, f) + Fraction(t)) * f.scale
-    return Fraction(joint.weights[_table_on(joint, f) >= threshold].sum(), joint.scale)
+    return Fraction(int(joint.weights[_table_on(joint, f) >= threshold].sum()), joint.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +515,8 @@ def _maximal_couplings(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Each pair of laws has equal totals.  Shared mass sits on the diagonal; the
     leftovers are matched in value order by the north-west-corner rule: value
     y of p sends to value z of q the overlap of their intervals of cumulative
-    leftover mass.  Equal inputs couple to the identity.
+    leftover mass.  Equal inputs couple to the identity.  Every mass and
+    cumulative sum stays within the laws' common total.
     """
     shared = np.minimum(p, q)
     left_p, left_q = p - shared, q - shared
@@ -516,7 +533,8 @@ def _couple(lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs) -> np.ndarray:
 
     The copied coordinates keep the lhs law; given them, the Z side's parent
     coordinate is redrawn with its rhs conditional law, coupled maximally to
-    the Y side.  Both parent laws are cross-multiplied to denominator WA * WB.
+    the Y side.  Both parent laws are cross-multiplied to denominator WA * WB:
+    with scale S, lhs * WB and its cumulative sums stay within WA * WB <= S².
     """
     if ((w_lhs != 0) & (w_rhs == 0)).any():
         raise KindError(
@@ -532,18 +550,45 @@ def _worst_tv(num, den, target, tden) -> Fraction:
 
     Each law lives on the last two axes; ``den`` may vary along all but the
     last, ``tden`` along the leading one only.  Integer-only when no gap is.
+    Computes in Python ints: the cross products reach scale³.
     """
+    num, den, target, tden = (np.asarray(a).astype(object) for a in (num, den, target, tden))
     gaps = abs(num * tden - target * den).sum(axis=-1)
     if not (gaps != 0).any():
         return _ZERO
     dens = np.broadcast_to(den * tden, num.shape)[..., 0]
-    return max(sum(Fraction(g, d) for g, d in zip(*row) if g) for row in zip(gaps, dens)) / 2
+    rows = zip(gaps.tolist(), dens.tolist())
+    return max(sum(Fraction(g, d) for g, d in zip(*row) if g) for row in rows) / 2
+
+
+def _marginal_gap(pair, lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs) -> Fraction:
+    """Worst TV gap of the coupled masses ``pair`` (worth pair / (hA * WB)) to A / hA and B / hB.
+
+    Cross-multiplied, the Y side's gap is hA * y_err, with y_err the pair's
+    Y marginal minus A * WB, and the Z side's is hB * z_err + B * L, with
+    z_err its Z marginal minus B * WA and L = hB * WA - hA * WB.  With scale
+    S, y_err, z_err and L lie within S², so they decide a zero gap in the
+    table's dtype; any other gap is computed by ``_worst_tv`` in Python ints.
+    """
+    y_marginal, z_marginal = pair.sum(axis=-1), pair.sum(axis=-2)
+    y_err = y_marginal - lhs * w_rhs[..., None]
+    z_err = z_marginal - rhs * w_lhs[..., None]
+    lemma = h_rhs[:, None] * w_lhs - h_lhs[:, None] * w_rhs
+    z_lemma = (rhs != 0) & (lemma[..., None] != 0)  # where B * L is nonzero
+    if not ((y_err != 0).any() or (z_err != 0).any() or z_lemma.any()):
+        return _ZERO
+    den = (h_lhs[:, None] * w_rhs)[..., None]
+    y_gap = _worst_tv(y_marginal, den, lhs, h_lhs[:, None, None])
+    return max(y_gap, _worst_tv(z_marginal, den, rhs, h_rhs[:, None, None]))
 
 
 def _lemma_gap(lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs) -> Fraction:
-    """Largest |WA / hA - WB / hB| over the prefix rows and the copied coordinates."""
-    gaps = abs(h_rhs[:, None] * w_lhs - h_lhs[:, None] * w_rhs).max(axis=-1)
-    return max((Fraction(g, d) for g, d in zip(gaps, h_lhs * h_rhs) if g), default=_ZERO)
+    """Largest |WA / hA - WB / hB| over the prefix rows and the copied coordinates.
+
+    With scale S, each cross product h * W is at most S².
+    """
+    gaps = abs(h_rhs[:, None] * w_lhs - h_lhs[:, None] * w_rhs).max(axis=-1).tolist()
+    return max((Fraction(g, d) for g, d in zip(gaps, (h_lhs * h_rhs).tolist()) if g), default=_ZERO)
 
 
 def _head(rl: FiniteJoint, head: tuple) -> tuple[int, ...]:
@@ -592,7 +637,7 @@ def build_coupling(
     for k, y, z in zip(*np.nonzero(masses)):
         y_point = lhs_head + keys[k][:cut] + (values[y],) + keys[k][cut:]
         z_point = rhs_head + keys[k][:cut] + (values[z],) + keys[k][cut:]
-        pair_pmf[(y_point, z_point)] = Fraction(masses[k, y, z], den[k])
+        pair_pmf[(y_point, z_point)] = Fraction(int(masses[k, y, z]), int(den[k]))
     return CouplingPair(spaces=rl.spaces, pmf=pair_pmf, context=context)
 
 
@@ -609,7 +654,7 @@ def verify_coupling_marginals(pair: CouplingPair, joint: FiniteJoint, tree: Orde
             suffix = points[side][ctx.i :]
             marginal[tuple(s.index(v) for s, v in zip(rl.spaces[ctx.i :], suffix))] += int(p * den)
         flat = (1, 1, -1)  # one prefix row, one copied block, the whole suffix
-        gaps.append(_worst_tv(marginal.reshape(flat), den, target.reshape(flat), target.sum()))
+        gaps.append(_worst_tv(marginal.reshape(flat), den, target.reshape(flat), int(target.sum())))
     return max(gaps)
 
 
@@ -656,11 +701,8 @@ def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fractio
     coupling = independence = _ZERO
     # a step without contexts has one value per prefix, so no lemma gap
     for _, t, a, b, rows in _context_batches(joint, tree):
-        lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs = laws = _pair_laws(t, rows, a, b)
-        pair, den = _couple(*laws), (h_lhs[:, None] * w_rhs)[..., None]
-        y_gap = _worst_tv(pair.sum(axis=-1), den, lhs, h_lhs[:, None, None])
-        z_gap = _worst_tv(pair.sum(axis=-2), den, rhs, h_rhs[:, None, None])
-        coupling = max(coupling, y_gap, z_gap)
+        laws = _pair_laws(t, rows, a, b)
+        coupling = max(coupling, _marginal_gap(_couple(*laws), *laws))
         independence = max(independence, _lemma_gap(*laws))
     return coupling, independence
 
@@ -689,7 +731,8 @@ def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
     ``table`` is f times ``scale`` on the axes of ``weights``.  Prefixes come
     in lexicographic order; those with one positive value at i are skipped.
     Each conditional mean is an integer pair (mass a, moment b) worth
-    b / (a scale), so the extremes are picked by cross-multiplying.
+    b / (a scale), so the extremes are picked by cross-multiplying, in
+    Python ints: with scale S, a * b reaches S² times the table's range.
     """
     n = weights.ndim
     mass, moment = [weights], [weights * table]  # entry j sums out the last j coordinates
@@ -700,7 +743,7 @@ def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
     for i in range(1, n + 1):
         m, q = mass[n - i], moment[n - i]
         for idx in np.ndindex(m.shape[:-1]):
-            pairs = [(a, b) for a, b in zip(m[idx], q[idx]) if a]
+            pairs = [(a, b) for a, b in zip(m[idx].tolist(), q[idx].tolist()) if a]
             if len(pairs) >= 2:
                 (a_hi, b_hi), (a_lo, b_lo) = max(pairs, key=by_mean), min(pairs, key=by_mean)
                 yield i, idx, Fraction(b_hi, a_hi * scale) - Fraction(b_lo, a_lo * scale)

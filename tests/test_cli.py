@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from graphtail import bounds as boundsmod
 from graphtail import cli
+from graphtail import coupling as couplingmod
 from graphtail import covers as coversmod
 from graphtail import montecarlo as mcmod
 from graphtail._simplex import CoverLp
@@ -1204,6 +1205,24 @@ class TestDeclaredSizeCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("scale error:") and str(MAX_VERTICES) in captured.err
+
+    def test_latent_tree_past_the_coordinate_cap_exits_2_before_any_emit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        emit_callable = cli._emit_callable
+        monkeypatch.setattr(cli, "_emit_callable", lambda *a: calls.append(a) or emit_callable(*a))
+        n = 4000
+        path = tmp_path / "path4000.json"
+        spec = {"tree": {"n": n, "edges": [[v, v + 1] for v in range(1, n)]}, "vertex_latents": {}}
+        path.write_text(json.dumps(spec))
+        assert cli.run(["verify", "coupling", "--spec", str(path)]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"scale error: exhaustive verification supports n <= {couplingmod.MAX_COORDINATES}, got {n}\n"
+        )
 
 
 _RAW2_NO_TREE = {

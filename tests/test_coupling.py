@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from graphtail.coupling import (
     build_tree_joint,
     coordinate_sum,
     coupling_effective_profile,
+    exact_mean,
     exact_tail,
     finite_dist,
     finite_joint,
@@ -40,7 +42,16 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
-from graphtail.coupling import _conditional_swings, _latent_joint, _maximal_couplings
+from graphtail.coupling import (
+    _context_batches,
+    _conditional_swings,
+    _couple,
+    _latent_joint,
+    _marginal_gap,
+    _maximal_couplings,
+    _pair_laws,
+    _table_dtype,
+)
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
 from graphtail.graph import build_graph, rooted_order
@@ -806,3 +817,121 @@ class TestEndToEndOnToyJoints:
         for k in range(1, 21):
             t = spread * k / 20 if spread else k / 20
             assert float(exact_tail(joint, f, F(t))) <= tail_bound(den, t) + 1e-12
+
+
+def as_python_ints(joint):
+    """The same joint on a ``dtype=object`` table of Python ints."""
+    return dataclasses.replace(joint, weights=joint.weights.astype(object))
+
+
+def assert_python_fractions(value):
+    """Every Fraction in ``value`` (nested in tuples, lists and dicts) has int parts."""
+    if isinstance(value, F):
+        assert type(value.numerator) is int and type(value.denominator) is int, value
+    elif isinstance(value, dict):
+        for item in value.values():
+            assert_python_fractions(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            assert_python_fractions(item)
+
+
+def every_check(joint, tree, g, f):
+    """The result of every exact check on ``joint``, as comparable values."""
+    report = verify_dependency(joint, g)
+    contexts = list(all_coupling_contexts(joint, tree))[:12]
+    pairs = [build_coupling(joint, tree, *context) for context in contexts]
+    mean = exact_mean(joint, f)
+    return [
+        (report.deviation, report.worst_pair),
+        verify_all_couplings(joint, tree),
+        [verify_independence_lemma(joint, tree, i) for i in range(1, joint.n)],
+        verify_difference_bound(joint, tree, f),
+        mean,
+        [exact_tail(joint, f, t) for t in (F(-1), F(0), mean / 3, F(1, 2))],
+        dict(joint.pmf),
+        [pair.pmf for pair in pairs],
+        [verify_coupling_marginals(pair, joint, tree) for pair in pairs],
+    ]
+
+
+def exact_marginal_gap(pair, lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs):
+    """Reference: the worst TV gap of the coupled masses to A / hA and B / hB, in Fractions."""
+    worst = F(0)
+    for r in range(pair.shape[0]):
+        y_tv = z_tv = F(0)
+        for k in range(pair.shape[1]):
+            den = int(h_lhs[r]) * int(w_rhs[r, k])
+            if den == 0:  # both copied laws put no mass on k
+                continue
+            for v in range(pair.shape[2]):
+                y_tv += abs(F(int(pair[r, k, v, :].sum()), den) - F(int(lhs[r, k, v]), int(h_lhs[r])))
+                z_tv += abs(F(int(pair[r, k, :, v].sum()), den) - F(int(rhs[r, k, v]), int(h_rhs[r])))
+        worst = max(worst, y_tv / 2, z_tv / 2)
+    return worst
+
+
+class TestTableDtype:
+    @pytest.mark.parametrize("scale, dtype", [(2**31 - 1, np.int64), (2**31, object)])
+    def test_int64_iff_twice_the_squared_scale_fits(self, scale, dtype):
+        assert _table_dtype(scale) is dtype
+        law = [(0, F(1, scale)), (1, F(scale - 1, scale))]
+        raw = finite_joint([[0, 1]], dict(((v,), p) for v, p in law))
+        latent = _latent_joint(1, [((1,), law)], [lambda values: values[0]], None)
+        for joint in (raw, latent):
+            assert joint.scale == scale and joint.weights.dtype == dtype
+            assert joint.pmf == {(0,): F(1, scale), (1,): F(scale - 1, scale)}
+            assert_python_fractions(dict(joint.pmf))
+
+    def test_every_check_is_the_same_on_python_ints(self, toy_joints, monkeypatch):
+        rng = random.Random(2531)
+        cases = []
+        for joint, tree, g in toy_joints[:12]:
+            raw = finite_joint(joint.spaces, joint.pmf, dependency=g)
+            cases += [(joint, tree, g), (raw, tree, g)]
+        for joint, tree, g in cases:
+            assert joint.weights.dtype == np.int64
+            table = {x: F(rng.randint(-6, 6), rng.randint(1, 3)) for x in itertools.product(*joint.spaces)}
+            for f in (coordinate_sum(joint.spaces), lipschitz_function(joint.spaces, table)):
+                got = every_check(joint, tree, g, f)
+                assert got == every_check(as_python_ints(joint), tree, g, f)
+                assert_python_fractions(got)
+        # joints dependent along no tree, with the dependency check switched
+        # off: every deviation is positive and still the same on both tables
+        monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
+        g = build_graph(4, [(1, 2), (2, 3), (2, 4)])
+        tree = rooted_order(g, [1, 2, 1, 1])
+        spaces = [(0, 1, 2), (0, 1), (0, 1), (0, 1, 2)]
+        points = list(itertools.product(*spaces))
+        for _ in range(4):
+            weights = [rng.randint(1, 9) for _ in points]
+            joint = finite_joint(spaces, {x: F(w, sum(weights)) for x, w in zip(points, weights)})
+            got = verify_all_couplings(joint, tree)
+            assert min(got) > 0
+            assert got == verify_all_couplings(as_python_ints(joint), tree)
+            assert_python_fractions(got)
+
+    def test_sweep_computes_a_nonzero_gap_exactly(self, toy_joints):
+        rng = random.Random(77)
+        perturbed = 0
+        for joint, tree, _ in toy_joints[:12]:
+            for version in (joint, as_python_ints(joint)):
+                for _, t, a, b, rows in _context_batches(version, tree):
+                    laws = _pair_laws(t, rows, a, b)
+                    pair = _couple(*laws)
+                    assert _marginal_gap(pair, *laws) == 0
+                    if pair.shape[2] == 1:
+                        continue  # a one-value parent has nowhere to move mass
+                    # move one unit of coupled mass to another y, or another z
+                    r, k, y, z = map(int, rng.choice(np.argwhere(pair)))
+                    moved = pair.copy()
+                    moved[r, k, y, z] -= 1
+                    if rng.random() < 0.5:
+                        moved[r, k, (y + 1) % pair.shape[2], z] += 1
+                    else:
+                        moved[r, k, y, (z + 1) % pair.shape[3]] += 1
+                    gap = _marginal_gap(moved, *laws)
+                    assert gap == exact_marginal_gap(moved, *laws) > 0
+                    assert_python_fractions(gap)
+                    perturbed += 1
+        assert perturbed > 50
