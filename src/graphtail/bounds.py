@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 from . import covers as coversmod
@@ -59,30 +59,24 @@ def mcdiarmid_denominator(profile: LipschitzProfile) -> Fraction:
 
 def janson_denominator(g: Graph, profile: LipschitzProfile) -> tuple[Fraction, CoverSolution]:
     """Fractional chromatic number times the squared coefficient norm."""
-    return _janson(MethodInputs(g, g.n, profile))
+    return _denominator(JANSON, MethodInputs(g, g.n, profile))
 
 
 def forest_denominator(g: Graph, profile: LipschitzProfile) -> Fraction:
     """One squared minimum per tree plus the squared coefficient sum per edge.
 
     That is the part-cost radicand of the whole vertex set, so the dependency
-    graph must be a forest; on an edgeless graph this collapses to the
-    independent-case denominator.
+    graph must be a forest (KindError otherwise); on an edgeless graph this
+    collapses to the independent-case denominator.
     """
-    if len(profile) != g.n:
-        raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
-    if not graphmod.classify(g).is_forest:
-        raise KindError(
-            "graph contains a cycle; the forest bound does not apply"
-            " (use the decomposable bound instead)"
-        )
-    return coversmod.part_cost_radicand(g, g.vertices, profile)
+    return _denominator(FOREST, MethodInputs(g, g.n, profile))[0]
 
 
-def decomposable_denominator(g: Graph, profile: LipschitzProfile) -> tuple[float, CoverSolution]:
-    """Optimal squared weighted forest-cover cost, from the enumerated LP."""
-    sol = coversmod.optimize_decomposable_denominator(g, profile)
-    return sol.objective, sol
+def decomposable_denominator(
+    g: Graph, profile: LipschitzProfile
+) -> tuple[Fraction | float, CoverSolution]:
+    """Optimal squared forest-cover cost from the enumerated LP: exact when rational, else a float."""
+    return _denominator(DECOMPOSABLE, MethodInputs(g, g.n, profile))
 
 
 def m_dependent_denominator(
@@ -98,20 +92,10 @@ def m_dependent_denominator(
     under the "paulin" variant, which is never smaller).  No grouping search
     is attempted.
     """
-    if len(profile) != n:
-        raise InputError(f"profile length {len(profile)} != n = {n}")
     if variant not in (MIN_BLOCK, PAULIN):
         raise InputError(f"unknown m-dependent variant {variant!r}")
-    part = graphmod.block_partition(n, m)
-    sums = [sum((profile.coefficient(v) for v in blk), Fraction(0)) for blk in part.blocks]
-    total = Fraction(0)
-    for a, b in zip(sums, sums[1:]):
-        total += (a + b) ** 2
-    if variant == MIN_BLOCK:
-        total += min(s * s for s in sums)
-    else:
-        total += sums[-1] ** 2
-    return total, part
+    name = M_DEPENDENT if variant == MIN_BLOCK else M_DEPENDENT_PAULIN
+    return _denominator(name, MethodInputs(None, n, profile, m))
 
 
 def check_threshold(t, allow_zero: bool = False) -> float:
@@ -142,6 +126,7 @@ class MethodInputs:
     the fractional chromatic number computed at most once, on first use.
 
     ``g`` is None without a dependency graph, ``m`` without a dependence gap.
+    Construction checks the rules all methods share: a coefficient per coordinate, m >= 1.
     """
 
     g: Graph | None
@@ -151,8 +136,9 @@ class MethodInputs:
     strategy: Strategy = Strategy.ENUMERATED_LP
 
     def __post_init__(self):
-        if len(self.profile) != self.n:
-            raise InputError(f"profile length {len(self.profile)} != vertex count {self.n}")
+        graphmod.check_profile_length(len(self.profile), self.n)
+        if self.m is not None:
+            graphmod.check_positive(self.m, "block size m")
 
     @cached_property
     def forest_class(self) -> graphmod.ForestClassification:
@@ -189,7 +175,7 @@ def _needs_forest(x: MethodInputs) -> str | None:
 
 
 def _needs_tree(x: MethodInputs) -> str | None:
-    if x.g is None or (x.forest_class.is_forest and x.forest_class.tree_count == 1):
+    if x.g is None or x.forest_class.tree_count == 1:
         return _needs_graph(x)
     return "graph is not a single tree"
 
@@ -213,7 +199,7 @@ def _forest(x: MethodInputs) -> tuple[Fraction, list]:
         (tuple(sorted(comp)), min(x.profile.coefficient(v) for v in comp))
         for comp in x.forest_class.components
     ]
-    return forest_denominator(x.g, x.profile), witness
+    return coversmod.part_cost_radicand(x.g, x.g.vertices, x.profile), witness
 
 
 def _decomposable(x: MethodInputs) -> tuple[Fraction | float, CoverSolution]:
@@ -221,8 +207,11 @@ def _decomposable(x: MethodInputs) -> tuple[Fraction | float, CoverSolution]:
     return (sol.objective_exact if sol.objective_exact is not None else sol.objective), sol
 
 
-def _m_dependent(variant: str) -> Callable[[MethodInputs], tuple[Fraction, BlockPartition]]:
-    return lambda x: m_dependent_denominator(x.n, x.m, x.profile, variant=variant)
+def _m_dependent(variant: str, x: MethodInputs) -> tuple[Fraction, BlockPartition]:
+    part = graphmod.block_partition(x.n, x.m)
+    sums = [sum((x.profile.coefficient(v) for v in blk), Fraction(0)) for blk in part.blocks]
+    total = sum(((a + b) ** 2 for a, b in zip(sums, sums[1:])), Fraction(0))
+    return total + (min(s * s for s in sums) if variant == MIN_BLOCK else sums[-1] ** 2), part
 
 
 _M_DEPENDENT_ASSUMES = "coordinates form an {m}-dependent sequence"
@@ -248,11 +237,20 @@ METHODS: dict[str, BoundMethod] = {
             _decomposable,
             assumes="forest-decomposable statistic (sums qualify)",
         ),
-        BoundMethod(M_DEPENDENT, _needs_gap, _m_dependent(MIN_BLOCK), _M_DEPENDENT_ASSUMES),
-        BoundMethod(M_DEPENDENT_PAULIN, _needs_gap, _m_dependent(PAULIN), _M_DEPENDENT_ASSUMES),
+        BoundMethod(M_DEPENDENT, _needs_gap, partial(_m_dependent, MIN_BLOCK), _M_DEPENDENT_ASSUMES),
+        BoundMethod(M_DEPENDENT_PAULIN, _needs_gap, partial(_m_dependent, PAULIN), _M_DEPENDENT_ASSUMES),
     )
 }
 ALL_METHODS = tuple(METHODS)
+
+
+def _denominator(name: str, x: MethodInputs) -> tuple:
+    """Row ``name`` of the table applied to ``x``; KindError when its precondition fails."""
+    method = METHODS[name]
+    reason = method.unmet(x)
+    if reason is not None:
+        raise KindError(reason)
+    return method.denominator(x)
 
 
 def bound_methods(names) -> tuple[BoundMethod, ...]:

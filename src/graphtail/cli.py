@@ -28,7 +28,8 @@ from . import covers as coversmod
 from . import montecarlo as mcmod
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
 from .errors import InputError, ScaleError, VerificationError
-from .graph import Graph, graph_from_json_dict, parse_edge_list, read_vertex_id, rooted_order
+from .graph import Graph, check_positive, check_profile_length, graph_from_json_dict, parse_edge_list
+from .graph import read_vertex_id, rooted_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,8 +59,7 @@ def parse_profile_spec(spec: str, n: int) -> LipschitzProfile:
         values = [Fraction(part.strip()) for part in spec.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coefficient list {spec!r}: {exc}") from exc
-    if len(values) != n:
-        raise InputError(f"coefficient list has {len(values)} entries, graph has {n} vertices")
+    check_profile_length(len(values), n)
     return lipschitz_profile(values)
 
 
@@ -380,8 +380,7 @@ def _parse_t_grid(args) -> list[float]:
             start, stop, count = float(start), float(stop), int(count)
         except ValueError as exc:
             raise InputError(f"--t-grid needs 'start:stop:count', got {args.t_grid!r}") from exc
-        if count < 1:
-            raise InputError("--t-grid count must be >= 1")
+        check_positive(count, "--t-grid count")
         if count > mcmod.THRESHOLD_CAP:
             raise ScaleError(f"--t-grid asks for {count} thresholds; at most {mcmod.THRESHOLD_CAP}")
         if count == 1:

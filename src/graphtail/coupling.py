@@ -33,7 +33,7 @@ import numpy as np
 
 from .covers import LipschitzProfile, lipschitz_profile, uniform_profile
 from .errors import InputError, KindError, ScaleError
-from .graph import Graph, OrderedTree, rooted_order
+from .graph import Graph, OrderedTree, check_profile_length, rooted_order
 
 MAX_COORDINATES = 8
 MAX_ALPHABET = 6
@@ -87,6 +87,18 @@ def check_coordinates(n: int) -> None:
         raise ScaleError(f"exhaustive verification supports n <= {MAX_COORDINATES}, got {n}")
 
 
+def _check_vertex_count(vertices: int, n: int) -> None:
+    """The one rule for a graph or tree declared over a joint: one vertex per coordinate."""
+    if vertices != n:
+        raise InputError(f"graph has {vertices} vertices, joint has {n}")
+
+
+def _check_step(n: int, i: int) -> None:
+    """The one rule for a substitution step: coordinate i in 1..n-1 (the root, n, is none)."""
+    if not 1 <= i <= n - 1:
+        raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
+
+
 def _table_dtype(scale: int):
     """int64 when every check's intermediate, at most 2·scale², fits; Python ints otherwise."""
     return np.int64 if 2 * scale * scale < 2**63 else object
@@ -126,8 +138,8 @@ def finite_joint(
     masses = [p.numerator * (scale // p.denominator) for _, p in points]
     if sum(masses) != scale:  # the probabilities do not sum to 1
         raise InputError(f"probabilities sum to {Fraction(sum(masses), scale)}, need exactly 1")
-    if dependency is not None and dependency.n != n:
-        raise InputError(f"dependency graph has {dependency.n} vertices, joint has {n}")
+    if dependency is not None:
+        _check_vertex_count(dependency.n, n)
     weights = np.zeros(tuple(map(len, spaces_t)), dtype=_table_dtype(scale))
     for (idx, _), mass in zip(points, masses):
         weights[idx] = mass
@@ -310,8 +322,7 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     gap over all pairs is the same.  With scale S, the summed gap
     Σ|S·w(s,t) − w(s)·w(t)| is at most 2S², twice a total variation.
     """
-    if g.n != joint.n:
-        raise InputError(f"graph has {g.n} vertices, joint has {joint.n}")
+    _check_vertex_count(g.n, joint.n)
     weights, scale = joint.weights, joint.scale
     verts = range(1, joint.n + 1)
     worst = 0
@@ -409,8 +420,7 @@ def lipschitz_function(
     if profile is None:
         return LipschitzFunction(spaces_t, table, scale, LipschitzProfile(_spreads(table, scale)))
     prof = profile if isinstance(profile, LipschitzProfile) else lipschitz_profile(profile)
-    if len(prof) != len(spaces_t):
-        raise InputError(f"profile length {len(prof)} != {len(spaces_t)} coordinates")
+    check_profile_length(len(prof), len(spaces_t))
     f = LipschitzFunction(spaces_t, table, scale, prof)
     check_lipschitz(f)
     return f
@@ -444,8 +454,7 @@ def exact_tail(joint: FiniteJoint, f: LipschitzFunction, t) -> Fraction:
 
 def relabel_joint(joint: FiniteJoint, tree: OrderedTree) -> FiniteJoint:
     """The same distribution with coordinate k = relabeled vertex k of the tree, no graph declared."""
-    if tree.size != joint.n or set(tree.order) != set(range(1, joint.n + 1)):
-        raise InputError("ordered tree does not cover the joint's coordinates")
+    _check_vertex_count(tree.size, joint.n)
     perm = [tree.original(k) - 1 for k in range(1, joint.n + 1)]
     spaces = tuple(joint.spaces[p] for p in perm)
     return FiniteJoint(spaces, joint.weights.transpose(perm), joint.scale)
@@ -457,12 +466,9 @@ def coupling_effective_profile(tree: OrderedTree, profile: LipschitzProfile) -> 
     Step i < size is bounded by c_i + c_{parent(i)}; the root step (exposed
     last) is bounded by its own coefficient, the tree minimum.
     """
-    eff = []
-    for i in range(1, tree.size + 1):
-        ci = profile.coefficient(tree.original(i))
-        par = tree.parent[i - 1]
-        eff.append(ci + profile.coefficient(tree.original(par)) if par else ci)
-    return tuple(eff)
+    check_profile_length(len(profile), tree.size)
+    c = [profile.coefficient(v) for v in tree.order]  # c[i - 1] for relabeled vertex i
+    return tuple(ci + c[par - 1] if par else ci for ci, par in zip(c, tree.parent))
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +622,7 @@ def build_coupling(
     tree-dependence the redraw of the parent coordinate can hit a
     zero-probability conditioning event while carrying mass.
     """
-    n = joint.n
-    if not (1 <= i <= n - 1):
-        raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
+    _check_step(joint.n, i)
     if len(prefix) != i - 1:
         raise InputError(f"prefix has {len(prefix)} values, needs {i - 1}")
     _require_dependent(joint)
@@ -717,9 +721,7 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     conditional law of the non-parent future coordinates across its two
     values at i; under tree-dependence the value at i cannot matter.
     """
-    n = joint.n
-    if not (1 <= i <= n - 1):
-        raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
+    _check_step(joint.n, i)
     batches = _context_batches(joint, tree)
     gaps = (_lemma_gap(*_pair_laws(t, rows, a, b)) for step, t, a, b, rows in batches if step == i)
     return max(gaps, default=_ZERO)

@@ -270,6 +270,7 @@ def _part_radicand(g: Graph, part: frozenset[int] | set[int], c: Sequence):
 
 def part_cost_radicand(g: Graph, part: frozenset[int] | set[int], profile: LipschitzProfile) -> Fraction:
     """Exact value under the square root of the forest-part cost."""
+    graphmod.check_profile_length(len(profile), g.n)
     return _part_radicand(g, part, profile.values)
 
 
@@ -642,8 +643,7 @@ def optimize_decomposable_denominator(
     (which can never beat it when the LP is exact, and improves the
     heuristics when it can be computed).
     """
-    if len(profile) != g.n:
-        raise InputError(f"profile length {len(profile)} != vertex count {g.n}")
+    graphmod.check_profile_length(len(profile), g.n)
     return _optimize_decomposable(g, profile, strategy, lambda: fractional_chromatic_number(g))
 
 

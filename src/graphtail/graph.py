@@ -32,14 +32,26 @@ class Graph:
         return range(1, self.n + 1)
 
 
+def check_positive(value: int, what: str) -> None:
+    """The one rule for a size or width: ``InputError`` naming ``what`` unless ``value >= 1``."""
+    if value < 1:
+        raise InputError(f"need {what} >= 1, got {value}")
+
+
+def check_profile_length(length: int, n: int) -> None:
+    """The one rule for a Lipschitz profile: ``InputError`` unless it has one coefficient per vertex."""
+    if length != n:
+        raise InputError(f"profile has {length} coefficients for {n} vertices")
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Normalize an edge list into a Graph (deduplicated, unordered pairs).
 
-    Rejects self-loops and out-of-range endpoints, naming the offending pair,
-    and more than ``MAX_VERTICES`` vertices (ScaleError) before allocating any.
+    Rejects fewer than one vertex, self-loops and out-of-range endpoints,
+    naming the offending pair, and more than ``MAX_VERTICES`` vertices
+    (ScaleError) before allocating any.
     """
-    if n < 0:
-        raise InputError(f"vertex count must be nonnegative, got {n}")
+    check_positive(n, "vertex count")
     if n > MAX_VERTICES:
         raise ScaleError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
     canon: set[Edge] = set()
@@ -119,10 +131,9 @@ def rooted_order(g: Graph, coefficients: Sequence) -> OrderedTree:
     label order, so the result is deterministic.  Raises KindError when ``g``
     is not a tree, and InputError unless there is one coefficient per vertex.
     """
-    if len(g.edges) != g.n - 1 or len(components_within(g, g.vertices)) != 1:
+    if classify(g).tree_count != 1:
         raise KindError(f"graph on {g.n} vertices is not a tree")
-    if len(coefficients) != g.n:
-        raise InputError(f"profile has {len(coefficients)} coefficients for a tree on {g.n} vertices")
+    check_profile_length(len(coefficients), g.n)
 
     root = min(g.vertices, key=lambda v: (coefficients[v - 1], v))
 
@@ -152,10 +163,7 @@ def rooted_order(g: Graph, coefficients: Sequence) -> OrderedTree:
 
 def m_dependence_graph(n: int, m: int) -> Graph:
     """Graph joining i and j whenever 1 <= |i - j| <= m (the m-dependent pattern)."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    if m < 1:
-        raise InputError(f"need gap m >= 1, got {m}")
+    check_positive(m, "gap m")
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(i + m, n) + 1)]
     return build_graph(n, edges)
 
@@ -175,16 +183,10 @@ def block_partition(n: int, m: int) -> BlockPartition:
     When m divides n there is no (empty) remainder block: exactly n/m blocks
     are emitted.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    if m < 1:
-        raise InputError(f"need block size m >= 1, got {m}")
-    blocks = []
-    start = 1
-    while start <= n:
-        blocks.append(tuple(range(start, min(start + m, n + 1))))
-        start += m
-    return BlockPartition(n=n, m=m, blocks=tuple(blocks))
+    check_positive(n, "n")
+    check_positive(m, "block size m")
+    blocks = tuple(tuple(range(start, min(start + m, n + 1))) for start in range(1, n + 1, m))
+    return BlockPartition(n=n, m=m, blocks=blocks)
 
 
 # Subset helpers used heavily by the cover machinery; these stay in original labels.
@@ -235,8 +237,6 @@ def graph_from_json_dict(data: dict) -> Graph:
     if not (isinstance(data, dict) and "n" in data and isinstance(data.get("edges", []), list)):
         raise InputError("graph JSON needs integer 'n' and an 'edges' list")
     n = read_vertex_id(data["n"], "graph JSON 'n'")
-    if n < 1:
-        raise InputError(f"graph JSON must have n >= 1, got {n}")
     pairs = []
     for item in data.get("edges", []):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -250,8 +250,6 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise InputError("empty edge-list input")
     n = read_vertex_id(lines[0], "first line (the vertex count)")
-    if n < 1:
-        raise InputError(f"edge-list vertex count must be >= 1, got {n}")
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -44,7 +44,7 @@ from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, lipschitz_profile
 from .errors import InputError, ScaleError
-from .graph import MAX_VERTICES, Graph, build_graph, m_dependence_graph, read_vertex_id
+from .graph import MAX_VERTICES, Graph, build_graph, check_positive, m_dependence_graph, read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
@@ -223,8 +223,8 @@ def block_factor_spec(n: int, k: int, dist: Dist, combine: str = "sum") -> Sampl
 
     Latent Y_j sits at index j-1 and is read by vertices max(1, j-k+1)..min(n, j).
     """
-    if n < 1 or k < 1:
-        raise InputError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_positive(n, "n")
+    check_positive(k, "k")
     if n * k > MAX_VERTICES:
         raise ScaleError(f"n * k = {n * k} latent reads exceed the cap of {MAX_VERTICES}")
     if combine not in ("sum", "mean", "max"):
@@ -576,10 +576,8 @@ def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int)
     if len(t_grid) > THRESHOLD_CAP:
         raise ScaleError(f"{len(t_grid)} thresholds given; at most {THRESHOLD_CAP} per run")
     t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
-    if n_samples < 1:
-        raise InputError(f"sample count must be at least 1, got {n_samples}")
-    if workers < 1:
-        raise InputError(f"worker count must be at least 1, got {workers}")
+    check_positive(n_samples, "sample count")
+    check_positive(workers, "worker count")
     _check_seed(seed)
     return t_grid
 

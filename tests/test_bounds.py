@@ -252,6 +252,65 @@ class TestCompareBounds:
         assert reports[0].bound < reports[1].bound
 
 
+_PATH3 = [(1, 2), (2, 3)]
+
+
+class TestOneTableRow:
+    """Each public denominator is one row of the method table, with its checks."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: janson_denominator(build_graph(3, _PATH3), uniform_profile(2)),
+             "profile has 2 coefficients for 3 vertices"),
+            (lambda: forest_denominator(build_graph(3, _PATH3), uniform_profile(4)),
+             "profile has 4 coefficients for 3 vertices"),
+            (lambda: decomposable_denominator(build_graph(3, _PATH3), uniform_profile(2)),
+             "profile has 2 coefficients for 3 vertices"),
+            (lambda: m_dependent_denominator(3, 1, uniform_profile(2)),
+             "profile has 2 coefficients for 3 vertices"),
+            (lambda: m_dependent_denominator(3, 0, uniform_profile(3)), "need block size m >= 1, got 0"),
+            (lambda: m_dependent_denominator(3, 1, uniform_profile(3), variant="nope"),
+             "unknown m-dependent variant 'nope'"),
+            (lambda: compare_bounds(build_graph(3, _PATH3), uniform_profile(2), t=1.0),
+             "profile has 2 coefficients for 3 vertices"),
+            (lambda: compare_bounds(build_graph(3, _PATH3), uniform_profile(3), t=1.0, m=0),
+             "need block size m >= 1, got 0"),
+        ],
+        ids=["janson-profile", "forest-profile", "decomposable-profile", "m-dependent-profile",
+             "m-dependent-gap", "m-dependent-variant", "compare-profile", "compare-gap"],
+    )
+    def test_bad_arguments_are_refused_with_one_message(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_an_unmet_precondition_is_a_kind_error_naming_the_reason(self, k3):
+        with pytest.raises(KindError) as exc:
+            forest_denominator(k3, uniform_profile(3))
+        assert str(exc.value) == "graph is not a forest (use the decomposable bound)"
+
+    def test_a_gap_below_1_is_refused_before_any_lp(self, example9, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("an LP ran before the gap was checked")
+
+        monkeypatch.setattr(coversmod, "fractional_chromatic_number", no_lp)
+        monkeypatch.setattr(coversmod, "solve_min_cover_lp", no_lp)
+        with pytest.raises(InputError, match="need block size m >= 1, got 0"):
+            compare_bounds(example9, uniform_profile(9), t=1.0, m=0)
+
+    @pytest.mark.parametrize("graph", ["k3", "path3", "empty3", "example9", "one_edge6", "edgeless7"])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "mixed"])
+    def test_decomposable_denominator_is_the_reported_one(self, graph, uniform, request):
+        built = {"one_edge6": build_graph(6, [(1, 2)]), "edgeless7": build_graph(7, [])}
+        g = built[graph] if graph in built else request.getfixturevalue(graph)
+        c = uniform_profile(g.n) if uniform else lipschitz_profile([1 + v % 3 for v in g.vertices])
+        den, _ = decomposable_denominator(g, c)
+        report = next(r for r in compare_bounds(g, c, t=1.0) if r.method == DECOMPOSABLE)
+        assert den == (report.denominator_exact if report.denominator_exact is not None
+                       else report.denominator)
+
+
 class TestSerialization:
     def test_json_dict_round_trips_fractions_as_strings(self, example9):
         reports = compare_bounds(example9, uniform_profile(9), t=3.0)

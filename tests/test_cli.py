@@ -87,7 +87,7 @@ class TestParsing:
         assert [float(c) for c in prof] == [2.5] * 4
 
     def test_short_list_rejected(self):
-        with pytest.raises(InputError, match="entries"):
+        with pytest.raises(InputError, match="profile has 2 coefficients for 3 vertices"):
             cli.parse_profile_spec("1,2", 3)
 
     def test_self_loop_message_distinct(self, tmp_path):
@@ -683,7 +683,7 @@ class TestExitCodes:
         assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"input error: profile has {size} coefficients for a tree on 3 vertices\n"
+        assert captured.err == f"input error: profile has {size} coefficients for 3 vertices\n"
 
     def test_raw_profile_without_a_tree_exits_1(self, tmp_path, capsys):
         # the profile was read and dropped: "ok": true, exit 0
@@ -1250,7 +1250,9 @@ class TestDocumentedBranches:
         [
             (["--t-grid", "1:5"], "--t-grid needs 'start:stop:count', got '1:5'"),
             (["--t-grid", "a:5:2"], "--t-grid needs 'start:stop:count', got 'a:5:2'"),
-            (["--t-grid", "1:5:0"], "--t-grid count must be >= 1"),
+            pytest.param(
+                ["--t-grid", "1:5:0"], "need --t-grid count >= 1, got 0", id="extra2---t-grid count must be >= 1"
+            ),
             ([], "simulate needs --t or --t-grid"),
         ],
     )
@@ -1294,6 +1296,48 @@ class TestDocumentedBranches:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: {path}: malformed 'alphabets': ")
+
+
+class TestRefusalsWithOneMessage:
+    """Refusals no other test reaches: each exits 1 with its stderr line and no stdout."""
+
+    def _refused(self, argv, message, capsys):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_a_dependency_graph_of_another_size(self, tmp_path, capsys):
+        spec, graph = tmp_path / "spec.json", tmp_path / "graph.json"
+        spec.write_text(json.dumps(_RAW3))
+        graph.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}))
+        argv = ["verify", "dependency", "--spec", str(spec), "--graph", str(graph)]
+        self._refused(argv, "graph has 4 vertices, joint has 3", capsys)
+
+    def test_a_gap_below_1_before_any_lp(self, tmp_path, monkeypatch, capsys):
+        def no_lp(*args):
+            raise AssertionError("an LP ran before the gap was checked")
+
+        monkeypatch.setattr(coversmod, "fractional_chromatic_number", no_lp)
+        monkeypatch.setattr(coversmod, "solve_min_cover_lp", no_lp)
+        rng = random.Random(16)
+        edges = [[u, v] for u in range(1, 17) for v in range(u + 1, 17) if rng.random() < 0.25]
+        path = tmp_path / "g16.json"
+        path.write_text(json.dumps({"n": 16, "edges": edges}))
+        argv = ["bounds", "--graph", str(path), "--t", "1", "--m", "0"]
+        self._refused(argv, "need block size m >= 1, got 0", capsys)
+
+    def test_an_empty_latent_scope(self, tmp_path, capsys):
+        spec = copy.deepcopy(_LATENT2)
+        spec["latents"][1]["scope"] = []
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        self._refused([*_SIMULATE, str(path)], "latent scope is empty", capsys)
+
+    def test_an_identity_emit_on_a_vertex_reading_two_latents(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LATENT2, "emit": "identity"}))
+        self._refused([*_SIMULATE, str(path)], "identity emit needs exactly one latent on the vertex", capsys)
 
 
 class TestByteIdenticalReports:

@@ -734,6 +734,63 @@ class TestScaleGuards:
             finite_joint([[0, 1]], {(7,): F(1)})
 
 
+def _fair_pair(dependency=True):
+    """Two independent fair bits, declared dependent along the edge 1-2 unless told not to."""
+    g = build_graph(2, [(1, 2)])
+    pmf = {(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)}
+    return finite_joint([[0, 1], [0, 1]], pmf, dependency=g if dependency else None), rooted_order(g, [1, 1])
+
+
+def _spec_without_emit_for_vertex_2():
+    g = build_graph(2, [(1, 2)])
+    bit = [(0, F(1, 2)), (1, F(1, 2))]
+    return latent_tree_spec(g, {1: bit, 2: bit}, {(1, 2): bit}, {1: lambda xi, ev: xi})
+
+
+class TestArgumentRules:
+    """One test per library argument check: each refuses with its one message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: finite_joint([[0, 1], []], {(0, 0): F(1)}), "alphabet of coordinate 2 is empty"),
+            (lambda: finite_joint([[0, 1]], {(0,): F(1)}, dependency=build_graph(3, [])),
+             "graph has 3 vertices, joint has 1"),
+            (lambda: verify_dependency(_fair_pair()[0], build_graph(3, [])), "graph has 3 vertices, joint has 2"),
+            (lambda: relabel_joint(_fair_pair()[0], rooted_order(build_graph(1, []), [1])),
+             "graph has 1 vertices, joint has 2"),
+            (lambda: lipschitz_function([[0, 1], [0, 1]], {(0, 0): 0, (1, 0): 1, (1, 1): 2}),
+             "function table is missing assignment (0, 1)"),
+            (lambda: lipschitz_function([[0, 1], [0, 1]], sum, profile=[1]),
+             "profile has 1 coefficients for 2 vertices"),
+            (lambda: coupling_effective_profile(_fair_pair()[1], lipschitz_profile([1])),
+             "profile has 1 coefficients for 2 vertices"),
+            (lambda: exact_mean(_fair_pair()[0], coordinate_sum([[0, 1], [0, 2]])),
+             "the function and the joint have different alphabets"),
+            (_spec_without_emit_for_vertex_2, "no emit rule for vertex 2"),
+            (lambda: verify_all_couplings(*_fair_pair(dependency=False)),
+             "joint declares no dependency graph to verify against"),
+            (lambda: build_coupling(*_fair_pair(), 0, (), 0, 1), "coordinate i must be in 1..1, got 0"),
+            (lambda: build_coupling(*_fair_pair(), 1, (0,), 0, 1), "prefix has 1 values, needs 0"),
+            (lambda: verify_independence_lemma(*_fair_pair(), 2), "coordinate i must be in 1..1, got 2"),
+        ],
+        ids=["empty-alphabet", "joint-graph-size", "dependency-graph-size", "relabel-tree-size",
+             "table-missing-point", "function-profile", "effective-profile", "alphabets-differ",
+             "missing-emit", "no-dependency-graph", "coupling-step", "coupling-prefix", "lemma-step"],
+    )
+    def test_bad_arguments_are_refused_with_one_message(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_copied_mass_with_none_under_the_rhs_is_a_kind_error(self):
+        # a step table (prefix row, x_i, copied block, parent) whose copied block
+        # has mass under x_i = 0 only: no tree-dependent joint has such a context
+        t = np.array([[[[1, 0]], [[0, 0]]]])
+        with pytest.raises(KindError, match="coupling context unreachable"):
+            _couple(*_pair_laws(t, [0], 0, 1))
+
+
 class TestEndToEndOnToyJoints:
     def test_lemma_sweeps_are_exact_on_a_few_joints(self, toy_joints):
         for joint, tree, g in toy_joints[:6]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -41,7 +42,7 @@ from graphtail.covers import (
     uniform_profile,
     validate_cover,
 )
-from graphtail.errors import InputError, KindError, ScaleError
+from graphtail.errors import InputError, KindError, ScaleError, VerificationError
 from graphtail.graph import build_graph
 
 
@@ -740,6 +741,64 @@ class TestCoverJson:
     def test_bad_kind(self):
         with pytest.raises(InputError):
             cover_from_json_dict({"kind": "clique", "parts": []})
+
+
+_PATH3 = [(1, 2), (2, 3)]
+
+
+class TestArgumentRules:
+    """One test per library argument check: each refuses with its one message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: part_cost_radicand(build_graph(3, _PATH3), {1, 2}, uniform_profile(2)),
+             "profile has 2 coefficients for 3 vertices"),
+            (lambda: optimize_decomposable_denominator(build_graph(3, _PATH3), uniform_profile(4)),
+             "profile has 4 coefficients for 3 vertices"),
+            (lambda: optimize_decomposable_denominator(build_graph(3, _PATH3), uniform_profile(3), "greedy"),
+             "unknown strategy 'greedy'"),
+            (lambda: covers._sqrt_numerator(-3, 4, 8), "square root of negative value -3/4"),
+            (lambda: cover_from_json_dict({"kind": "forest", "parts": [{"s": [1]}]}),
+             "bad cover part {'s': [1]}: 'w'"),
+        ],
+        ids=["part-cost-profile", "decomposable-profile", "unknown-strategy", "negative-radicand",
+             "cover-part-without-weight"],
+    )
+    def test_bad_arguments_are_refused_with_one_message(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+class TestCertificationFaults:
+    """The exact checks after each LP catch a result that is wrong by construction."""
+
+    def test_a_cyclic_column_fails_the_trimmed_forest_cover(self, k3):
+        columns = encoded([frozenset({1, 2, 3})])
+        with pytest.raises(VerificationError, match=r"trimmed cover failed validation: part \[1, 2, 3\]"):
+            covers._trim_to_exact_cover(k3, CoverKind.FOREST, columns, {0: Fraction(1)})
+
+    def test_a_wrong_lp_objective_fails_the_unit_cover(self, path3, monkeypatch):
+        solve = covers.solve_min_cover_lp
+
+        def off_by_one(*args):
+            res = solve(*args)
+            return dataclasses.replace(res, objective=res.objective + 1)
+
+        monkeypatch.setattr(covers, "solve_min_cover_lp", off_by_one)
+        with pytest.raises(VerificationError, match="trimming changed the total weight"):
+            fractional_chromatic_number(path3)
+
+    def test_an_optimum_above_the_independent_cover_bound_is_caught(self, path3, monkeypatch):
+        candidate = covers._janson_candidate
+
+        def lowered(g, profile, chi):
+            return dataclasses.replace(candidate(g, profile, chi), objective=0.0)
+
+        monkeypatch.setattr(covers, "_janson_candidate", lowered)
+        with pytest.raises(VerificationError, match="exceeds the independent-cover bound"):
+            optimize_decomposable_denominator(path3, uniform_profile(3))
 
 
 @given(

@@ -232,3 +232,38 @@ class TestFormats:
             parse_edge_list("0\n")
         with pytest.raises(InputError):
             graph_from_json_dict({"n": 0, "edges": []})
+
+
+_PATH3 = [(1, 2), (2, 3)]
+
+
+class TestArgumentRules:
+    """Each rule has one message, whichever entry point refuses."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_graph(-1, []), "need vertex count >= 1, got -1"),
+            (lambda: build_graph(0, []), "need vertex count >= 1, got 0"),
+            (lambda: graph_from_json_dict({"n": 0, "edges": []}), "need vertex count >= 1, got 0"),
+            (lambda: parse_edge_list("0\n"), "need vertex count >= 1, got 0"),
+            (lambda: m_dependence_graph(0, 1), "need vertex count >= 1, got 0"),
+            (lambda: m_dependence_graph(4, 0), "need gap m >= 1, got 0"),
+            (lambda: block_partition(0, 1), "need n >= 1, got 0"),
+            (lambda: block_partition(4, 0), "need block size m >= 1, got 0"),
+            (lambda: rooted_order(build_graph(3, _PATH3), [1, 1]), "profile has 2 coefficients for 3 vertices"),
+            (lambda: rooted_order(build_graph(3, _PATH3), [1] * 4), "profile has 4 coefficients for 3 vertices"),
+        ],
+        ids=["negative-vertex-count", "no-vertex", "json-no-vertex", "edge-list-no-vertex",
+             "m-dependence-no-vertex", "m-dependence-gap-0", "blocks-no-vertex", "block-size-0",
+             "short-profile", "long-profile"],
+    )
+    def test_each_rule_refuses_with_its_one_message(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_a_graph_that_is_not_one_tree_has_no_rooted_order(self):
+        for g in (build_graph(3, [(1, 2)]), build_graph(3, [(1, 2), (2, 3), (1, 3)])):
+            with pytest.raises(KindError, match="is not a tree"):
+                rooted_order(g, [1, 1, 1])

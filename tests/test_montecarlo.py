@@ -89,6 +89,23 @@ class TestDistributions:
         with pytest.raises(InputError):
             discrete([0, 1], [F(1, 2), F(1, 3)])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bernoulli(F(1, 2), (0, 1, 2)), "Bernoulli needs exactly two values"),
+            (lambda: discrete([0, 1], [F(1)]), "discrete needs matching nonempty values/probs"),
+            (lambda: discrete([], []), "discrete needs matching nonempty values/probs"),
+            (lambda: block_factor_spec(0, 1, uniform(0, 1)), "need n >= 1, got 0"),
+            (lambda: block_factor_spec(2, 0, uniform(0, 1)), "need k >= 1, got 0"),
+        ],
+        ids=["bernoulli-three-values", "discrete-unmatched", "discrete-empty", "block-factor-n-0",
+             "block-factor-k-0"],
+    )
+    def test_laws_and_block_factors_of_the_wrong_shape_are_refused(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
 
 class TestSpecs:
     def test_latent_scope_must_be_clique(self):

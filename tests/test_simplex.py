@@ -96,6 +96,27 @@ class TestWarmStart:
         assert second.objective == first.objective == 3
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, [0b010, 0b100], [1]), "columns and costs length mismatch"),
+            ((2, [0b010, 0b100], [1, 1], 0), "cost denominator must be positive, got 0"),
+        ],
+    )
+    def test_inconsistent_pools_are_refused(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            CoverLp(*args)
+        assert str(exc.value) == message
+
+    def test_a_pivot_with_no_positive_entry_is_a_certification_failure(self):
+        # a surplus column entering the identity basis has direction -e_v: the
+        # ratio test finds no leaving row, which an LP with coverage >= 1 never meets
+        lp = CoverLp(2, [0b010, 0b100], [1, 1])
+        with pytest.raises(VerificationError, match="unbounded"):
+            lp._pivot(-1, -1)
+
+
 class ReferenceLp:
     """The plain exact Fraction solve loop, as the reference for ``CoverLp``'s pivot path.
 
