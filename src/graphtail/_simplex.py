@@ -4,9 +4,9 @@ Solves  min c'w  s.t.  Aw >= 1, w >= 0  where A is the 0/1 vertex-part
 incidence matrix.  Costs arrive as integers c~_j over one common denominator
 C, so c_j = c~_j / C, and every step of the solve works on Python integers;
 the optimum, the basic weights and the duals are exact for the given costs.
-Pricing is screened in floating point for speed, but every entering column is
-re-priced exactly and optimality is certified by a final exact sweep, so the
-float pass can only cost time, never correctness.
+Pricing is screened in floating point for speed, but the entering column is
+chosen, and optimality certified, by exact reduced costs, so the float pass
+can only cost time, never correctness.
 
 Integer representation.  For the basis B (its columns are parts a_j and
 surplus columns -e_v) the solver keeps D = det B > 0 and the integer matrix
@@ -34,20 +34,35 @@ No test needs a division.  The ratio test compares x~_i / d~_i with
 x~_b / d~_b by comparing x~_i d~_b with x~_b d~_i (both d~ are positive), and
 column j's reduced cost c_j - y a_j has the sign of c~_j D - sum_{v in j} y~_v.
 
-The float view is the one a Fraction solve would see: costs c~_j / C and
-duals y~_v / (C D) are computed by int true division, which Python rounds
-correctly, as it does ``float(Fraction)``.  So the Dantzig candidates and the
-Bland-sweep margin, and therefore the pivot path, do not depend on the scaling.
+Pricing.  Each iteration screens every column in floating point and then
+prices a band of them exactly.  With r_f the float reduced costs and
+E = 1e-9 * (1 + max|c| + sum|y|), the band is the columns with
+r_f <= min(min r_f + 2E, E).  While Dantzig's rule runs, the band column of
+least exact reduced cost enters, the lowest index among equals; if none is
+negative, the lowest surplus column with exact y_v < 0 enters; if there is
+none, the basis is optimal.  A column outside the band has
+r_f > E or r_f > min r_f + 2E, so once the float error is below E its exact
+reduced cost is positive or above that of the band's float minimum: the band
+holds every column of least exact reduced cost, and it certifies optimality.
+Past ``_BLAND_AFTER`` iterations the lowest-index column in the band with a
+negative exact reduced cost enters instead (Bland's rule), then the lowest
+surplus as before.  So the pivot path is a function of exact values only: the
+float screen decides how many columns are priced, never which one enters, and
+the witness is the same on every machine.
 
-The duals are updated at each pivot rather than rebuilt, and the final Bland
-sweep prices exactly only the columns whose float reduced cost is at most
-1e-9 * (1 + max|c| + sum|y|).  Computing c_j - a_j . y in doubles from
-correctly rounded c and y errs by at most about
-(n + 2) * 2^-53 * (|c_j| + sum|y|), below that margin for any n under about
-10^7, so a column above it has a positive exact reduced cost and the full
-sweep would skip it too.  The rest are visited in ascending index, so
-the sweep returns the same column, and certifies the same optimum, as an
-exact pass over every column.
+The float error stays far below E.  The screen holds each cost to within
+2^-50 relative (c~_j / C in floats, three roundings at most, when the caller
+gives none); the duals y~_v / (C D) are correctly rounded; and
+y(F) = sum_{v in F} y_v adds at most n floats, so r_f errs by at most
+(2^-49 + (n + 2) 2^-53) (1 + max|c| + sum|y|), below E for any n under about
+10^6.  The dual sums come from subset-sum tables, one per byte of the
+bitmask: entry b of table k is the sum of y over the vertices 8k + 1 .. 8k + 8
+whose bits b sets, and y(F) adds one entry per byte of F's mask in byte order.
+No float step calls BLAS, whose kernel the host picks at run time; and a
+float that rounds differently could only change the band's size, not its
+least exact reduced cost.  Given a float screen, the solver reads costs only
+where it prices them exactly or they enter a basis, so a lazy sequence
+computes only those.
 
 A column is a bitmask with bit v set for each vertex v of its part: an int64
 while every bit fits (n < 63), a Python int in an object array past that.
@@ -61,7 +76,7 @@ built only for the returned ``CoverLpResult``.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,20 +86,6 @@ _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
-
-
-def _dantzig_candidates(reduced_f: np.ndarray, k: int) -> np.ndarray:
-    """Up to k columns with float reduced cost below -tol, most negative first.
-
-    Ties go to the lower index, so this is the first k of a stable argsort of
-    ``reduced_f`` cut at the first value >= -tol, without sorting every column.
-    """
-    cand = np.flatnonzero(reduced_f < -_SCREEN_TOL)
-    vals = reduced_f[cand]
-    if len(cand) > k:
-        keep = vals <= np.partition(vals, k - 1)[k - 1]
-        cand, vals = cand[keep], vals[keep]
-    return cand[np.argsort(vals, kind="stable")][:k]
 
 
 def column_mask(part: Iterable[int]) -> int:
@@ -102,9 +103,31 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def _incidence(n: int, columns: np.ndarray) -> np.ndarray:
-    """The 0/1 part-vertex matrix in float64, one row per bitmask column."""
-    return (columns[:, None] >> np.arange(1, n + 1) & 1).astype(np.float64)
+def _byte_indices(n: int, columns: np.ndarray) -> list[np.ndarray]:
+    """Byte k of every bitmask column, the bits of vertices 8k + 1 .. 8k + 8, as uint8."""
+    return [(columns >> (8 * k + 1) & 0xFF).astype(np.uint8) for k in range((n + 7) // 8)]
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Row k, entry b: the sum of ``values[8k + i]`` over the set bits i of b.
+
+    Starts from a table [0, v] per bit and joins neighbouring groups of bits
+    three times, entry (high, low) of a joined table being the high group's
+    entry plus the low group's: the same additions in the same order each time.
+    """
+    tables = np.zeros((-(-len(values) // 8) * 8, 2), dtype=values.dtype)
+    tables[: len(values), 1] = values
+    for _ in range(3):
+        tables = (tables[1::2, :, None] + tables[0::2, None, :]).reshape(len(tables) // 2, -1)
+    return tables
+
+
+def _dual_sums(tables: np.ndarray, indices: list[np.ndarray]) -> np.ndarray:
+    """y(F) for each column F given by its byte ``indices``: one table entry per byte, in byte order."""
+    total = np.take(tables[0], indices[0])
+    for table, index in zip(tables[1:], indices[1:]):
+        total += np.take(table, index)
+    return total
 
 
 @dataclass
@@ -119,11 +142,20 @@ class CoverLp:
     """Warm-startable exact covering LP.  Surplus column ids are -v (v a vertex).
 
     ``costs`` are integers over ``denominator``: column j costs
-    ``costs[j] / denominator``.
+    ``costs[j] / denominator``.  ``screen`` holds each ``costs[j] / denominator``
+    to within 2^-50 relative error, as floats.  Given a screen, any integer
+    sequence will do for ``costs``: it is read only at the columns the solver
+    prices exactly or puts in a basis.  Without one, the solver reads every
+    cost and divides it in floating point.
     """
 
     def __init__(
-        self, n: int, columns: np.ndarray | list[int], costs: list[int], denominator: int = 1
+        self,
+        n: int,
+        columns: np.ndarray | list[int],
+        costs: Sequence[int],
+        denominator: int = 1,
+        screen: np.ndarray | None = None,
     ):
         if len(columns) != len(costs):
             raise ValueError("columns and costs length mismatch")
@@ -131,33 +163,37 @@ class CoverLp:
             raise ValueError(f"cost denominator must be positive, got {denominator}")
         self.n = n
         self.columns = np.asarray(columns, dtype=np.int64 if n < 63 else object)
-        self.costs = list(costs)
+        self.costs = costs
         self.denominator = denominator
-        self._incidence = _incidence(n, self.columns)
+        if screen is None:  # numpy divides by a Python int only while it fits an int64
+            exact = np.asarray(costs)
+            screen = (exact if denominator < 2**63 else exact.astype(object)) / denominator
+        self._screen = np.asarray(screen, dtype=np.float64)
+        self._max_cost = float(np.abs(self._screen).max(initial=0.0))
+        self._bytes = _byte_indices(n, self.columns)
         # the first singleton column of each vertex
-        singles = np.flatnonzero(self._incidence.sum(axis=1) == 1)
-        vertex, first = np.unique(np.nonzero(self._incidence[singles])[1], return_index=True)
-        if len(vertex) != n:
-            missing = [v for v in range(1, n + 1) if v - 1 not in vertex]
+        cols, first = self.columns, {}
+        for j in np.flatnonzero((cols != 0) & ((cols & (cols - 1)) == 0)).tolist():
+            first.setdefault(int(cols[j]).bit_length() - 1, j)
+        missing = [v for v in range(1, n + 1) if v not in first]
+        if missing:
             raise VerificationError(f"column pool lacks singleton parts for {missing}")
-        self.basis = singles[first].tolist()
+        self.basis = [first[v] for v in range(1, n + 1)]
         self.det = 1  # D = det B
         self.adj = [[int(i == j) for j in range(n)] for i in range(n)]  # M = D B^-1
         self.x = [1] * n  # D x_B
-        self.y = [self.costs[j] for j in self.basis]  # C D y
+        self.y = [self._cost(j) for j in self.basis]  # C D y
         self.iterations = 0
-        self._costs_f = np.fromiter(
-            (c / denominator for c in self.costs), dtype=np.float64, count=len(self.costs)
-        )
-        self._max_cost = float(np.abs(self._costs_f).max()) if len(self.columns) else 0.0
 
     def add_column(self, column: int, cost: int) -> int:
         """Append a bitmask column costing ``cost / denominator``; the basis stays feasible."""
+        self.costs = [*self.costs, cost]  # a new list: the caller's sequence stays as it was
         self.columns = np.append(self.columns, column)
-        self.costs.append(cost)
+        self._bytes = [
+            np.append(b, new) for b, new in zip(self._bytes, _byte_indices(self.n, self.columns[-1:]))
+        ]
         cost_f = cost / self.denominator
-        self._incidence = np.vstack((self._incidence, _incidence(self.n, self.columns[-1:])))
-        self._costs_f = np.append(self._costs_f, cost_f)
+        self._screen = np.append(self._screen, cost_f)
         self._max_cost = max(self._max_cost, abs(cost_f))
         return len(self.columns) - 1
 
@@ -165,36 +201,34 @@ class CoverLp:
     def _priority(ident: int) -> int:
         return ident if ident >= 0 else _SURPLUS_BASE - ident
 
+    def _cost(self, j: int) -> int:
+        """c~_j as a Python int, whatever integer type the cost sequence holds."""
+        return int(self.costs[j])
+
     def _reduced(self, j: int) -> int:
         """C D times the exact reduced cost of part column j (``_entering`` prices surplus inline)."""
-        return self.costs[j] * self.det - sum(self.y[v - 1] for v in members(self.columns[j]))
+        return self._cost(j) * self.det - sum(self.y[v - 1] for v in members(self.columns[j]))
 
     def _entering(self) -> tuple[int, int] | None:
         """The entering column and its scaled reduced cost, or None at an optimum."""
         y = self.y
         scale = self.denominator * self.det
         y_f = np.array([v / scale for v in y], dtype=np.float64)
-        reduced_f = self._costs_f - self._incidence @ y_f
-        if self.iterations <= _BLAND_AFTER:
-            for j in _dantzig_candidates(reduced_f, max(8, self.n)).tolist():
-                rc = self._reduced(j)
-                if rc < 0:
-                    return j, rc
-            for v in range(self.n):
-                if y_f[v] < -_SCREEN_TOL and y[v] < 0:
-                    return -(v + 1), y[v]
-        # exact sweep, Bland order: certifies optimality when nothing is found.
-        # Columns whose float reduced cost exceeds the margin are provably
-        # positive, so only the rest are priced exactly.
+        reduced_f = self._screen - _dual_sums(_subset_sums(y_f), self._bytes)
+        # E of the module docstring: every float reduced cost is within E of its exact value
         margin = _SCREEN_TOL * (1.0 + self._max_cost + float(np.abs(y_f).sum()))
-        in_basis = set(self.basis)
-        for j in np.flatnonzero(reduced_f <= margin).tolist():
-            if j not in in_basis:
+        if self.iterations <= _BLAND_AFTER:  # Dantzig's rule, over the band that certifies it
+            band = np.flatnonzero(reduced_f <= min(float(reduced_f.min()) + 2 * margin, margin))
+            rc, j = min(((self._reduced(k), k) for k in band.tolist()), default=(0, -1))
+            if rc < 0:  # the least exact reduced cost, the lowest index among equals
+                return j, rc
+        else:  # Bland's rule: the lowest index with a negative exact reduced cost
+            for j in np.flatnonzero(reduced_f <= margin).tolist():
                 rc = self._reduced(j)
                 if rc < 0:
                     return j, rc
-        for v in range(self.n):
-            if -(v + 1) not in in_basis and y[v] < 0:
+        for v in range(self.n):  # a basic surplus column has y_v = 0
+            if y[v] < 0:
                 return -(v + 1), y[v]
         return None
 
@@ -243,7 +277,7 @@ class CoverLp:
                 col = members(self.columns[ident])
                 for v in col:
                     coverage[v - 1] += x[i]
-                ok = ok and sum(y[v - 1] for v in col) == self.costs[ident] * det
+                ok = ok and sum(y[v - 1] for v in col) == self._cost(ident) * det
             else:
                 coverage[-ident - 1] -= x[i]
                 ok = ok and y[-ident - 1] == 0
@@ -264,7 +298,7 @@ class CoverLp:
         for j, xj in zip(self.basis, self.x):
             if j >= 0 and xj > 0:
                 weights[j] = Fraction(xj, det)
-                total += self.costs[j] * xj
+                total += self._cost(j) * xj
         return CoverLpResult(
             objective=Fraction(total, scale),
             weights=weights,
@@ -274,6 +308,10 @@ class CoverLp:
 
 
 def solve_min_cover_lp(
-    n: int, columns: np.ndarray | list[int], costs: list[int], denominator: int = 1
+    n: int,
+    columns: np.ndarray | list[int],
+    costs: Sequence[int],
+    denominator: int = 1,
+    screen: np.ndarray | None = None,
 ) -> CoverLpResult:
-    return CoverLp(n, columns, costs, denominator).solve()
+    return CoverLp(n, columns, costs, denominator, screen).solve()

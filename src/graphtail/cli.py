@@ -29,7 +29,7 @@ from . import montecarlo as mcmod
 from .covers import LipschitzProfile, Strategy, lipschitz_profile
 from .errors import InputError, ScaleError, VerificationError
 from .graph import Graph, check_positive, check_profile_length, graph_from_json_dict, parse_edge_list
-from .graph import read_vertex_id, rooted_order
+from .graph import check_vertex, read_vertex_id, rooted_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -276,9 +276,9 @@ def load_joint_spec(path: str):
         )
         edge_latents = _latents_by_key(data.get("edge_latents", {}), _edge_key, "edge latent")
         rules = data.get("emit", {})
-        stray = set(rules) - {str(v) for v in g.vertices}
-        if stray:
-            raise InputError(f"emit rule for vertex {min(stray)!r}, which is not in the tree 1..{g.n}")
+        vertex_of = {str(v): v for v in g.vertices}
+        for key in sorted(rules):  # a key that is no vertex's decimal stays a string
+            check_vertex(vertex_of.get(key, key), g.n, "emit rule for vertex")
         emit = {}
         for v in g.vertices:
             rule = rules.get(str(v), {"kind": "xor"})
@@ -381,8 +381,7 @@ def _parse_t_grid(args) -> list[float]:
         except ValueError as exc:
             raise InputError(f"--t-grid needs 'start:stop:count', got {args.t_grid!r}") from exc
         check_positive(count, "--t-grid count")
-        if count > mcmod.THRESHOLD_CAP:
-            raise ScaleError(f"--t-grid asks for {count} thresholds; at most {mcmod.THRESHOLD_CAP}")
+        mcmod.check_threshold_count(count)  # before the grid is built
         if count == 1:
             return [start]
         step = (stop - start) / (count - 1)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .covers import LipschitzProfile, lipschitz_profile, uniform_profile
 from .errors import InputError, KindError, ScaleError
-from .graph import Graph, OrderedTree, check_profile_length, rooted_order
+from .graph import Graph, OrderedTree, check_profile_length, check_vertex, rooted_order
 
 MAX_COORDINATES = 8
 MAX_ALPHABET = 6
@@ -190,8 +190,7 @@ def latent_tree_spec(
     prof = profile if profile is not None else uniform_profile(g.n)
     tree = rooted_order(g, prof.values)  # KindError unless g is a single tree
     for v in vertex_latents:
-        if v not in g.vertices:
-            raise InputError(f"vertex latent for vertex {v}, which is not in the tree 1..{g.n}")
+        check_vertex(v, g.n, "vertex latent for vertex")
     try:
         vl = {v: finite_dist(vertex_latents[v]) for v in g.vertices}
     except KeyError as exc:

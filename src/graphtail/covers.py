@@ -291,6 +291,23 @@ def _sqrt_numerator(radicand: int, scale: int, bits: int) -> int:
     return isqrt((num * den) << (2 * bits)) * unit
 
 
+class _RootsOnDemand(Sequence[int]):
+    """Column j's cost ``_sqrt_numerator(radicands[j], scale, bits)``, rooted when first read.
+
+    Columns that share a radicand share one root.
+    """
+
+    def __init__(self, radicands: np.ndarray, scale: int, bits: int):
+        self._radicands = radicands
+        self._root = functools.cache(lambda radicand: _sqrt_numerator(radicand, scale, bits))
+
+    def __len__(self) -> int:
+        return len(self._radicands)
+
+    def __getitem__(self, j: int) -> int:
+        return self._root(int(self._radicands[j]))
+
+
 def _rational_sqrt(x: Fraction) -> Fraction | None:
     """sqrt(x) for x >= 0 when it is rational, else None."""
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
@@ -396,7 +413,7 @@ def _trim_to_exact_cover(
 
 
 def _solve_unit_cover(g: Graph, kind: CoverKind, columns: np.ndarray) -> CoverSolution:
-    res = solve_min_cover_lp(g.n, columns, [1] * len(columns))
+    res = solve_min_cover_lp(g.n, columns, np.ones(len(columns), dtype=np.int64))
     cover = _trim_to_exact_cover(g, kind, columns, res.weights)
     objective = cover.total_weight
     if objective != res.objective:
@@ -675,11 +692,13 @@ def _optimize_decomposable(
         denom, scaled = _profile_scale(profile)
         columns, radicands = _walk_induced_forests(g, scaled)
         square_scale = denom * denom
-        # columns share radicands (about half are repeats at n = 16): one root each
+        # the LP screens on float roots and reads exact ones only where it
+        # prices exactly or builds a basis: about 100 of 25 000 columns at n = 16
         distinct, inverse = np.unique(radicands, return_inverse=True)
-        roots = [_sqrt_numerator(r, square_scale, SQRT_BITS) for r in distinct.tolist()]
-        costs = np.array(roots, dtype=object)[inverse].tolist()
-        res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS)
+        # Python ints divide correctly rounded at any scale, int64 radicands or not
+        screen = np.sqrt(np.array([r / square_scale for r in distinct.tolist()]))[inverse]
+        costs = _RootsOnDemand(radicands, square_scale, SQRT_BITS)
+        res = solve_min_cover_lp(g.n, columns, costs, square_scale << SQRT_BITS, screen)
         cover = _trim_to_exact_cover(g, CoverKind.FOREST, columns, res.weights)
         solution = _package_d_solution(
             g, cover, profile, Strategy.ENUMERATED_LP, Optimality.EXACT

@@ -44,6 +44,12 @@ def check_profile_length(length: int, n: int) -> None:
         raise InputError(f"profile has {length} coefficients for {n} vertices")
 
 
+def check_vertex(label, n: int, what: str) -> None:
+    """The one rule for a vertex label: ``InputError`` unless it lies in 1..n."""
+    if label not in range(1, n + 1):
+        raise InputError(f"{what} {label!r} is outside the vertices 1..{n}")
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Normalize an edge list into a Graph (deduplicated, unordered pairs).
 
@@ -59,8 +65,8 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         u, v = pair
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) is not allowed")
-        if not (1 <= u <= n) or not (1 <= v <= n):
-            raise InputError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+        for end in (u, v):
+            check_vertex(end, n, f"edge ({u}, {v}) endpoint")
         canon.add((u, v) if u < v else (v, u))
     ordered = tuple(sorted(canon))
     adj = [set() for _ in range(n)]

@@ -44,7 +44,8 @@ from . import coupling as couplingmod
 from .bounds import DECOMPOSABLE, FOREST, JANSON, M_DEPENDENT, M_DEPENDENT_PAULIN
 from .covers import LipschitzProfile, lipschitz_profile
 from .errors import InputError, ScaleError
-from .graph import MAX_VERTICES, Graph, build_graph, check_positive, m_dependence_graph, read_vertex_id
+from .graph import MAX_VERTICES, Graph, build_graph, check_positive, check_vertex, m_dependence_graph
+from .graph import read_vertex_id
 from .graph import classify  # noqa: F401  (perfbench/tracer.py patches montecarlo.classify)
 
 CHUNK = 1 << 16
@@ -198,8 +199,7 @@ def latent_graph_spec(
         if not sc:
             raise InputError("latent scope is empty")
         for v in sc:
-            if not (1 <= v <= g.n):
-                raise InputError(f"latent scope vertex {v} outside 1..{g.n}")
+            check_vertex(v, g.n, "latent scope vertex")
         for ai in range(len(sc)):
             for bi in range(ai + 1, len(sc)):
                 if sc[bi] not in g.neighbors(sc[ai]):
@@ -211,9 +211,8 @@ def latent_graph_spec(
     if isinstance(emit, str):
         rules = [EmitRule(kind=emit) for _ in range(g.n)]
     else:
-        stray = [v for v in emit if v not in g.vertices]
-        if stray:
-            raise InputError(f"emit rule for vertex {stray[0]!r} outside 1..{g.n}")
+        for v in emit:
+            check_vertex(v, g.n, "emit rule for vertex")
         rules = [emit.get(v, EmitRule()) for v in g.vertices]
     return _sampler_spec(g.n, g, lat, rules, None)
 
@@ -571,10 +570,15 @@ def _split(dists: tuple) -> tuple[list[Uniform], list[list[tuple[Fraction, Fract
     return uniforms, laws
 
 
+def check_threshold_count(count: int) -> None:
+    """The one cap on a run's thresholds: ``ScaleError`` past ``THRESHOLD_CAP``."""
+    if count > THRESHOLD_CAP:
+        raise ScaleError(f"{count} thresholds asked for; at most {THRESHOLD_CAP} per run")
+
+
 def _check_run(t_grid: Sequence[float], seed: int, n_samples: int, workers: int) -> list[float]:
     """The thresholds as floats, once every input of a sampling run is in range."""
-    if len(t_grid) > THRESHOLD_CAP:
-        raise ScaleError(f"{len(t_grid)} thresholds given; at most {THRESHOLD_CAP} per run")
+    check_threshold_count(len(t_grid))
     t_grid = [boundsmod.check_threshold(t, allow_zero=True) for t in t_grid]
     check_positive(n_samples, "sample count")
     check_positive(workers, "worker count")

@@ -11,6 +11,16 @@ in-process and prints one line per job: ``workload seed job exit
 sha256(stdout)``.  Two versions whose outputs are byte-identical print the
 same lines, so one ``diff`` of two runs checks that claim.  Pytest does not
 collect this file.
+
+To check that outputs do not depend on the BLAS kernel OpenBLAS picks for
+the host, diff a run under a forced kernel against a default one:
+
+    PYTHONPATH=src python tests/job_digests.py cover-lp > default.txt
+    OPENBLAS_CORETYPE=Prescott PYTHONPATH=src python tests/job_digests.py cover-lp > prescott.txt
+    diff default.txt prescott.txt
+
+``tests/test_cli.py::TestByteIdenticalReports::test_lp_witness_does_not_depend_on_the_blas_kernel``
+runs the same check on one ``covers chi-f`` job.
 """
 
 import contextlib

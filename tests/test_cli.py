@@ -648,13 +648,13 @@ class TestExitCodes:
         "spec, message",
         [
             ({**_P2XOR, "vertex_latents": {**_P2XOR["vertex_latents"], "3": _FAIR_BIT}},
-             "vertex latent for vertex 3, which is not in the tree 1..2"),
+             "vertex latent for vertex 3 is outside the vertices 1..2"),
             ({**_P3XOR, "edge_latents": {**_P3XOR["edge_latents"], "1-3": _FAIR_BIT}},
              "edge latent for 1-3, which is not an edge of the tree"),
             ({**_P2XOR, "edge_latents": {**_P2XOR["edge_latents"], "2-1": _FAIR_BIT}},
              "edge latent for 2-1 repeats edge 1-2"),
             ({**_P2XOR, "emit": {**_P2XOR["emit"], "3": {"kind": "sum"}}},
-             "emit rule for vertex '3', which is not in the tree 1..2"),
+             "emit rule for vertex '3' is outside the vertices 1..2"),
             # keys that read as one: the later latent replaced the earlier
             ({**_P2XOR, "vertex_latents": {**_P2XOR["vertex_latents"], "01": _FAIR_BIT}},
              "vertex latent keys '1' and '01' read as one key"),
@@ -975,11 +975,15 @@ class TestNonFiniteAndEmptyInputs:
     @pytest.mark.parametrize("validate", [[], ["--validate"]])
     def test_too_many_thresholds_exit_2_before_any_is_built(self, blockfactor_file, validate, capsys):
         base = ["simulate", "--spec", blockfactor_file, "--seed", "1", "--n", "8"] + validate
+        # a grid of 10^12 thresholds is refused from its count, never built
         assert cli.run(base + ["--t-grid", "0:1:1000000000000"]) == 2
         assert cli.run(base + ["--t", ",".join(["1"] * 10_001)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("scale error: ") == 2
+        assert captured.err == (
+            "scale error: 1000000000000 thresholds asked for; at most 10000 per run\n"
+            "scale error: 10001 thresholds asked for; at most 10000 per run\n"
+        )
         assert cli.run(base + ["--t-grid", "0:1:10000"]) == 0
 
 
@@ -1334,6 +1338,23 @@ class TestRefusalsWithOneMessage:
         path.write_text(json.dumps(spec))
         self._refused([*_SIMULATE, str(path)], "latent scope is empty", capsys)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda spec: spec["graph"]["edges"].append([1, 3]),
+             "edge (1, 3) endpoint 3 is outside the vertices 1..2"),
+            (lambda spec: spec["latents"][1].update(scope=[3]),
+             "latent scope vertex 3 is outside the vertices 1..2"),
+        ],
+        ids=["edge-endpoint", "latent-scope"],
+    )
+    def test_a_vertex_label_outside_the_graph(self, mutate, message, tmp_path, capsys):
+        spec = copy.deepcopy(_LATENT2)
+        mutate(spec)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        self._refused([*_SIMULATE, str(path)], message, capsys)
+
     def test_an_identity_emit_on_a_vertex_reading_two_latents(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**_LATENT2, "emit": "identity"}))
@@ -1347,3 +1368,24 @@ class TestByteIdenticalReports:
         assert cli.run(args + ["--out", out1]) == 0
         assert cli.run(args + ["--out", out2]) == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+    def test_lp_witness_does_not_depend_on_the_blas_kernel(self):
+        """``covers chi-f`` prints the same bytes under OpenBLAS's Prescott kernel as by default.
+
+        The graph is the first 16-vertex graph of the cover-lp benchmark at
+        seed 1, where ranking columns by a BLAS product once let the kernel
+        pick among tied columns.  Where the variable is ignored, both runs use
+        one kernel and the test passes trivially.
+        """
+        graph = Path(__file__).resolve().parent / "data" / "g16_0.json"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+        outputs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphtail.cli", "covers", "chi-f", "--graph", str(graph)],
+                capture_output=True, timeout=120, env={**env, **extra},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

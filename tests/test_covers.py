@@ -289,7 +289,7 @@ class TestForestWalker:
         )
         assert len(calls) < len(enumerate_induced_forests(g)) / 10
 
-    def test_enumerated_lp_takes_one_root_per_distinct_radicand(self, monkeypatch):
+    def test_enumerated_lp_roots_only_the_radicands_it_prices(self, monkeypatch):
         g = random_graph(13, 0.3, random.Random(5))
         profile = random_profile(13, random.Random(6))
         denom, scaled = covers._profile_scale(profile)
@@ -308,9 +308,23 @@ class TestForestWalker:
 
         monkeypatch.setattr(covers, "_sqrt_numerator", counting)
         sol = optimize_decomposable_denominator(g, profile, strategy=Strategy.ENUMERATED_LP)
-        assert len(set(radicands.tolist())) < len(radicands)
-        assert sorted(calls) == sorted(set(radicands.tolist()))
+        distinct = set(radicands.tolist())
+        assert len(distinct) < len(radicands)
+        assert len(set(calls)) == len(calls)  # no radicand rooted twice
+        assert 0 < len(calls) < 0.05 * len(distinct)
         assert sol.cover == expected
+
+    @pytest.mark.parametrize("exponent", [10, 160])
+    def test_a_profile_scale_past_int64_still_screens(self, exponent):
+        """L^2 = 10^20 (past int64, over int64 radicands) or 10^320 (past float max) still screens."""
+        g = cycle_graph(5)
+        tiny = Fraction(1, 10**exponent)
+        profile = lipschitz_profile([tiny, 2 * tiny, tiny, 3 * tiny, tiny])
+        assert covers._profile_scale(profile)[0] ** 2 > 2**63
+        sol = optimize_decomposable_denominator(g, profile, strategy=Strategy.ENUMERATED_LP)
+        scaled = lipschitz_profile([v * 10**exponent for v in profile.values])
+        ref = optimize_decomposable_denominator(g, scaled, strategy=Strategy.ENUMERATED_LP)
+        assert sol.cover == ref.cover
 
 
 class TestValidateCover:

@@ -167,8 +167,14 @@ class TestSpecs:
         with pytest.raises(InputError, match="not a finite number"):
             discrete(values, [F(1, 2), F(1, 2)])
 
+    def test_too_many_thresholds_are_refused_before_sampling(self):
+        spec = block_factor_spec(3, 2, bernoulli(F(1, 2)))
+        with pytest.raises(ScaleError) as exc:
+            estimate_tails(spec, [1.0] * 10_001, seed=1, n_samples=8)
+        assert str(exc.value) == "10001 thresholds asked for; at most 10000 per run"
+
     def test_emit_rule_for_a_missing_vertex_is_refused(self):
-        with pytest.raises(InputError, match="vertex 3 outside 1..2"):
+        with pytest.raises(InputError, match="emit rule for vertex 3 is outside the vertices 1..2"):
             latent_graph_spec(build_graph(2, []), [((1,), uniform(0, 1)), ((2,), uniform(0, 1))],
                               emit={3: EmitRule()})
 

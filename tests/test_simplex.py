@@ -96,6 +96,28 @@ class TestWarmStart:
         assert second.objective == first.objective == 3
 
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_add_column_to_a_cost_array(self, dtype):
+        """The costs become a list, and the warm solve matches a cold one."""
+        masks = encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})])
+        lp = CoverLp(2, masks[:2], np.array([2, 2], dtype=dtype))
+        assert lp.solve().objective == 4
+        lp.add_column(masks[2], 3)
+        assert lp.costs == [2, 2, 3]
+        warm, cold = lp.solve(), CoverLp(2, masks, [2, 2, 3]).solve()
+        assert (warm.objective, warm.weights, warm.duals) == (cold.objective, cold.weights, cold.duals)
+        assert warm.objective == 3
+
+    def test_add_column_leaves_the_callers_costs_alone(self):
+        masks = encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})])
+        for screen in (None, np.array([2.0, 2.0])):
+            costs = [2, 2]
+            lp = CoverLp(2, masks[:2], costs, 1, screen)
+            lp.add_column(masks[2], 3)
+            assert costs == [2, 2]
+            assert lp.costs == [2, 2, 3]
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize(
         "args, message",
@@ -122,9 +144,9 @@ class ReferenceLp:
 
     A standalone copy of the Fraction simplex that ``CoverLp`` replaced: B^-1,
     x_B and the costs are Fractions, duals are rebuilt from scratch each
-    iteration, Dantzig candidates come from a full stable argsort, and the
-    Bland sweep prices every column exactly.  It shares only the pricing
-    constants with ``CoverLp``.
+    iteration, and pricing is exact over every column, with no float screen:
+    Dantzig's rule takes the least reduced cost and Bland's the lowest index
+    with a negative one.  It shares only ``_BLAND_AFTER`` with ``CoverLp``.
     """
 
     SURPLUS_BASE = 10**9
@@ -164,28 +186,19 @@ class ReferenceLp:
         return y[-ident - 1]
 
     def _entering(self, y):
+        parts = range(len(self.columns))
         if self.iterations <= simplexmod._BLAND_AFTER:
-            incidence = np.zeros((len(self.columns), self.n))
-            for j, col in enumerate(self.columns):
-                for v in col:
-                    incidence[j, v - 1] = 1.0
-            y_f = np.array([float(v) for v in y], dtype=np.float64)
-            reduced_f = np.array([float(c) for c in self.costs]) - incidence @ y_f
-            order = np.argsort(reduced_f, kind="stable")
-            for j in order[: max(8, self.n)]:
-                if reduced_f[j] >= -simplexmod._SCREEN_TOL:
-                    break
-                if self._exact_reduced(int(j), y) < 0:
-                    return int(j)
-            for v in range(self.n):
-                if y_f[v] < -simplexmod._SCREEN_TOL and y[v] < 0:
-                    return -(v + 1)
-        in_basis = set(self.basis)
-        for ident in list(range(len(self.columns))) + [-(v + 1) for v in range(self.n)]:
-            if ident in in_basis:
-                continue
-            if self._exact_reduced(ident, y) < 0:
-                return ident
+            # Dantzig: the least exact reduced cost, lowest index among equals
+            best = min(parts, key=lambda j: (self._exact_reduced(j, y), j))
+            if self._exact_reduced(best, y) < 0:
+                return best
+        else:
+            for j in parts:
+                if j not in self.basis and self._exact_reduced(j, y) < 0:
+                    return j
+        for v in range(self.n):
+            if -(v + 1) not in self.basis and y[v] < 0:
+                return -(v + 1)
         return None
 
     def _col_vec(self, ident):
@@ -353,36 +366,35 @@ def near_tie_pools(draw):
     return n, columns, costs
 
 
-class TestDantzigCandidates:
-    def test_first_k_of_stable_argsort(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            size, k = int(rng.integers(1, 60)), int(rng.integers(1, 12))
-            # few distinct values, so ties are common; some sit at or above -tol
-            reduced = rng.integers(-6, 2, size).astype(np.float64) * rng.choice((1.0, 1e-9, 1e-10))
-            expected = []
-            for j in np.argsort(reduced, kind="stable")[:k]:
-                if reduced[j] >= -simplexmod._SCREEN_TOL:
-                    break
-                expected.append(int(j))
-            assert simplexmod._dantzig_candidates(reduced, k).tolist() == expected
+class TestDualSums:
+    @pytest.mark.parametrize("n", [1, 8, 9, 25, 64])
+    def test_byte_tables_match_a_fraction_loop(self, n):
+        """Float sums stay within the pricing error bound of the exact ones.
+
+        n = 25 is the enumeration's vertex limit; n = 64 has masks past an int64.
+        """
+        rng = random.Random(n)
+        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(2000)]
+        masks = encoded(columns)
+        assert decoded(masks) == columns
+        indices = simplexmod._byte_indices(n, masks)
+        y = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+        exact = [sum((y[v - 1] for v in col), F(0)) for col in columns]
+        tables = simplexmod._subset_sums(np.array([float(v) for v in y]))
+        bound = (n + 1) * 2.0**-53 * float(sum(abs(v) for v in y))
+        for got, want in zip(simplexmod._dual_sums(tables, indices).tolist(), exact):
+            assert abs(F(got) - want) <= bound
 
 
 class TestFloatView:
-    def test_incidence_matches_the_loop(self):
-        rng = random.Random(11)
-        n = 25  # the enumeration's vertex limit: every bit a mask can carry
-        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(8197)]
-        expected = np.zeros((len(columns), n))
-        for j, col in enumerate(columns):
-            for v in col:
-                expected[j, v - 1] = 1.0
-        assert np.array_equal(simplexmod._incidence(n, encoded(columns)), expected)
-        assert decoded(encoded(columns)) == columns
-
     def test_start_basis_takes_the_first_singleton_of_each_vertex(self):
         columns = [{1, 2}, {2}, {3}, {1}, {2}, {1}]
         assert CoverLp(3, encoded(columns), [1] * 6).basis == [3, 1, 2]
+
+    def test_the_default_screen_divides_by_a_denominator_past_int64(self):
+        lp = CoverLp(2, [0b010, 0b100], np.array([3, 5], dtype=np.int64), 10**20)
+        assert lp._screen.tolist() == [3 / 10**20, 5 / 10**20]
+        assert lp.solve().objective == F(8, 10**20)
 
     def test_add_column_appends_what_a_fresh_build_has(self):
         rng = random.Random(12)
@@ -393,10 +405,13 @@ class TestFloatView:
         for col, num in zip(masks[n:], nums[n:]):
             grown.add_column(col, num)
         fresh = CoverLp(n, masks, nums, den)
-        assert np.array_equal(grown._incidence, fresh._incidence)
-        assert np.array_equal(grown._costs_f, fresh._costs_f)
-        assert grown._costs_f.tolist() == [float(c) for c in costs]
+        assert len(grown._bytes) == len(fresh._bytes) == 1
+        assert np.array_equal(grown._bytes[0], fresh._bytes[0])
+        assert grown._bytes[0].dtype == np.uint8
+        assert np.array_equal(grown._screen, fresh._screen)
+        assert grown._screen.tolist() == [float(c) for c in costs]
         assert grown._max_cost == fresh._max_cost
+        assert grown.costs == fresh.costs == nums
 
 
 class TestPivotPathOracle:
@@ -469,6 +484,49 @@ class TestPivotPathOracle:
             lp, ref = scaled_lp(n, columns, costs), ReferenceLp(n, columns, costs)
             self.assert_same(lp, ref, lp.solve(), ref.solve())
             self.check_warm_starts(repr(pool), n, columns, costs)
+
+
+class TestPricingIsExact:
+    """The entering column is a function of exact reduced costs, never of float rounding."""
+
+    @staticmethod
+    def solve_wobbled(n, columns, costs, seed):
+        """``CoverLp`` with its screen costs and float dual sums off by up to 2^-40 relative."""
+        rng = np.random.default_rng(seed)
+
+        def wobble(values):
+            return values * (1 + rng.uniform(-(2.0**-40), 2.0**-40, len(values)))
+
+        dual_sums = simplexmod._dual_sums
+
+        def wobbled_sums(tables, indices):
+            return wobble(dual_sums(tables, indices))
+
+        nums, den = over_common_denominator(costs)
+        with mock.patch.object(simplexmod, "_dual_sums", wobbled_sums):
+            lp = CoverLp(n, encoded(columns), nums, den, wobble(np.array([c / den for c in nums])))
+            return lp, lp.solve()
+
+    @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_screen_errors_keep_the_pivot_path(self, name, n, columns, costs, bland_after, monkeypatch):
+        monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
+        lp = scaled_lp(n, columns, costs)
+        expected = lp.solve()
+        for seed in range(3):
+            wobbled, res = self.solve_wobbled(n, columns, costs, seed)
+            assert wobbled.basis == lp.basis
+            assert res == expected  # weights, duals, objective and iterations
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pool=near_tie_pools(), seed=st.integers(0, 2**32 - 1))
+    def test_screen_errors_keep_the_path_on_near_ties(self, pool, seed):
+        n, columns, costs = pool
+        lp = scaled_lp(n, columns, costs)
+        expected = lp.solve()
+        wobbled, res = self.solve_wobbled(n, columns, costs, seed)
+        assert wobbled.basis == lp.basis
+        assert res == expected
 
 
 class InvariantCheckedLp(CoverLp):
