@@ -2,11 +2,12 @@
 
 Solves  min c'w  s.t.  Aw >= 1, w >= 0  where A is the 0/1 vertex-part
 incidence matrix.  Costs arrive as integers c~_j over one common denominator
-C, so c_j = c~_j / C, and every step of the solve works on Python integers;
+C, so c_j = c~_j / C, and every step of the solve is exact integer arithmetic,
+in int64 arrays while a checked bound holds and in Python integers past it;
 the optimum, the basic weights and the duals are exact for the given costs.
-Pricing is screened in floating point for speed, but the entering column is
-chosen, and optimality certified, by exact reduced costs, so the float pass
-can only cost time, never correctness.
+Pricing may be screened in floating point for speed, but the entering column
+is chosen, and optimality certified, by exact reduced costs, so the float
+pass can only cost time, never correctness.
 
 Integer representation.  For the basis B (its columns are parts a_j and
 surplus columns -e_v) the solver keeps D = det B > 0 and the integer matrix
@@ -30,12 +31,32 @@ keeps the numbers as small as a determinant rather than a product of pivots.
 ``//`` only rounds if that invariant breaks, so ``solve`` checks B x~ = D 1,
 x~ >= 0 and y~ B = D c~_B exactly before it returns.
 
+M and x~ are int64 arrays, and a pivot updates them whole, as
+(p M - d~ (x) M_r) // D with row r put back.  Before each pivot the solver
+reads t = max(max|M|, max x~) and checks 2 |F| t^2 < 2^63, F the entering
+part (|F| = 1 for a surplus column).  As p <= max|d~| <= |F| t, that bounds
+p max|M| + max|d~| max|M|, the same for x~, and d~'s own sums, before any of
+them is formed.  Once the check fails, M and x~ become object arrays of
+Python integers for the rest of the solve, through the same code.  The duals
+y~ stay Python integers.
+
 No test needs a division.  The ratio test compares x~_i / d~_i with
 x~_b / d~_b by comparing x~_i d~_b with x~_b d~_i (both d~ are positive), and
 column j's reduced cost c_j - y a_j has the sign of c~_j D - sum_{v in j} y~_v.
 
-Pricing.  Each iteration screens every column in floating point and then
-prices a band of them exactly.  With r_f the float reduced costs and
+Pricing.  When the solver has read every cost itself (the caller gave no
+screen), it prices every column exactly in int64 while max|c~| D and
+n max|y~| stay below 2^62, checked on each iteration's values: then
+|c~_j D - y~(F_j)| < 2^63.  The byte tables below, built from y~ as int64,
+give every y~(F) exactly.  Dantzig's rule enters the first column of least
+exact reduced cost (``argmin``), Bland's rule the first negative one, and the
+surplus columns follow as on the band route.  The unit-cost LPs (fractional
+chromatic number and vertex arboricity) take this route, and so does the
+column-generation master while its costs fit.
+
+Otherwise each iteration screens every column in floating point and then
+prices a band of them exactly, skipping basic columns, whose exact reduced
+cost is 0.  With r_f the float reduced costs and
 E = 1e-9 * (1 + max|c| + sum|y|), the band is the columns with
 r_f <= min(min r_f + 2E, E).  While Dantzig's rule runs, the band column of
 least exact reduced cost enters, the lowest index among equals; if none is
@@ -44,11 +65,16 @@ none, the basis is optimal.  A column outside the band has
 r_f > E or r_f > min r_f + 2E, so once the float error is below E its exact
 reduced cost is positive or above that of the band's float minimum: the band
 holds every column of least exact reduced cost, and it certifies optimality.
-Past ``_BLAND_AFTER`` iterations the lowest-index column in the band with a
+Past ``_BLAND_AFTER`` iterations the lowest-index column with r_f <= E and a
 negative exact reduced cost enters instead (Bland's rule), then the lowest
 surplus as before.  So the pivot path is a function of exact values only: the
 float screen decides how many columns are priced, never which one enters, and
-the witness is the same on every machine.
+the witness is the same on every machine.  The int64 route makes the same
+choice: the band holds every column of least exact reduced cost, so the
+band's lowest index among them is the ``argmin`` over all columns; and every
+column of negative exact reduced cost has r_f < E, so Bland's rule scans it
+on the band route too and finds the same first one.  Which route an
+iteration takes changes its cost, never its pivot.
 
 The float error stays far below E.  The screen holds each cost to within
 2^-50 relative (c~_j / C in floats, three roundings at most, when the caller
@@ -84,6 +110,8 @@ from .errors import VerificationError
 
 _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
+_INT64_PRICES = 2**62  # price in int64 while max|c~| D and n max|y~| stay below this
+_INT64_STATE = 2**63  # keep M and x~ in int64 while each pivot's products stay below this
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
 
@@ -146,7 +174,8 @@ class CoverLp:
     to within 2^-50 relative error, as floats.  Given a screen, any integer
     sequence will do for ``costs``: it is read only at the columns the solver
     prices exactly or puts in a basis.  Without one, the solver reads every
-    cost and divides it in floating point.
+    cost, divides it in floating point, and prices in int64 while the costs
+    and duals fit (see the module docstring).
     """
 
     def __init__(
@@ -165,8 +194,13 @@ class CoverLp:
         self.columns = np.asarray(columns, dtype=np.int64 if n < 63 else object)
         self.costs = costs
         self.denominator = denominator
-        if screen is None:  # numpy divides by a Python int only while it fits an int64
+        self._int_costs = None  # c~ as int64, when the solver reads every cost and they fit
+        if screen is None:
             exact = np.asarray(costs)
+            self._top_cost = int(np.abs(exact).max(initial=0))  # max|c~|
+            if self._top_cost < _INT64_PRICES:
+                self._int_costs = exact.astype(np.int64)
+            # numpy divides by a Python int only while it fits an int64
             screen = (exact if denominator < 2**63 else exact.astype(object)) / denominator
         self._screen = np.asarray(screen, dtype=np.float64)
         self._max_cost = float(np.abs(self._screen).max(initial=0.0))
@@ -179,9 +213,10 @@ class CoverLp:
         if missing:
             raise VerificationError(f"column pool lacks singleton parts for {missing}")
         self.basis = [first[v] for v in range(1, n + 1)]
+        self._parts: dict[int, list[int]] = {}  # column -> its vertices' rows, once read
         self.det = 1  # D = det B
-        self.adj = [[int(i == j) for j in range(n)] for i in range(n)]  # M = D B^-1
-        self.x = [1] * n  # D x_B
+        self.adj = np.eye(n, dtype=np.int64)  # M = D B^-1
+        self.x = np.ones(n, dtype=np.int64)  # D x_B
         self.y = [self._cost(j) for j in self.basis]  # C D y
         self.iterations = 0
 
@@ -195,6 +230,9 @@ class CoverLp:
         cost_f = cost / self.denominator
         self._screen = np.append(self._screen, cost_f)
         self._max_cost = max(self._max_cost, abs(cost_f))
+        if self._int_costs is not None:  # the int64 route ends for good once a cost outgrows it
+            self._top_cost = max(self._top_cost, abs(cost))
+            self._int_costs = np.append(self._int_costs, cost) if self._top_cost < _INT64_PRICES else None
         return len(self.columns) - 1
 
     @staticmethod
@@ -205,28 +243,58 @@ class CoverLp:
         """c~_j as a Python int, whatever integer type the cost sequence holds."""
         return int(self.costs[j])
 
+    def _part(self, j: int) -> list[int]:
+        """The rows v - 1 of part column j's vertices v, peeled from its mask the first time."""
+        part = self._parts.get(j)
+        if part is None:
+            part = self._parts[j] = [v - 1 for v in members(self.columns[j])]
+        return part
+
     def _reduced(self, j: int) -> int:
         """C D times the exact reduced cost of part column j (``_entering`` prices surplus inline)."""
-        return self._cost(j) * self.det - sum(self.y[v - 1] for v in members(self.columns[j]))
+        y = self.y
+        return self._cost(j) * self.det - sum(y[v] for v in self._part(j))
+
+    def _int64_reduced(self) -> np.ndarray | None:
+        """C D times every part column's exact reduced cost, in int64, or None if one may not fit."""
+        det, y = self.det, self.y
+        if (
+            self._int_costs is None
+            or self._top_cost * det >= _INT64_PRICES
+            or self.n * max(map(abs, y)) >= _INT64_PRICES
+        ):
+            return None
+        return self._int_costs * det - _dual_sums(_subset_sums(np.array(y, dtype=np.int64)), self._bytes)
 
     def _entering(self) -> tuple[int, int] | None:
         """The entering column and its scaled reduced cost, or None at an optimum."""
         y = self.y
-        scale = self.denominator * self.det
-        y_f = np.array([v / scale for v in y], dtype=np.float64)
-        reduced_f = self._screen - _dual_sums(_subset_sums(y_f), self._bytes)
-        # E of the module docstring: every float reduced cost is within E of its exact value
-        margin = _SCREEN_TOL * (1.0 + self._max_cost + float(np.abs(y_f).sum()))
-        if self.iterations <= _BLAND_AFTER:  # Dantzig's rule, over the band that certifies it
-            band = np.flatnonzero(reduced_f <= min(float(reduced_f.min()) + 2 * margin, margin))
-            rc, j = min(((self._reduced(k), k) for k in band.tolist()), default=(0, -1))
-            if rc < 0:  # the least exact reduced cost, the lowest index among equals
-                return j, rc
-        else:  # Bland's rule: the lowest index with a negative exact reduced cost
-            for j in np.flatnonzero(reduced_f <= margin).tolist():
-                rc = self._reduced(j)
-                if rc < 0:
+        reduced = self._int64_reduced()
+        if reduced is not None:  # every column priced exactly
+            # Dantzig: the least, the first index among equals; Bland: the first negative
+            j = int(reduced.argmin() if self.iterations <= _BLAND_AFTER else (reduced < 0).argmax())
+            if reduced[j] < 0:
+                return j, int(reduced[j])
+        else:
+            scale = self.denominator * self.det
+            y_f = np.array([v / scale for v in y], dtype=np.float64)
+            reduced_f = self._screen - _dual_sums(_subset_sums(y_f), self._bytes)
+            # E of the module docstring: every float reduced cost is within E of its exact value
+            margin = _SCREEN_TOL * (1.0 + self._max_cost + float(np.abs(y_f).sum()))
+            basic = set(self.basis)  # exact reduced cost 0: never enters
+            if self.iterations <= _BLAND_AFTER:  # Dantzig's rule, over the band that certifies it
+                band = np.flatnonzero(reduced_f <= min(float(reduced_f.min()) + 2 * margin, margin))
+                rc, j = min(
+                    ((self._reduced(k), k) for k in band.tolist() if k not in basic), default=(0, -1)
+                )
+                if rc < 0:  # the least exact reduced cost, the lowest index among equals
                     return j, rc
+            else:  # Bland's rule: the lowest index with a negative exact reduced cost
+                for j in np.flatnonzero(reduced_f <= margin).tolist():
+                    if j not in basic:
+                        rc = self._reduced(j)
+                        if rc < 0:
+                            return j, rc
         for v in range(self.n):  # a basic surplus column has y_v = 0
             if y[v] < 0:
                 return -(v + 1), y[v]
@@ -234,50 +302,48 @@ class CoverLp:
 
     def _pivot(self, entering: int, rc: int) -> None:
         """Bring in column ``entering``, of scaled reduced cost ``rc``, by the ratio test."""
-        adj, x, basis, det = self.adj, self.x, self.basis, self.det
-        if entering >= 0:
-            part = [v - 1 for v in members(self.columns[entering])]
-            d = [sum(row[v] for v in part) for row in adj]
-        else:
-            d = [-row[-entering - 1] for row in adj]
+        basis, det = self.basis, self.det
+        part = self._part(entering) if entering >= 0 else [-entering - 1]
+        if self.adj.dtype != object:  # Python ints for good once a product may leave int64
+            top = max(int(np.abs(self.adj).max()), int(self.x.max()))
+            if 2 * len(part) * top * top >= _INT64_STATE:
+                self.adj, self.x = self.adj.astype(object), self.x.astype(object)
+        adj, x = self.adj, self.x
+        d = adj[:, part].sum(axis=1) if entering >= 0 else -adj[:, part[0]]
+        dl, xl = d.tolist(), x.tolist()
         leave = -1
-        for i, di in enumerate(d):
+        for i, di in enumerate(dl):
             if di > 0:
                 if leave < 0:
                     leave = i
                     continue
-                lhs, rhs = x[i] * d[leave], x[leave] * di
+                lhs, rhs = xl[i] * dl[leave], xl[leave] * di
                 if lhs < rhs or (
                     lhs == rhs and self._priority(basis[i]) < self._priority(basis[leave])
                 ):
                     leave = i
         if leave < 0:
             raise VerificationError("covering LP reported unbounded; data is inconsistent")
-        p, prow, xr = d[leave], adj[leave], x[leave]
-        for i, di in enumerate(d):
-            if i == leave:
-                continue
-            if di:
-                adj[i] = [(p * a - di * b) // det for a, b in zip(adj[i], prow)]
-                x[i] = (p * x[i] - di * xr) // det
-            elif p != det:
-                adj[i] = [p * a // det for a in adj[i]]
-                x[i] = p * x[i] // det
-        self.y = [(p * yv + rc * b) // det for yv, b in zip(self.y, prow)]
+        p, prow = dl[leave], adj[leave]  # a row of the old M: the update makes a new one
+        self.adj = (p * adj - np.outer(d, prow)) // det
+        self.adj[leave] = prow
+        self.x = (p * x - d * xl[leave]) // det
+        self.x[leave] = xl[leave]
+        self.y = [(p * yv + rc * b) // det for yv, b in zip(self.y, prow.tolist())]
         self.det = p
         basis[leave] = entering
 
     def _check_basis(self) -> None:
         """B x~ = D 1 with x~ >= 0, and y~ B = D c~_B, exactly."""
-        det, x, y = self.det, self.x, self.y
+        det, x, y = self.det, self.x.tolist(), self.y
         coverage = [0] * self.n
         ok = det > 0 and all(xi >= 0 for xi in x)
         for i, ident in enumerate(self.basis):
             if ident >= 0:
-                col = members(self.columns[ident])
+                col = self._part(ident)
                 for v in col:
-                    coverage[v - 1] += x[i]
-                ok = ok and sum(y[v - 1] for v in col) == self._cost(ident) * det
+                    coverage[v] += x[i]
+                ok = ok and sum(y[v] for v in col) == self._cost(ident) * det
             else:
                 coverage[-ident - 1] -= x[i]
                 ok = ok and y[-ident - 1] == 0
@@ -295,7 +361,7 @@ class CoverLp:
         det, scale = self.det, self.denominator * self.det
         weights: dict[int, Fraction] = {}
         total = 0
-        for j, xj in zip(self.basis, self.x):
+        for j, xj in zip(self.basis, self.x.tolist()):
             if j >= 0 and xj > 0:
                 weights[j] = Fraction(xj, det)
                 total += self._cost(j) * xj

@@ -1,6 +1,9 @@
+import functools
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,12 @@ from hypothesis import strategies as st
 import graphtail._simplex as simplexmod
 from conftest import decoded, encoded, lp_cover_oracle, over_common_denominator, sqrt_fraction
 from graphtail._simplex import CoverLp, CoverLpResult, column_mask, solve_min_cover_lp
-from graphtail.covers import enumerate_induced_forests, lipschitz_profile, part_cost_radicand
+from graphtail.covers import (
+    enumerate_independent_sets,
+    enumerate_induced_forests,
+    lipschitz_profile,
+    part_cost_radicand,
+)
 from graphtail.errors import VerificationError
 from graphtail.graph import build_graph
 
@@ -412,6 +420,20 @@ class TestFloatView:
         assert grown._screen.tolist() == [float(c) for c in costs]
         assert grown._max_cost == fresh._max_cost
         assert grown.costs == fresh.costs == nums
+        assert grown._int_costs.dtype == np.int64
+        assert grown._int_costs.tolist() == fresh._int_costs.tolist() == nums
+
+    def test_a_cost_past_the_int64_bound_ends_the_int64_route(self, monkeypatch):
+        monkeypatch.setattr(simplexmod, "_INT64_PRICES", 4)
+        masks = encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})])
+        lp = CoverLp(2, masks[:2], [3, 3])
+        lp.add_column(masks[2], 4)
+        assert lp._int_costs is None
+        assert lp.solve() == CoverLp(2, masks, [3, 3, 4]).solve()
+
+    def test_costs_given_with_a_screen_are_never_priced_in_int64(self):
+        lp = CoverLp(2, [0b010, 0b100], [1, 1], 1, np.array([1.0, 1.0]))
+        assert lp._int_costs is None
 
 
 class TestPivotPathOracle:
@@ -497,15 +519,19 @@ class TestPricingIsExact:
         def wobble(values):
             return values * (1 + rng.uniform(-(2.0**-40), 2.0**-40, len(values)))
 
-        dual_sums = simplexmod._dual_sums
+        dual_sums, calls = simplexmod._dual_sums, []
 
         def wobbled_sums(tables, indices):
+            calls.append(1)
             return wobble(dual_sums(tables, indices))
 
         nums, den = over_common_denominator(costs)
         with mock.patch.object(simplexmod, "_dual_sums", wobbled_sums):
             lp = CoverLp(n, encoded(columns), nums, den, wobble(np.array([c / den for c in nums])))
-            return lp, lp.solve()
+            res = lp.solve()
+        # a caller's screen keeps the solve off the int64 route: every pass priced on the wobble
+        assert len(calls) == res.iterations
+        return lp, res
 
     @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
     @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
@@ -542,10 +568,11 @@ class InvariantCheckedLp(CoverLp):
         b = basis_matrix(self.n, self.basis, decoded(self.columns))
         det, inverse = det_and_inverse(b)
         assert self.det == det
-        assert self.adj == [[det * v for v in row] for row in inverse]
-        assert self.x == [sum(row) for row in self.adj]
+        adj = self.adj.tolist()
+        assert adj == [[det * v for v in row] for row in inverse]
+        assert self.x.tolist() == [sum(row) for row in adj]
         c_b = [self.costs[j] if j >= 0 else 0 for j in self.basis]
-        assert self.y == [sum(c * row[v] for c, row in zip(c_b, self.adj)) for v in range(self.n)]
+        assert self.y == [sum(c * row[v] for c, row in zip(c_b, adj)) for v in range(self.n)]
         InvariantCheckedLp.checked += 1
         return super()._entering()
 
@@ -570,3 +597,147 @@ class TestBareissInvariant:
             getattr(lp, field)[0] = value
         with pytest.raises(VerificationError, match="exact basis check"):
             lp.solve()
+
+
+def logged_routes(lp):
+    """Log each pricing pass of ``lp``: (priced in int64, M and x~ held as Python ints)."""
+    log, price = [], lp._int64_reduced
+
+    def logged():
+        reduced = price()
+        log.append((reduced is not None, lp.adj.dtype == object))
+        return reduced
+
+    lp._int64_reduced = logged
+    return log
+
+
+def g16_unit_lp(family):
+    """The unit-cost LP over ``family``'s columns of ``tests/data/g16_0.json``."""
+    data = json.loads((Path(__file__).resolve().parent / "data" / "g16_0.json").read_text())
+    g = build_graph(data["n"], [tuple(e) for e in data["edges"]])
+    columns = family(g)
+    return CoverLp(g.n, columns, np.ones(len(columns), dtype=np.int64))
+
+
+G16_FAMILIES = [enumerate_independent_sets, enumerate_induced_forests]
+# priced in int64, unlike POOLS' non-unit costs: small integers over a denominator up to 60,
+# and a column whose cost alone nears the int64 bound of c~ D
+INT64_POOLS = [(f"small-cost-{k}", *random_instance(random.Random(k), n=9, extra=40)) for k in range(3)]
+INT64_POOLS.append(("costly-column", 3, [{1}, {2}, {3}, {1, 2}, {1, 2, 3}], [1, 1, 1, 2**58, 2]))
+
+
+class TestInt64Route:
+    """Pricing in int64 and holding M, x~ in int64 leave the pivot path as it is."""
+
+    @staticmethod
+    def solve_logged(make_lp, prices=simplexmod._INT64_PRICES, state=simplexmod._INT64_STATE):
+        with mock.patch.object(simplexmod, "_INT64_PRICES", prices), \
+                mock.patch.object(simplexmod, "_INT64_STATE", state):
+            lp = make_lp()
+            log = logged_routes(lp)
+            return lp, lp.solve(), log
+
+    @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    def test_both_routes_pivot_alike_on_the_pools(self, name, n, columns, costs, bland_after, monkeypatch):
+        monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
+        lp, res, log = self.solve_logged(lambda: scaled_lp(n, columns, costs))
+        # only the unit pools have costs that fit; the others' roots and 2^-120 offsets do not
+        assert [int64 for int64, _ in log] == [name.startswith("unit")] * len(log)
+        screened, expected, screened_log = self.solve_logged(lambda: scaled_lp(n, columns, costs), prices=0)
+        assert not any(int64 for int64, _ in screened_log)
+        assert (res, lp.basis) == (expected, screened.basis)
+
+    @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
+    @pytest.mark.parametrize("family", G16_FAMILIES, ids=["chi-f", "arboricity"])
+    def test_both_routes_pivot_alike_on_g16(self, family, bland_after, monkeypatch):
+        monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
+        lp, res, log = self.solve_logged(lambda: g16_unit_lp(family))
+        assert all(int64 for int64, _ in log)
+        screened, expected, screened_log = self.solve_logged(lambda: g16_unit_lp(family), prices=0)
+        assert not any(int64 for int64, _ in screened_log)
+        assert (res, lp.basis) == (expected, screened.basis)
+
+    @pytest.mark.parametrize("shift", [20, 40, 60])
+    @pytest.mark.parametrize(
+        "make_lp",
+        [lambda p=p: scaled_lp(*p[1:]) for p in POOLS + INT64_POOLS]
+        + [lambda f=f: g16_unit_lp(f) for f in G16_FAMILIES],
+        ids=[p[0] for p in POOLS + INT64_POOLS] + ["g16-chi-f", "g16-arboricity"],
+    )
+    def test_a_scaled_state_past_int64_solves_alike(self, make_lp, shift):
+        """The guards at their real bounds.
+
+        Each pivot's update is homogeneous: from D, M, x~ and y~ all times
+        2^shift it reaches the usual next state times 2^shift, so the solve
+        takes the same path to the same result.  From 2^40 on, the pivot
+        products and the dual sums outgrow int64, and only the guards keep
+        them exact.
+        """
+        lp = make_lp()
+        expected = lp.solve()
+        scaled, s = make_lp(), 2**shift
+        scaled.det, scaled.adj, scaled.x = s, scaled.adj * s, scaled.x * s
+        scaled.y = [s * v for v in scaled.y]
+        assert (scaled.solve(), scaled.basis) == (expected, lp.basis)
+
+    @staticmethod
+    def mid_solve_bounds(solve):
+        """The least powers of two at which the pricing and the state guards trip mid-solve.
+
+        ``solve(prices, state)`` solves under those bounds and returns its
+        pricing log.  The pricing guard trips when a later pass leaves the
+        int64 route that the first pass took; the state guard, when M and x~
+        stay int64 through the first pivot and end as Python ints.
+        """
+        prices = state = None
+        for k in range(1, 63):
+            if prices is None:
+                log = solve(2**k, simplexmod._INT64_STATE)
+                prices = 2**k if log[0][0] and not all(int64 for int64, _ in log) else None
+            if state is None:
+                log = solve(simplexmod._INT64_PRICES, 2**k)
+                state = 2**k if not log[1][1] and log[-1][1] else None
+        assert prices is not None and state is not None, "no bound trips in the middle of the solve"
+        return prices, state
+
+    @pytest.mark.parametrize("family", G16_FAMILIES, ids=["chi-f", "arboricity"])
+    def test_guards_tripping_mid_solve_keep_the_result(self, family):
+        """Cold solves: the guards' fallbacks end where a Python-int solve does."""
+        make_lp = functools.partial(g16_unit_lp, family)
+        prices, state = self.mid_solve_bounds(lambda *bounds: self.solve_logged(make_lp, *bounds)[2])
+        lp, res, log = self.solve_logged(make_lp, prices, state)
+        assert log[0] == (True, False) and not log[1][1]
+        assert not log[-1][0] and log[-1][1]
+        reference, expected, reference_log = self.solve_logged(make_lp, prices=0, state=0)
+        assert not any(int64 for int64, _ in reference_log)
+        assert (res, lp.basis) == (expected, reference.basis)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])  # seed 3's state guard trips at the first pivot or never
+    def test_guards_tripping_in_warm_solves_keep_the_result(self, seed):
+        """Warm solves after ``add_column``: the cost array, screen and bytes stay in step."""
+        rng = random.Random(seed)
+        n, columns, costs = random_instance(rng, n=10, extra=60)
+        nums, den = over_common_denominator(costs)
+        masks = encoded(columns)
+
+        def warm_solve(prices, state, start=n + 20):
+            with mock.patch.object(simplexmod, "_INT64_PRICES", prices), \
+                    mock.patch.object(simplexmod, "_INT64_STATE", state):
+                lp = CoverLp(n, masks[:start], nums[:start], den)
+                log = logged_routes(lp)
+                lp.solve()
+                for mask, num in zip(masks[start:], nums[start:]):
+                    lp.add_column(mask, num)
+                assert len(lp._screen) == len(lp._bytes[0]) == len(columns)
+                assert lp._int_costs is None or lp._int_costs.tolist() == nums
+                return lp.solve(), lp.basis, log
+
+        prices, state = self.mid_solve_bounds(lambda *bounds: warm_solve(*bounds)[2])
+        *got, log = warm_solve(prices, state)
+        assert log[0] == (True, False) and not log[1][1]
+        assert not all(int64 for int64, _ in log) and log[-1][1]
+        *expected, reference_log = warm_solve(0, 0)
+        assert not any(int64 for int64, _ in reference_log)
+        assert got == expected
