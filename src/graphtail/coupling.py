@@ -9,9 +9,11 @@ beyond its caps rather than subsampling; its whole value is exactness.
 
 The table is int64 when 2·scale² < 2**63 and Python ints (``dtype=object``)
 otherwise; one code path serves both (``_table_dtype``).  Each check states
-the bound that keeps its int64 intermediates within 2·scale².  The one
-quantity that reaches scale³, a nonzero marginal gap of the coupling sweep,
-is computed in Python ints.  A value leaves an int64 table through ``int()``
+the bound that keeps its int64 intermediates within 2·scale², except the
+difference bound, whose moments and cross products carry f's range too and
+are checked against 2**63 from the values read.  The one quantity that
+reaches scale³, a nonzero marginal gap of the coupling sweep, is computed in
+Python ints.  A value leaves an int64 table through ``int()``
 or ``.tolist()``, so no numpy scalar enters a Fraction.
 
 Coordinate conventions: a joint's coordinates are the vertex labels 1..n of
@@ -38,6 +40,7 @@ from .graph import Graph, OrderedTree, check_profile_length, check_vertex, roote
 MAX_COORDINATES = 8
 MAX_ALPHABET = 6
 MAX_LATENT_CONFIGS = 10**6
+_CELL_CAP = 2**17  # the largest intermediate of one coupling-sweep call, in table cells
 
 _ZERO = Fraction(0)
 
@@ -68,10 +71,11 @@ class FiniteJoint:
         return MappingProxyType({x: Fraction(w, self.scale) for x, w in points if w})
 
 
-def _exact(p, where: tuple) -> Fraction:
+def _exact(p, where: tuple) -> int | Fraction:
+    """p itself, once it is an int or a Fraction: a probability must be exact."""
     if not isinstance(p, (int, Fraction)):
         raise InputError(f"probability {p!r} at {where!r} is not an int or Fraction")
-    return Fraction(p)
+    return p
 
 
 def _sorted_alphabets(spaces: Iterable[Iterable]) -> tuple[tuple, ...]:
@@ -119,30 +123,39 @@ def finite_joint(
     pmf: Mapping[tuple, object],
     dependency: Graph | None = None,
 ) -> FiniteJoint:
+    """The joint of an explicit pmf, read in one pass over its points.
+
+    One dict lookup per coordinate gives a value's membership and its share
+    of the point's flat table index; the scale is the lcm of the distinct
+    denominators, and the masses go into the table in one scatter.
+    """
     spaces_t = _capped(_sorted_alphabets(spaces))
     n = len(spaces_t)
-    index = [{v: k for k, v in enumerate(s)} for s in spaces_t]
-    points: list[tuple[tuple, Fraction]] = []
+    strides = [math.prod(map(len, spaces_t[k + 1 :])) for k in range(n)]
+    offsets = [{v: k * stride for k, v in enumerate(s)} for s, stride in zip(spaces_t, strides)]
+    flat, probs = [], []
     for x, p in pmf.items():
         if len(x) != n:
             raise InputError(f"assignment {x!r} has wrong arity")
-        for k, (xi, space) in enumerate(zip(x, spaces_t), start=1):
-            if xi not in space:
-                raise InputError(f"value {xi!r} of coordinate {k} outside its alphabet")
-        prob = _exact(p, x)
-        if prob < 0:
+        try:
+            at = sum(map(dict.__getitem__, offsets, x))
+        except KeyError:  # not a symbol of its alphabet
+            k, xi = next((k, xi) for k, (xi, s) in enumerate(zip(x, spaces_t), 1) if xi not in s)
+            raise InputError(f"value {xi!r} of coordinate {k} outside its alphabet") from None
+        if _exact(p, x) < 0:
             raise InputError(f"negative probability {p} at {x!r}")
-        if prob:
-            points.append((tuple(positions[xi] for xi, positions in zip(x, index)), prob))
-    scale = math.lcm(*(p.denominator for _, p in points))
-    masses = [p.numerator * (scale // p.denominator) for _, p in points]
+        if p:
+            flat.append(at)
+            probs.append(p)
+    scale = math.lcm(*{p.denominator for p in probs})
+    masses = [p.numerator * (scale // p.denominator) for p in probs]
     if sum(masses) != scale:  # the probabilities do not sum to 1
         raise InputError(f"probabilities sum to {Fraction(sum(masses), scale)}, need exactly 1")
     if dependency is not None:
         _check_vertex_count(dependency.n, n)
-    weights = np.zeros(tuple(map(len, spaces_t)), dtype=_table_dtype(scale))
-    for (idx, _), mass in zip(points, masses):
-        weights[idx] = mass
+    dtype = _table_dtype(scale)
+    weights = np.zeros(tuple(map(len, spaces_t)), dtype=dtype)
+    weights.flat[flat] = np.array(masses, dtype=dtype)
     return FiniteJoint(spaces=spaces_t, weights=weights, scale=scale, dependency=dependency)
 
 
@@ -169,7 +182,7 @@ def finite_dist(pairs: Iterable[tuple[object, object]]) -> tuple[tuple[object, F
     out = []
     total = _ZERO
     for v, p in pairs:
-        q = _exact(p, (v,))
+        q = Fraction(_exact(p, (v,)))
         if q < 0:
             raise InputError(f"negative latent probability {p}")
         if q:
@@ -426,10 +439,24 @@ def lipschitz_function(
 
 
 def coordinate_sum(spaces: Sequence[Sequence]) -> LipschitzFunction:
-    """f(x) = sum of coordinates, with the tight derived profile."""
-    # int and Fraction symbols add exactly as they are (ints fast), others become Fractions
-    exact = {v: v if isinstance(v, (int, Fraction)) else Fraction(v) for s in spaces for v in s}
-    return lipschitz_function(spaces, lambda x: sum(map(exact.__getitem__, x)))
+    """f(x) = sum of coordinates, with the tight derived profile.
+
+    The table is one broadcast sum of the alphabets over their common
+    denominator, reduced to lowest terms, and stays Python ints.  Coordinate
+    k moves f by at most its alphabet's max - min, and by exactly that.
+    """
+    spaces_t = _sorted_alphabets(spaces)
+    # int and Fraction symbols are exact as they are, others become Fractions
+    exact = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in s] for s in spaces_t]
+    den = math.lcm(*(v.denominator for s in exact for v in s))
+    scaled = [[v.numerator * (den // v.denominator) for v in s] for s in exact]
+    # every sum is the sum of the least symbols plus one offset from each
+    base = sum(s[0] for s in scaled)
+    g = math.gcd(den, base, *(v - s[0] for s in scaled for v in s))
+    offsets = (np.array([(v - s[0]) // g for v in s], dtype=object) for s in scaled)
+    table = functools.reduce(np.add.outer, offsets, np.array(base // g, dtype=object))
+    spreads = LipschitzProfile(tuple(Fraction(s[-1] - s[0], den) for s in scaled))
+    return LipschitzFunction(spaces_t, table, den // g, spreads)
 
 
 def _table_on(joint: FiniteJoint, f: LipschitzFunction) -> np.ndarray:
@@ -507,8 +534,8 @@ def _step_table(weights: np.ndarray, i: int, parent: int) -> np.ndarray:
     return t.reshape(-1, t.shape[i - 1], math.prod(t.shape[i:-1]), t.shape[-1])
 
 
-def _pair_laws(t: np.ndarray, rows, a: int, b: int) -> tuple:
-    """(A, B, WA, WB, hA, hB) of the value pair (a, b) at the given prefix rows."""
+def _pair_laws(t: np.ndarray, rows, a, b) -> tuple:
+    """(A, B, WA, WB, hA, hB) of the contexts (rows[k], a[k], b[k]), one per leading row."""
     lhs, rhs = t[rows, a], t[rows, b]
     w_lhs, w_rhs = lhs.sum(axis=-1), rhs.sum(axis=-1)
     return lhs, rhs, w_lhs, w_rhs, w_lhs.sum(axis=-1), w_rhs.sum(axis=-1)
@@ -527,7 +554,9 @@ def _maximal_couplings(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     left_p, left_q = p - shared, q - shared
     top_p, top_q = np.cumsum(left_p, axis=-1), np.cumsum(left_q, axis=-1)
     low = np.maximum((top_p - left_p)[..., :, None], (top_q - left_q)[..., None, :])
-    out = np.maximum(np.minimum(top_p[..., :, None], top_q[..., None, :]) - low, 0)
+    out = np.minimum(top_p[..., :, None], top_q[..., None, :])
+    out -= low
+    np.maximum(out, 0, out=out)
     diagonal = np.arange(p.shape[-1])
     out[..., diagonal, diagonal] += shared
     return out
@@ -677,17 +706,22 @@ def all_coupling_contexts(joint: FiniteJoint, tree: OrderedTree):
 
 
 def _context_batches(joint: FiniteJoint, tree: OrderedTree):
-    """Yield (i, step table, a, b, prefix rows) for the contexts sharing a step and value pair."""
+    """Yield (i, step table, a, b, prefix rows): a step's contexts as index arrays.
+
+    The contexts of ``all_coupling_contexts`` at step i go in row chunks whose
+    largest intermediate, rows x copied cells x parent alphabet², stays
+    within ``_CELL_CAP``; a context past the cap alone goes in a chunk of one.
+    """
     rl = relabel_joint(joint, tree)
     for i, group in itertools.groupby(all_coupling_contexts(joint, tree), key=lambda c: c[0]):
         rows = {prefix: r for r, prefix in enumerate(itertools.product(*rl.spaces[: i - 1]))}
         position = {v: k for k, v in enumerate(rl.spaces[i - 1])}
-        batch: dict[tuple[int, int], list[int]] = {}
-        for _, prefix, a, b in group:
-            batch.setdefault((position[a], position[b]), []).append(rows[prefix])
+        index = np.array([(rows[p], position[a], position[b]) for _, p, a, b in group])
         t = _step_table(rl.weights, i, tree.parent[i - 1])
-        for (a, b), pair_rows in batch.items():
-            yield i, t, a, b, pair_rows
+        size = max(1, _CELL_CAP // (t.shape[2] * t.shape[3] ** 2))
+        for start in range(0, len(index), size):
+            r, a, b = index[start : start + size].T
+            yield i, t, a, b, r
 
 
 def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fraction, Fraction]:
@@ -696,9 +730,9 @@ def verify_all_couplings(joint: FiniteJoint, tree: OrderedTree) -> tuple[Fractio
     Returns (the worst marginal deviation over every context of
     ``all_coupling_contexts``, the worst ``verify_independence_lemma`` gap
     over steps 1..n-1); both are 0 on a tree-dependent joint.  Checks
-    tree-dependence once (raising ``DependencyViolation``), then checks the
-    contexts sharing a step and value pair in array operations over all
-    their prefixes, the lemma from the laws their couplings are built from.
+    tree-dependence once (raising ``DependencyViolation``), then checks each
+    step's contexts in array operations, a few calls per step, the lemma
+    from the laws their couplings are built from.
     """
     _require_dependent(joint)
     coupling = independence = _ZERO
@@ -726,28 +760,74 @@ def verify_independence_lemma(joint: FiniteJoint, tree: OrderedTree, i: int) -> 
     return max(gaps, default=_ZERO)
 
 
-def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
-    """Yield (i, prefix positions, spread of E[f | prefix, x_i] over x_i) for i = 1..n.
+def _float_ratios(num, den) -> np.ndarray:
+    """num / den in floats, a screen only: exact comparisons settle what it picks."""
+    try:
+        return np.asarray(num / den, dtype=float)
+    except OverflowError:  # a ratio past the float range: the screen tells nothing
+        return np.zeros(np.shape(num))
 
-    ``table`` is f times ``scale`` on the axes of ``weights``.  Prefixes come
-    in lexicographic order; those with one positive value at i are skipped.
-    Each conditional mean is an integer pair (mass a, moment b) worth
-    b / (a scale), so the extremes are picked by cross-multiplying, in
-    Python ints: with scale S, a * b reaches S² times the table's range.
+
+def _largest(nums: list, dens: list) -> int:
+    """Position of the first largest nums[k] / dens[k] (every dens[k] > 0), compared exactly."""
+    best = 0
+    for k in range(1, len(nums)):
+        if nums[k] * dens[best] > nums[best] * dens[k]:
+            best = k
+    return best
+
+
+def _extremes(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row, the value of largest q / m and the value of least, among those with m > 0.
+
+    Returns picks[0] (the largest) and picks[1], the largest of -q / m.  Each
+    is picked by float argmax, then confirmed by cross-multiplying against
+    every value of its row (a zero mass has a zero moment, so it never
+    refutes a pick); a row where the float pick fails is picked exactly.
+    """
+    signed, positive, rows = np.stack([q, -q]), m != 0, np.arange(len(m))
+    mean = np.where(positive, _float_ratios(signed, np.where(positive, m, 1)), -np.inf)
+    picks = mean.argmax(axis=2)
+    q_pick, m_pick = signed[[[0], [1]], rows, picks], m[rows, picks]
+    for side, r in zip(*np.nonzero((q_pick[..., None] * m < signed * m_pick[..., None]).any(axis=2))):
+        values = np.flatnonzero(positive[r])
+        picks[side, r] = values[_largest(signed[side, r, values].tolist(), m[r, values].tolist())]
+    return picks
+
+
+def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
+    """Yield (i, rows, num, den) for i = 1..n: the spread of E[f | prefix, x_i] over x_i.
+
+    ``table`` is f times ``scale`` on the axes of ``weights``.  ``rows`` are
+    the flat positions, in lexicographic order, of the prefixes with two or
+    more positive values at i, and the spread at rows[k] is
+    num[k] / (den[k] * scale).  A conditional mean is an integer pair (mass
+    m, moment q) worth q / (m * scale), and each row's extremes come from
+    ``_extremes``.  With S the total weight and R the largest |table|
+    entry, the moments are int64 when S * R < 2**63; a step's cross products
+    are when twice its largest m * |q| is, and Python ints otherwise.
     """
     n = weights.ndim
-    mass, moment = [weights], [weights * table]  # entry j sums out the last j coordinates
+    table_range = max(abs(int(table.min())), abs(int(table.max())))
+    if weights.dtype == object or int(weights.sum()) * table_range >= 2**63:
+        moment = [weights.astype(object) * table]
+    else:
+        moment = [weights * table.astype(np.int64)]
+    mass = [weights]  # entry j sums out the last j coordinates
     for _ in range(n - 1):
         mass.append(mass[-1].sum(axis=-1))
         moment.append(moment[-1].sum(axis=-1))
-    by_mean = functools.cmp_to_key(lambda x, y: x[1] * y[0] - y[1] * x[0])
     for i in range(1, n + 1):
-        m, q = mass[n - i], moment[n - i]
-        for idx in np.ndindex(m.shape[:-1]):
-            pairs = [(a, b) for a, b in zip(m[idx].tolist(), q[idx].tolist()) if a]
-            if len(pairs) >= 2:
-                (a_hi, b_hi), (a_lo, b_lo) = max(pairs, key=by_mean), min(pairs, key=by_mean)
-                yield i, idx, Fraction(b_hi, a_hi * scale) - Fraction(b_lo, a_lo * scale)
+        m = mass[n - i].reshape(-1, weights.shape[i - 1])
+        q = moment[n - i].reshape(m.shape)
+        if q.dtype != object and 2 * int(m.max()) * int(abs(q).max()) >= 2**63:
+            m, q = m.astype(object), q.astype(object)
+        rows = np.flatnonzero(np.count_nonzero(m, axis=1) >= 2)
+        m, q = m[rows], q[rows]
+        k = np.arange(len(rows))
+        picks = _extremes(m, q)
+        (q_hi, q_lo), (m_hi, m_lo) = q[k, picks], m[k, picks]
+        yield i, rows, q_hi * m_lo - q_lo * m_hi, m_hi * m_lo
 
 
 def verify_difference_bound(
@@ -756,18 +836,23 @@ def verify_difference_bound(
     """Worst excess of conditional-expectation swings over c_i + c_{parent(i)}.
 
     Nonpositive means the one-substitution bound holds at every non-root
-    step, for every positive prefix and value pair.
+    step, for every positive prefix and value pair.  Each step's worst
+    prefix is picked by float, settled exactly among those within float
+    error of it; only its swing becomes a Fraction.
     """
     n = joint.n
     rl = relabel_joint(joint, tree)
     perm = [tree.original(k) - 1 for k in range(1, n + 1)]
     budgets = coupling_effective_profile(tree, f.profile)
     worst = None
-    for i, _, swing in _conditional_swings(rl.weights, _table_on(joint, f).transpose(perm), f.scale):
-        if i == n:  # the root step is not a substitution step
-            break
-        excess = swing - budgets[i - 1]
+    swings = _conditional_swings(rl.weights, _table_on(joint, f).transpose(perm), f.scale)
+    for i, _, num, den in itertools.islice(swings, n - 1):  # the root step n substitutes nothing
+        if not len(num):
+            continue
+        ratio = _float_ratios(num, den)  # swings are >= 0, each float a few ulps off
+        near = np.flatnonzero(ratio >= ratio.max() * (1 - 2.0**-40))
+        top = near[_largest(num[near].tolist(), den[near].tolist())]
+        excess = Fraction(int(num[top]), int(den[top]) * f.scale) - budgets[i - 1]
         if worst is None or excess > worst:
             worst = excess
     return worst if worst is not None else -max(f.profile.values, default=_ZERO)
-

@@ -98,10 +98,16 @@ def discrete(values: Sequence, probs: Sequence) -> Discrete:
     return Discrete(values=_latent_values(values), probs=tuple(pf))
 
 
+_FLOAT_MAX = int(float_info.max)
+
+
 def finite_number(v) -> bool:
     """An int, float or Fraction, not a bool, that a float holds: coordinates are floats."""
-    numeric = isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
-    return numeric and abs(v) <= float_info.max  # exact for ints, false for nan
+    if isinstance(v, (int, float)):
+        return not isinstance(v, bool) and abs(v) <= float_info.max  # exact for ints, false for nan
+    if isinstance(v, Fraction):  # as integers: no float conversion on each call
+        return abs(v.numerator) <= _FLOAT_MAX * v.denominator
+    return False
 
 
 def _latent_values(values: Sequence) -> tuple:

@@ -494,16 +494,6 @@ class TestVerifyDifferenceBound:
         assert verify_difference_bound(joint, tree, f) == 0
 
     def test_swings_match_the_per_value_fraction_form(self):
-        def per_value(weights, table, scale):
-            n = weights.ndim
-            for i in range(1, n + 1):
-                axes = tuple(range(i, n))
-                m, q = weights.sum(axis=axes), (weights * table).sum(axis=axes)
-                for idx in np.ndindex(m.shape[:-1]):
-                    means = [F(b, a * scale) for a, b in zip(m[idx], q[idx]) if a]
-                    if len(means) >= 2:
-                        yield i, idx, max(means) - min(means)
-
         rng = random.Random(699)
         checked = 0
         for _ in range(60):
@@ -511,10 +501,108 @@ class TestVerifyDifferenceBound:
             table = np.array([rng.randint(-9, 9) for _ in range(joint.weights.size)], dtype=object)
             table = table.reshape(joint.weights.shape)
             scale = rng.randint(1, 6)
-            got = list(_conditional_swings(joint.weights, table, scale))
-            assert got == list(per_value(joint.weights, table, scale))
+            got = list(swings_per_prefix(joint.weights, table, scale))
+            assert got == list(swings_per_value(joint.weights, table, scale))
             checked += len(got)
         assert checked > 500
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_exact_ties_with_different_masses(self, dtype):
+        # x_1 = 0 and 1 both have mean 1, from masses 2 and 6; x_1 = 2 has mean 5
+        weights = np.array([[1, 1], [3, 3], [1, 0]], dtype=dtype)
+        table = np.array([[0, 2], [0, 2], [5, 0]], dtype=object)
+        got = list(swings_per_prefix(weights, table, 1))
+        assert got == list(swings_per_value(weights, table, 1))
+        assert got[0] == (1, (), F(4))
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_means_closer_than_float_resolution(self, dtype):
+        # x_1 = 1 has mean 1 + 2**-30, the largest; x_1 = 0 has 1 + 1/(2**30 + 1),
+        # the same float, and comes first
+        m = 2**30
+        weights = np.array([[m, 1], [m - 1, 1], [1, 0]], dtype=dtype)
+        table = np.array([[1, 2], [1, 2], [0, 0]], dtype=object)
+        assert F(m + 2, m + 1) < F(m + 1, m) and float(F(m + 2, m + 1)) == float(F(m + 1, m))
+        got = list(swings_per_prefix(weights, table, 3))
+        assert got == list(swings_per_value(weights, table, 3))
+        assert got[0] == (1, (), F(m + 1, 3 * m))
+
+    @pytest.mark.parametrize("big", [2**28, 2**30])
+    def test_worst_prefix_is_settled_exactly(self, big):
+        """Two prefixes whose swings are one float: the later one is larger.
+
+        At 2**30 the scale is past 2**31 and the table Python ints."""
+        # step 2 swing at prefix x_1 = p: B / (A + B), from (A, B) at x_2 = 0
+        cells = {0: (big + 1, big + 2), 1: (big, big + 1)}
+        counts = {(p, 0, x3): cells[p][x3] for p in (0, 1) for x3 in (0, 1)}
+        counts.update({(p, 1, 0): 1 for p in (0, 1)})
+        total = sum(counts.values())
+        joint = finite_joint([(0, 1)] * 3, {x: F(c, total) for x, c in counts.items()})
+        assert (joint.scale >= 2**31) == (joint.weights.dtype == object)
+        tree = rooted_order(build_graph(3, [(1, 2), (2, 3)]), [1, 1, 0])
+        assert tree.order == (1, 2, 3)
+        f = lipschitz_function(joint.spaces, lambda x: x[2], profile=[1, 1, 1])
+        swings = [F(b, a + b) for a, b in cells.values()]
+        assert swings[0] < swings[1] and float(swings[0]) == float(swings[1])
+        expected = difference_bound_per_value(joint, tree, f)
+        assert verify_difference_bound(joint, tree, f) == expected == swings[1] - 2
+
+    def test_difference_bound_matches_the_per_value_form(self, toy_joints):
+        rng = random.Random(4111)
+        for joint, tree, _ in toy_joints:
+            table = {x: F(rng.randint(-4, 4), rng.randint(1, 3)) for x in itertools.product(*joint.spaces)}
+            for f in (coordinate_sum(joint.spaces), lipschitz_function(joint.spaces, table)):
+                for version in (joint, as_python_ints(joint)):
+                    got = verify_difference_bound(version, tree, f)
+                    assert got == difference_bound_per_value(joint, tree, f)
+                    assert_python_fractions(got)
+
+    @pytest.mark.parametrize("power", [62, 63])
+    def test_products_past_int64_take_python_ints(self, power):
+        # the total weight times the table's range passes 2**power: at 63 the
+        # moments leave int64, at 62 only the cross products of each step do
+        joint, spec = xor_pair_joint()
+        big = 2**power // joint.scale + 1
+        f = lipschitz_function(joint.spaces, lambda x: big * x[0] - x[1])
+        assert verify_difference_bound(joint, spec.tree, f) == difference_bound_per_value(
+            joint, spec.tree, f
+        )
+
+    def test_a_mean_past_the_float_range_is_settled_exactly(self):
+        # 2**1100 / 3 overflows a float, so the float screen tells nothing
+        weights = np.array([[1, 2], [3, 0], [0, 1]], dtype=object)
+        table = np.array([[2**1100, 0], [7, 0], [0, -(2**1100)]], dtype=object)
+        assert list(swings_per_prefix(weights, table, 5)) == list(swings_per_value(weights, table, 5))
+
+
+def swings_per_value(weights, table, scale):
+    """Oracle: (i, prefix positions, spread of E[f | prefix, x_i]) from one Fraction per value."""
+    n = weights.ndim
+    for i in range(1, n + 1):
+        axes = tuple(range(i, n))
+        m, q = weights.sum(axis=axes), (weights * table).sum(axis=axes)
+        for idx in np.ndindex(m.shape[:-1]):
+            means = [F(int(b), int(a) * scale) for a, b in zip(m[idx], q[idx]) if a]
+            if len(means) >= 2:
+                yield i, idx, max(means) - min(means)
+
+
+def swings_per_prefix(weights, table, scale):
+    """``_conditional_swings`` as (i, prefix positions, Fraction(num, den * scale)) per prefix."""
+    for i, rows, num, den in _conditional_swings(weights, table, scale):
+        prefixes = list(np.ndindex(weights.shape[: i - 1]))
+        for r, a, b in zip(rows.tolist(), num.tolist(), den.tolist()):
+            yield i, prefixes[r], F(a, b * scale)
+
+
+def difference_bound_per_value(joint, tree, f):
+    """Oracle for ``verify_difference_bound``: the worst excess over every per-value swing."""
+    n = joint.n
+    perm = [tree.original(k) - 1 for k in range(1, n + 1)]
+    budgets = coupling_effective_profile(tree, f.profile)
+    swings = swings_per_value(relabel_joint(joint, tree).weights, f.table.transpose(perm), f.scale)
+    excesses = [swing - budgets[i - 1] for i, _, swing in swings if i < n]
+    return max(excesses, default=-max(f.profile.values, default=F(0)))
 
 
 class TestVerifyIndependenceLemma:
@@ -627,6 +715,27 @@ class TestLipschitzValidation:
         with pytest.raises(InputError, match="coordinate 1"):
             lipschitz_function([[0, 1]], {(0,): F(0), (1,): F(5)}, lipschitz_profile([1]))
 
+    @pytest.mark.parametrize(
+        "spaces",
+        [
+            [[0, 1], [0, 2]],
+            [[-3, 5, 2], [7], [0, 1, 1, 4]],
+            [[F(1, 2), F(3, 2)], [F(1, 2)], [F(-1, 6), F(1, 3)]],
+            [[F(1, 3), 1, 0.5], [0.25, -2], [F(5, 4)]],
+            [[0.1, 0.2], [1e300, -1e300]],
+            [[True, False], [0, 3]],
+            [[2**70, -(2**70)], [F(1, 2**70)]],
+        ],
+    )
+    def test_coordinate_sum_is_the_sum_as_lipschitz_function_builds_it(self, spaces):
+        exact_sum = (lambda x: sum(map(F, x))) if any(isinstance(v, float) for s in spaces for v in s) else sum
+        f, g = coordinate_sum(spaces), lipschitz_function(spaces, exact_sum)
+        assert f.spaces == g.spaces and f.scale == g.scale and f.profile == g.profile
+        assert f.table.dtype == g.table.dtype == object and f.table.shape == g.table.shape
+        assert f.table.tolist() == g.table.tolist()
+        assert {type(v) for v in f.table.ravel()} == {int}
+        assert_python_fractions(f.profile.values)
+
     def test_one_coordinate_spread_is_a_python_int(self):
         # a numpy integer numerator made every comparison a numpy bool
         assert type(coordinate_sum([[0, 1]]).profile.values[0].numerator) is int
@@ -732,6 +841,24 @@ class TestScaleGuards:
     def test_value_outside_alphabet_rejected(self):
         with pytest.raises(InputError, match="outside"):
             finite_joint([[0, 1]], {(7,): F(1)})
+
+    @pytest.mark.parametrize(
+        "pmf, message",
+        [
+            ({(0, 0): F(1, 2), (0,): F(1, 2)}, "assignment (0,) has wrong arity"),
+            ({(0, 0): F(1, 2), (0, 7): F(1, 2)}, "value 7 of coordinate 2 outside its alphabet"),
+            ({(0, 0): F(1, 2), (0, 0.5): F(1, 2)}, "value 0.5 of coordinate 2 outside its alphabet"),
+            ({(7, 0): 0.5}, "value 7 of coordinate 1 outside its alphabet"),
+            ({(0, 0): 0.5, (1, 1): 0.5}, "probability 0.5 at (0, 0) is not an int or Fraction"),
+            ({(0, 0): F(3, 2), (1, 1): F(-1, 2)}, "negative probability -1/2 at (1, 1)"),
+            ({(0, 0): F(1, 3), (1, 1): 0}, "probabilities sum to 1/3, need exactly 1"),
+            ({}, "probabilities sum to 0, need exactly 1"),
+        ],
+    )
+    def test_each_refusal_names_the_first_bad_point(self, pmf, message):
+        with pytest.raises(InputError) as exc:
+            finite_joint([[0, 1], [0, 1]], pmf)
+        assert str(exc.value) == message
 
 
 def _fair_pair(dependency=True):
@@ -876,6 +1003,64 @@ class TestEndToEndOnToyJoints:
             assert float(exact_tail(joint, f, F(t))) <= tail_bound(den, t) + 1e-12
 
 
+def mod6_path_joint(n):
+    """Path of n coordinates, each (own uniform 6-symbol latent + its edge bits) mod 6."""
+    g = build_graph(n, [(v, v + 1) for v in range(1, n)])
+    spec = latent_tree_spec(
+        g,
+        vertex_latents={v: [(k, F(1, 6)) for k in range(6)] for v in g.vertices},
+        edge_latents={e: [(0, F(2, 3)), (1, F(1, 3))] for e in g.edges},
+        emit={v: (lambda xi, ev: (xi + sum(ev.values())) % 6) for v in g.vertices},
+    )
+    return build_tree_joint(spec), spec.tree
+
+
+class TestSweepBatches:
+    def test_no_call_passes_the_cell_cap_unless_one_context_does(self, monkeypatch):
+        joint, tree = mod6_path_joint(5)
+        expected = verify_all_couplings(joint, tree)
+        contexts = len(list(all_coupling_contexts(joint, tree)))
+        pair_laws = coupling_module._pair_laws
+        calls_at, shipped = {}, coupling_module._CELL_CAP
+        for cap in (shipped, 10**5, 5000, 1296, 1000):
+            calls = calls_at[cap] = []
+
+            def recorded(t, rows, a, b):
+                laws = pair_laws(t, rows, a, b)
+                calls.append((len(rows), laws[0][0].size * t.shape[3]))  # one context's largest
+                return laws
+
+            monkeypatch.setattr(coupling_module, "_CELL_CAP", cap)
+            monkeypatch.setattr(coupling_module, "_pair_laws", recorded)
+            assert verify_all_couplings(joint, tree) == expected
+            assert sum(rows for rows, _ in calls) == contexts
+            for rows, cells in calls:
+                assert rows * cells <= cap or (rows == 1 and cells > cap)
+            if cap < 7776:  # a step-1 context: 6**3 copied cells times 6**2
+                assert (1, 7776) in calls
+        # at the shipped cap each step of this joint is one call, and below it more
+        assert len(calls_at[shipped]) == joint.n - 1 < len(calls_at[10**5])
+
+    def test_an_unreachable_context_in_a_stacked_call_is_a_kind_error(self, monkeypatch):
+        # x_3 = 1 has mass under x_1 = 2 only: of the six step-1 contexts, just
+        # (2, 3) copies mass that its rhs cannot carry
+        points = [(x1, x2, x3) for x1 in range(4) for x2 in (0, 1) for x3 in (0, 1) if x3 == 0 or x1 == 2]
+        joint = finite_joint([range(4), (0, 1), (0, 1)], {x: F(1, len(points)) for x in points})
+        tree = rooted_order(build_graph(3, [(1, 2), (2, 3)]), [1, 1, 0])
+        monkeypatch.setattr(coupling_module, "_require_dependent", lambda joint: None)
+        sizes = []
+        pair_laws = coupling_module._pair_laws
+
+        def recorded(t, rows, a, b):
+            sizes.append(len(rows))
+            return pair_laws(t, rows, a, b)
+
+        monkeypatch.setattr(coupling_module, "_pair_laws", recorded)
+        with pytest.raises(KindError, match="coupling context unreachable"):
+            verify_all_couplings(joint, tree)
+        assert sizes == [6]
+
+
 def as_python_ints(joint):
     """The same joint on a ``dtype=object`` table of Python ints."""
     return dataclasses.replace(joint, weights=joint.weights.astype(object))
@@ -979,16 +1164,17 @@ class TestTableDtype:
                     assert _marginal_gap(pair, *laws) == 0
                     if pair.shape[2] == 1:
                         continue  # a one-value parent has nowhere to move mass
-                    # move one unit of coupled mass to another y, or another z
-                    r, k, y, z = map(int, rng.choice(np.argwhere(pair)))
-                    moved = pair.copy()
-                    moved[r, k, y, z] -= 1
-                    if rng.random() < 0.5:
-                        moved[r, k, (y + 1) % pair.shape[2], z] += 1
-                    else:
-                        moved[r, k, y, (z + 1) % pair.shape[3]] += 1
-                    gap = _marginal_gap(moved, *laws)
-                    assert gap == exact_marginal_gap(moved, *laws) > 0
-                    assert_python_fractions(gap)
-                    perturbed += 1
+                    # in each context, move one unit of coupled mass to another y, or another z
+                    for r in range(pair.shape[0]):
+                        k, y, z = map(int, rng.choice(np.argwhere(pair[r])))
+                        moved = pair.copy()
+                        moved[r, k, y, z] -= 1
+                        if rng.random() < 0.5:
+                            moved[r, k, (y + 1) % pair.shape[2], z] += 1
+                        else:
+                            moved[r, k, y, (z + 1) % pair.shape[3]] += 1
+                        gap = _marginal_gap(moved, *laws)
+                        assert gap == exact_marginal_gap(moved, *laws) > 0
+                        assert_python_fractions(gap)
+                        perturbed += 1
         assert perturbed > 50

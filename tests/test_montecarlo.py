@@ -167,6 +167,22 @@ class TestSpecs:
         with pytest.raises(InputError, match="not a finite number"):
             discrete(values, [F(1, 2), F(1, 2)])
 
+    def test_finite_number_keeps_its_truth_table(self):
+        def before(v):  # the rule as it read with a float comparison for Fractions
+            numeric = isinstance(v, (int, float, F)) and not isinstance(v, bool)
+            return numeric and abs(v) <= sys.float_info.max
+
+        top = int(sys.float_info.max)
+        values = [True, False, None, "1", 0, 1.5, float("nan"), float("inf"), float("-inf")]
+        values += [sign * top + step for sign in (1, -1) for step in (-1, 0, 1)]
+        values += [sign * sys.float_info.max for sign in (1, -1)]
+        for d in (2, 3, 10**400):
+            values += [sign * (F(top) + F(step, d)) for sign in (1, -1) for step in (-1, 0, 1)]
+            values += [F(top * d + 1, d + 1), F(1, d), F(-(top * d) - 1, d)]
+        for v in values:
+            assert mcmod.finite_number(v) is before(v), v
+        assert [mcmod.finite_number(v) for v in (F(top), F(top) + F(1, 10**400))] == [True, False]
+
     def test_too_many_thresholds_are_refused_before_sampling(self):
         spec = block_factor_spec(3, 2, bernoulli(F(1, 2)))
         with pytest.raises(ScaleError) as exc:
