@@ -13,7 +13,9 @@ tool as a test oracle.
 """
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import operator
 import os
@@ -21,6 +23,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import bounds as boundsmod
 from . import coupling as couplingmod
@@ -81,9 +85,17 @@ def _json(path: str, text: str | None = None):
 
 
 def _fraction_value(x) -> Fraction:
-    """``x`` read exactly, once a float can hold it: the engines also compute in floats."""
+    """``x`` read exactly, once a float can hold it: the engines also compute in floats.
+
+    A decimal "a/b" string, as the specs write most probabilities, is read as
+    two ints; anything else goes through ``Fraction``'s own parser.
+    """
+    num, slash, den = x.partition("/") if isinstance(x, str) else ("", "", "")
     try:
-        value = Fraction(str(x))
+        if slash and num.isdecimal() and den.isdecimal():
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(str(x))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {x!r} as an exact number") from exc
     if not mcmod.finite_number(value):
@@ -169,9 +181,8 @@ def _emit_rules(emit) -> str | dict[int, mcmod.EmitRule]:
     return rules
 
 
-def _emit_callable(kind: str, table, incident_edges: list):
+def _emit_callable(kind: str, table, incident_edges: list) -> "_Emit":
     """A vertex's emit: ``kind`` combines its latent, then its edges' in sorted edge order."""
-    edges = sorted(incident_edges)
     parsed = {}
     if kind == "table":
         if table is None:
@@ -186,21 +197,63 @@ def _emit_callable(kind: str, table, incident_edges: list):
             parsed[combo] = _json_symbol(val, "emit 'map'")
     elif kind not in ("xor", "sum"):
         raise InputError(f"unknown emit kind {kind!r} (choose xor, sum or table)")
+    return _Emit(kind, parsed, sorted(incident_edges))
 
-    def fn(xi, ev):
-        key = (xi, *(ev[e] for e in edges))
+
+class _Emit:
+    """A vertex's emit rule, called per point as ``coupling.latent_tree_spec`` takes it.
+
+    A sum is the latent plus the edges' sum, the edges added left to right
+    from 0.  ``over`` gives the values at every point of a product of
+    supports in one call, each the value the per-point call gives.
+    """
+
+    def __init__(self, kind: str, parsed: dict, edges: list):
+        self.kind, self.parsed, self.edges = kind, parsed, edges
+
+    def _combines(self, v) -> bool:
+        return mcmod.finite_number(v) if self.kind == "sum" else isinstance(v, int)
+
+    def __call__(self, xi, ev):
+        key = (xi, *(ev[e] for e in self.edges))
         for v in key:
-            if not (mcmod.finite_number(v) if kind == "sum" else isinstance(v, int)):
-                raise InputError(f"{kind} emit cannot combine the latent value {v!r}")
-        if kind == "table":
-            if key not in parsed:
+            if not self._combines(v):
+                raise InputError(f"{self.kind} emit cannot combine the latent value {v!r}")
+        if self.kind == "table":
+            if key not in self.parsed:
                 raise InputError(f"emit table has no entry for latent combination {key}")
-            return parsed[key]
-        value = functools.reduce(operator.xor, key) if kind == "xor" else xi + sum(key[1:])
+            return self.parsed[key]
+        if self.kind == "xor":
+            value = functools.reduce(operator.xor, key)
+        else:
+            value = xi + functools.reduce(operator.add, key[1:], 0)
         if not mcmod.finite_number(value):
-            raise InputError(f"{kind} emit of {tuple(map(float, key))} overflows a float")
+            raise InputError(f"{self.kind} emit of {tuple(map(float, key))} overflows a float")
         return value
-    return fn
+
+    def over(self, supports) -> list:
+        """The values at every point of the supports' product (the latent's, then the edges').
+
+        A table is read per entry; xor and sum are one reduction over object
+        arrays, which combine exactly as the per-point call does.  A value
+        the rule refuses sends the product through the per-point call,
+        which names the first refusal in product order.
+        """
+        if all(map(self._combines, itertools.chain(*supports))):
+            if self.kind == "table":
+                with contextlib.suppress(KeyError):
+                    return [self.parsed[key] for key in itertools.product(*supports)]
+            else:
+                latent, *edges = np.ix_(*(np.array(s, dtype=object) for s in supports))
+                if self.kind == "xor":
+                    grid = functools.reduce(np.bitwise_xor, edges, latent)
+                else:
+                    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+                        grid = latent + functools.reduce(np.add, edges, 0)
+                values = grid.ravel().tolist()
+                if all(map(mcmod.finite_number, values)):
+                    return values
+        return [self(x[0], dict(zip(self.edges, x[1:]))) for x in itertools.product(*supports)]
 
 
 def _support(dist: dict, what: str) -> list:
@@ -209,6 +262,20 @@ def _support(dist: dict, what: str) -> list:
     if len(values) != len(probs):
         raise InputError(f"{what} has {len(values)} 'values' but {len(probs)} 'probs'")
     return list(zip(values, map(_fraction_value, probs)))
+
+
+def _pmf_point(x: list, members: list[dict]) -> tuple:
+    """A raw pmf entry's ``x`` as a tuple of symbols.
+
+    A value that is a member of its coordinate's alphabet, already read as
+    symbols, is the symbol the alphabet holds; a bool never is, though
+    True == 1.  Any other ``x`` is read by ``_symbols``, which refuses a bad
+    value by name, and its arity and alphabets are left to ``finite_joint``.
+    """
+    if len(x) == len(members) and bool not in map(type, x):
+        with contextlib.suppress(KeyError, TypeError):  # TypeError: an unhashable value
+            return tuple(map(dict.__getitem__, members, x))
+    return tuple(_symbols(x, "a pmf entry's 'x'"))
 
 
 def _edge_key(text: str) -> tuple[int, ...]:
@@ -249,10 +316,17 @@ def load_joint_spec(path: str):
     if "pmf" in data:
         try:
             spaces = [_symbols(s, "each of 'spaces'") for s in _typed(data["spaces"], list, "'spaces'")]
-            pmf = {}
+            members = [{v: v for v in s} for s in spaces]
+            pmf, read = {}, {}  # read: each distinct probability string, read once
             for item in data["pmf"]:
-                x = tuple(_symbols(item["x"], "a pmf entry's 'x'"))
-                p = _fraction_value(item["p"])
+                x = _pmf_point(_typed(item["x"], list, "a pmf entry's 'x'"), members)
+                p = item["p"]
+                if type(p) is not str:  # 1, 1.0 and True are one key, but not one reading
+                    p = _fraction_value(p)
+                else:
+                    if p not in read:
+                        read[p] = _fraction_value(p)
+                    p = read[p]
                 pmf[x] = pmf[x] + p if x in pmf else p
         except KeyError as exc:
             raise InputError(f"{path}: raw joint spec is missing field {exc}") from exc

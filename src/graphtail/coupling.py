@@ -168,7 +168,11 @@ class LatentTreeSpec:
 
     Each vertex emits a symbol from its own latent plus the latents of its
     incident edges, so two vertex sets sharing no edge see disjoint latents
-    and are independent by construction.
+    and are independent by construction.  ``emit[v]`` is called per point
+    as (own latent value, {edge: value}); an emit that also has
+    ``over(supports)``, its values at every point of the product of the
+    supports it reads (its own latent's, then its edges' in ``graph.edges``
+    order) in one call, is read through that instead.
     """
 
     graph: Graph
@@ -235,24 +239,33 @@ def build_tree_joint(spec: LatentTreeSpec) -> FiniteJoint:
     latents += [(e, spec.edge_latents[e]) for e in g.edges]
 
     def reader(v):
+        emit = spec.emit[v]
+        if hasattr(emit, "over"):  # the emit reads a product of supports in one call itself
+            return emit.over
         incident = [e for e in g.edges if v in e]
-        return lambda values: spec.emit[v](values[0], dict(zip(incident, values[1:])))
+        return lambda supports: [
+            emit(x[0], dict(zip(incident, x[1:]))) for x in itertools.product(*supports)
+        ]
 
     return _latent_joint(g.n, latents, [reader(v) for v in g.vertices], g)
 
 
 def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependency) -> FiniteJoint:
-    """Exact joint of X_v = emit[v-1](values of the latents covering v, in list order).
+    """Exact joint of X_v = emit[v-1] at the values of the latents covering v.
 
-    ``latents`` holds (scope, support) pairs of independent latents.  Vertices
-    are visited in label order, keeping each reachable state (emitted prefix,
-    values of the latents a later vertex reads) with its integer mass: a
-    latent joins at the first vertex of its scope and is summed out after its
-    last.  The work at a vertex, its states times the supports joining there,
-    is capped by ``MAX_LATENT_CONFIGS`` (``ScaleError``).  Zero-mass states
-    are kept, so alphabets hold every value emitted.  The scale, the product
-    of the latents' lcm denominators, is known before any latent joins, so
-    the masses take the table's dtype from the start: each is at most the scale.
+    ``latents`` holds (scope, support) pairs of independent latents.
+    ``emit[v-1]`` takes the value tuples of the supports covering v, in list
+    order, and returns X_v at each point of their product, in
+    ``itertools.product`` order.  Vertices are visited in label order,
+    keeping each reachable state (emitted prefix, values of the latents a
+    later vertex reads) with its integer mass: a latent joins at the first
+    vertex of its scope and is summed out after its last.  The work at a
+    vertex, its states times the supports joining there, is capped by
+    ``MAX_LATENT_CONFIGS`` (``ScaleError``).  Zero-mass states are kept, so
+    alphabets hold every value emitted.  The scale, the product of the
+    latents' lcm denominators, is known before any latent joins, so the
+    masses take the table's dtype from the start: each is at most the scale,
+    so an int64 total (scale < 2**31) is exact in ``np.bincount``'s floats.
     """
     check_coordinates(n)
     dens = [math.lcm(*(q.denominator for _, q in support)) for _, support in latents]
@@ -277,12 +290,9 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
         held = digits[v - 1 :]  # the live latents' values, in the order of ``order``
         reads = [order.index(k) for k, (scope, _) in enumerate(latents) if v in scope]
         kept = [pos for pos, k in enumerate(order) if max(latents[k][0]) > v]
-        # the value emitted at each combination of the latents read, one emit call each
+        # the value emitted at each combination of the latents read, in one emit call
         shape = [supports[pos] for pos in reads]
-        values = [
-            emit[v - 1](tuple(latents[order[pos]][1][u][0] for pos, u in zip(reads, idx)))
-            for idx in np.ndindex(*shape)
-        ]
+        values = emit[v - 1]([tuple(u for u, _ in latents[order[pos]][1]) for pos in reads])
         spaces.append(_sorted_alphabets([values])[0])
         _capped(tuple(spaces))  # keeps the codes within int64
         position = {value: u for u, value in enumerate(spaces[-1])}
@@ -292,8 +302,11 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
         merged = [*digits[: v - 1], x, *(held[pos] for pos in kept)]
         radices = [*map(len, spaces), *(supports[pos] for pos in kept)]
         codes, which = np.unique(np.ravel_multi_index(merged, radices), return_inverse=True)
-        mass, summands = np.zeros(len(codes), dtype=dtype), mass
-        np.add.at(mass, which.reshape(-1), summands)
+        if dtype is object:
+            mass, summands = np.zeros(len(codes), dtype=dtype), mass
+            np.add.at(mass, which.reshape(-1), summands)
+        else:
+            mass = np.bincount(which.reshape(-1), weights=mass, minlength=len(codes)).astype(dtype)
         live = [order[pos] for pos in kept]
     weights = np.zeros(tuple(map(len, spaces)), dtype=dtype)
     weights.flat[codes] = mass  # every latent is summed out: a code is a flat table index
@@ -323,35 +336,73 @@ class DependencyViolation(KindError):
         )
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex-set bitmask (bit v - 1 for vertex v), ascending."""
+    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
+
+
 def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     """Largest total-variation gap over disjoint non-adjacent vertex-set pairs.
 
     Compares the joint law on S and T against the product of their marginals;
-    a declared dependency graph is honest iff the worst gap is zero.  Only
-    T = V minus S and its neighbours is checked for each nonempty S: every
-    other T' disjoint from and non-adjacent to S lies inside that T, and
-    marginalising out the rest of T cannot increase the gap, so the worst
-    gap over all pairs is the same.  With scale S, the summed gap
-    Σ|S·w(s,t) − w(s)·w(t)| is at most 2S², twice a total variation.
+    a declared dependency graph is honest iff the worst gap is zero.  With
+    scale S, the summed gap Σ|S·w(s,t) − w(s)·w(t)| is at most 2S², twice a
+    total variation, and it is symmetric in S and T.
+
+    Only doubly maximal pairs are computed: S = V∖N[T] and T = V∖N[S], each
+    unordered pair once.  Marginalising out part of either side cannot
+    increase the gap, so for any S the pair (S, V∖N[S]) is the worst with S
+    on one side: every T' disjoint from and non-adjacent to S lies inside
+    V∖N[S].  With T = V∖N[S], the set S* = V∖N[T] contains S and has
+    V∖N[S*] = T, so gap(S, T) <= gap(S*, T), and the worst gap over all
+    pairs is the worst over the doubly maximal ones.  The reported pair is
+    the first (S, V∖N[S]) in ``combinations`` order that reaches the worst
+    gap; only an S whose doubly maximal pair reaches it can, so that search
+    computes a gap only for those.  Each marginal is summed from the
+    smallest one already computed that covers it, and all are kept until
+    the check returns.
     """
     _check_vertex_count(g.n, joint.n)
-    weights, scale = joint.weights, joint.scale
-    verts = range(1, joint.n + 1)
-    worst = 0
+    weights, scale, n = joint.weights, joint.scale, joint.n
+    full = (1 << n) - 1  # vertex sets as bitmasks: bit v - 1 for vertex v
+    near = [0] + [sum(1 << (u - 1) for u in {v, *g.neighbors(v)}) for v in range(1, n + 1)]
+    closed = [0] * (full + 1)  # closed[mask] = N[mask], from mask without its lowest vertex
+    for mask in range(1, full + 1):
+        closed[mask] = closed[mask & (mask - 1)] | near[(mask & -mask).bit_length()]
+
+    def pair_of(s: int) -> tuple[int, int, tuple[int, int]]:
+        """(S*, T, the unordered doubly maximal pair) for T = V∖N[S]; T is 0 when N[S] = V."""
+        t = full & ~closed[s]
+        s_star = full & ~closed[t]
+        return s_star, t, (min(s_star, t), max(s_star, t))
+
+    laws = {full: weights}  # the marginal on each vertex set, other axes kept with length 1
+
+    def law(keep: int) -> np.ndarray:
+        """The marginal on ``keep``, summed from the smallest one held that covers it."""
+        if keep not in laws:
+            cover = min((k for k in laws if k & keep == keep), key=lambda k: laws[k].size)
+            laws[keep] = laws[cover].sum(axis=tuple(v - 1 for v in _bits(cover & ~keep)), keepdims=True)
+        return laws[keep]
+
+    def gap(s: int, t: int) -> int:
+        return int(abs(scale * law(s | t) - law(s) * law(t)).sum())
+
+    gaps = {}
+    for s in range(1, full):
+        s_star, t, pair = pair_of(s)
+        if t and pair not in gaps:
+            gaps[pair] = gap(s_star, t)
+    worst = max(gaps.values(), default=0)
     worst_pair = None
-    for r in range(1, joint.n):
-        for s in itertools.combinations(verts, r):
-            closed = set(s).union(*(g.neighbors(v) for v in s))
-            t = tuple(v for v in verts if v not in closed)
-            if not t:
-                continue
-            rest = tuple(v - 1 for v in closed if v not in s)
-            both = weights.sum(axis=rest, keepdims=True)
-            ws = both.sum(axis=tuple(v - 1 for v in t), keepdims=True)
-            wt = both.sum(axis=tuple(v - 1 for v in s), keepdims=True)
-            gap = int(abs(scale * both - ws * wt).sum())
-            if gap > worst:
-                worst, worst_pair = gap, (frozenset(s), frozenset(t))
+    if worst:
+        subsets = (c for r in range(1, n) for c in itertools.combinations(range(1, n + 1), r))
+        for s in subsets:
+            mask = sum(1 << (v - 1) for v in s)
+            s_star, t, pair = pair_of(mask)
+            if t and gaps[pair] == worst and (mask == s_star or gap(mask, t) == worst):
+                worst_pair = (frozenset(s), frozenset(_bits(t)))
+                break
     return DependencyReport(deviation=Fraction(worst, 2 * scale * scale), worst_pair=worst_pair)
 
 
@@ -417,7 +468,7 @@ def lipschitz_function(
     profile: LipschitzProfile | Sequence | None = None,
 ) -> LipschitzFunction:
     """Build a function with a validated profile (derived tight when omitted)."""
-    spaces_t = _sorted_alphabets(spaces)
+    spaces_t = _capped(_sorted_alphabets(spaces))
     if not callable(fn):
         given = {tuple(k): v for k, v in fn.items()}
         for x in itertools.product(*spaces_t):
@@ -445,7 +496,7 @@ def coordinate_sum(spaces: Sequence[Sequence]) -> LipschitzFunction:
     denominator, reduced to lowest terms, and stays Python ints.  Coordinate
     k moves f by at most its alphabet's max - min, and by exactly that.
     """
-    spaces_t = _sorted_alphabets(spaces)
+    spaces_t = _capped(_sorted_alphabets(spaces))
     # int and Fraction symbols are exact as they are, others become Fractions
     exact = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in s] for s in spaces_t]
     den = math.lcm(*(v.denominator for s in exact for v in s))
@@ -795,39 +846,50 @@ def _extremes(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int):
-    """Yield (i, rows, num, den) for i = 1..n: the spread of E[f | prefix, x_i] over x_i.
+def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int, steps: int) -> list:
+    """(i, rows, num, den) for i = 1..steps: the spread of E[f | prefix, x_i] over x_i.
 
     ``table`` is f times ``scale`` on the axes of ``weights``.  ``rows`` are
     the flat positions, in lexicographic order, of the prefixes with two or
     more positive values at i, and the spread at rows[k] is
     num[k] / (den[k] * scale).  A conditional mean is an integer pair (mass
-    m, moment q) worth q / (m * scale), and each row's extremes come from
-    ``_extremes``.  With S the total weight and R the largest |table|
-    entry, the moments are int64 when S * R < 2**63; a step's cross products
-    are when twice its largest m * |q| is, and Python ints otherwise.
+    m, moment q) worth q / (m * scale).  Every step's rows are stacked,
+    padded with zero mass to the widest alphabet, and their extremes come
+    from one ``_extremes`` call.  With S the total weight and R the largest
+    |table| entry, the moments are int64 when S * R < 2**63; the cross
+    products are when twice the largest m * |q| over the rows is, and
+    Python ints otherwise.
     """
+    if not steps:
+        return []
     n = weights.ndim
     table_range = max(abs(int(table.min())), abs(int(table.max())))
     if weights.dtype == object or int(weights.sum()) * table_range >= 2**63:
-        moment = [weights.astype(object) * table]
+        moment = weights.astype(object) * table
     else:
-        moment = [weights * table.astype(np.int64)]
-    mass = [weights]  # entry j sums out the last j coordinates
-    for _ in range(n - 1):
-        mass.append(mass[-1].sum(axis=-1))
-        moment.append(moment[-1].sum(axis=-1))
-    for i in range(1, n + 1):
-        m = mass[n - i].reshape(-1, weights.shape[i - 1])
-        q = moment[n - i].reshape(m.shape)
-        if q.dtype != object and 2 * int(m.max()) * int(abs(q).max()) >= 2**63:
-            m, q = m.astype(object), q.astype(object)
-        rows = np.flatnonzero(np.count_nonzero(m, axis=1) >= 2)
-        m, q = m[rows], q[rows]
-        k = np.arange(len(rows))
-        picks = _extremes(m, q)
-        (q_hi, q_lo), (m_hi, m_lo) = q[k, picks], m[k, picks]
-        yield i, rows, q_hi * m_lo - q_lo * m_hi, m_hi * m_lo
+        moment = weights * table.astype(np.int64)
+    mass, laws = weights, {}  # laws[i]: step i's rows, with their masses and moments
+    for i in range(n, 0, -1):  # mass and moment are summed over the coordinates after i
+        if i <= steps:
+            m = mass.reshape(-1, weights.shape[i - 1])
+            rows = np.flatnonzero(np.count_nonzero(m, axis=1) >= 2)
+            laws[i] = rows, m[rows], moment.reshape(m.shape)[rows]
+        if i > 1:
+            mass, moment = mass.sum(axis=-1), moment.sum(axis=-1)
+    # every step's rows in one table, padded with zero mass to the widest alphabet
+    steps_in = range(1, steps + 1)
+    starts = list(itertools.accumulate((len(laws[i][0]) for i in steps_in), initial=0))
+    m = np.zeros((starts[-1], max(weights.shape[:steps])), dtype=weights.dtype)
+    q = np.zeros(m.shape, dtype=moment.dtype)
+    for i, a in zip(steps_in, starts):
+        rows, m_i, q_i = laws[i]
+        m[a : a + len(rows), : m_i.shape[1]], q[a : a + len(rows), : q_i.shape[1]] = m_i, q_i
+    if q.dtype != object and 2 * int(m.max(initial=0)) * int(abs(q).max(initial=0)) >= 2**63:
+        m, q = m.astype(object), q.astype(object)
+    k, picks = np.arange(len(m)), _extremes(m, q)
+    (q_hi, q_lo), (m_hi, m_lo) = q[k, picks], m[k, picks]
+    num, den = q_hi * m_lo - q_lo * m_hi, m_hi * m_lo
+    return [(i, laws[i][0], num[a:b], den[a:b]) for i, a, b in zip(steps_in, starts, starts[1:])]
 
 
 def verify_difference_bound(
@@ -845,8 +907,9 @@ def verify_difference_bound(
     perm = [tree.original(k) - 1 for k in range(1, n + 1)]
     budgets = coupling_effective_profile(tree, f.profile)
     worst = None
-    swings = _conditional_swings(rl.weights, _table_on(joint, f).transpose(perm), f.scale)
-    for i, _, num, den in itertools.islice(swings, n - 1):  # the root step n substitutes nothing
+    # the root step n substitutes nothing
+    swings = _conditional_swings(rl.weights, _table_on(joint, f).transpose(perm), f.scale, n - 1)
+    for i, _, num, den in swings:
         if not len(num):
             continue
         ratio = _float_ratios(num, den)  # swings are >= 0, each float a few ulps off

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import copysign, factorial, lcm, prod
 from sys import float_info
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -761,9 +762,10 @@ def exact_joint(spec: SamplerSpec):
     return couplingmod._latent_joint(spec.n, latents, emit, graph)
 
 
-def _exact_emit(rule: EmitRule, values: Sequence):
-    out = _combine_scalar(rule.kind, values)
-    return out if rule.clamp is None else min(max(out, rule.clamp[0]), rule.clamp[1])
+def _exact_emit(rule: EmitRule, supports: Sequence) -> list:
+    """The rule's clamped output at every point of the supports' product, in product order."""
+    outs = (_combine_scalar(rule.kind, values) for values in product(*supports))
+    return [out if rule.clamp is None else min(max(out, rule.clamp[0]), rule.clamp[1]) for out in outs]
 
 
 def _combine_scalar(kind: str, values: Sequence):

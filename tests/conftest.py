@@ -15,7 +15,8 @@ import pytest
 from scipy.optimize import linprog
 
 from graphtail._simplex import column_mask, members
-from graphtail.coupling import CouplingPair, FiniteJoint, build_tree_joint, finite_joint, latent_tree_spec
+from graphtail.coupling import CouplingPair, FiniteJoint, _table_dtype, build_tree_joint, finite_joint
+from graphtail.coupling import latent_tree_spec
 from graphtail.covers import LipschitzProfile, WeightedCover, lipschitz_profile, part_cost_radicand
 from graphtail.graph import Graph, OrderedTree, build_graph
 
@@ -151,6 +152,75 @@ def product_joint(marginals) -> FiniteJoint:
         for combo in itertools.product(*marginals)
     }
     return finite_joint([[v for v, _ in m] for m in marginals], pmf)
+
+
+def dependency_per_subset(joint: FiniteJoint, g: Graph) -> tuple[Fraction, tuple | None]:
+    """Oracle for ``verify_dependency``: (deviation, worst_pair) from every S and T = V∖N[S].
+
+    Computes the gap of every nonempty S with its T, in ``combinations``
+    order, and keeps the first S that reaches the largest.
+    """
+    weights, scale = joint.weights, joint.scale
+    verts = range(1, joint.n + 1)
+    worst, worst_pair = 0, None
+    for r in range(1, joint.n):
+        for s in itertools.combinations(verts, r):
+            closed = set(s).union(*(g.neighbors(v) for v in s))
+            t = tuple(v for v in verts if v not in closed)
+            if not t:
+                continue
+            both = weights.sum(axis=tuple(v - 1 for v in closed if v not in s), keepdims=True)
+            ws = both.sum(axis=tuple(v - 1 for v in t), keepdims=True)
+            wt = both.sum(axis=tuple(v - 1 for v in s), keepdims=True)
+            gap = int(abs(scale * both - ws * wt).sum())
+            if gap > worst:
+                worst, worst_pair = gap, (frozenset(s), frozenset(t))
+    return Fraction(worst, 2 * scale * scale), worst_pair
+
+
+def latent_joint_per_point(n: int, latents, emit, dependency) -> FiniteJoint:
+    """Oracle for ``coupling._latent_joint`` with one ``emit[v-1](values)`` call per point.
+
+    The same vertex-by-vertex state walk, with the emitted values read one
+    combination of the latents covering v at a time and the states merged
+    by ``np.add.at``.
+    """
+    dens = [math.lcm(*(q.denominator for _, q in support)) for _, support in latents]
+    scale = math.prod(dens)
+    dtype = _table_dtype(scale)
+    live = []
+    codes, mass, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), []
+    for v in range(1, n + 1):
+        joining = [k for k, (scope, _) in enumerate(latents) if min(scope) == v]
+        for k in joining:
+            weights = np.array([int(q * dens[k]) for _, q in latents[k][1]], dtype=dtype)
+            codes = (codes[:, None] * len(weights) + np.arange(len(weights))).ravel()
+            mass = np.multiply.outer(mass, weights).ravel()
+        order = live + joining
+        supports = [len(latents[k][1]) for k in order]
+        sizes = [*map(len, spaces), *supports]
+        digits = np.unravel_index(codes, sizes) if sizes else ()
+        held = digits[v - 1 :]
+        reads = [order.index(k) for k, (scope, _) in enumerate(latents) if v in scope]
+        kept = [pos for pos, k in enumerate(order) if max(latents[k][0]) > v]
+        shape = [supports[pos] for pos in reads]
+        values = [
+            emit[v - 1](tuple(latents[order[pos]][1][u][0] for pos, u in zip(reads, idx)))
+            for idx in np.ndindex(*shape)
+        ]
+        spaces.append(tuple(sorted(set(values))))
+        position = {value: u for u, value in enumerate(spaces[-1])}
+        emitted = np.array([position[value] for value in values]).reshape(shape)
+        x = np.broadcast_to(emitted[tuple(held[pos] for pos in reads)], len(codes))
+        merged = [*digits[: v - 1], x, *(held[pos] for pos in kept)]
+        radices = [*map(len, spaces), *(supports[pos] for pos in kept)]
+        codes, which = np.unique(np.ravel_multi_index(merged, radices), return_inverse=True)
+        mass, summands = np.zeros(len(codes), dtype=dtype), mass
+        np.add.at(mass, which.reshape(-1), summands)
+        live = [order[pos] for pos in kept]
+    weights = np.zeros(tuple(map(len, spaces)), dtype=dtype)
+    weights.flat[codes] = mass
+    return FiniteJoint(tuple(spaces), weights, scale, dependency)
 
 
 def coupling_disagreements(pair: CouplingPair) -> dict[int, Fraction]:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -471,6 +472,70 @@ def _is_numeric_value_leaf(spec, path) -> bool:
     if isinstance(value, str):
         return value.lstrip("-").replace("/", "").isdigit()
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_CORRELATED2 = {
+    "spaces": [[0, 1], [0, 1]],
+    "pmf": [{"x": [0, 0], "p": "1/8"}, {"x": [0, 1], "p": "3/8"},
+            {"x": [1, 0], "p": "3/8"}, {"x": [1, 1], "p": "1/8"}],
+}
+_CORRELATED2_REPORT = (
+    '{\n  "check": "dependency",\n  "deviation": 0.25,\n  "ok": false,\n'
+    '  "worst_pair": [\n    [\n      1\n    ],\n    [\n      2\n    ]\n  ]\n}\n'
+)
+
+
+class TestRawPmfReading:
+    """A raw pmf's points and probabilities: each refusal and reading keeps its exact output."""
+
+    @pytest.mark.parametrize(
+        "x, p, code, err",
+        [
+            ([True, 1], None, 1,
+             "input error: a pmf entry's 'x' holds True, which is neither a string nor a finite number\n"),
+            ([float("nan"), 1], None, 1,
+             "input error: a pmf entry's 'x' holds nan, which is neither a string nor a finite number\n"),
+            ([2, 1], None, 1, "input error: value 2 of coordinate 1 outside its alphabet\n"),
+            ([0, 1, 1], None, 1, "input error: assignment (0, 1, 1) has wrong arity\n"),
+            ([[0], 1], None, 1,
+             "input error: a pmf entry's 'x' holds [0], which is neither a string nor a finite number\n"),
+            (["0", 1], None, 1, "input error: value '0' of coordinate 1 outside its alphabet\n"),
+            ([0.0, 1.0], None, 3, ""),  # integral floats are the alphabet's ints
+            (None, "3/0", 1, "input error: cannot read '3/0' as an exact number\n"),
+            (None, "-1/8", 1, "input error: negative probability -1/8 at (0, 0)\n"),
+            (None, " 1/8", 3, ""),
+            (None, "125" + "0" * 397 + "/1" + "0" * 400, 3, ""),  # 400 digits over 401: 1/8
+            (None, "1" + "0" * 399, 1, f"input error: '1{'0' * 399}' is beyond the range of a float\n"),
+        ],
+        ids=["bool-x", "nan-x", "outside-x", "arity-x", "unhashable-x", "string-x", "float-x",
+             "zero-denominator", "negative-p", "spaced-p", "long-p", "huge-p"],
+    )
+    def test_each_form_keeps_its_output(self, x, p, code, err, tmp_path, capsys):
+        spec = copy.deepcopy(_CORRELATED2)
+        if x is not None:
+            spec["pmf"][1]["x"] = x
+        if p is not None:
+            spec["pmf"][0]["p"] = p
+        path, graph = tmp_path / "spec.json", tmp_path / "edgeless.json"
+        path.write_text(json.dumps(spec))
+        graph.write_text(json.dumps({"n": 2, "edges": []}))
+        assert cli.run(["verify", "dependency", "--spec", str(path), "--graph", str(graph)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (_CORRELATED2_REPORT if code == 3 else "", err)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1/8", "007/0014", "0/5", "12/8", "\u0663/\u0664", "1_000/3", " 1/8", "+1/8", "-1/8",
+         "1/-8", "1/2/3", "/3", "3/", "3/0", "1.5/2", "1e2/3", "0x1/2", ""],
+    )
+    def test_a_slash_b_reads_as_fraction_reads_it(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InputError, match="as an exact number"):
+                cli._fraction_value(text)
+        else:
+            assert cli._fraction_value(text) == expected
 
 
 class TestExitCodes:

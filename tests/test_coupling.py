@@ -13,6 +13,8 @@ from conftest import (
     _table_emit,
     copied_coordinates,
     coupling_disagreements,
+    dependency_per_subset,
+    latent_joint_per_point,
     mgf_envelope_ratio,
     product_joint,
     random_finite_dist,
@@ -23,6 +25,7 @@ from graphtail.coupling import (
     CouplingContext,
     CouplingPair,
     DependencyViolation,
+    FiniteJoint,
     all_coupling_contexts,
     build_coupling,
     build_tree_joint,
@@ -42,6 +45,7 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
+from graphtail.cli import _emit_callable
 from graphtail.coupling import (
     _context_batches,
     _conditional_swings,
@@ -215,7 +219,8 @@ class TestLatentJointBuilder:
         decimal = [(d, F(1, 10)) for d in range(10)]
         n = 8
         latents = [((v, v + 1), decimal) for v in range(1, n)]
-        joint = _latent_joint(n, latents, [lambda values: sum(values) % 2] * n, None)
+        parity = [lambda supports: [sum(x) % 2 for x in itertools.product(*supports)]] * n
+        joint = _latent_joint(n, latents, parity, None)
         assert 10 ** (n - 1) > MAX_LATENT_CONFIGS
         # the 7 edge parities are fair bits and fix the emitted vector
         assert set(joint.pmf.values()) == {F(1, 2 ** (n - 1))}
@@ -345,6 +350,188 @@ class TestReducedDependencySweep:
                 assert s and t and not s & t and not adjacent(g, s, t)
                 assert pair_gap(joint, tuple(sorted(s)), tuple(sorted(t))) == expected
         assert dependent >= 20 and not_dependent >= 20
+
+
+def random_pmf_joint(n, rng, copy=False):
+    """A joint with random small integer weights on a product of 2- or 3-symbol alphabets.
+
+    Zero cells and equal weights are common, so are tied gaps.  With
+    ``copy``, one random coordinate is set equal to another, which puts the
+    worst gaps on the pairs that split those two.
+    """
+    spaces = [list(range(rng.randint(2, 3))) for _ in range(n)]
+    source, target = rng.sample(range(n), 2)
+    if copy:
+        spaces[target] = spaces[source]
+    pmf = {}
+    for x in itertools.product(*spaces):
+        w = rng.choice((0, 1, 1, 2, 3)) + (x == (0,) * n)
+        if copy:
+            x = x[:target] + (x[source],) + x[target + 1 :]
+        pmf[x] = pmf.get(x, 0) + w
+    total = sum(pmf.values())
+    return finite_joint(spaces, {x: F(w, total) for x, w in pmf.items() if w})
+
+
+def on_python_ints(joint):
+    return FiniteJoint(joint.spaces, joint.weights.astype(object), joint.scale, joint.dependency)
+
+
+def shaped_graphs(n, rng):
+    """Edgeless, complete, star, path and random graphs on n vertices."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return [
+        build_graph(n, []),
+        build_graph(n, pairs),
+        build_graph(n, [(1, v) for v in range(2, n + 1)]),
+        build_graph(n, [(v, v + 1) for v in range(1, n)]),
+        build_graph(n, [e for e in pairs if rng.random() < 0.4]),
+    ]
+
+
+def closure(g, s):
+    """S* = V minus N[V minus N[S]]: the doubly maximal set that S's pair widens to."""
+    def outside(a):
+        return set(g.vertices) - set(a).union(*(g.neighbors(v) for v in a))
+
+    return frozenset(outside(outside(s)))
+
+
+class TestDoublyMaximalPairs:
+    """``verify_dependency`` against the per-subset loop it replaced (``dependency_per_subset``)."""
+
+    def test_matches_the_per_subset_loop_on_random_joints(self):
+        rng = random.Random(20261021)
+        widened = violated = 0
+        for _ in range(50):
+            n = rng.randint(2, 5)
+            pick = rng.random()
+            joint = random_block_joint(n, rng)[0] if pick < 0.3 else random_pmf_joint(n, rng, copy=pick < 0.7)
+            for g in shaped_graphs(n, rng):
+                for table in (joint, on_python_ints(joint)):
+                    report = verify_dependency(table, g)
+                    assert (report.deviation, report.worst_pair) == dependency_per_subset(table, g)
+                if report.worst_pair:
+                    violated += 1
+                    widened += closure(g, report.worst_pair[0]) != report.worst_pair[0]
+        # the reported S is often not doubly maximal itself, so the second pass matters
+        assert violated >= 100 and widened >= 10
+
+    def test_tied_maxima_report_the_first_subset(self):
+        # X2 = X4 fair bits, X1 and X3 free: on the path 1-2-3-4, S = {2} and
+        # its doubly maximal pair ({1, 2}, {4}) tie, as do S = {4} and T = {2}
+        bit = [0, 1]
+        pmf = {(a, b, c, b): F(1, 8) for a in bit for b in bit for c in bit}
+        joint = finite_joint([bit] * 4, pmf)
+        path = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+        for table in (joint, on_python_ints(joint)):
+            report = verify_dependency(table, path)
+            assert report.worst_pair == (frozenset({2}), frozenset({4}))
+            assert (report.deviation, report.worst_pair) == dependency_per_subset(table, path)
+        # two copied pairs, X1 = X2 and X3 = X4, on the edgeless graph: the
+        # sets that split both pairs tie, and the first in combinations order is {1, 3}
+        pmf = {(a, a, b, b): F(1, 4) for a in bit for b in bit}
+        joint = finite_joint([bit] * 4, pmf)
+        edgeless = build_graph(4, [])
+        for table in (joint, on_python_ints(joint)):
+            report = verify_dependency(table, edgeless)
+            assert report.deviation == F(3, 4)
+            assert report.worst_pair == (frozenset({1, 3}), frozenset({2, 4}))
+            assert (report.deviation, report.worst_pair) == dependency_per_subset(table, edgeless)
+
+
+def latent_tree_case(kind, n, rng, wide_scale):
+    """(graph, vertex latents, edge latents, CLI emits) for a random tree under one emit kind.
+
+    Sum latents mix ints and floats such as 0.1, 0.2 and 0.3, whose float
+    sums depend on the order they are added in.  ``wide_scale`` draws
+    probabilities whose common denominator passes 2**31, so the joint's
+    table is Python ints.
+    """
+    g = build_graph(n, random_tree_edges(n, rng)) if n > 1 else build_graph(1, [])
+    symbols = [0.1, 0.2, 0.3, 1, 2, 0.7] if kind == "sum" else [0, 1, 2, 3]
+
+    def law(size):
+        values = rng.sample(symbols, size)
+        if size == 1:
+            return [(values[0], F(1))]
+        den = rng.choice((65537, 65539, 65543)) if wide_scale else rng.randint(2, 9)
+        cut = rng.randint(1, den - 1)
+        return list(zip(values, [F(cut, den), F(den - cut, den)]))
+
+    while True:  # at most 6 points per vertex, so a sum emits at most 6 symbols
+        vertex = {v: law(2 if wide_scale else rng.randint(1, 2)) for v in g.vertices}
+        edge = {e: law(rng.randint(1, 2)) for e in g.edges}
+        sizes = {v: len(vertex[v]) * math.prod(len(edge[e]) for e in g.edges if v in e) for v in g.vertices}
+        if max(sizes.values()) <= 6:
+            break
+    emits = {}
+    for v in g.vertices:
+        incident = [e for e in g.edges if v in e]
+        table = None
+        if kind == "table":
+            supports = [[x for x, _ in vertex[v]], *([x for x, _ in edge[e]] for e in incident)]
+            table = {",".join(map(str, key)): rng.choice("abc") for key in itertools.product(*supports)}
+        emits[v] = _emit_callable(kind, table, incident)
+    return g, vertex, edge, emits
+
+
+class TestLatentJointOverProducts:
+    """One emit call per vertex over the product of its supports, against one call per point."""
+
+    @pytest.mark.parametrize("wide_scale", [False, True], ids=["int64", "python-ints"])
+    @pytest.mark.parametrize("kind", ["xor", "sum", "table"])
+    def test_matches_the_per_point_walk(self, kind, wide_scale):
+        rng = random.Random(f"{kind}:{wide_scale}")
+        for _ in range(12):
+            n = rng.randint(2 if wide_scale else 1, 5)
+            g, vertex, edge, emits = latent_tree_case(kind, n, rng, wide_scale)
+            latents = [((v,), vertex[v]) for v in g.vertices] + [(e, edge[e]) for e in g.edges]
+
+            def per_point(v):
+                incident = [e for e in g.edges if v in e]
+                return lambda values: emits[v](values[0], dict(zip(incident, values[1:])))
+
+            old = latent_joint_per_point(n, latents, [per_point(v) for v in g.vertices], g)
+            new = build_tree_joint(latent_tree_spec(g, vertex, edge, emits))
+            assert repr(new.spaces) == repr(old.spaces)
+            assert new.scale == old.scale and new.weights.dtype == old.weights.dtype
+            assert new.weights.dtype == (object if wide_scale else np.int64)
+            assert np.array_equal(new.weights, old.weights)
+
+    def test_sum_adds_the_edges_before_the_latent(self):
+        # 0.1 + (0.2 + 0.3) is 0.6; (0.1 + 0.2) + 0.3 would be 0.6000000000000001
+        g = build_graph(3, [(1, 2), (2, 3)])
+        one = [(0.1, F(1))]
+        edges = {(1, 2): [(0.2, F(1))], (2, 3): [(0.3, F(1))]}
+        emits = {v: _emit_callable("sum", None, [e for e in g.edges if v in e]) for v in g.vertices}
+        joint = build_tree_joint(latent_tree_spec(g, {1: one, 2: one, 3: one}, edges, emits))
+        assert joint.spaces == ((0.30000000000000004,), (0.6,), (0.4,))
+
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            # the first point holding a refused value is (0, 2.5), not ("a", 1)
+            ("xor", ([0, "a"], [1, 2.5]), "xor emit cannot combine the latent value 2.5"),
+            ("sum", ([1.5, "b"], ["c", 2]), "sum emit cannot combine the latent value 'c'"),
+            ("sum", ([1e308], [1e308, 1.0]), "sum emit of (1e+308, 1e+308) overflows a float"),
+            ("table", ([0, 1], [0, 1]), "emit table has no entry for latent combination (1, 0)"),
+        ],
+        ids=["xor-two-refused", "sum-two-refused", "sum-overflow", "table-missing"],
+    )
+    def test_refusals_name_the_first_point_in_product_order(self, kind, values, message):
+        g = build_graph(2, [(1, 2)])
+        latent, shared = ([(x, F(1, len(s))) for x in s] for s in values)
+        table = {"0,0": 1, "0,1": 2, "1,1": 3}
+        emits = {v: _emit_callable(kind, table, [(1, 2)]) for v in (1, 2)}
+        with pytest.raises(InputError) as exc:
+            build_tree_joint(latent_tree_spec(g, {1: latent, 2: latent}, {(1, 2): shared}, emits))
+        assert str(exc.value) == message
+        per_point = [lambda values, v=v: emits[v](values[0], {(1, 2): values[1]}) for v in (1, 2)]
+        latents = [((1,), latent), ((2,), latent), ((1, 2), shared)]
+        with pytest.raises(InputError) as oracle:
+            latent_joint_per_point(2, latents, per_point, g)
+        assert str(oracle.value) == message
 
 
 def conditional_law(joint, fixed: dict) -> dict:
@@ -589,7 +776,7 @@ def swings_per_value(weights, table, scale):
 
 def swings_per_prefix(weights, table, scale):
     """``_conditional_swings`` as (i, prefix positions, Fraction(num, den * scale)) per prefix."""
-    for i, rows, num, den in _conditional_swings(weights, table, scale):
+    for i, rows, num, den in _conditional_swings(weights, table, scale, weights.ndim):
         prefixes = list(np.ndindex(weights.shape[: i - 1]))
         for r, a, b in zip(rows.tolist(), num.tolist(), den.tolist()):
             yield i, prefixes[r], F(a, b * scale)
@@ -881,6 +1068,8 @@ class TestArgumentRules:
         "call, message",
         [
             (lambda: finite_joint([[0, 1], []], {(0, 0): F(1)}), "alphabet of coordinate 2 is empty"),
+            (lambda: coordinate_sum([[1, 2], []]), "alphabet of coordinate 2 is empty"),
+            (lambda: lipschitz_function([[1, 2], []], sum), "alphabet of coordinate 2 is empty"),
             (lambda: finite_joint([[0, 1]], {(0,): F(1)}, dependency=build_graph(3, [])),
              "graph has 3 vertices, joint has 1"),
             (lambda: verify_dependency(_fair_pair()[0], build_graph(3, [])), "graph has 3 vertices, joint has 2"),
@@ -901,7 +1090,7 @@ class TestArgumentRules:
             (lambda: build_coupling(*_fair_pair(), 1, (0,), 0, 1), "prefix has 1 values, needs 0"),
             (lambda: verify_independence_lemma(*_fair_pair(), 2), "coordinate i must be in 1..1, got 2"),
         ],
-        ids=["empty-alphabet", "joint-graph-size", "dependency-graph-size", "relabel-tree-size",
+        ids=["empty-alphabet", "sum-empty-alphabet", "function-empty-alphabet", "joint-graph-size", "dependency-graph-size", "relabel-tree-size",
              "table-missing-point", "function-profile", "effective-profile", "alphabets-differ",
              "missing-emit", "no-dependency-graph", "coupling-step", "coupling-prefix", "lemma-step"],
     )
@@ -1119,7 +1308,7 @@ class TestTableDtype:
         assert _table_dtype(scale) is dtype
         law = [(0, F(1, scale)), (1, F(scale - 1, scale))]
         raw = finite_joint([[0, 1]], dict(((v,), p) for v, p in law))
-        latent = _latent_joint(1, [((1,), law)], [lambda values: values[0]], None)
+        latent = _latent_joint(1, [((1,), law)], [lambda supports: list(supports[0])], None)
         for joint in (raw, latent):
             assert joint.scale == scale and joint.weights.dtype == dtype
             assert joint.pmf == {(0,): F(1, scale), (1,): F(scale - 1, scale)}
