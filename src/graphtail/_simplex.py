@@ -36,9 +36,9 @@ M and x~ are int64 arrays, and a pivot updates them whole, as
 reads t = max(max|M|, max x~) and checks 2 |F| t^2 < 2^63, F the entering
 part (|F| = 1 for a surplus column).  As p <= max|d~| <= |F| t, that bounds
 p max|M| + max|d~| max|M|, the same for x~, and d~'s own sums, before any of
-them is formed.  Once the check fails, M and x~ become object arrays of
-Python integers for the rest of the solve, through the same code.  The duals
-y~ stay Python integers.
+them is formed.  Once the check fails, ``widen`` makes M and x~ object arrays
+of Python integers for the rest of the solve, through the same code.  The
+duals y~ stay Python integers.
 
 No test needs a division.  The ratio test compares x~_i / d~_i with
 x~_b / d~_b by comparing x~_i d~_b with x~_b d~_i (both d~ are positive), and
@@ -110,10 +110,20 @@ from .errors import VerificationError
 
 _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
-_INT64_PRICES = 2**62  # price in int64 while max|c~| D and n max|y~| stay below this
-_INT64_STATE = 2**63  # keep M and x~ in int64 while each pivot's products stay below this
+_INT64_STATE = 2**63  # int64 holds every integer below this: M, x~ and ``int_dtype``'s bound
+_INT64_PRICES = _INT64_STATE // 2  # price in int64 while max|c~| D and n max|y~| stay below this
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
+
+
+def int_dtype(bound: int):
+    """The package's one width rule: int64 while ``bound`` < 2^63, else Python ints (``object``)."""
+    return np.int64 if bound < _INT64_STATE else object
+
+
+def widen(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays themselves while ``bound`` fits an int64, else as object arrays of Python ints."""
+    return arrays if int_dtype(bound) is np.int64 else tuple(a.astype(object, copy=False) for a in arrays)
 
 
 def column_mask(part: Iterable[int]) -> int:
@@ -191,7 +201,7 @@ class CoverLp:
         if denominator <= 0:
             raise ValueError(f"cost denominator must be positive, got {denominator}")
         self.n = n
-        self.columns = np.asarray(columns, dtype=np.int64 if n < 63 else object)
+        self.columns = np.asarray(columns, dtype=int_dtype(1 << n))
         self.costs = costs
         self.denominator = denominator
         self._int_costs = None  # c~ as int64, when the solver reads every cost and they fit
@@ -201,7 +211,7 @@ class CoverLp:
             if self._top_cost < _INT64_PRICES:
                 self._int_costs = exact.astype(np.int64)
             # numpy divides by a Python int only while it fits an int64
-            screen = (exact if denominator < 2**63 else exact.astype(object)) / denominator
+            screen = widen(denominator, exact)[0] / denominator
         self._screen = np.asarray(screen, dtype=np.float64)
         self._max_cost = float(np.abs(self._screen).max(initial=0.0))
         self._bytes = _byte_indices(n, self.columns)
@@ -306,8 +316,7 @@ class CoverLp:
         part = self._part(entering) if entering >= 0 else [-entering - 1]
         if self.adj.dtype != object:  # Python ints for good once a product may leave int64
             top = max(int(np.abs(self.adj).max()), int(self.x.max()))
-            if 2 * len(part) * top * top >= _INT64_STATE:
-                self.adj, self.x = self.adj.astype(object), self.x.astype(object)
+            self.adj, self.x = widen(2 * len(part) * top * top, self.adj, self.x)
         adj, x = self.adj, self.x
         d = adj[:, part].sum(axis=1) if entering >= 0 else -adj[:, part[0]]
         dl, xl = d.tolist(), x.tolist()

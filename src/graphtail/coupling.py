@@ -7,14 +7,14 @@ that table, and every lemma-style statement becomes a deviation that must be
 exactly zero, so no check needs a tolerance.  The module refuses instances
 beyond its caps rather than subsampling; its whole value is exactness.
 
-The table is int64 when 2·scale² < 2**63 and Python ints (``dtype=object``)
-otherwise; one code path serves both (``_table_dtype``).  Each check states
-the bound that keeps its int64 intermediates within 2·scale², except the
+The table is int64 while 2·scale² fits (``_simplex.int_dtype``) and Python
+ints (``dtype=object``) otherwise, on one code path.  Each check states the
+bound that keeps its int64 intermediates within 2·scale², except the
 difference bound, whose moments and cross products carry f's range too and
-are checked against 2**63 from the values read.  The one quantity that
-reaches scale³, a nonzero marginal gap of the coupling sweep, is computed in
-Python ints.  A value leaves an int64 table through ``int()``
-or ``.tolist()``, so no numpy scalar enters a Fraction.
+are widened by bounds read from the values.  The one quantity that reaches
+scale³, a nonzero marginal gap of the coupling sweep, is computed in Python
+ints.  A value leaves an int64 table through ``int()`` or ``.tolist()``, so
+no numpy scalar enters a Fraction.  Vertex sets are ``column_mask`` bitmasks.
 
 Coordinate conventions: a joint's coordinates are the vertex labels 1..n of
 its dependency graph.  Coupling-related operations re-express the joint in
@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._simplex import column_mask, int_dtype, members, widen
 from .covers import LipschitzProfile, lipschitz_profile, uniform_profile
 from .errors import InputError, KindError, ScaleError
 from .graph import Graph, OrderedTree, check_profile_length, check_vertex, rooted_order
@@ -103,11 +104,6 @@ def _check_step(n: int, i: int) -> None:
         raise InputError(f"coordinate i must be in 1..{n - 1}, got {i}")
 
 
-def _table_dtype(scale: int):
-    """int64 when every check's intermediate, at most 2·scale², fits; Python ints otherwise."""
-    return np.int64 if 2 * scale * scale < 2**63 else object
-
-
 def _capped(spaces: tuple[tuple, ...]) -> tuple[tuple, ...]:
     check_coordinates(len(spaces))
     for k, s in enumerate(spaces, start=1):
@@ -153,7 +149,7 @@ def finite_joint(
         raise InputError(f"probabilities sum to {Fraction(sum(masses), scale)}, need exactly 1")
     if dependency is not None:
         _check_vertex_count(dependency.n, n)
-    dtype = _table_dtype(scale)
+    dtype = int_dtype(2 * scale * scale)
     weights = np.zeros(tuple(map(len, spaces_t)), dtype=dtype)
     weights.flat[flat] = np.array(masses, dtype=dtype)
     return FiniteJoint(spaces=spaces_t, weights=weights, scale=scale, dependency=dependency)
@@ -264,13 +260,12 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
     ``MAX_LATENT_CONFIGS`` (``ScaleError``).  Zero-mass states are kept, so
     alphabets hold every value emitted.  The scale, the product of the
     latents' lcm denominators, is known before any latent joins, so the
-    masses take the table's dtype from the start: each is at most the scale,
-    so an int64 total (scale < 2**31) is exact in ``np.bincount``'s floats.
+    masses take the table's dtype from the start; each is at most the scale.
     """
     check_coordinates(n)
     dens = [math.lcm(*(q.denominator for _, q in support)) for _, support in latents]
     scale = math.prod(dens)
-    dtype = _table_dtype(scale)
+    dtype = int_dtype(2 * scale * scale)
     live: list[int] = []  # the latents in the state, in the order of its trailing digits
     # each state as one mixed-radix code: emitted prefix positions, then live latent values
     codes, mass, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), []
@@ -302,11 +297,8 @@ def _latent_joint(n: int, latents: Sequence, emit: Sequence[Callable], dependenc
         merged = [*digits[: v - 1], x, *(held[pos] for pos in kept)]
         radices = [*map(len, spaces), *(supports[pos] for pos in kept)]
         codes, which = np.unique(np.ravel_multi_index(merged, radices), return_inverse=True)
-        if dtype is object:
-            mass, summands = np.zeros(len(codes), dtype=dtype), mass
-            np.add.at(mass, which.reshape(-1), summands)
-        else:
-            mass = np.bincount(which.reshape(-1), weights=mass, minlength=len(codes)).astype(dtype)
+        mass, summands = np.zeros(len(codes), dtype=dtype), mass
+        np.add.at(mass, which.reshape(-1), summands)
         live = [order[pos] for pos in kept]
     weights = np.zeros(tuple(map(len, spaces)), dtype=dtype)
     weights.flat[codes] = mass  # every latent is summed out: a code is a flat table index
@@ -336,11 +328,6 @@ class DependencyViolation(KindError):
         )
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """The vertices of a vertex-set bitmask (bit v - 1 for vertex v), ascending."""
-    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
-
-
 def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     """Largest total-variation gap over disjoint non-adjacent vertex-set pairs.
 
@@ -364,11 +351,11 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     """
     _check_vertex_count(g.n, joint.n)
     weights, scale, n = joint.weights, joint.scale, joint.n
-    full = (1 << n) - 1  # vertex sets as bitmasks: bit v - 1 for vertex v
-    near = [0] + [sum(1 << (u - 1) for u in {v, *g.neighbors(v)}) for v in range(1, n + 1)]
+    full = column_mask(range(1, n + 1))  # bit v for vertex v, so every vertex-set mask is even
+    near = [0] + [column_mask({v, *g.neighbors(v)}) for v in range(1, n + 1)]
     closed = [0] * (full + 1)  # closed[mask] = N[mask], from mask without its lowest vertex
-    for mask in range(1, full + 1):
-        closed[mask] = closed[mask & (mask - 1)] | near[(mask & -mask).bit_length()]
+    for mask in range(2, full + 1, 2):
+        closed[mask] = closed[mask & (mask - 1)] | near[(mask & -mask).bit_length() - 1]
 
     def pair_of(s: int) -> tuple[int, int, tuple[int, int]]:
         """(S*, T, the unordered doubly maximal pair) for T = V∖N[S]; T is 0 when N[S] = V."""
@@ -382,14 +369,14 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
         """The marginal on ``keep``, summed from the smallest one held that covers it."""
         if keep not in laws:
             cover = min((k for k in laws if k & keep == keep), key=lambda k: laws[k].size)
-            laws[keep] = laws[cover].sum(axis=tuple(v - 1 for v in _bits(cover & ~keep)), keepdims=True)
+            laws[keep] = laws[cover].sum(axis=tuple(v - 1 for v in members(cover & ~keep)), keepdims=True)
         return laws[keep]
 
     def gap(s: int, t: int) -> int:
         return int(abs(scale * law(s | t) - law(s) * law(t)).sum())
 
     gaps = {}
-    for s in range(1, full):
+    for s in range(2, full, 2):
         s_star, t, pair = pair_of(s)
         if t and pair not in gaps:
             gaps[pair] = gap(s_star, t)
@@ -398,10 +385,10 @@ def verify_dependency(joint: FiniteJoint, g: Graph) -> DependencyReport:
     if worst:
         subsets = (c for r in range(1, n) for c in itertools.combinations(range(1, n + 1), r))
         for s in subsets:
-            mask = sum(1 << (v - 1) for v in s)
+            mask = column_mask(s)
             s_star, t, pair = pair_of(mask)
             if t and gaps[pair] == worst and (mask == s_star or gap(mask, t) == worst):
-                worst_pair = (frozenset(s), frozenset(_bits(t)))
+                worst_pair = (frozenset(s), frozenset(members(t)))
                 break
     return DependencyReport(deviation=Fraction(worst, 2 * scale * scale), worst_pair=worst_pair)
 
@@ -856,18 +843,14 @@ def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int, step
     m, moment q) worth q / (m * scale).  Every step's rows are stacked,
     padded with zero mass to the widest alphabet, and their extremes come
     from one ``_extremes`` call.  With S the total weight and R the largest
-    |table| entry, the moments are int64 when S * R < 2**63; the cross
-    products are when twice the largest m * |q| over the rows is, and
-    Python ints otherwise.
+    |table| entry, the moments are widened by the bound S * R, and the cross
+    products by twice the largest m * |q| over the rows.
     """
     if not steps:
         return []
     n = weights.ndim
     table_range = max(abs(int(table.min())), abs(int(table.max())))
-    if weights.dtype == object or int(weights.sum()) * table_range >= 2**63:
-        moment = weights.astype(object) * table
-    else:
-        moment = weights * table.astype(np.int64)
+    moment = weights * table.astype(int_dtype(int(weights.sum()) * table_range), copy=False)
     mass, laws = weights, {}  # laws[i]: step i's rows, with their masses and moments
     for i in range(n, 0, -1):  # mass and moment are summed over the coordinates after i
         if i <= steps:
@@ -884,8 +867,7 @@ def _conditional_swings(weights: np.ndarray, table: np.ndarray, scale: int, step
     for i, a in zip(steps_in, starts):
         rows, m_i, q_i = laws[i]
         m[a : a + len(rows), : m_i.shape[1]], q[a : a + len(rows), : q_i.shape[1]] = m_i, q_i
-    if q.dtype != object and 2 * int(m.max(initial=0)) * int(abs(q).max(initial=0)) >= 2**63:
-        m, q = m.astype(object), q.astype(object)
+    m, q = widen(2 * int(m.max(initial=0)) * int(abs(q).max(initial=0)), m, q)
     k, picks = np.arange(len(m)), _extremes(m, q)
     (q_hi, q_lo), (m_hi, m_lo) = q[k, picks], m[k, picks]
     num, den = q_hi * m_lo - q_lo * m_hi, m_hi * m_lo

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from ._simplex import CoverLp, column_mask, members, solve_min_cover_lp
+from ._simplex import CoverLp, column_mask, int_dtype, members, solve_min_cover_lp
 from .errors import FloatRangeError, InputError, KindError, ScaleError, VerificationError
 from .graph import Graph
 
@@ -192,8 +192,7 @@ def _walk_induced_forests(
     vertex of least a in its tree; adding v is acyclic iff its higher
     neighbours in T carry distinct labels, and then adds (a_v + a_u)**2 per
     such neighbour u, subtracts each merged tree's min**2 and adds the new
-    tree's.  Radicands are int64 when twice the largest possible radicand
-    fits, else Python ints in an object array.
+    tree's.  Radicands take ``int_dtype``'s width for twice the largest possible one.
 
     With ``independent`` set it lists only the edgeless forests, the
     independent sets, dropping T at any neighbour of v, not just at a cycle.
@@ -205,7 +204,7 @@ def _walk_induced_forests(
         )
     n, a = g.n, [0, *scaled]
     largest = sum((a[u] + a[v]) ** 2 for u, v in g.edges) + sum(x * x for x in a)
-    a = np.array(a, dtype=np.int64 if 2 * largest < 2**63 else object)
+    a = np.array(a, dtype=int_dtype(2 * largest))
     # the family is [{}] ++ L_v, so {v} comes in as the empty set's child
     masks, radicands = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=a.dtype)
     labels = np.zeros((1, n + 1), dtype=np.int8)

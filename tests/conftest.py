@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graphtail._simplex import column_mask, members
-from graphtail.coupling import CouplingPair, FiniteJoint, _table_dtype, build_tree_joint, finite_joint
+from graphtail._simplex import column_mask, int_dtype, members
+from graphtail.coupling import CouplingPair, FiniteJoint, build_tree_joint, finite_joint
 from graphtail.coupling import latent_tree_spec
 from graphtail.covers import LipschitzProfile, WeightedCover, lipschitz_profile, part_cost_radicand
 from graphtail.graph import Graph, OrderedTree, build_graph
@@ -187,7 +187,7 @@ def latent_joint_per_point(n: int, latents, emit, dependency) -> FiniteJoint:
     """
     dens = [math.lcm(*(q.denominator for _, q in support)) for _, support in latents]
     scale = math.prod(dens)
-    dtype = _table_dtype(scale)
+    dtype = int_dtype(2 * scale * scale)
     live = []
     codes, mass, spaces = np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), []
     for v in range(1, n + 1):

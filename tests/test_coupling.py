@@ -45,6 +45,7 @@ from graphtail.coupling import (
     verify_independence_lemma,
 )
 from graphtail import coupling as coupling_module
+from graphtail._simplex import column_mask, int_dtype
 from graphtail.cli import _emit_callable
 from graphtail.coupling import (
     _context_batches,
@@ -54,7 +55,6 @@ from graphtail.coupling import (
     _marginal_gap,
     _maximal_couplings,
     _pair_laws,
-    _table_dtype,
 )
 from graphtail.covers import lipschitz_profile
 from graphtail.errors import InputError, KindError, ScaleError
@@ -440,6 +440,38 @@ class TestDoublyMaximalPairs:
             assert (report.deviation, report.worst_pair) == dependency_per_subset(table, edgeless)
 
 
+class TestVertexSetMasks:
+    """``verify_dependency``'s vertex sets as ``column_mask`` bitmasks, bit v for vertex v."""
+
+    def test_one_vertex_has_no_pair(self):
+        joint = finite_joint([[0, 1]], {(0,): F(1, 3), (1,): F(2, 3)})
+        for table in (joint, on_python_ints(joint)):
+            report = verify_dependency(table, build_graph(1, []))
+            assert (report.deviation, report.worst_pair) == (0, None)
+            assert dependency_per_subset(table, build_graph(1, [])) == (0, None)
+
+    def test_eight_vertices_reach_the_full_mask(self):
+        """Every vertex set up to 2**9 - 2, with vertex 8, the top bit, in the worst pair."""
+        assert column_mask(range(1, 9)) == 2**9 - 2
+        rng = random.Random(9)
+        # X8 copies X1, and X7 copies X2: the worst pairs split a copied pair
+        spaces = [(0, 1)] * 8
+        points = [x[:6] + (x[1], x[0]) for x in itertools.product(*spaces)]
+        weights = {}
+        for x in points:
+            weights[x] = weights.get(x, 0) + rng.randint(1, 3)
+        total = sum(weights.values())
+        joint = finite_joint(spaces, {x: F(w, total) for x, w in weights.items()})
+        reported = set()
+        for g in shaped_graphs(8, rng):
+            for table in (joint, on_python_ints(joint)):
+                report = verify_dependency(table, g)
+                assert (report.deviation, report.worst_pair) == dependency_per_subset(table, g)
+            if report.worst_pair:
+                reported |= set().union(*report.worst_pair)
+        assert 8 in reported
+
+
 def latent_tree_case(kind, n, rng, wide_scale):
     """(graph, vertex latents, edge latents, CLI emits) for a random tree under one emit kind.
 
@@ -760,6 +792,32 @@ class TestVerifyDifferenceBound:
         weights = np.array([[1, 2], [3, 0], [0, 1]], dtype=object)
         table = np.array([[2**1100, 0], [7, 0], [0, -(2**1100)]], dtype=object)
         assert list(swings_per_prefix(weights, table, 5)) == list(swings_per_value(weights, table, 5))
+
+
+class TestSwingWidth:
+    """``_conditional_swings`` on each side of its moment bound S * R, S the total weight and R max |f|."""
+
+    @pytest.mark.parametrize(
+        "weights, top, dtype",
+        [([[1, 2], [3, 1]], (2**63 - 1) // 7, np.int64), ([[1, 2], [3, 2]], 2**60, object)],
+        ids=["2**63-1", "2**63"],
+    )
+    def test_moments_at_the_bound_give_the_same_swings(self, weights, top, dtype, monkeypatch):
+        weights = np.array(weights, dtype=np.int64)
+        table = np.array([[top, -top], [0, top - 5]], dtype=object)
+        assert int(weights.sum()) * top in (2**63 - 1, 2**63)
+        widths = []
+
+        def recorded(bound):
+            widths.append((bound, int_dtype(bound)))
+            return widths[-1][1]
+
+        monkeypatch.setattr(coupling_module, "int_dtype", recorded)
+        got = list(swings_per_prefix(weights, table, 3))
+        assert widths == [(int(weights.sum()) * top, dtype)]
+        assert got == list(swings_per_value(weights, table, 3))
+        assert got == list(swings_per_prefix(weights.astype(object), table, 3))
+        assert len(got) == 3  # step 1, and step 2 under each prefix
 
 
 def swings_per_value(weights, table, scale):
@@ -1305,7 +1363,7 @@ def exact_marginal_gap(pair, lhs, rhs, w_lhs, w_rhs, h_lhs, h_rhs):
 class TestTableDtype:
     @pytest.mark.parametrize("scale, dtype", [(2**31 - 1, np.int64), (2**31, object)])
     def test_int64_iff_twice_the_squared_scale_fits(self, scale, dtype):
-        assert _table_dtype(scale) is dtype
+        assert int_dtype(2 * scale * scale) is dtype
         law = [(0, F(1, scale)), (1, F(scale - 1, scale))]
         raw = finite_joint([[0, 1]], dict(((v,), p) for v, p in law))
         latent = _latent_joint(1, [((1,), law)], [lambda supports: list(supports[0])], None)
@@ -1313,6 +1371,25 @@ class TestTableDtype:
             assert joint.scale == scale and joint.weights.dtype == dtype
             assert joint.pmf == {(0,): F(1, scale), (1,): F(scale - 1, scale)}
             assert_python_fractions(dict(joint.pmf))
+
+    def test_states_merge_to_totals_near_the_scale(self):
+        """Scale 2**31 - 1, the widest int64 table: three vertices, states merged up to the scale."""
+        scale = 2**31 - 1  # a prime, so one latent carries the whole denominator
+        shared = [(0, F(1, scale)), (1, F(2**30, scale)), (2, F(2**30 - 2, scale))]
+        sure = [(5, F(1))]
+        latents = [((1, 2), shared), ((2,), sure), ((2, 3), sure)]
+        # X1 hides the shared latent and X2 merges two of its values, 2**30 + 2**30 - 2
+        rules = [lambda x: 0, lambda x: min(x[0], 1), lambda x: x[0]]
+
+        def over(rule):
+            return lambda supports: [rule(x) for x in itertools.product(*supports)]
+
+        joint = _latent_joint(3, latents, [over(rule) for rule in rules], None)
+        oracle = latent_joint_per_point(3, latents, rules, None)
+        assert joint.scale == oracle.scale == scale and joint.weights.dtype == oracle.weights.dtype == np.int64
+        assert joint.spaces == oracle.spaces == ((0,), (0, 1), (5,))
+        assert np.array_equal(joint.weights, oracle.weights)
+        assert joint.weights.ravel().tolist() == [1, scale - 1]
 
     def test_every_check_is_the_same_on_python_ints(self, toy_joints, monkeypatch):
         rng = random.Random(2531)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import graphtail._simplex as simplexmod
 from conftest import decoded, encoded, lp_cover_oracle, over_common_denominator, sqrt_fraction
-from graphtail._simplex import CoverLp, CoverLpResult, column_mask, solve_min_cover_lp
+from graphtail._simplex import CoverLp, CoverLpResult, column_mask, int_dtype, solve_min_cover_lp, widen
 from graphtail.covers import (
     enumerate_independent_sets,
     enumerate_induced_forests,
@@ -22,6 +22,25 @@ from graphtail.covers import (
 )
 from graphtail.errors import VerificationError
 from graphtail.graph import build_graph
+
+
+class TestWidthRule:
+    """``int_dtype`` and ``widen`` at the one bound, 2^63."""
+
+    @pytest.mark.parametrize("bound, dtype", [(0, np.int64), (2**63 - 1, np.int64), (2**63, object)])
+    def test_int64_iff_the_bound_fits(self, bound, dtype):
+        assert int_dtype(bound) is dtype
+
+    @pytest.mark.parametrize("bound", [2**63 - 1, 2**63])
+    def test_widen_makes_python_ints_only_at_the_bound(self, bound):
+        a, b = np.arange(3, dtype=np.int64), np.array([7, 2**62], dtype=object)
+        got = widen(bound, a, b)
+        assert len(got) == 2 and got[1] is b  # an object array is never copied
+        if bound < 2**63:
+            assert got[0] is a
+        else:
+            assert got[0].dtype == object and all(type(v) is int for v in got[0])
+            assert got[0].tolist() == [0, 1, 2] and a.dtype == np.int64  # the input is left as it was
 
 
 def random_instance(rng, n=None, extra=None):
@@ -476,14 +495,17 @@ class TestPivotPathOracle:
     def test_warm_starts_after_add_column(self, name, n, columns, costs):
         self.check_warm_starts(name, n, columns, costs)
 
-    def test_columns_past_bit_62_are_python_ints(self):
-        """Vertex 63 and up overflow an int64 mask: the pool is an object array there."""
-        rng, n = random.Random(64), 64
-        columns = [frozenset({v}) for v in range(1, n + 1)]
+    @pytest.mark.parametrize("n, dtype", [(62, np.int64), (63, object), (64, object)])
+    def test_columns_are_int64_while_bit_n_fits(self, n, dtype):
+        """Vertex n's bit is 1 << n: int64 masks through n = 62, an object array of Python ints past it."""
+        rng = random.Random(n)
+        columns = [frozenset({v}) for v in range(1, n + 1)] + [frozenset({1, n}), frozenset({n - 1, n})]
         columns += [frozenset(rng.sample(range(1, n + 1), rng.randint(2, 6))) for _ in range(12)]
         costs = [F(rng.randint(1, 20), rng.randint(1, 6)) for _ in columns]
-        assert CoverLp(n, encoded(columns), *over_common_denominator(costs)).columns.dtype == object
-        self.check_warm_starts("n64", n, columns, costs)
+        given = np.array([column_mask(col) for col in columns], dtype=object)
+        lp = CoverLp(n, given, *over_common_denominator(costs))
+        assert lp.columns.dtype == dtype and lp.columns.tolist() == given.tolist()
+        self.check_warm_starts(f"n{n}", n, columns, costs)
 
     def test_near_ties_are_decided_exactly(self):
         """A column 2^-120 below its dual price must still enter."""
