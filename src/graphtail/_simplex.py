@@ -96,8 +96,9 @@ The pool must hold the mask 1 << v of every singleton {v}: those columns
 form the identity start basis, which makes the covering LP feasible without
 a phase 1.
 ``CoverLp`` keeps its basis across ``add_column`` calls, so column generation
-re-optimizes in a handful of pivots instead of from scratch.  Fractions are
-built only for the returned ``CoverLpResult``.
+re-optimizes in a handful of pivots instead of from scratch; each call
+rebuilds the column views as a fresh build would, reading every cost.
+Fractions are built only for the returned ``CoverLpResult``.
 """
 
 from dataclasses import dataclass
@@ -204,17 +205,7 @@ class CoverLp:
         self.columns = np.asarray(columns, dtype=int_dtype(1 << n))
         self.costs = costs
         self.denominator = denominator
-        self._int_costs = None  # c~ as int64, when the solver reads every cost and they fit
-        if screen is None:
-            exact = np.asarray(costs)
-            self._top_cost = int(np.abs(exact).max(initial=0))  # max|c~|
-            if self._top_cost < _INT64_PRICES:
-                self._int_costs = exact.astype(np.int64)
-            # numpy divides by a Python int only while it fits an int64
-            screen = widen(denominator, exact)[0] / denominator
-        self._screen = np.asarray(screen, dtype=np.float64)
-        self._max_cost = float(np.abs(self._screen).max(initial=0.0))
-        self._bytes = _byte_indices(n, self.columns)
+        self._build_views(screen)
         # the first singleton column of each vertex
         cols, first = self.columns, {}
         for j in np.flatnonzero((cols != 0) & ((cols & (cols - 1)) == 0)).tolist():
@@ -230,19 +221,28 @@ class CoverLp:
         self.y = [self._cost(j) for j in self.basis]  # C D y
         self.iterations = 0
 
+    def _build_views(self, screen: np.ndarray | None) -> None:
+        """Every per-column view of ``columns`` and ``costs``; without a screen, from every cost."""
+        self._int_costs = None  # c~ as int64, when the solver reads every cost and they fit
+        if screen is None:
+            exact = np.asarray(self.costs)
+            self._top_cost = int(np.abs(exact).max(initial=0))  # max|c~|
+            if self._top_cost < _INT64_PRICES:
+                self._int_costs = exact.astype(np.int64)
+            # numpy divides by a Python int only while it fits an int64
+            screen = widen(self.denominator, exact)[0] / self.denominator
+        self._screen = np.asarray(screen, dtype=np.float64)
+        self._max_cost = float(np.abs(self._screen).max(initial=0.0))
+        self._bytes = _byte_indices(self.n, self.columns)
+
     def add_column(self, column: int, cost: int) -> int:
-        """Append a bitmask column costing ``cost / denominator``; the basis stays feasible."""
+        """Append a bitmask column costing ``cost / denominator``; the basis stays feasible.
+
+        Rebuilds the views as a fresh unscreened build would, reading every cost.
+        """
         self.costs = [*self.costs, cost]  # a new list: the caller's sequence stays as it was
         self.columns = np.append(self.columns, column)
-        self._bytes = [
-            np.append(b, new) for b, new in zip(self._bytes, _byte_indices(self.n, self.columns[-1:]))
-        ]
-        cost_f = cost / self.denominator
-        self._screen = np.append(self._screen, cost_f)
-        self._max_cost = max(self._max_cost, abs(cost_f))
-        if self._int_costs is not None:  # the int64 route ends for good once a cost outgrows it
-            self._top_cost = max(self._top_cost, abs(cost))
-            self._int_costs = np.append(self._int_costs, cost) if self._top_cost < _INT64_PRICES else None
+        self._build_views(None)
         return len(self.columns) - 1
 
     @staticmethod

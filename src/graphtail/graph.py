@@ -121,10 +121,6 @@ class OrderedTree:
     def size(self) -> int:
         return len(self.order)
 
-    def rank(self, original: int) -> int:
-        """Relabel of an original vertex."""
-        return self.order.index(original) + 1
-
     def original(self, relabeled: int) -> int:
         return self.order[relabeled - 1]
 

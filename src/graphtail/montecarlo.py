@@ -357,6 +357,9 @@ def _fold(ufunc: np.ufunc, rows: Iterable[np.ndarray], out: np.ndarray) -> np.nd
 
 def sample(spec: SamplerSpec, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Samples [start, start+count) as an array of shape (count, n)."""
+    check_positive(count, "sample count")
+    if start < 0:
+        raise InputError(f"need sample start >= 0, got {start}")
     out = np.empty((spec.n, count))
     for coordinate, row in zip(out, _emit_chunk(spec, _check_seed(seed), start, count)):
         coordinate[...] = row
@@ -606,10 +609,10 @@ def estimate_tails(
     Ef is the exact mean (``analytic_mean``), so a PASS holds at CI_LEVEL.
     A spec whose exact mean is past ``MEAN_TERM_CAP`` raises ScaleError
     before any sample is drawn: there is no estimated mean to fall back on.
-    A caller passing ``mean`` has checked the run and taken its exact mean.
+    A caller passing ``mean`` has taken its exact mean; the run is checked either way.
     """
+    t_grid = _check_run(t_grid, seed, n_samples, workers)
     if mean is None:
-        t_grid = _check_run(t_grid, seed, n_samples, workers)
         mean = analytic_mean(spec)
     thresholds = [mean + t for t in t_grid]
     counts = _threshold_counts(spec, seed, n_samples, thresholds, workers=workers)

@@ -109,7 +109,7 @@ class TestRootedOrder:
         # the closed neighborhood of every proper subtree adds exactly the parent
         g = build_graph(6, [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
         tree = rooted_order(g, [Fraction(1)] * 6)
-        relabeled_edges = {(tree.rank(u), tree.rank(v)) for u, v in g.edges}
+        relabeled_edges = {(tree.order.index(u) + 1, tree.order.index(v) + 1) for u, v in g.edges}
         relabeled_edges |= {(b, a) for a, b in relabeled_edges}
         for i in range(1, tree.size):
             fr = subtree(tree, i)

@@ -222,6 +222,16 @@ class TestDeterminism:
         for i in range(10):
             assert sample(spec, seed=5, count=1, start=i).tobytes() == full[i].tobytes(), i
 
+    def test_a_negative_start_is_refused(self):
+        spec = block_factor_spec(5, 2, uniform(0, 1))
+        with pytest.raises(InputError, match=r"need sample start >= 0, got -4"):
+            sample(spec, 1, 2, start=-4)
+
+    def test_a_negative_count_is_refused(self):
+        spec = block_factor_spec(5, 2, uniform(0, 1))
+        with pytest.raises(InputError, match=r"need sample count >= 1, got -1"):
+            sample(spec, 1, -1)
+
     def test_different_seeds_differ(self):
         spec = block_factor_spec(5, 2, uniform(0, 1))
         assert not np.array_equal(sample(spec, 1, 32), sample(spec, 2, 32))
@@ -698,6 +708,16 @@ class TestEstimateTail:
         spec = latent_graph_spec(g, [((v,), uniform(0, 1)) for v in g.vertices])
         est = estimate_tails(spec, [1e-9], seed=7, n_samples=100_000)[0]
         assert abs(est.p_hat - 0.5) < 0.01
+
+    def test_no_samples_are_refused_with_a_mean_given(self):
+        spec = latent_graph_spec(build_graph(1, []), [((1,), uniform(0, 1))])
+        with pytest.raises(InputError, match=r"need sample count >= 1, got 0"):
+            estimate_tails(spec, [1.0], seed=1, n_samples=0, mean=1.5)
+
+    def test_a_negative_seed_is_refused_with_a_mean_given(self):
+        spec = latent_graph_spec(build_graph(1, []), [((1,), uniform(0, 1))])
+        with pytest.raises(InputError, match=r"seed must be in \[0, 2\*\*64\), got -1"):
+            estimate_tails(spec, [1.0], seed=-1, n_samples=10, mean=1.5)
 
     def test_ci_is_exact_binomial(self):
         assert math.isclose(binomial_upper_ci(0, 100), 1 - 0.01 ** (1 / 100))

@@ -447,8 +447,13 @@ class TestFloatView:
         masks = encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})])
         lp = CoverLp(2, masks[:2], [3, 3])
         lp.add_column(masks[2], 4)
-        assert lp._int_costs is None
-        assert lp.solve() == CoverLp(2, masks, [3, 3, 4]).solve()
+        fresh = CoverLp(2, masks, [3, 3, 4])
+        assert lp._int_costs is None and fresh._int_costs is None
+        assert lp._top_cost == fresh._top_cost == 4
+        assert np.array_equal(lp._screen, fresh._screen)
+        assert all(np.array_equal(a, b) for a, b in zip(lp._bytes, fresh._bytes, strict=True))
+        assert lp.solve() == fresh.solve()
+        assert lp.basis == fresh.basis
 
     def test_costs_given_with_a_screen_are_never_priced_in_int64(self):
         lp = CoverLp(2, [0b010, 0b100], [1, 1], 1, np.array([1.0, 1.0]))

@@ -17,11 +17,12 @@ A statement spanning several lines counts as reached when any line of it
 (of its header, for a compound statement) runs.
 
 It needs only the standard library and the test suite's own dependencies.  Pytest's report goes to
-stderr, so stdout holds the list alone; a test that fails under tracing (one
-that bounds its own run time, say) is reported there, and the list is
-printed all the same.  Nothing is written into the repository: the run has
-no pytest cache, no hypothesis database and no bytecode files, and its
-working directory is a temporary one.  Tracing makes the suite about twice
+stderr, so stdout holds the list alone, printed whatever the tests do.  A
+test that fails under tracing (one that bounds its own run time, say) is run
+again, untraced, in a fresh pytest process, and stderr names only those that
+fail there too.  Nothing is written into the repository: the runs have no
+pytest cache and no bytecode files, the traced one no hypothesis database,
+and their working directory is a temporary one.  Tracing makes the suite about twice
 as slow (108 s against 44 s on 2 cores, Python 3.11).  Pytest does not
 collect this file.
 """
@@ -29,6 +30,7 @@ collect this file.
 import ast
 import contextlib
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -85,8 +87,26 @@ class _NoDeadline:
         settings.register_profile("unreached-lines", database=None, deadline=None)
 
 
-def trace_suite(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``args`` under tracing; return its exit code and the lines run per file."""
+class _Failures:
+    """A pytest plugin: the ids of the tests that fail, in the order they ran."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.ids:
+            self.ids.append(report.nodeid)
+
+
+def _argv(args: list[str]) -> list[str]:
+    """Pytest's arguments for a run from any working directory, test paths read from the root."""
+    args = [str(ROOT / a) if (ROOT / a.split("::")[0]).exists() else a for a in args]
+    return ["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
+            *(args or [str(ROOT / "tests")])]
+
+
+def trace_suite(args: list[str]) -> tuple[int, list[str], dict[str, set[int]]]:
+    """Run pytest with ``args`` under tracing: its exit code, failed test ids and lines run per file."""
     prefix = str(PACKAGE) + os.sep
     hits: dict[str, set[int]] = {}
 
@@ -104,26 +124,34 @@ def trace_suite(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
-    argv = ["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-            "-c", str(ROOT / "pyproject.toml"), "--hypothesis-profile", "unreached-lines"]
-    # test paths are read from the repository root, whatever the working directory
-    args = [str(ROOT / a) if (ROOT / a.split("::")[0]).exists() else a for a in args]
+    failures = _Failures()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         os.chdir(tmp)
         threading.settrace(global_)
         sys.settrace(global_)
         try:
-            code = pytest.main(argv + (args or [str(ROOT / "tests")]), plugins=[_NoDeadline()])
+            code = pytest.main([*_argv(args), "--hypothesis-profile", "unreached-lines"],
+                               plugins=[_NoDeadline(), failures])
         finally:
             sys.settrace(None)
             threading.settrace(None)
             os.chdir(here)
-    return code, hits
+    return code, failures.ids, hits
+
+
+def fails_untraced(test_id: str) -> bool:
+    """Whether the test fails again, run alone and untraced in a fresh pytest process."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        run = subprocess.run([sys.executable, "-m", "pytest", *_argv([test_id])], cwd=tmp, env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode != 0
 
 
 def main(args: list[str]) -> int:
-    code, hits = trace_suite(args)
+    code, failed, hits = trace_suite(args)
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
@@ -131,7 +159,10 @@ def main(args: list[str]) -> int:
         for first, last in statements(source):
             if ran.isdisjoint(range(first, last + 1)):
                 print(f"{path.relative_to(ROOT)}:{first} {lines[first - 1].strip()}")
-    print(f"pytest exit code {code}", file=sys.stderr)
+    print(f"pytest exit code {code} under tracing", file=sys.stderr)
+    for test_id in failed:
+        if fails_untraced(test_id):
+            print(f"fails untraced too: {test_id}", file=sys.stderr)
     return 0
 
 
