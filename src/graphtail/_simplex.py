@@ -5,9 +5,9 @@ incidence matrix.  Costs arrive as integers c~_j over one common denominator
 C, so c_j = c~_j / C, and every step of the solve is exact integer arithmetic,
 in int64 arrays while a checked bound holds and in Python integers past it;
 the optimum, the basic weights and the duals are exact for the given costs.
-Pricing may be screened in floating point for speed, but the entering column
-is chosen, and optimality certified, by exact reduced costs, so the float
-pass can only cost time, never correctness.
+A caller may screen pricing in floating point for speed, but the entering
+column is chosen, and optimality certified, by exact reduced costs, so the
+float pass can only cost time, never correctness.
 
 Integer representation.  For the basis B (its columns are parts a_j and
 surplus columns -e_v) the solver keeps D = det B > 0 and the integer matrix
@@ -44,51 +44,44 @@ No test needs a division.  The ratio test compares x~_i / d~_i with
 x~_b / d~_b by comparing x~_i d~_b with x~_b d~_i (both d~ are positive), and
 column j's reduced cost c_j - y a_j has the sign of c~_j D - sum_{v in j} y~_v.
 
-Pricing.  When the solver has read every cost itself (the caller gave no
-screen), it prices every column exactly in int64 while max|c~| D and
-n max|y~| stay below 2^62, checked on each iteration's values: then
-|c~_j D - y~(F_j)| < 2^63.  The byte tables below, built from y~ as int64,
-give every y~(F) exactly.  Dantzig's rule enters the first column of least
-exact reduced cost (``argmin``), Bland's rule the first negative one, and the
-surplus columns follow as on the band route.  The unit-cost LPs (fractional
-chromatic number and vertex arboricity) take this route, and so does the
-column-generation master while its costs fit.
+Pricing.  The caller fixes one of two routes per LP.  Without a screen the
+solver reads every cost, and each iteration prices every column exactly: its
+c~_j D - y~(F_j) is int64 while 2 max(max|c~| D, n max|y~|) fits
+(``int_dtype``), a bound on every partial sum, and a Python int past it.
+Dantzig's rule enters the first column of least exact reduced cost
+(``argmin``), Bland's rule the first negative one.  The unit-cost LPs
+(fractional chromatic number and vertex arboricity) and the
+column-generation master take this route.
 
-Otherwise each iteration screens every column in floating point and then
-prices a band of them exactly, skipping basic columns, whose exact reduced
-cost is 0.  With r_f the float reduced costs and
+Given a screen, each iteration screens every column in floating point and
+then prices a band of them exactly, skipping basic columns, whose exact
+reduced cost is 0.  With r_f the float reduced costs and
 E = 1e-9 * (1 + max|c| + sum|y|), the band is the columns with
 r_f <= min(min r_f + 2E, E).  While Dantzig's rule runs, the band column of
-least exact reduced cost enters, the lowest index among equals; if none is
-negative, the lowest surplus column with exact y_v < 0 enters; if there is
-none, the basis is optimal.  A column outside the band has
-r_f > E or r_f > min r_f + 2E, so once the float error is below E its exact
-reduced cost is positive or above that of the band's float minimum: the band
-holds every column of least exact reduced cost, and it certifies optimality.
-Past ``_BLAND_AFTER`` iterations the lowest-index column with r_f <= E and a
-negative exact reduced cost enters instead (Bland's rule), then the lowest
-surplus as before.  So the pivot path is a function of exact values only: the
-float screen decides how many columns are priced, never which one enters, and
-the witness is the same on every machine.  The int64 route makes the same
-choice: the band holds every column of least exact reduced cost, so the
-band's lowest index among them is the ``argmin`` over all columns; and every
-column of negative exact reduced cost has r_f < E, so Bland's rule scans it
-on the band route too and finds the same first one.  Which route an
-iteration takes changes its cost, never its pivot.
+least exact reduced cost enters, the lowest index among equals.  A column
+outside the band has r_f > E or r_f > min r_f + 2E, so once the float error
+is below E its exact reduced cost is positive or above that of the band's
+float minimum: the band holds every column of least exact reduced cost, and
+it certifies optimality.  Past ``_BLAND_AFTER`` iterations the lowest-index
+column with r_f <= E and a negative exact reduced cost enters instead
+(Bland's rule).  So the float screen decides how many columns are priced,
+never which one enters: the pivot path is that of the exact route, and the
+witness is the same on every machine.  On either route, if no part column
+enters, the lowest surplus column with exact y_v < 0 does; if there is none,
+the basis is optimal.
 
 The float error stays far below E.  The screen holds each cost to within
-2^-50 relative (c~_j / C in floats, three roundings at most, when the caller
-gives none); the duals y~_v / (C D) are correctly rounded; and
+2^-50 relative; the duals y~_v / (C D) are correctly rounded; and
 y(F) = sum_{v in F} y_v adds at most n floats, so r_f errs by at most
 (2^-49 + (n + 2) 2^-53) (1 + max|c| + sum|y|), below E for any n under about
-10^6.  The dual sums come from subset-sum tables, one per byte of the
-bitmask: entry b of table k is the sum of y over the vertices 8k + 1 .. 8k + 8
-whose bits b sets, and y(F) adds one entry per byte of F's mask in byte order.
-No float step calls BLAS, whose kernel the host picks at run time; and a
-float that rounds differently could only change the band's size, not its
-least exact reduced cost.  Given a float screen, the solver reads costs only
-where it prices them exactly or they enter a basis, so a lazy sequence
-computes only those.
+10^6.  On both routes the dual sums come from subset-sum tables, one per byte
+of the bitmask: entry b of table k is the sum of y over the vertices
+8k + 1 .. 8k + 8 whose bits b sets, and y(F) adds one entry per byte of F's
+mask in byte order.  No float step calls BLAS, whose kernel the host picks at
+run time; and a float that rounds differently could only change the band's
+size, not its least exact reduced cost.  Given a screen, the solver reads
+costs only where it prices them exactly or they enter a basis, so a lazy
+sequence computes only those.
 
 A column is a bitmask with bit v set for each vertex v of its part: an int64
 while every bit fits (n < 63), a Python int in an object array past that.
@@ -111,8 +104,7 @@ from .errors import VerificationError
 
 _SCREEN_TOL = 1e-9
 _BLAND_AFTER = 5000  # switch to Bland's rule if Dantzig-style pricing runs long
-_INT64_STATE = 2**63  # int64 holds every integer below this: M, x~ and ``int_dtype``'s bound
-_INT64_PRICES = _INT64_STATE // 2  # price in int64 while max|c~| D and n max|y~| stay below this
+_INT64_STATE = 2**63  # int64 holds every integer below this: ``int_dtype``'s bound
 
 _SURPLUS_BASE = 10**9  # Bland priority offset for surplus columns
 
@@ -181,12 +173,11 @@ class CoverLp:
     """Warm-startable exact covering LP.  Surplus column ids are -v (v a vertex).
 
     ``costs`` are integers over ``denominator``: column j costs
-    ``costs[j] / denominator``.  ``screen`` holds each ``costs[j] / denominator``
-    to within 2^-50 relative error, as floats.  Given a screen, any integer
-    sequence will do for ``costs``: it is read only at the columns the solver
-    prices exactly or puts in a basis.  Without one, the solver reads every
-    cost, divides it in floating point, and prices in int64 while the costs
-    and duals fit (see the module docstring).
+    ``costs[j] / denominator``.  Without a ``screen`` the solver reads every
+    cost and prices every column exactly (see the module docstring).  A
+    ``screen`` holds each ``costs[j] / denominator`` to within 2^-50 relative
+    error, as floats; given one, any integer sequence will do for ``costs``:
+    it is read only at the columns the solver prices exactly or puts in a basis.
     """
 
     def __init__(
@@ -222,23 +213,21 @@ class CoverLp:
         self.iterations = 0
 
     def _build_views(self, screen: np.ndarray | None) -> None:
-        """Every per-column view of ``columns`` and ``costs``; without a screen, from every cost."""
-        self._int_costs = None  # c~ as int64, when the solver reads every cost and they fit
+        """Every per-column view of ``columns`` and ``costs``: the exact costs, or the screen given."""
+        self._bytes = _byte_indices(self.n, self.columns)
+        self._screen = self._exact_costs = None
         if screen is None:
             exact = np.asarray(self.costs)
             self._top_cost = int(np.abs(exact).max(initial=0))  # max|c~|
-            if self._top_cost < _INT64_PRICES:
-                self._int_costs = exact.astype(np.int64)
-            # numpy divides by a Python int only while it fits an int64
-            screen = widen(self.denominator, exact)[0] / self.denominator
-        self._screen = np.asarray(screen, dtype=np.float64)
-        self._max_cost = float(np.abs(self._screen).max(initial=0.0))
-        self._bytes = _byte_indices(self.n, self.columns)
+            self._exact_costs = exact.astype(int_dtype(self._top_cost), copy=False)
+        else:
+            self._screen = np.asarray(screen, dtype=np.float64)
+            self._max_cost = float(np.abs(self._screen).max(initial=0.0))
 
     def add_column(self, column: int, cost: int) -> int:
         """Append a bitmask column costing ``cost / denominator``; the basis stays feasible.
 
-        Rebuilds the views as a fresh unscreened build would, reading every cost.
+        Rebuilds the views as an unscreened build of the grown pool would, reading every cost.
         """
         self.costs = [*self.costs, cost]  # a new list: the caller's sequence stays as it was
         self.columns = np.append(self.columns, column)
@@ -265,22 +254,18 @@ class CoverLp:
         y = self.y
         return self._cost(j) * self.det - sum(y[v] for v in self._part(j))
 
-    def _int64_reduced(self) -> np.ndarray | None:
-        """C D times every part column's exact reduced cost, in int64, or None if one may not fit."""
+    def _all_reduced(self) -> np.ndarray:
+        """C D times every part column's exact reduced cost: int64 while the sums fit, else Python ints."""
         det, y = self.det, self.y
-        if (
-            self._int_costs is None
-            or self._top_cost * det >= _INT64_PRICES
-            or self.n * max(map(abs, y)) >= _INT64_PRICES
-        ):
-            return None
-        return self._int_costs * det - _dual_sums(_subset_sums(np.array(y, dtype=np.int64)), self._bytes)
+        dtype = int_dtype(2 * max(self._top_cost * det, self.n * max(map(abs, y))))
+        sums = _dual_sums(_subset_sums(np.array(y, dtype=dtype)), self._bytes)
+        return self._exact_costs.astype(dtype, copy=False) * det - sums
 
     def _entering(self) -> tuple[int, int] | None:
         """The entering column and its scaled reduced cost, or None at an optimum."""
         y = self.y
-        reduced = self._int64_reduced()
-        if reduced is not None:  # every column priced exactly
+        if self._screen is None:  # every column priced exactly
+            reduced = self._all_reduced()
             # Dantzig: the least, the first index among equals; Bland: the first negative
             j = int(reduced.argmin() if self.iterations <= _BLAND_AFTER else (reduced < 0).argmax())
             if reduced[j] < 0:

@@ -257,6 +257,7 @@ class _Emit:
 
 
 def _support(dist: dict, what: str) -> list:
+    dist = _typed(dist, dict, what)
     values = _symbols(dist["values"], f"{what} 'values'")
     probs = _typed(dist["probs"], list, f"{what} 'probs'")
     if len(values) != len(probs):
@@ -318,7 +319,8 @@ def load_joint_spec(path: str):
             spaces = [_symbols(s, "each of 'spaces'") for s in _typed(data["spaces"], list, "'spaces'")]
             members = [{v: v for v in s} for s in spaces]
             pmf, read = {}, {}  # read: each distinct probability string, read once
-            for item in data["pmf"]:
+            for item in _typed(data["pmf"], list, "'pmf'"):
+                item = _typed(item, dict, "a pmf entry")
                 x = _pmf_point(_typed(item["x"], list, "a pmf entry's 'x'"), members)
                 p = item["p"]
                 if type(p) is not str:  # 1, 1.0 and True are one key, but not one reading
@@ -346,16 +348,19 @@ def load_joint_spec(path: str):
     couplingmod.check_coordinates(g.n)  # before any per-vertex work
     try:
         vertex_latents = _latents_by_key(
-            data["vertex_latents"], lambda v: read_vertex_id(v, "vertex latent key"), "vertex latent"
+            _typed(data["vertex_latents"], dict, "'vertex_latents'"),
+            lambda v: read_vertex_id(v, "vertex latent key"),
+            "vertex latent",
         )
-        edge_latents = _latents_by_key(data.get("edge_latents", {}), _edge_key, "edge latent")
-        rules = data.get("emit", {})
+        edges = _typed(data.get("edge_latents", {}), dict, "'edge_latents'")
+        edge_latents = _latents_by_key(edges, _edge_key, "edge latent")
+        rules = _typed(data.get("emit", {}), dict, "'emit'")
         vertex_of = {str(v): v for v in g.vertices}
         for key in sorted(rules):  # a key that is no vertex's decimal stays a string
             check_vertex(vertex_of.get(key, key), g.n, "emit rule for vertex")
         emit = {}
         for v in g.vertices:
-            rule = rules.get(str(v), {"kind": "xor"})
+            rule = _typed(rules.get(str(v), {"kind": "xor"}), dict, f"emit rule {str(v)!r}")
             incident = [e for e in g.edges if v in e]
             emit[v] = _emit_callable(rule.get("kind", "xor"), rule.get("map"), incident)
     except KeyError as exc:

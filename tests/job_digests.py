@@ -21,6 +21,13 @@ the host, diff a run under a forced kernel against a default one:
 
 ``tests/test_cli.py::TestByteIdenticalReports::test_lp_witness_does_not_depend_on_the_blas_kernel``
 runs the same check on one ``covers chi-f`` job.
+
+``tests/data/job_digests.txt`` records the lines of the cover-lp and
+coupling-exact workloads, and ``tests/test_job_digests.py`` checks them on
+every test run.  A change that moves one of those outputs on purpose
+regenerates the file, as it would a golden file:
+
+    PYTHONPATH=src python tests/job_digests.py cover-lp coupling-exact > tests/data/job_digests.txt
 """
 
 import contextlib
@@ -44,7 +51,8 @@ def load_workloads():
     return module
 
 
-def main(names: list[str]) -> None:
+def digest_lines(names: list[str]):
+    """``workload seed job exit sha256(stdout)`` for each job of the named workloads (default: all)."""
     workloads = load_workloads()
     for name in names or workloads.WORKLOADS:
         for seed in SEEDS:
@@ -54,7 +62,12 @@ def main(names: list[str]) -> None:
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                         code = cli.run(job["argv"])
                     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                    print(name, seed, job["id"], code, digest, flush=True)
+                    yield f"{name} {seed} {job['id']} {code} {digest}"
+
+
+def main(names: list[str]) -> None:
+    for line in digest_lines(names):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

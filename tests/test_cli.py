@@ -655,32 +655,43 @@ class TestExitCodes:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, message",
         [
             # mixed-type alphabet in a raw joint
-            {"spaces": [[0, "a"], [0, 1]], "pmf": [{"x": [0, 0], "p": 1}]},
-            # emit rule written as a string
-            {**_P2XOR, "emit": {"1": "xor"}},
+            ({"spaces": [[0, "a"], [0, 1]], "pmf": [{"x": [0, 0], "p": 1}]},
+             "alphabet values must be hashable and mutually ordered"),
             # table key that is not a list of integers
-            {**_P2XOR, "emit": {"1": {"kind": "table", "map": {"a,0": 1}}}},
+            ({**_P2XOR, "emit": {"1": {"kind": "table", "map": {"a,0": 1}}}},
+             "emit table key 'a,0' is not comma-separated integers"),
             # table map given as a list
-            {**_P2XOR, "emit": {"1": {"kind": "table", "map": [[0, 0, 1]]}}},
-            # pmf given as an object instead of a list
-            {"spaces": [[0, 1]], "pmf": {"x": [0], "p": 1}},
+            ({**_P2XOR, "emit": {"1": {"kind": "table", "map": [[0, 0, 1]]}}},
+             "table emit 'map' must be an object, got [[0, 0, 1]]"),
             # non-integer latent values under the default xor emit
-            {**_P2XOR, "emit": {}, "vertex_latents": {
+            ({**_P2XOR, "emit": {}, "vertex_latents": {
                 "1": {"values": ["a", "b"], "probs": ["1/2", "1/2"]},
                 "2": {"values": [0, 1], "probs": ["1/2", "1/2"]},
-            }},
+            }}, "xor emit cannot combine the latent value 'a'"),
+            # fields of the wrong JSON type, each named with the value it got
+            ({**_P2XOR, "emit": []}, "'emit' must be an object, got []"),
+            ({**_P2XOR, "emit": {"1": "xor"}}, "emit rule '1' must be an object, got 'xor'"),
+            ({**_P2XOR, "vertex_latents": [1, 2]}, "'vertex_latents' must be an object, got [1, 2]"),
+            ({**_P2XOR, "vertex_latents": {**_P2XOR["vertex_latents"], "1": [0, 1]}},
+             "vertex latent '1' must be an object, got [0, 1]"),
+            ({**_P2XOR, "edge_latents": [1]}, "'edge_latents' must be an object, got [1]"),
+            ({"spaces": [[0, 1]], "pmf": {"x": [0], "p": 1}}, "'pmf' must be a list, got {'x': [0], 'p': 1}"),
+            ({"spaces": [[0, 1]], "pmf": [[0, 1]]}, "a pmf entry must be an object, got [0, 1]"),
         ],
+        ids=["mixed-alphabet", "table-key", "table-map-list", "xor-of-strings", "emit-list",
+             "emit-rule-string", "vertex-latents-list", "vertex-latent-list", "edge-latents-list",
+             "pmf-object", "pmf-entry-list"],
     )
-    def test_malformed_joint_specs_exit_1(self, spec, tmp_path, capsys):
+    def test_malformed_joint_specs_exit_1(self, spec, message, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert cli.run(["verify", "coupling", "--spec", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: {message}") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "spec, field",

@@ -412,15 +412,27 @@ class TestDualSums:
         for got, want in zip(simplexmod._dual_sums(tables, indices).tolist(), exact):
             assert abs(F(got) - want) <= bound
 
+    @pytest.mark.parametrize("n", [9, 25, 64])
+    def test_python_int_tables_are_exact(self, n):
+        """Past int64 the exact route sums duals of Python ints through the same tables."""
+        rng = random.Random(n)
+        columns = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(500)]
+        masks = encoded(columns)
+        y = [rng.choice((-1, 1)) * rng.randint(2**63, 2**70) for _ in range(n)]
+        tables = simplexmod._subset_sums(np.array(y, dtype=object))
+        got = simplexmod._dual_sums(tables, simplexmod._byte_indices(n, masks))
+        assert got.dtype == object
+        assert got.tolist() == [sum(y[v - 1] for v in col) for col in columns]
 
-class TestFloatView:
+
+class TestRouteViews:
     def test_start_basis_takes_the_first_singleton_of_each_vertex(self):
         columns = [{1, 2}, {2}, {3}, {1}, {2}, {1}]
         assert CoverLp(3, encoded(columns), [1] * 6).basis == [3, 1, 2]
 
-    def test_the_default_screen_divides_by_a_denominator_past_int64(self):
+    def test_a_denominator_past_int64_solves_exactly_without_a_screen(self):
         lp = CoverLp(2, [0b010, 0b100], np.array([3, 5], dtype=np.int64), 10**20)
-        assert lp._screen.tolist() == [3 / 10**20, 5 / 10**20]
+        assert lp._screen is None
         assert lp.solve().objective == F(8, 10**20)
 
     def test_add_column_appends_what_a_fresh_build_has(self):
@@ -435,29 +447,32 @@ class TestFloatView:
         assert len(grown._bytes) == len(fresh._bytes) == 1
         assert np.array_equal(grown._bytes[0], fresh._bytes[0])
         assert grown._bytes[0].dtype == np.uint8
-        assert np.array_equal(grown._screen, fresh._screen)
-        assert grown._screen.tolist() == [float(c) for c in costs]
-        assert grown._max_cost == fresh._max_cost
         assert grown.costs == fresh.costs == nums
-        assert grown._int_costs.dtype == np.int64
-        assert grown._int_costs.tolist() == fresh._int_costs.tolist() == nums
+        assert grown._top_cost == fresh._top_cost == max(nums)
+        assert grown._exact_costs.dtype == np.int64
+        assert grown._exact_costs.tolist() == fresh._exact_costs.tolist() == nums
 
-    def test_a_cost_past_the_int64_bound_ends_the_int64_route(self, monkeypatch):
-        monkeypatch.setattr(simplexmod, "_INT64_PRICES", 4)
-        masks = encoded([frozenset({1}), frozenset({2}), frozenset({1, 2})])
-        lp = CoverLp(2, masks[:2], [3, 3])
-        lp.add_column(masks[2], 4)
-        fresh = CoverLp(2, masks, [3, 3, 4])
-        assert lp._int_costs is None and fresh._int_costs is None
-        assert lp._top_cost == fresh._top_cost == 4
-        assert np.array_equal(lp._screen, fresh._screen)
-        assert all(np.array_equal(a, b) for a, b in zip(lp._bytes, fresh._bytes, strict=True))
+    def test_a_pool_grown_past_the_int64_cost_bound_prices_in_python_ints(self):
+        masks = encoded([frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2}), frozenset({1, 2, 3})])
+        costs = [3, 3, 3, 4, 2**64]
+        lp = CoverLp(3, masks[:3], costs[:3])
+        assert lp._exact_costs.dtype == np.int64
+        for mask, cost in zip(masks[3:], costs[3:]):
+            lp.add_column(mask, cost)
+        fresh = CoverLp(3, masks, costs)
+        assert lp._exact_costs.dtype == fresh._exact_costs.dtype == object
+        assert lp._exact_costs.tolist() == fresh._exact_costs.tolist() == costs
+        log = logged_routes(lp)
         assert lp.solve() == fresh.solve()
-        assert lp.basis == fresh.basis
+        assert lp.solve().objective == 7 and lp.basis == fresh.basis
+        assert log and not any(int64 for int64, _ in log)
 
-    def test_costs_given_with_a_screen_are_never_priced_in_int64(self):
-        lp = CoverLp(2, [0b010, 0b100], [1, 1], 1, np.array([1.0, 1.0]))
-        assert lp._int_costs is None
+    def test_a_screened_lp_never_builds_the_exact_costs(self):
+        lp = CoverLp(2, [0b010, 0b100, 0b110], [1, 1, 1], 1, np.array([1.0, 1.0, 1.0]))
+        assert lp._exact_costs is None
+        log = logged_routes(lp)
+        assert lp.solve().objective == 1
+        assert log == []
 
 
 class TestPivotPathOracle:
@@ -556,7 +571,7 @@ class TestPricingIsExact:
         with mock.patch.object(simplexmod, "_dual_sums", wobbled_sums):
             lp = CoverLp(n, encoded(columns), nums, den, wobble(np.array([c / den for c in nums])))
             res = lp.solve()
-        # a caller's screen keeps the solve off the int64 route: every pass priced on the wobble
+        # a screened LP prices every pass on its (wobbled) screen
         assert len(calls) == res.iterations
         return lp, res
 
@@ -627,16 +642,23 @@ class TestBareissInvariant:
 
 
 def logged_routes(lp):
-    """Log each pricing pass of ``lp``: (priced in int64, M and x~ held as Python ints)."""
-    log, price = [], lp._int64_reduced
+    """Log each exact pricing pass of ``lp``: (priced in int64, M and x~ held as Python ints)."""
+    log, price = [], lp._all_reduced
 
     def logged():
         reduced = price()
-        log.append((reduced is not None, lp.adj.dtype == object))
+        assert reduced.dtype in (np.int64, object)  # an unscreened LP computes no float
+        log.append((reduced.dtype == np.int64, lp.adj.dtype == object))
         return reduced
 
-    lp._int64_reduced = logged
+    lp._all_reduced = logged
     return log
+
+
+def screened(lp):
+    """The same LP as ``lp``, given its costs in floats as a screen."""
+    screen = np.array([int(c) / lp.denominator for c in lp.costs])
+    return CoverLp(lp.n, lp.columns, lp.costs, lp.denominator, screen)
 
 
 def g16_unit_lp(family):
@@ -655,36 +677,38 @@ INT64_POOLS.append(("costly-column", 3, [{1}, {2}, {3}, {1, 2}, {1, 2, 3}], [1, 
 
 
 class TestInt64Route:
-    """Pricing in int64 and holding M, x~ in int64 leave the pivot path as it is."""
+    """Both routes pivot alike, and so does an unscreened LP in int64 or in Python ints."""
 
     @staticmethod
-    def solve_logged(make_lp, prices=simplexmod._INT64_PRICES, state=simplexmod._INT64_STATE):
-        with mock.patch.object(simplexmod, "_INT64_PRICES", prices), \
-                mock.patch.object(simplexmod, "_INT64_STATE", state):
+    def solve_logged(make_lp, state=simplexmod._INT64_STATE):
+        with mock.patch.object(simplexmod, "_INT64_STATE", state):
             lp = make_lp()
             log = logged_routes(lp)
             return lp, lp.solve(), log
 
+    def assert_routes_alike(self, make_lp):
+        """Priced exactly on every pass without a screen, never with one; same result and basis."""
+        lp, res, log = self.solve_logged(make_lp)
+        assert len(log) == res.iterations
+        screened_lp, expected, screened_log = self.solve_logged(lambda: screened(make_lp()))
+        assert screened_log == []
+        assert (res, lp.basis) == (expected, screened_lp.basis)
+        return log
+
     @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
-    @pytest.mark.parametrize("name, n, columns, costs", POOLS, ids=[p[0] for p in POOLS])
+    @pytest.mark.parametrize("name, n, columns, costs", POOLS + INT64_POOLS, ids=[p[0] for p in POOLS + INT64_POOLS])
     def test_both_routes_pivot_alike_on_the_pools(self, name, n, columns, costs, bland_after, monkeypatch):
         monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
-        lp, res, log = self.solve_logged(lambda: scaled_lp(n, columns, costs))
-        # only the unit pools have costs that fit; the others' roots and 2^-120 offsets do not
-        assert [int64 for int64, _ in log] == [name.startswith("unit")] * len(log)
-        screened, expected, screened_log = self.solve_logged(lambda: scaled_lp(n, columns, costs), prices=0)
-        assert not any(int64 for int64, _ in screened_log)
-        assert (res, lp.basis) == (expected, screened.basis)
+        log = self.assert_routes_alike(lambda: scaled_lp(n, columns, costs))
+        # the unit and small-cost pools price in int64; the roots and 2^-120 offsets do not fit
+        assert [int64 for int64, _ in log] == [not name.startswith(("forest", "near-tie"))] * len(log)
 
     @pytest.mark.parametrize("bland_after", [simplexmod._BLAND_AFTER, 0])
     @pytest.mark.parametrize("family", G16_FAMILIES, ids=["chi-f", "arboricity"])
     def test_both_routes_pivot_alike_on_g16(self, family, bland_after, monkeypatch):
         monkeypatch.setattr(simplexmod, "_BLAND_AFTER", bland_after)
-        lp, res, log = self.solve_logged(lambda: g16_unit_lp(family))
+        log = self.assert_routes_alike(lambda: g16_unit_lp(family))
         assert all(int64 for int64, _ in log)
-        screened, expected, screened_log = self.solve_logged(lambda: g16_unit_lp(family), prices=0)
-        assert not any(int64 for int64, _ in screened_log)
-        assert (res, lp.basis) == (expected, screened.basis)
 
     @pytest.mark.parametrize("shift", [20, 40, 60])
     @pytest.mark.parametrize(
@@ -694,13 +718,13 @@ class TestInt64Route:
         ids=[p[0] for p in POOLS + INT64_POOLS] + ["g16-chi-f", "g16-arboricity"],
     )
     def test_a_scaled_state_past_int64_solves_alike(self, make_lp, shift):
-        """The guards at their real bounds.
+        """The width rule at its real bound.
 
         Each pivot's update is homogeneous: from D, M, x~ and y~ all times
         2^shift it reaches the usual next state times 2^shift, so the solve
         takes the same path to the same result.  From 2^40 on, the pivot
-        products and the dual sums outgrow int64, and only the guards keep
-        them exact.
+        products and the dual sums outgrow int64, and only ``int_dtype``
+        keeps them exact.
         """
         lp = make_lp()
         expected = lp.solve()
@@ -710,61 +734,54 @@ class TestInt64Route:
         assert (scaled.solve(), scaled.basis) == (expected, lp.basis)
 
     @staticmethod
-    def mid_solve_bounds(solve):
-        """The least powers of two at which the pricing and the state guards trip mid-solve.
+    def mid_solve_limits(solve):
+        """The least powers of two at which pricing, and M and x~, leave int64 mid-solve.
 
-        ``solve(prices, state)`` solves under those bounds and returns its
-        pricing log.  The pricing guard trips when a later pass leaves the
-        int64 route that the first pass took; the state guard, when M and x~
-        stay int64 through the first pivot and end as Python ints.
+        ``solve(limit)`` solves with ``_INT64_STATE`` at ``limit`` and returns
+        its pricing log.  Pricing trips when a later pass leaves the int64 that
+        the first pass took; the state, when M and x~ stay int64 through the
+        first pivot and end as Python ints.
         """
         prices = state = None
         for k in range(1, 63):
-            if prices is None:
-                log = solve(2**k, simplexmod._INT64_STATE)
-                prices = 2**k if log[0][0] and not all(int64 for int64, _ in log) else None
-            if state is None:
-                log = solve(simplexmod._INT64_PRICES, 2**k)
-                state = 2**k if not log[1][1] and log[-1][1] else None
-        assert prices is not None and state is not None, "no bound trips in the middle of the solve"
+            log = solve(2**k)
+            if prices is None and log[0][0] and not all(int64 for int64, _ in log):
+                prices = 2**k
+            if state is None and not log[1][1] and log[-1][1]:
+                state = 2**k
+        assert prices is not None and state is not None, "the width trips in the middle of no solve"
         return prices, state
 
     @pytest.mark.parametrize("family", G16_FAMILIES, ids=["chi-f", "arboricity"])
-    def test_guards_tripping_mid_solve_keep_the_result(self, family):
-        """Cold solves: the guards' fallbacks end where a Python-int solve does."""
+    def test_widths_tripping_mid_solve_keep_the_result(self, family):
+        """Cold solves: widening mid-solve ends where a Python-int solve does."""
         make_lp = functools.partial(g16_unit_lp, family)
-        prices, state = self.mid_solve_bounds(lambda *bounds: self.solve_logged(make_lp, *bounds)[2])
-        lp, res, log = self.solve_logged(make_lp, prices, state)
-        assert log[0] == (True, False) and not log[1][1]
-        assert not log[-1][0] and log[-1][1]
-        reference, expected, reference_log = self.solve_logged(make_lp, prices=0, state=0)
+        reference, expected, reference_log = self.solve_logged(make_lp, state=0)
         assert not any(int64 for int64, _ in reference_log)
-        assert (res, lp.basis) == (expected, reference.basis)
+        for limit in self.mid_solve_limits(lambda limit: self.solve_logged(make_lp, limit)[2]):
+            lp, res, _ = self.solve_logged(make_lp, limit)
+            assert (res, lp.basis) == (expected, reference.basis)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 4])  # seed 3's state guard trips at the first pivot or never
-    def test_guards_tripping_in_warm_solves_keep_the_result(self, seed):
-        """Warm solves after ``add_column``: the cost array, screen and bytes stay in step."""
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])  # seed 3's state trips at the first pivot or never
+    def test_widths_tripping_in_warm_solves_keep_the_result(self, seed):
+        """Warm solves after ``add_column``: the cost array and bytes stay in step."""
         rng = random.Random(seed)
         n, columns, costs = random_instance(rng, n=10, extra=60)
         nums, den = over_common_denominator(costs)
         masks = encoded(columns)
 
-        def warm_solve(prices, state, start=n + 20):
-            with mock.patch.object(simplexmod, "_INT64_PRICES", prices), \
-                    mock.patch.object(simplexmod, "_INT64_STATE", state):
+        def warm_solve(limit, start=n + 20):
+            with mock.patch.object(simplexmod, "_INT64_STATE", limit):
                 lp = CoverLp(n, masks[:start], nums[:start], den)
                 log = logged_routes(lp)
                 lp.solve()
                 for mask, num in zip(masks[start:], nums[start:]):
                     lp.add_column(mask, num)
-                assert len(lp._screen) == len(lp._bytes[0]) == len(columns)
-                assert lp._int_costs is None or lp._int_costs.tolist() == nums
+                assert len(lp._bytes[0]) == len(columns)
+                assert lp._exact_costs.tolist() == nums
                 return lp.solve(), lp.basis, log
 
-        prices, state = self.mid_solve_bounds(lambda *bounds: warm_solve(*bounds)[2])
-        *got, log = warm_solve(prices, state)
-        assert log[0] == (True, False) and not log[1][1]
-        assert not all(int64 for int64, _ in log) and log[-1][1]
-        *expected, reference_log = warm_solve(0, 0)
+        *expected, reference_log = warm_solve(0)
         assert not any(int64 for int64, _ in reference_log)
-        assert got == expected
+        for limit in self.mid_solve_limits(lambda limit: warm_solve(limit)[2]):
+            assert warm_solve(limit)[:2] == tuple(expected)
